@@ -36,6 +36,7 @@ import statistics
 import sys
 import tempfile
 import traceback
+from array import array
 from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
@@ -46,7 +47,8 @@ SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 SETUP_REPEATS = 9
 # The self times of a traced op's spans must sum to the op's traced wall
-# time (its root span) to within this, which allows only float rounding.
+# time (its root span) to within this, which allows only float rounding,
+# and no span may be left open.
 ACCOUNTING_TOL_REL = 1e-6
 ACCOUNTING_TOL_ABS = 1e-9
 
@@ -155,7 +157,8 @@ class OpRunner:
         self.attempted = 0
         self.failed = 0
         self.reasons: list[str] = []
-        self.span = (0.0, 0.0)  # (root span duration, summed self times) of the last traced op
+        # (root span duration, summed self times, spans left open) of the last traced op
+        self.span = (0.0, 0.0, 0)
 
     def run(self, op, tracer=None, op_id: int = 0) -> float:
         """Execute and check `op`; returns the wall time of the execution."""
@@ -194,36 +197,51 @@ class Calibrator:
     On a shared host the CPU speed drifts by tens of percent over seconds
     to minutes: the same `dmax_witness` call has taken 37 ms in one run
     and 51 ms in the next, with the calibration unit slowing alike. The
-    unit (pure-Python integer arithmetic plus a numpy compare-and-count,
-    the two kinds of work ledc does) is timed between operations at most
-    every `INTERVAL_S`. A time measured at t is scaled by REF_S over the
-    median unit time within `WINDOW_S` of t, so it reads as at the reference
-    speed and drift common to both cancels; the median ignores a unit that
-    was preempted. REF_S is the unit's typical time on a 2-core Intel Xeon
-    with Python 3.11.7 and numpy 2.4.6.
+    unit is timed between operations at most every `INTERVAL_S`. A time
+    measured at t is scaled by the unit's REF_S over the median unit time
+    within `WINDOW_S` of t, so it reads as at the reference speed and drift
+    common to both cancels; the median ignores a unit that was preempted.
+
+    The unit follows the work it calibrates. "python" is pure-Python
+    integer arithmetic, the work of set-up and of every workload but
+    sweep. "numpy" compares a 3 MB int16 table with one of its rows and
+    counts the matches per row, the kernel of `min_distance_exhaustive`;
+    a table that fits in a core's cache does not slow as sweep's tables
+    (up to 14 MB) do. REF_S is a unit's typical time on a 2-core Intel
+    Xeon with Python 3.11.7 and numpy 2.4.6.
     """
 
     INTERVAL_S = 0.1
     WINDOW_S = 1.0
-    REF_S = 0.8e-3
+    REF_S = {"python": 0.7e-3, "numpy": 5.0e-3}
 
-    def __init__(self):
-        import numpy
+    def __init__(self, unit: str = "python"):
+        self.ref_s = self.REF_S[unit]
+        self._unit = getattr(self, f"_{unit}_unit")
+        if unit == "numpy":
+            import numpy
 
-        self._xs = list(range(64))
-        self._array = numpy.arange(1 << 16, dtype=numpy.int16) % 13
-        self._count = numpy.count_nonzero
+            cells = numpy.arange(12 << 17, dtype=numpy.int64) * 7919 % 13
+            self._table = cells.astype(numpy.int16).reshape(-1, 12)
         self.at: list[float] = []
         self.samples: list[float] = []
+
+    @staticmethod
+    def _python_unit() -> None:
+        acc = 0
+        for r in range(100):
+            for x in range(64):
+                acc = (acc * 31 + x * r) % 1000003
+
+    def _numpy_unit(self) -> None:
+        import numpy
+
+        numpy.count_nonzero(self._table == self._table[1], axis=1).max()
 
     def sample(self) -> float:
         """Time one unit; returns the seconds spent."""
         t0 = perf_counter()
-        acc = 0
-        for r in range(100):
-            for x in self._xs:
-                acc = (acc * 31 + x * r) % 1000003
-        self._count(self._array == acc % 13)
+        self._unit()
         t1 = perf_counter()
         self.at.append(t1)
         self.samples.append(t1 - t0)
@@ -237,13 +255,13 @@ class Calibrator:
     def factor(self, t: Optional[float] = None) -> float:
         """Reference speed over the speed measured around t (default: whole run)."""
         if t is None:
-            return self.REF_S / statistics.median(self.samples)
+            return self.ref_s / statistics.median(self.samples)
         lo = bisect.bisect_left(self.at, t - self.WINDOW_S)
         hi = bisect.bisect_right(self.at, t + self.WINDOW_S)
         if lo == hi:
             hi = min(max(lo, 1), len(self.at))
             lo = hi - 1
-        return self.REF_S / statistics.median(self.samples[lo:hi])
+        return self.ref_s / statistics.median(self.samples[lo:hi])
 
 
 def measure(workload, seconds: float, calibrator: Calibrator) -> dict:
@@ -252,54 +270,69 @@ def measure(workload, seconds: float, calibrator: Calibrator) -> dict:
     Returns the raw and the calibrated end-to-end timings and the run's
     bookkeeping.
     """
+    import numpy as np
+
     runner = OpRunner(workload)
-    latencies, ended, by_kind, cycle_times = [], [], {}, []
+    # 17 bytes an operation in typed arrays (latency, end time, kind), so
+    # the harness's own memory barely grows with the operations completed.
+    latencies, ended, kinds = array("d"), array("d"), array("B")
+    kind_ids: dict[str, int] = {}
     calibrating = 0.0
     start = perf_counter()
     i = 0
     while True:
-        c0 = perf_counter()
         for op in workload.cycle(i):
             dt = runner.run(op)
             latencies.append(dt)
             ended.append(perf_counter())
-            by_kind.setdefault(op.kind, []).append(dt)
+            kinds.append(kind_ids.setdefault(op.kind, len(kind_ids)))
             calibrating += calibrator.maybe_sample()
         i += 1
-        now = perf_counter()
-        cycle_times.append(now - c0)
-        if now - start + 0.5 * statistics.fmean(cycle_times) >= seconds:
+        elapsed = perf_counter() - start
+        if elapsed + 0.5 * elapsed / i >= seconds:
             break
     wall = perf_counter() - start - calibrating
     good = runner.attempted - runner.failed
-    scaled = sorted(dt * calibrator.factor(t) for dt, t in zip(latencies, ended))
-    tail, beyond = percentile(scaled, workload.tail_pct)
-    latencies.sort()
+    lat = np.frombuffer(latencies)
+    kind_of = np.frombuffer(kinds, dtype=np.uint8)
+    by_kind = {k: float(np.median(lat[kind_of == j])) for k, j in kind_ids.items()}
+    raw = np.sort(lat)
+    raw_p50, raw_tail = float(np.median(raw)), float(percentile(raw, workload.tail_pct)[0])
+    del raw
+    busy = float(lat.sum())
+    for j, t in enumerate(ended):
+        latencies[j] *= calibrator.factor(t)
+    # Each operation at the speed around it; the time between operations
+    # (checks, bookkeeping) at the run's median speed.
+    scaled_wall = float(lat.sum()) + (wall - busy) * calibrator.factor()
+    lat.sort()  # in place: the calibrated latencies, no longer in run order
+    tail, beyond = percentile(lat, workload.tail_pct)
     return {
         "runner": runner,
         "wall": wall,
         "cycles": i,
         "raw": {
             "ops_per_s": good / wall,
-            "latency_p50_ms": statistics.median(latencies) * 1e3,
-            "latency_tail_ms": percentile(latencies, workload.tail_pct)[0] * 1e3,
+            "latency_p50_ms": raw_p50 * 1e3,
+            "latency_tail_ms": raw_tail * 1e3,
         },
         "calibrated": {
-            "ops_per_s": good / (wall * calibrator.factor()),
-            "latency_p50_ms": statistics.median(scaled) * 1e3,
-            "latency_tail_ms": tail * 1e3,
+            "ops_per_s": good / scaled_wall,
+            "latency_p50_ms": float(np.median(lat)) * 1e3,
+            "latency_tail_ms": float(tail) * 1e3,
         },
         "tail_beyond": beyond,
         "samples": len(latencies),
-        "by_kind": {k: statistics.median(v) for k, v in by_kind.items()},
+        "by_kind": by_kind,
     }
 
 
-def trace_run(workload, lib, seconds: float):
+def trace_run(workload, lib, seconds: float, tracer=None):
     """Each of a fixed number of cycles once untraced, then once traced."""
-    from tracer import Tracer
+    if tracer is None:
+        from tracer import Tracer
 
-    tracer = Tracer(lib.package)
+        tracer = Tracer(lib.package)
     runner = OpRunner(workload)
     cycles = max(1, int(seconds / (2.2 * workload.nominal_cycle_s)))
     untraced = traced = worst = 0.0
@@ -315,11 +348,13 @@ def trace_run(workload, lib, seconds: float):
             for op in ops:
                 traced += runner.run(op, tracer, op_id)
                 op_id += 1
-                wall, summed = runner.span
+                wall, summed, still_open = runner.span
                 worst = max(worst, abs(summed - wall) / wall)
-                if abs(summed - wall) > ACCOUNTING_TOL_REL * wall + ACCOUNTING_TOL_ABS:
+                if still_open or abs(summed - wall) > ACCOUNTING_TOL_REL * wall + ACCOUNTING_TOL_ABS:
                     runner.failed += 1
-                    runner.reasons.append(f"span self times {summed:.6f}s != op wall {wall:.6f}s")
+                    if len(runner.reasons) < 5:
+                        runner.reasons.append(f"span self times {summed:.6f}s != op wall {wall:.6f}s"
+                                              f" or {still_open} spans left open")
     return tracer, runner, {
         "untraced": untraced,
         "traced": traced,
@@ -401,7 +436,7 @@ def main(argv=None) -> int:
     print("env " + " ".join(f"{k}={json.dumps(v)}" for k, v in env.items()))
     OUT.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(dir=OUT, prefix="work-") as workdir:
-        calibrator = Calibrator()
+        setup_calibrator = Calibrator()
         setup_times = []
         for _ in range(SETUP_REPEATS):
             t0 = perf_counter()
@@ -409,26 +444,29 @@ def main(argv=None) -> int:
             workload = WORKLOADS[args.workload](lib, args.seed, Path(workdir))
             t1 = perf_counter()
             setup_times.append((t1 - t0, t1))
-            calibrator.sample()
+            setup_calibrator.sample()
 
         if args.trace:
             tracer, runner, info = trace_run(workload, lib, args.seconds)
             metrics = layer_metrics(tracer, info)
             units = PER_LAYER_UNITS
             print("top self time:")
+            total = sum(tracer.self_s)
             busiest = sorted(zip(tracer.names, tracer.self_s), key=lambda p: -p[1])
             for name, s in [p for p in busiest if tracer.calls_of(p[0])][:8]:
-                print(f"  {name:32s} {s:10.4f} s  {tracer.calls_of(name):9d} calls")
-            meta = {"workload": args.workload, "seed": args.seed, "spans_dropped": tracer.dropped, **env}
+                print(f"  {name:32s} {s:10.4f} s {s / total:7.1%}  {tracer.calls_of(name):9d} calls")
+            meta = {"workload": args.workload, "seed": args.seed, **env}
             tracer.save(OUT / f"trace-{args.workload}.npz", meta)
+            print(f"spans={tracer.spans} written to {OUT.name}/trace-{args.workload}.npz")
         else:
+            calibrator = Calibrator(workload.calibration_unit)
             stats = measure(workload, args.seconds, calibrator)
             runner = stats["runner"]
             factor = calibrator.factor()
             raw = {**stats["raw"], "setup_s": statistics.median(t for t, _ in setup_times)}
             metrics = {
                 **stats["calibrated"],
-                "setup_s": statistics.median(t * calibrator.factor(end) for t, end in setup_times),
+                "setup_s": statistics.median(t * setup_calibrator.factor(end) for t, end in setup_times),
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             }
             units = END_TO_END_UNITS

@@ -5,8 +5,10 @@
 
 Smoke runs execute every workload for one cycle, traced and untraced, as
 the benchmark's own command would, and check the printed metrics against
-BENCHMARK.json. Fault injection breaks a stored codeword or a claimed
-distance and checks that the affected operation is counted as failed.
+BENCHMARK.json and the traced self-time shares against the design. Fault
+injection breaks a stored codeword, a claimed distance or the tracer's
+span accounting and checks that the affected operations are counted as
+failed.
 """
 
 import json
@@ -21,10 +23,17 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 import run  # noqa: E402  (sets the thread pins and the ledc source path)
+from tracer import Tracer  # noqa: E402
 from workloads import Op, WORKLOADS  # noqa: E402
 
 sys.path.insert(0, str(run.SRC))
 SPEC = json.loads((run.ROOT / "BENCHMARK.json").read_text())
+# The function with the largest self time in a traced run of each workload.
+BUSIEST = {
+    "design": "linalg.rank",
+    "sweep": "code.min_distance_exhaustive",
+    "bound": "locality.dmax_witness",
+}
 
 
 def bench(*args: str, cwd: Path = run.ROOT) -> subprocess.CompletedProcess:
@@ -57,6 +66,11 @@ class Smoke(unittest.TestCase):
                                             for line in lines), metric)
                     if trace == 0:
                         self.assertTrue(all(v["value"] > 0 for v in result["metrics"].values()))
+                    elif name in BUSIEST:
+                        top = lines[lines.index("top self time:") + 1].split()[0]
+                        self.assertEqual(top, BUSIEST[name])
+                    else:
+                        self.assertEqual(result["metrics"]["linalg.rank.calls"]["value"], 0)
 
     def test_exits_nonzero_without_sources(self):
         run.OUT.mkdir(exist_ok=True)
@@ -111,6 +125,36 @@ class FaultInjection(unittest.TestCase):
         runner.run(op)
         self.assertEqual(runner.failed, 1)
         self.assertIn("exited 4", runner.reasons[0])
+
+    def traced_storage(self, tracer_cls):
+        """Failed counts of one storage cycle run untraced, then traced by tracer_cls."""
+        wl = WORKLOADS["storage"](self.lib, 1, Path(self.tmp.name))
+        _, runner, _ = run.trace_run(wl, self.lib, 1e-9, tracer_cls(self.lib.package))
+        return len(wl.cycle(0)), runner
+
+    def test_sound_tracer_passes_accounting(self):
+        ops, runner = self.traced_storage(Tracer)
+        self.assertEqual((runner.attempted, runner.failed), (2 * ops, 0), runner.reasons)
+
+    def test_uncharged_child_span_fails_accounting(self):
+        class SkipsParentCharge(Tracer):
+            def _close(self, nid, sid, parent, t0, t1, child_s):
+                super()._close(nid, sid, list(parent), t0, t1, child_s)  # the parent never sees the time
+
+        ops, runner = self.traced_storage(SkipsParentCharge)
+        self.assertEqual((runner.attempted, runner.failed), (2 * ops, ops))
+        self.assertIn("span self times", runner.reasons[0])
+
+    def test_span_left_open_fails_accounting(self):
+        class LeavesFrameOpen(Tracer):
+            def _close(self, nid, sid, parent, t0, t1, child_s):
+                super()._close(nid, sid, parent, t0, t1, child_s)
+                if parent[1] == "bench":
+                    self.stack.append([0.0, "leaked", -1])
+
+        ops, runner = self.traced_storage(LeavesFrameOpen)
+        self.assertEqual((runner.attempted, runner.failed), (2 * ops, ops))
+        self.assertIn("spans left open", runner.reasons[0])
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ the per-layer metrics single out inside `code` and `locality`.
 
 Each span has a name, start, end, parent span and op id. Self time (a
 span's duration minus its children's) and call counts are accumulated
-as spans close; raw spans are kept in memory, up to `span_cap`, and
-written out by `save`.
+as spans close. Every raw span is kept in memory, in typed arrays of
+about 42 bytes a span (a traced 25 s `design` run records about 800,000),
+and written out by `save`.
 """
 
 from __future__ import annotations
@@ -86,9 +87,8 @@ PROBES = {
 class Tracer:
     """Spans, self times, call counts and probe counters of traced ledc calls."""
 
-    def __init__(self, package, span_cap: int = 200_000):
+    def __init__(self, package):
         self.package = package
-        self.span_cap = span_cap
         self.names: list[str] = []
         self._ids: dict[str, int] = {}
         self.calls: list[int] = []
@@ -100,7 +100,6 @@ class Tracer:
         )
         self.stack: list[list] = []
         self.next_span = 0
-        self.dropped = 0
         self.op_self = 0.0
         self.op_id = -1
         self._span_id = array("q")
@@ -137,13 +136,13 @@ class Tracer:
     def layer_calls(self, layer: str) -> int:
         return sum(c for n, c in zip(self.names, self.calls) if n.split(".", 1)[0] == layer)
 
-    def _close(self, nid: int, sid: int, parent: list, t0: float, t1: float, self_t: float) -> None:
+    def _close(self, nid: int, sid: int, parent: list, t0: float, t1: float, child_s: float) -> None:
+        """Record a closed span and charge its duration to its parent frame."""
+        dur = t1 - t0
+        parent[0] += dur
         self.calls[nid] += 1
-        self.self_s[nid] += self_t
-        self.op_self += self_t
-        if self.next_span > self.span_cap:
-            self.dropped += 1
-            return
+        self.self_s[nid] += dur - child_s
+        self.op_self += dur - child_s
         self._span_id.append(sid)
         self._span_name.append(nid)
         self._span_parent.append(parent[2])
@@ -181,10 +180,7 @@ class Tracer:
             finally:
                 t1 = perf_counter()
                 stack.pop()
-                parent = stack[-1]
-                dur = t1 - t0
-                parent[0] += dur
-                tracer._close(nid, sid, parent, t0, t1, dur - frame[0])
+                tracer._close(nid, sid, stack[-1], t0, t1, frame[0])
                 if probe:
                     probe(tracer, args, kwargs, result, exc, rank_at_entry)
 
@@ -231,18 +227,22 @@ class Tracer:
         self.stack.append([0.0, "bench", sid])
         self._op_start = perf_counter()
 
-    def end_op(self) -> tuple[float, float]:
-        """Close the root span; returns (its duration, the sum of self times of
-        every span of the operation, the root's included)."""
+    def end_op(self) -> tuple[float, float, int]:
+        """Close the root span; returns its duration, the sum of the self times
+        of every span of the operation (the root's included) and the number
+        of spans still open above the root, which should be 0."""
         t1 = perf_counter()
-        frame = self.stack.pop()
-        if self.stack:
-            raise RuntimeError("span stack not empty at the end of an operation")
-        dur = t1 - self._op_start
-        self._close(self._ids[ROOT], frame[2], [0.0, "", -1], self._op_start, t1, dur - frame[0])
-        return dur, self.op_self
+        root, still_open = self.stack[0], len(self.stack) - 1
+        self.stack.clear()
+        self._close(self._ids[ROOT], root[2], [0.0, "", -1], self._op_start, t1, root[0])
+        return t1 - self._op_start, self.op_self, still_open
 
     # ---------- output ----------
+
+    @property
+    def spans(self) -> int:
+        """Number of spans recorded."""
+        return len(self._span_id)
 
     def save(self, path, meta: dict) -> None:
         """Write the recorded spans as a compressed numpy archive."""

@@ -11,7 +11,8 @@ A workload exposes `cycle(i)`, `execute(op)` (the timed call into ledc)
 and `check(op, result)` (the correctness gate, untimed). `tail_pct` is the
 percentile reported as tail latency, and `nominal_cycle_s` a cycle's
 untraced time on a 2-core Intel Xeon, from which the traced run derives
-its fixed cycle count. `execute` calls ledc through module attributes
+its fixed cycle count, and `calibration_unit` the kind of work whose
+speed the run samples to scale its times (see `run.Calibrator`). `execute` calls ledc through module attributes
 such as `lib.code.encode`, never through references saved at set-up, so
 the tracer's wrappers see every call.
 """
@@ -36,6 +37,7 @@ class Workload:
     """Inputs grouped into a pool of cycles, reused in order."""
 
     cycles: list[list[Op]]
+    calibration_unit = "python"
 
     def cycle(self, i: int) -> list[Op]:
         return self.cycles[i % len(self.cycles)]
@@ -170,6 +172,9 @@ class Sweep(Workload):
     POOL = 40
     tail_pct = 90.0
     nominal_cycle_s = 1.0
+    # numpy enumeration over tables of up to 14 MB follows the memory
+    # system's speed, not the interpreter's.
+    calibration_unit = "numpy"
 
     @classmethod
     def shapes(cls) -> dict[str, list[tuple[int, int, int, int, int, int]]]:
@@ -262,7 +267,7 @@ class Storage(Workload):
     MIX = (("write", 10), ("read", 7), ("repair", 3))
     POOL = 128
     # p99.9 would keep 10 samples beyond it, but the host's hiccups land in
-    # the top 0.1% of 85,000 operations and move it by half from run to run.
+    # the top 0.1% of about 100,000 operations and move it by half from run to run.
     tail_pct = 99.0
     nominal_cycle_s = 0.017
 
