@@ -13,8 +13,8 @@ generator matrix to a structure:
      "G": [[...], ...], "claimed_distance": 5}
 
 Exit codes are a stable contract: 0 success, 2 input or validation
-error, 3 construction precondition failure, 4 verification failure,
-5 unrecoverable decode.
+error, 3 construction precondition failure or a computation past its
+budget, 4 verification failure, 5 unrecoverable decode.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .code import (
+    AUTO_EXHAUSTIVE_LIMIT,
     LedcCode,
     encode,
     erasure_decode,
@@ -41,6 +42,7 @@ from .errors import (
     LedcError,
     NotPrimitive,
     PreconditionViolated,
+    TooLarge,
     UnrecoverableErasurePattern,
 )
 from .field import PrimeField, make_field
@@ -52,8 +54,6 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 EXIT_DECODE = 5
-
-VERIFY_BOTH_BUDGET = 10**7
 
 # ---------- file formats ----------
 
@@ -227,8 +227,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     q, k = cf.code.field.q, cf.code.structure.k
     method = args.distance_method
     if method is None:
-        method = "both" if q**k <= VERIFY_BOTH_BUDGET else "rank"
-    report = verify_ledc(cf.code, distance_method=method)
+        method = "both" if q**k <= AUTO_EXHAUSTIVE_LIMIT else "rank"
+    try:
+        report = verify_ledc(cf.code, distance_method=method)
+    except TooLarge as exc:
+        print(f"error={type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     print(f"support={'ok' if report.support_ok else 'FAIL'}")
     for g, ok in enumerate(report.local_mds, start=1):
         print(f"local_mds_{g}={'ok' if ok else 'FAIL'}")

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DistanceDisagreement,
     NotEnoughSymbols,
     PositionsOutsideGroup,
     SingularSubmatrix,
@@ -30,7 +31,7 @@ from .errors import (
     UnrecoverableErasurePattern,
 )
 from .field import Felt, PrimeField
-from .linalg import MatrixGF, rank, row_vec_mul, solve, submatrix
+from .linalg import MatrixGF, rank, ranks, row_vec_mul, solve, submatrix
 from .locality import LocalityStructure, constraints, dmax, validate
 
 # Erasure marker inside a received word.
@@ -39,6 +40,10 @@ ERASED = None
 EXHAUSTIVE_BUDGET = 10**9
 RANK_BUDGET = 4 * 10**6
 DEFAULT_SUFFIX_CAP = 1 << 19
+# Verification enumerates messages by default while q^k stays within this.
+AUTO_EXHAUSTIVE_LIMIT = 10**7
+# Erasure patterns per `ranks` call: amortises numpy overhead, keeps RSS flat.
+RANK_CHUNK = 256
 
 # ---------- type ----------
 
@@ -153,7 +158,7 @@ def min_distance_exhaustive(c: LedcCode, suffix_cap: int = DEFAULT_SUFFIX_CAP) -
     if q**k > EXHAUSTIVE_BUDGET:
         raise TooLarge(f"q^k = {q}^{k} exceeds the enumeration budget")
     dtype = np.int16 if q <= 16383 else np.int32
-    G = np.array(c.G.to_rows(), dtype=np.int64)
+    G = c.G.array()
 
     k_suf = 0
     while k_suf < k and q ** (k_suf + 1) <= max(suffix_cap, q):
@@ -185,6 +190,23 @@ def min_distance_exhaustive(c: LedcCode, suffix_cap: int = DEFAULT_SUFFIX_CAP) -
     return best
 
 
+def _survives_erasures(f: PrimeField, M: np.ndarray, erasures: int) -> bool:
+    """Does M keep full row rank whichever `erasures` of its columns are lost?
+
+    Patterns go to `ranks` RANK_CHUNK at a time, in combinations order.
+    """
+    r, n = M.shape
+    patterns = itertools.combinations(range(n), erasures)
+    while chunk := list(itertools.islice(patterns, RANK_CHUNK)):
+        erased = np.array(chunk, dtype=np.intp).reshape(len(chunk), erasures)
+        keep = np.ones((len(chunk), n), dtype=bool)
+        keep[np.arange(len(chunk))[:, None], erased] = False
+        surviving = np.nonzero(keep)[1].reshape(len(chunk), n - erasures)
+        if (ranks(f, M[:, surviving].transpose(1, 0, 2)) < r).any():
+            return False
+    return True
+
+
 def distance_at_least(c: LedcCode, d0: int) -> bool:
     """Certify d >= d0: every set of d0 - 1 erasures leaves rank k."""
     k, n = c.structure.k, c.structure.n
@@ -195,17 +217,15 @@ def distance_at_least(c: LedcCode, d0: int) -> bool:
         return False
     if comb(n, erasures) > RANK_BUDGET:
         raise TooLarge(f"C({n},{erasures}) erasure patterns exceed the budget")
-    all_cols = list(range(n))
-    all_rows = list(range(k))
-    for erased in itertools.combinations(all_cols, erasures):
-        surviving = [j for j in all_cols if j not in erased]
-        if rank(submatrix(c.G, all_rows, surviving)) < k:
-            return False
-    return True
+    return _survives_erasures(c.field, c.G.array(), erasures)
 
 
 def min_distance_rank(c: LedcCode) -> int:
     """Largest d such that every (n - d + 1)-column submatrix has rank k.
+
+    The search starts at min(dmax, n - k + 1) and walks up or down. The
+    result rests on two enumerations: every (d - 1)-erasure pattern leaves
+    rank k, and some d-erasure pattern does not (or d = n - k + 1).
 
     Returns 0 when G itself is rank deficient (some nonzero message maps
     to the zero codeword, so no distance is defined in the usual sense).
@@ -216,10 +236,14 @@ def min_distance_rank(c: LedcCode) -> int:
     total = sum(comb(n, e) for e in range(1, n - k + 2))
     if total > RANK_BUDGET:
         raise TooLarge(f"{total} column subsets exceed the budget")
-    d = 1
-    while distance_at_least(c, d + 1):
-        d += 1
-    return d
+    d = min(dmax(c.structure), n - k + 1)
+    if distance_at_least(c, d):
+        while distance_at_least(c, d + 1):
+            d += 1
+        return d
+    while not distance_at_least(c, d - 1):
+        d -= 1
+    return d - 1
 
 
 # ---------- verification ----------
@@ -241,18 +265,12 @@ def verify_local_mds(c: LedcCode) -> dict[int, bool]:
     """Group -> does G[K_i, N_i] generate an [n_i, k_i] MDS code.
 
     A local code is MDS exactly when every k_i-column submatrix of its
-    generator is invertible.
+    generator is invertible: it keeps rank k_i after any n_i - k_i erasures.
     """
     out = {}
     for g in range(1, c.structure.m + 1):
         local = local_generator(c, g)
-        ki = local.rows
-        ok = True
-        for cols in itertools.combinations(range(local.cols), ki):
-            if rank(submatrix(local, list(range(ki)), list(cols))) < ki:
-                ok = False
-                break
-        out[g] = ok
+        out[g] = _survives_erasures(c.field, local.array(), local.cols - local.rows)
     return out
 
 
@@ -279,12 +297,12 @@ def verify_ledc(c: LedcCode, distance_method: str = "auto") -> VerifyReport:
 
     distance_method is one of auto, exhaustive, rank, both; auto uses
     exhaustive enumeration within its budget and rank certification
-    beyond it. Under `both` the two algorithms must agree.
+    beyond it. Under `both` a disagreement raises DistanceDisagreement.
     """
     q, k = c.field.q, c.structure.k
     method = distance_method
     if method == "auto":
-        method = "exhaustive" if q**k <= 10**7 else "rank"
+        method = "exhaustive" if q**k <= AUTO_EXHAUSTIVE_LIMIT else "rank"
     if method == "exhaustive":
         distance = min_distance_exhaustive(c)
     elif method == "rank":
@@ -292,9 +310,10 @@ def verify_ledc(c: LedcCode, distance_method: str = "auto") -> VerifyReport:
     elif method == "both":
         distance = min_distance_exhaustive(c)
         by_rank = min_distance_rank(c)
-        assert distance == by_rank, (
-            f"distance algorithms disagree: enumeration {distance}, rank {by_rank}"
-        )
+        if distance != by_rank:
+            raise DistanceDisagreement(
+                f"distance algorithms disagree: enumeration {distance}, rank {by_rank}"
+            )
     else:
         raise ValueError(f"unknown distance method {distance_method!r}")
     mds = verify_local_mds(c)

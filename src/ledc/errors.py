@@ -21,10 +21,6 @@ class DivisionByZero(LedcError):
 
 # ---------- linalg ----------
 
-class NotSquare(LedcError):
-    """Operation requires a square matrix."""
-
-
 class Inconsistent(LedcError):
     """Linear system has no solution."""
 
@@ -101,6 +97,10 @@ class UnrecoverableErasurePattern(LedcError):
 
 class TooLarge(LedcError):
     """Requested computation exceeds the enumeration budget."""
+
+
+class DistanceDisagreement(LedcError):
+    """The two minimum-distance algorithms disagree: a library defect."""
 
 
 # ---------- construct ----------

@@ -1,9 +1,10 @@
 """Dense matrices over a prime field.
 
 Matrices are immutable (flat row-major tuple of residues) and all
-operations are pure functions returning fresh values. Sizes here are
-desk scale, so everything is schoolbook Gaussian elimination with a
-deterministic pivot rule: the first nonzero entry in column order.
+operations are pure functions returning fresh values. Elimination runs
+on int64 numpy arrays of residues, either one matrix a row-vectorised
+step at a time (`rref`, `rank`, `solve`, `nullspace`) or a whole stack of
+equally shaped matrices at once (`ranks`).
 """
 
 from __future__ import annotations
@@ -11,15 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     DuplicatePoint,
     Inconsistent,
     IndexOutOfRange,
-    NotSquare,
     Underdetermined,
 )
-from .field import Felt, PrimeField, inv
+from .field import Felt, PrimeField
 
 # ---------- type ----------
 
@@ -51,6 +53,10 @@ class MatrixGF:
     def to_rows(self) -> list[list[Felt]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def array(self) -> np.ndarray:
+        """A fresh rows x cols int64 array of the entries."""
+        return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
+
 
 def make_matrix(f: PrimeField, rows: Sequence[Sequence[int]]) -> MatrixGF:
     """Build a matrix from nested sequences, reducing entries mod q."""
@@ -77,60 +83,69 @@ def transpose(m: MatrixGF) -> MatrixGF:
 
 
 # ---------- elimination ----------
+# Both entry points reduce int64 residues mod q after every multiply-subtract;
+# for q <= 2^31 - 1 no intermediate exceeds (q-1)^2 + q < 2^63 in size.
+
+
+def ranks(f: PrimeField, stack: np.ndarray) -> np.ndarray:
+    """Rank of each matrix in a (B, r, c) stack of residues, as a (B,) array.
+
+    Per column, each matrix takes its first unused row with a nonzero entry
+    as pivot and clears the column from its other unused rows by
+    row * pivot - entry * pivot_row, which needs no inverse.
+    """
+    q = f.q
+    m = np.array(stack, dtype=np.int64)
+    b, r, c = m.shape
+    free = np.ones((b, r), dtype=bool)
+    batch = np.arange(b)
+    for j in range(c):
+        if not free.any():
+            break
+        col = m[:, :, j]
+        cand = (col != 0) & free
+        p = cand.argmax(axis=1)
+        has = cand[batch, p]
+        free[batch, p] &= ~has
+        piv = np.where(has, col[batch, p], 1)
+        factor = col * free
+        pivot_row = m[batch, p, j + 1 :]
+        rest = m[:, :, j + 1 :]
+        rest[:] = (rest * piv[:, None, None] - factor[:, :, None] * pivot_row[:, None, :]) % q
+    return r - free.sum(axis=1)
+
+
+def _rref(f: PrimeField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduce a 2-D residue array to RREF in place, all rows at once per column."""
+    q = f.q
+    pivots: list[int] = []
+    for j in range(a.shape[1]):
+        pr = len(pivots)
+        if pr == a.shape[0]:
+            break
+        col = a[pr:, j].tolist()
+        src = next((i for i, v in enumerate(col, pr) if v), None)
+        if src is None:
+            continue
+        if src != pr:
+            a[[pr, src]] = a[[src, pr]]
+        pivot_row = a[pr, j:] * pow(col[src - pr], -1, q) % q
+        rest = a[:, j:]
+        rest -= a[:, j, None] * pivot_row
+        rest %= q
+        a[pr, j:] = pivot_row
+        pivots.append(j)
+    return a, pivots
 
 
 def rref(m: MatrixGF) -> tuple[MatrixGF, int, list[int]]:
     """Reduced row-echelon form; returns (rref, rank, pivot columns)."""
-    q = m.field.q
-    rows = m.to_rows()
-    pivot_cols: list[int] = []
-    pr = 0
-    for c in range(m.cols):
-        if pr == m.rows:
-            break
-        # first nonzero at or below the current pivot row
-        src = next((r for r in range(pr, m.rows) if rows[r][c]), None)
-        if src is None:
-            continue
-        rows[pr], rows[src] = rows[src], rows[pr]
-        piv_inv = inv(m.field, rows[pr][c])
-        rows[pr] = [v * piv_inv % q for v in rows[pr]]
-        for r in range(m.rows):
-            if r != pr and rows[r][c]:
-                factor = rows[r][c]
-                rows[r] = [(v - factor * p) % q for v, p in zip(rows[r], rows[pr])]
-        pivot_cols.append(c)
-        pr += 1
-    return make_matrix(m.field, rows) if m.rows else m, pr, pivot_cols
+    a, pivots = _rref(m.field, m.array())
+    return MatrixGF(m.field, m.rows, m.cols, tuple(a.ravel().tolist())), len(pivots), pivots
 
 
 def rank(m: MatrixGF) -> int:
-    return rref(m)[1]
-
-
-def det(m: MatrixGF) -> Felt:
-    """Determinant via elimination with swap-sign tracking."""
-    if m.rows != m.cols:
-        raise NotSquare(f"determinant of {m.rows}x{m.cols} matrix")
-    q = m.field.q
-    rows = m.to_rows()
-    sign = 1
-    for c in range(m.cols):
-        src = next((r for r in range(c, m.rows) if rows[r][c]), None)
-        if src is None:
-            return 0
-        if src != c:
-            rows[c], rows[src] = rows[src], rows[c]
-            sign = -sign
-        piv_inv = inv(m.field, rows[c][c])
-        for r in range(c + 1, m.rows):
-            if rows[r][c]:
-                factor = rows[r][c] * piv_inv % q
-                rows[r] = [(v - factor * p) % q for v, p in zip(rows[r], rows[c])]
-    prod = 1
-    for i in range(m.rows):
-        prod = prod * rows[i][i] % q
-    return prod * sign % q
+    return len(_rref(m.field, m.array())[1])
 
 
 def nullspace(m: MatrixGF) -> list[list[Felt]]:
@@ -140,7 +155,7 @@ def nullspace(m: MatrixGF) -> list[list[Felt]]:
     the free variable set to 1.
     """
     q = m.field.q
-    reduced, _, pivot_cols = rref(m)
+    reduced, pivot_cols = _rref(m.field, m.array())
     pivot_set = set(pivot_cols)
     basis = []
     for free in range(m.cols):
@@ -149,7 +164,7 @@ def nullspace(m: MatrixGF) -> list[list[Felt]]:
         v = [0] * m.cols
         v[free] = 1
         for r, pc in enumerate(pivot_cols):
-            v[pc] = (-reduced.at(r, free)) % q
+            v[pc] = (-int(reduced[r, free])) % q
         basis.append(v)
     return basis
 
@@ -158,21 +173,15 @@ def solve(a: MatrixGF, b: Sequence[Felt]) -> list[Felt]:
     """Solve x a = b for the row vector x (length = a.rows)."""
     if len(b) != a.cols:
         raise DimensionMismatch(f"rhs length {len(b)} != {a.cols} columns")
-    q = a.field.q
     # Transpose to the column convention and eliminate the augmented system.
-    aug = make_matrix(
-        a.field,
-        [[a.at(i, j) for i in range(a.rows)] + [b[j] % q] for j in range(a.cols)],
-    )
-    reduced, _, pivot_cols = rref(aug)
+    entries = list(a.entries) + [v % a.field.q for v in b]
+    aug = np.array(entries, dtype=np.int64).reshape(a.rows + 1, a.cols).T
+    reduced, pivot_cols = _rref(a.field, aug)
     if a.rows in pivot_cols:
         raise Inconsistent("no x satisfies x a = b")
     if len(pivot_cols) < a.rows:
         raise Underdetermined(f"rank {len(pivot_cols)} < {a.rows} unknowns")
-    x = [0] * a.rows
-    for r, pc in enumerate(pivot_cols):
-        x[pc] = reduced.at(r, a.rows)
-    return x
+    return reduced[: a.rows, a.rows].tolist()
 
 
 # ---------- builders ----------

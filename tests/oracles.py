@@ -55,3 +55,57 @@ def min_weight_bruteforce(q, rows):
         if weight < best:
             best = weight
     return best
+
+
+def rref(q, rows):
+    """Reduced row-echelon form of a list of rows over GF(q), q prime.
+
+    Schoolbook elimination on Python ints; the pivot is the first nonzero
+    entry at or below the current pivot row, in column order. Returns
+    (reduced rows, rank, pivot columns).
+    """
+    rows = [[v % q for v in row] for row in rows]
+    cols = len(rows[0]) if rows else 0
+    pivot_cols = []
+    pr = 0
+    for c in range(cols):
+        if pr == len(rows):
+            break
+        src = next((r for r in range(pr, len(rows)) if rows[r][c]), None)
+        if src is None:
+            continue
+        rows[pr], rows[src] = rows[src], rows[pr]
+        piv_inv = pow(rows[pr][c], q - 2, q)
+        rows[pr] = [v * piv_inv % q for v in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and rows[r][c]:
+                factor = rows[r][c]
+                rows[r] = [(v - factor * p) % q for v, p in zip(rows[r], rows[pr])]
+        pivot_cols.append(c)
+        pr += 1
+    return rows, pr, pivot_cols
+
+
+def det(q, rows):
+    """Determinant over GF(q) by elimination with swap-sign tracking."""
+    size = len(rows)
+    if any(len(row) != size for row in rows):
+        raise ValueError(f"determinant of a non-square {size}-row matrix")
+    rows = [[v % q for v in row] for row in rows]
+    sign = 1
+    for c in range(size):
+        src = next((r for r in range(c, size) if rows[r][c]), None)
+        if src is None:
+            return 0
+        if src != c:
+            rows[c], rows[src] = rows[src], rows[c]
+            sign = -sign
+        piv_inv = pow(rows[c][c], q - 2, q)
+        for r in range(c + 1, size):
+            if rows[r][c]:
+                factor = rows[r][c] * piv_inv % q
+                rows[r] = [(v - factor * p) % q for v, p in zip(rows[r], rows[c])]
+    prod = 1
+    for i in range(size):
+        prod = prod * rows[i][i] % q
+    return prod * sign % q

@@ -157,6 +157,22 @@ def test_verify_rejects_out_of_field_entries(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_past_budget_exits_3(tmp_path, capsys):
+    # 101^5 > 10^7 picks the rank path, whose erasure patterns of n=30 exceed its
+    # budget; forced exhaustive enumeration exceeds its q^k <= 10^9 budget too
+    wide = write_json(tmp_path, "wide.json", {
+        "structure": {"q": 101, "groups": [{"K": [1, 2, 3, 4, 5], "n": 30}]},
+        "method": "random",
+        "G": [[1 if i == j else 0 for j in range(30)] for i in range(5)],
+        "claimed_distance": 1,
+    })
+    for extra in ([], ["--distance-method", "exhaustive"]):
+        assert run(["verify", wide, *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error=TooLarge: ")
+
+
 # ---------- encode / decode ----------
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import min_weight_bruteforce
 
+import ledc.code as code_module
 from ledc.code import (
     ERASED,
     distance_at_least,
@@ -21,6 +22,7 @@ from ledc.code import (
 )
 from ledc.errors import (
     DimensionMismatch,
+    DistanceDisagreement,
     NotEnoughSymbols,
     PositionsOutsideGroup,
     SingularSubmatrix,
@@ -28,8 +30,8 @@ from ledc.errors import (
     UnrecoverableErasurePattern,
 )
 from ledc.field import make_field
-from ledc.linalg import identity, make_matrix
-from ledc.locality import make_structure
+from ledc.linalg import identity, make_matrix, vandermonde
+from ledc.locality import blocks_for_sizes, dmax, make_structure
 
 F7 = make_field(7)
 
@@ -234,6 +236,26 @@ def test_distance_agrees_with_bruteforce_oracle():
             assert min_distance_rank(c) == expected
 
 
+def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, monkeypatch):
+    f11 = make_field(11)
+    s = make_structure([[1, 2, 3], [3, 4]], blocks_for_sizes([3, 4]))
+    dense = make_code(s, f11, vandermonde(f11, range(1, 8), 4))  # MDS, ignores the support
+    deficient = single_group_code(F7, [[1, 2, 3], [2, 4, 6]])
+    levels = []
+    certify = code_module.distance_at_least
+    monkeypatch.setattr(code_module, "distance_at_least", lambda c, d0: levels.append(d0) or certify(c, d0))
+    cases = (
+        (suboptimal_codefile.code, 4, [5, 4]),  # dmax = 5: walks down
+        (dense, 4, [2, 3, 4, 5]),  # dmax = 2: walks up to n - k + 1
+        (deficient, 0, []),
+    )
+    for c, d, searched in cases:
+        levels.clear()
+        assert min_distance_rank(c) == min_distance_exhaustive(c) == d
+        assert levels == searched
+    assert dmax(dense.structure) < 4 < dmax(suboptimal_codefile.code.structure)
+
+
 def test_exhaustive_distance_independent_of_partitioning(suboptimal_codefile):
     c = suboptimal_codefile.code
     results = {min_distance_exhaustive(c, suffix_cap=cap) for cap in (1, 7, 49, 1 << 19)}
@@ -301,6 +323,12 @@ def test_verify_ledc_cyclic_fixture_optimal(cyclic_codefile):
 def test_verify_ledc_auto_method_selection(suboptimal_codefile, cyclic_codefile):
     assert verify_ledc(suboptimal_codefile.code).method == "exhaustive"  # 7^5 within budget
     assert verify_ledc(cyclic_codefile.code).method == "rank"  # 13^7 beyond it
+
+
+def test_verify_ledc_both_raises_on_disagreement(suboptimal_codefile, monkeypatch):
+    monkeypatch.setattr(code_module, "min_distance_rank", lambda c: 3)
+    with pytest.raises(DistanceDisagreement, match="enumeration 4, rank 3"):
+        verify_ledc(suboptimal_codefile.code, distance_method="both")
 
 
 def test_verify_ledc_rejects_unknown_method(suboptimal_codefile):
