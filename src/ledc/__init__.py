@@ -5,199 +5,32 @@ on its own storage nodes by an MDS code, and the group codes are glued
 so the global code reaches the best minimum distance the locality
 structure allows. This package computes that bound, constructs
 generator matrices meeting it, and verifies codes independently.
+
+The package exports the entry points of the README; every other name
+lives in its submodule (`ledc.field`, `ledc.linalg`, `ledc.poly`,
+`ledc.locality`, `ledc.code`, `ledc.construct`, `ledc.errors`,
+`ledc.cli`).
 """
 
-from .errors import (
-    CoverageGap,
-    DegenerateSystem,
-    DimensionMismatch,
-    DistanceDisagreement,
-    DivisionByZero,
-    DivisionByZeroPoly,
-    DuplicatePoint,
-    ExhaustedAttempts,
-    FieldTooSmall,
-    GroupTooSmall,
-    Inconsistent,
-    IndexOutOfRange,
-    LedcError,
-    NotEnoughSymbols,
-    NotPrime,
-    NotPrimitive,
-    OverlapN,
-    PositionsOutsideGroup,
-    PreconditionViolated,
-    ShiftOverflow,
-    SingularSubmatrix,
-    TooLarge,
-    TooManyGroups,
-    Underdetermined,
-    UnrecoverableErasurePattern,
-)
-from .field import Felt, PrimeField, add, find_primitive, inv, is_primitive, make_field, mul, neg, pow, sub
-from .linalg import (
-    MatrixGF,
-    block_assemble,
-    identity,
-    make_matrix,
-    nullspace,
-    rank,
-    row_vec_mul,
-    rref,
-    solve,
-    submatrix,
-    transpose,
-    vandermonde,
-    zeros,
-)
-from .poly import (
-    PolyGF,
-    coeffs_to_row,
-    linear_factor_product,
-    make_poly,
-    poly_add,
-    poly_divides,
-    poly_divrem,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    poly_shift,
-    row_to_poly,
-)
-from .locality import (
-    ConstraintView,
-    DmaxWitness,
-    LocalityStructure,
-    blocks_for_sizes,
-    constraints,
-    dmax,
-    dmax_two_subcodes,
-    dmax_witness,
-    make_structure,
-    two_group_params,
-    validate,
-)
-from .code import (
-    ERASED,
-    LedcCode,
-    VerifyReport,
-    distance_at_least,
-    encode,
-    erasure_decode,
-    local_decode,
-    local_generator,
-    make_code,
-    min_distance_exhaustive,
-    min_distance_rank,
-    support_violations,
-    verify_ledc,
-    verify_local_mds,
-)
-from .construct import (
-    CyclicConditionReport,
-    CyclicIngredients,
-    construct_cyclic,
-    construct_nested,
-    construct_random,
-    lemma3_solve,
-    verify_cyclic_conditions,
-)
+from .code import encode, erasure_decode, verify_ledc
+from .construct import construct_cyclic, construct_nested, construct_random
+from .errors import LedcError
+from .field import make_field
+from .locality import dmax, dmax_witness, make_structure
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoverageGap",
-    "DegenerateSystem",
-    "DimensionMismatch",
-    "DistanceDisagreement",
-    "DivisionByZero",
-    "DivisionByZeroPoly",
-    "DuplicatePoint",
-    "ExhaustedAttempts",
-    "FieldTooSmall",
-    "GroupTooSmall",
-    "Inconsistent",
-    "IndexOutOfRange",
-    "LedcError",
-    "NotEnoughSymbols",
-    "NotPrime",
-    "NotPrimitive",
-    "OverlapN",
-    "PositionsOutsideGroup",
-    "PreconditionViolated",
-    "ShiftOverflow",
-    "SingularSubmatrix",
-    "TooLarge",
-    "TooManyGroups",
-    "Underdetermined",
-    "UnrecoverableErasurePattern",
-    "Felt",
-    "PrimeField",
-    "add",
-    "find_primitive",
-    "inv",
-    "is_primitive",
     "make_field",
-    "mul",
-    "neg",
-    "pow",
-    "sub",
-    "MatrixGF",
-    "block_assemble",
-    "identity",
-    "make_matrix",
-    "nullspace",
-    "rank",
-    "row_vec_mul",
-    "rref",
-    "solve",
-    "submatrix",
-    "transpose",
-    "vandermonde",
-    "zeros",
-    "PolyGF",
-    "coeffs_to_row",
-    "linear_factor_product",
-    "make_poly",
-    "poly_add",
-    "poly_divides",
-    "poly_divrem",
-    "poly_eval",
-    "poly_mul",
-    "poly_scale",
-    "poly_shift",
-    "row_to_poly",
-    "ConstraintView",
-    "DmaxWitness",
-    "LocalityStructure",
-    "blocks_for_sizes",
-    "constraints",
-    "dmax",
-    "dmax_two_subcodes",
-    "dmax_witness",
     "make_structure",
-    "two_group_params",
-    "validate",
-    "ERASED",
-    "LedcCode",
-    "VerifyReport",
-    "distance_at_least",
+    "dmax",
+    "dmax_witness",
+    "construct_nested",
+    "construct_cyclic",
+    "construct_random",
+    "verify_ledc",
     "encode",
     "erasure_decode",
-    "local_decode",
-    "local_generator",
-    "make_code",
-    "min_distance_exhaustive",
-    "min_distance_rank",
-    "support_violations",
-    "verify_ledc",
-    "verify_local_mds",
-    "CyclicConditionReport",
-    "CyclicIngredients",
-    "construct_cyclic",
-    "construct_nested",
-    "construct_random",
-    "lemma3_solve",
-    "verify_cyclic_conditions",
+    "LedcError",
     "__version__",
 ]

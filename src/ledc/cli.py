@@ -25,28 +25,22 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .code import (
-    AUTO_EXHAUSTIVE_LIMIT,
-    LedcCode,
-    encode,
-    erasure_decode,
-    local_decode,
-    make_code,
-    verify_ledc,
-)
+from .code import LedcCode, encode, erasure_decode, local_decode, make_code, verify_ledc
 from .construct import construct_cyclic, construct_nested, construct_random
 from .errors import (
     ExhaustedAttempts,
     FieldTooSmall,
     Inconsistent,
     LedcError,
+    NotEnoughSymbols,
     NotPrimitive,
     PreconditionViolated,
+    SingularSubmatrix,
     TooLarge,
     UnrecoverableErasurePattern,
 )
 from .field import PrimeField, make_field
-from .linalg import make_matrix, rank, submatrix
+from .linalg import make_matrix
 from .locality import LocalityStructure, blocks_for_sizes, dmax_witness, make_structure
 
 EXIT_OK = 0
@@ -54,6 +48,13 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 EXIT_DECODE = 5
+
+# Exception types to exit codes; the first row that matches wins.
+EXIT_CODES = (
+    ((UnrecoverableErasurePattern, Inconsistent), EXIT_DECODE),
+    ((PreconditionViolated, FieldTooSmall, NotPrimitive, ExhaustedAttempts, TooLarge), EXIT_PRECONDITION),
+    ((LedcError, ValueError, KeyError, TypeError, OSError), EXIT_INPUT),
+)
 
 # ---------- file formats ----------
 
@@ -137,14 +138,6 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _fail_input(exc: Exception) -> int:
-    print(f"error={type(exc).__name__}: {exc}", file=sys.stderr)
-    return EXIT_INPUT
-
-
-_INPUT_ERRORS = (LedcError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError)
-
-
 # ---------- vector parsing ----------
 
 
@@ -168,11 +161,8 @@ def _parse_vector(text: str, q: int, expected: int, allow_erasure: bool) -> list
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    try:
-        s, _ = structure_from_dict(_load_json(args.structure_file))
-        witness = dmax_witness(s)
-    except _INPUT_ERRORS as exc:
-        return _fail_input(exc)
+    s, _ = structure_from_dict(_load_json(args.structure_file))
+    witness = dmax_witness(s)
     print(f"dmax={witness.dmax}")
     print(f"blocks={','.join(map(str, witness.blocks))}")
     print(f"data={','.join(map(str, witness.data))}")
@@ -180,27 +170,20 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        s, f = structure_from_dict(_load_json(args.structure_file))
-        if args.q is not None:
-            f = make_field(args.q)
-    except _INPUT_ERRORS as exc:
-        return _fail_input(exc)
-    try:
-        omega = None
-        seed = None
-        if args.method == "nested":
-            code = construct_nested(s, f)
-        elif args.method == "cyclic":
-            code, ingredients = construct_cyclic(s, f, args.omega)
-            if ingredients is not None:
-                omega = ingredients.omega
-        else:
-            seed = args.seed if args.seed is not None else 0
-            code = construct_random(s, f, seed, args.max_attempts)
-    except (PreconditionViolated, FieldTooSmall, NotPrimitive, ExhaustedAttempts) as exc:
-        print(f"error={type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    s, f = structure_from_dict(_load_json(args.structure_file))
+    if args.q is not None:
+        f = make_field(args.q)
+    omega = None
+    seed = None
+    if args.method == "nested":
+        code = construct_nested(s, f)
+    elif args.method == "cyclic":
+        code, ingredients = construct_cyclic(s, f, args.omega)
+        if ingredients is not None:
+            omega = ingredients.omega
+    else:
+        seed = args.seed if args.seed is not None else 0
+        code = construct_random(s, f, seed, args.max_attempts)
     cf = CodeFile(
         code=code,
         method=args.method,
@@ -220,19 +203,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        cf = code_from_dict(_load_json(args.code_file))
-    except _INPUT_ERRORS as exc:
-        return _fail_input(exc)
-    q, k = cf.code.field.q, cf.code.structure.k
-    method = args.distance_method
-    if method is None:
-        method = "both" if q**k <= AUTO_EXHAUSTIVE_LIMIT else "rank"
-    try:
-        report = verify_ledc(cf.code, distance_method=method)
-    except TooLarge as exc:
-        print(f"error={type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    cf = code_from_dict(_load_json(args.code_file))
+    report = verify_ledc(cf.code, distance_method=args.distance_method)
     print(f"support={'ok' if report.support_ok else 'FAIL'}")
     for g, ok in enumerate(report.local_mds, start=1):
         print(f"local_mds_{g}={'ok' if ok else 'FAIL'}")
@@ -250,47 +222,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    try:
-        cf = code_from_dict(_load_json(args.code_file))
-        x = _parse_vector(args.data, cf.code.field.q, cf.code.structure.k, False)
-    except _INPUT_ERRORS as exc:
-        return _fail_input(exc)
+    cf = code_from_dict(_load_json(args.code_file))
+    x = _parse_vector(args.data, cf.code.field.q, cf.code.structure.k, False)
     word = encode(cf.code, x)
     print(f"codeword={','.join(map(str, word))}")
     return EXIT_OK
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    try:
-        cf = code_from_dict(_load_json(args.code_file))
-        received = _parse_vector(args.received, cf.code.field.q, cf.code.structure.n, True)
-    except _INPUT_ERRORS as exc:
-        return _fail_input(exc)
-    try:
-        x = erasure_decode(cf.code, received)
-    except (UnrecoverableErasurePattern, Inconsistent) as exc:
-        print(f"error={type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DECODE
+    cf = code_from_dict(_load_json(args.code_file))
+    received = _parse_vector(args.received, cf.code.field.q, cf.code.structure.n, True)
+    x = erasure_decode(cf.code, received)
     print(f"data={','.join(map(str, x))}")
     return EXIT_OK
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     """Walk one failure scenario: local-only repair, then cooperation."""
-    try:
-        cf = code_from_dict(_load_json(args.code_file))
-        code = cf.code
-        s, f = code.structure, code.field
-        failed: list[int] = []
-        if args.fail.strip():
-            failed = [int(tok) for tok in args.fail.split(",")]
-        for p in failed:
-            if not 1 <= p <= s.n:
-                raise ValueError(f"position {p} outside 1..{s.n}")
-        if len(set(failed)) != len(failed):
-            raise ValueError("failed positions must be distinct")
-    except _INPUT_ERRORS as exc:
-        return _fail_input(exc)
+    code = code_from_dict(_load_json(args.code_file)).code
+    s, f = code.structure, code.field
+    failed: list[int] = []
+    if args.fail.strip():
+        failed = [int(tok) for tok in args.fail.split(",")]
+    for p in failed:
+        if not 1 <= p <= s.n:
+            raise ValueError(f"position {p} outside 1..{s.n}")
+    if len(set(failed)) != len(failed):
+        raise ValueError("failed positions must be distinct")
 
     failed_set = set(failed)
     x = [(i % f.q) for i in range(1, s.k + 1)]
@@ -303,12 +261,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
         Kg = s.K[g - 1]
         surviving = [p for p in Ng if p not in failed_set]
         lost = len(Ng) - len(surviving)
-        ok = len(surviving) >= len(Kg) and rank(
-            submatrix(code.G, [i - 1 for i in Kg], [p - 1 for p in surviving])
-        ) == len(Kg)
-        if ok:
+        try:
             recovered = local_decode(code, g, [(p, word[p - 1]) for p in surviving])
             ok = all(recovered[i] == x[i - 1] for i in Kg)
+        except (NotEnoughSymbols, SingularSubmatrix):
+            ok = False
         print(
             f"group {g}: lost {lost} of {len(Ng)} positions; "
             f"local recovery {'succeeds' if ok else 'FAILS, needs cooperation'}"
@@ -360,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code_file")
     p.add_argument(
         "--distance-method",
-        choices=["exhaustive", "rank", "both"],
-        default=None,
-        help="default: both within budget, rank beyond it",
+        choices=["auto", "exhaustive", "rank", "both"],
+        default="auto",
+        help="auto: exhaustive for small q^k, rank beyond it",
     )
     p.set_defaults(func=cmd_verify)
 
@@ -390,7 +347,14 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        code = next((code for types, code in EXIT_CODES if isinstance(exc, types)), None)
+        if code is None:
+            raise
+        print(f"error={type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

@@ -32,14 +32,15 @@ from .errors import (
 )
 from .field import Felt, PrimeField
 from .linalg import MatrixGF, rank, ranks, row_vec_mul, solve, submatrix
-from .locality import LocalityStructure, constraints, dmax, validate
+from .locality import LocalityStructure, dmax, reach, validate
 
 # Erasure marker inside a received word.
 ERASED = None
 
 EXHAUSTIVE_BUDGET = 10**9
 RANK_BUDGET = 4 * 10**6
-DEFAULT_SUFFIX_CAP = 1 << 19
+# Suffix messages tabulated at once by the exhaustive search.
+SUFFIX_CAP = 1 << 19
 # Verification enumerates messages by default while q^k stays within this.
 AUTO_EXHAUSTIVE_LIMIT = 10**7
 # Erasure patterns per `ranks` call: amortises numpy overhead, keeps RSS flat.
@@ -146,13 +147,13 @@ def erasure_decode(c: LedcCode, received: Sequence[Optional[Felt]]) -> list[Felt
 # ---------- minimum distance, two ways ----------
 
 
-def min_distance_exhaustive(c: LedcCode, suffix_cap: int = DEFAULT_SUFFIX_CAP) -> int:
+def min_distance_exhaustive(c: LedcCode) -> int:
     """Minimum weight over all q^k - 1 nonzero messages.
 
     The message space is split into prefix x suffix; all suffix codewords
     are tabulated once and each prefix is then a vectorized scan. The
-    split point (`suffix_cap`) only partitions the work, never changes
-    the result.
+    split point (SUFFIX_CAP) only partitions the work, never changes the
+    result.
     """
     q, k, n = c.field.q, c.structure.k, c.structure.n
     if q**k > EXHAUSTIVE_BUDGET:
@@ -161,7 +162,7 @@ def min_distance_exhaustive(c: LedcCode, suffix_cap: int = DEFAULT_SUFFIX_CAP) -
     G = c.G.array()
 
     k_suf = 0
-    while k_suf < k and q ** (k_suf + 1) <= max(suffix_cap, q):
+    while k_suf < k and q ** (k_suf + 1) <= max(SUFFIX_CAP, q):
         k_suf += 1
     k_pre = k - k_suf
 
@@ -193,9 +194,12 @@ def min_distance_exhaustive(c: LedcCode, suffix_cap: int = DEFAULT_SUFFIX_CAP) -
 def _survives_erasures(f: PrimeField, M: np.ndarray, erasures: int) -> bool:
     """Does M keep full row rank whichever `erasures` of its columns are lost?
 
+    Raises TooLarge before any work when the patterns exceed RANK_BUDGET.
     Patterns go to `ranks` RANK_CHUNK at a time, in combinations order.
     """
     r, n = M.shape
+    if comb(n, erasures) > RANK_BUDGET:
+        raise TooLarge(f"C({n},{erasures}) erasure patterns exceed the budget")
     patterns = itertools.combinations(range(n), erasures)
     while chunk := list(itertools.islice(patterns, RANK_CHUNK)):
         erased = np.array(chunk, dtype=np.intp).reshape(len(chunk), erasures)
@@ -215,8 +219,6 @@ def distance_at_least(c: LedcCode, d0: int) -> bool:
     erasures = d0 - 1
     if erasures > n - k:
         return False
-    if comb(n, erasures) > RANK_BUDGET:
-        raise TooLarge(f"C({n},{erasures}) erasure patterns exceed the budget")
     return _survives_erasures(c.field, c.G.array(), erasures)
 
 
@@ -251,10 +253,8 @@ def min_distance_rank(c: LedcCode) -> int:
 
 def support_violations(c: LedcCode) -> list[tuple[int, int]]:
     """(data index, position) pairs where G is nonzero outside the reach."""
-    view = constraints(c.structure)
     bad = []
-    for i in range(1, c.structure.k + 1):
-        allowed = view.R_of(i)
+    for i, allowed in enumerate(reach(c.structure), start=1):
         for j in range(1, c.structure.n + 1):
             if c.G.at(i - 1, j - 1) != 0 and j not in allowed:
                 bad.append((i, j))

@@ -35,9 +35,8 @@ from .errors import (
     TooLarge,
 )
 from .field import Felt, PrimeField, find_primitive, inv, is_primitive
-from .field import pow as fpow
-from .linalg import MatrixGF, block_assemble, make_matrix, nullspace, submatrix, vandermonde
-from .locality import LocalityStructure, dmax, constraints, two_group_params, validate
+from .linalg import MatrixGF, make_matrix, nullspace, vandermonde
+from .locality import LocalityStructure, dmax, reach, two_group_params, validate
 from .poly import (
     PolyGF,
     coeffs_to_row,
@@ -112,15 +111,15 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
             f"construction requires n2 - k2 + 1 >= t once groups are ordered "
             f"by redundancy; got t={t} > {ns - ks + 1}"
         )
-    Wf = vandermonde(f, list(range(1, nf + 1)), kf)
-    Ws = vandermonde(f, list(range(1, ns + 1)), ks)
-    all_f = list(range(nf))
-    all_s = list(range(ns))
-    U = submatrix(Wf, list(range(kf - t)), all_f)
-    A = submatrix(Wf, list(range(kf - t, kf)), all_f)
-    V = submatrix(Ws, list(range(ks - t)), all_s)
-    B = submatrix(Ws, list(range(ks - t, ks)), all_s)
-    canonical = block_assemble([[U, None], [A, B], [None, V]])
+    Wf = vandermonde(f, list(range(1, nf + 1)), kf).to_rows()
+    Ws = vandermonde(f, list(range(1, ns + 1)), ks).to_rows()
+    # U = Wf[:kf-t], A = Wf[kf-t:], V = Ws[:ks-t], B = Ws[ks-t:]
+    canonical = make_matrix(
+        f,
+        [row + [0] * ns for row in Wf[: kf - t]]
+        + [a + b for a, b in zip(Wf[kf - t :], Ws[ks - t :])]
+        + [[0] * nf + row for row in Ws[: ks - t]],
+    )
     data_order, pos_order = _two_group_orders(s, first, second)
     G = _scatter(f, s, canonical, data_order, pos_order)
     meta = {
@@ -180,8 +179,8 @@ def lemma3_solve(
     exponents = list(range(t - ell + 1)) + list(range(T, T + ell))
     rows = []
     for j in range(r, r + t):
-        wj = fpow(f, omega, j)
-        rows.append([fpow(f, wj, e) for e in exponents])
+        wj = pow(omega, j, f.q)
+        rows.append([pow(wj, e, f.q) for e in exponents])
     kernel = nullspace(make_matrix(f, rows))
     if len(kernel) != 1:
         raise DegenerateSystem(
@@ -230,9 +229,9 @@ def construct_cyclic(
         raise NotPrimitive(f"{omega} does not generate the units of GF({f.q})")
 
     n = s.n
-    u = linear_factor_product(f, [fpow(f, omega, j) for j in range(r + t)])
+    u = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r + t)])
     v = u
-    g2 = linear_factor_product(f, [fpow(f, omega, j) for j in range(r)])
+    g2 = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r)])
     T_list, a_stars, b_stars, a_list, b_list, c_list = [], [], [], [], [], []
     for ell in range(1, t + 1):
         T = (n1 + k2 - ell) - (k1 - t + ell - 1)
@@ -309,8 +308,8 @@ def verify_cyclic_conditions(
     """
     n1, k1, n2, k2, t = two_group_params(s)
     r, omega = ing.r, ing.omega
-    roots_rt = [fpow(f, omega, j) for j in range(r + t)]
-    roots_r = [fpow(f, omega, j) for j in range(r)]
+    roots_rt = [pow(omega, j, f.q) for j in range(r + t)]
+    roots_r = [pow(omega, j, f.q) for j in range(r)]
 
     nonzero_constants = (
         ing.u.constant() != 0
@@ -394,23 +393,22 @@ def construct_random(
     An attempt is accepted when every local code is MDS and the distance
     certifies at the structure bound. Attempts are independent streams,
     so the result is the lowest-numbered succeeding attempt regardless
-    of evaluation order.
+    of evaluation order. Otherwise ExhaustedAttempts carries the locally
+    MDS attempt of largest distance, or None if no attempt was locally MDS.
     """
     if max_attempts < 1:
         raise PreconditionViolated(f"max_attempts must be >= 1, got {max_attempts}")
     s = validate(s)
-    view = constraints(s)
+    reaches = reach(s)
     bound = dmax(s)
     best_code: Optional[LedcCode] = None
-    best_distance = -1
+    best_distance = 0
     for attempt in range(max_attempts):
         stream = _attempt_stream(seed, attempt)
-        rows = []
-        for i in range(1, s.k + 1):
-            allowed = view.R_of(i)
-            rows.append(
-                [stream.below(f.q) if j in allowed else 0 for j in range(1, s.n + 1)]
-            )
+        rows = [
+            [stream.below(f.q) if j in allowed else 0 for j in range(1, s.n + 1)]
+            for allowed in reaches
+        ]
         code = make_code(
             s,
             f,
@@ -422,17 +420,19 @@ def construct_random(
                 "claimed_distance": bound,
             },
         )
-        if all(verify_local_mds(code).values()) and distance_at_least(code, bound):
+        if not all(verify_local_mds(code).values()):
+            continue
+        if distance_at_least(code, bound):
             return code
         try:
             achieved = min_distance_rank(code)
         except TooLarge:
             achieved = 0
-        if achieved > best_distance:
+        if best_code is None or achieved > best_distance:
             best_code, best_distance = code, achieved
+    best = "none locally MDS" if best_code is None else f"best achieved: {best_distance}"
     raise ExhaustedAttempts(
-        f"no attempt out of {max_attempts} reached distance {bound} "
-        f"(best achieved: {best_distance})",
+        f"no attempt out of {max_attempts} reached distance {bound} ({best})",
         best_code=best_code,
         best_distance=best_distance,
     )

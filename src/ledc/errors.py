@@ -122,7 +122,7 @@ class DegenerateSystem(LedcError):
 
 
 class ExhaustedAttempts(LedcError):
-    """Random search gave up; carries the best code found so far."""
+    """Random search gave up; carries the best locally MDS code, if any."""
 
     def __init__(self, message, best_code=None, best_distance=0):
         super().__init__(message)

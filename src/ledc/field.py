@@ -1,8 +1,10 @@
 """Prime-field arithmetic.
 
 Field elements are plain Python ints kept as canonical residues in
-[0, q-1]; a PrimeField instance carries the modulus. All helpers reduce
-eagerly so equality of elements is plain integer equality.
+[0, q-1]; a PrimeField instance carries the modulus. Sums, products
+and powers are plain int operations reduced mod q (powers by the
+builtin three-argument pow), so equality of elements is plain integer
+equality.
 """
 
 from __future__ import annotations
@@ -42,58 +44,18 @@ class PrimeField:
         if not _is_prime(self.q):
             raise NotPrime(f"{self.q} is not prime")
 
-    def reduce(self, a: int) -> Felt:
-        return a % self.q
-
 
 def make_field(q: int) -> PrimeField:
     """Return the GF(q) context; raises NotPrime for composite q."""
     return PrimeField(q)
 
 
-def add(f: PrimeField, a: Felt, b: Felt) -> Felt:
-    return (a + b) % f.q
-
-
-def sub(f: PrimeField, a: Felt, b: Felt) -> Felt:
-    return (a - b) % f.q
-
-
-def mul(f: PrimeField, a: Felt, b: Felt) -> Felt:
-    return (a * b) % f.q
-
-
-def neg(f: PrimeField, a: Felt) -> Felt:
-    return (-a) % f.q
-
-
 def inv(f: PrimeField, a: Felt) -> Felt:
-    """Multiplicative inverse by the extended Euclidean algorithm."""
+    """Multiplicative inverse of a in GF(q)."""
     a %= f.q
     if a == 0:
         raise DivisionByZero("0 has no multiplicative inverse")
-    # Invariant: old_s * a == old_r (mod q).
-    old_r, r = a, f.q
-    old_s, s = 1, 0
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-    return old_s % f.q
-
-
-def pow(f: PrimeField, a: Felt, e: int) -> Felt:
-    """a^e for e >= 0 by square-and-multiply; 0^0 is defined as 1."""
-    if e < 0:
-        raise ValueError("negative exponent; invert the base first")
-    result = 1
-    base = a % f.q
-    while e:
-        if e & 1:
-            result = result * base % f.q
-        base = base * base % f.q
-        e >>= 1
-    return result
+    return pow(a, -1, f.q)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -118,7 +80,7 @@ def is_primitive(f: PrimeField, w: Felt) -> bool:
     if f.q == 2:
         return w == 1
     group = f.q - 1
-    return all(pow(f, w, group // p) != 1 for p in _prime_factors(group))
+    return all(pow(w, group // p, f.q) != 1 for p in _prime_factors(group))
 
 
 def find_primitive(f: PrimeField) -> Felt:
@@ -132,6 +94,6 @@ def find_primitive(f: PrimeField) -> Felt:
     group = f.q - 1
     factors = _prime_factors(group)
     for g in range(2, f.q):
-        if all(pow(f, g, group // p) != 1 for p in factors):
+        if all(pow(g, group // p, f.q) != 1 for p in factors):
             return g
     raise AssertionError("no primitive element found; field order not prime?")

@@ -10,7 +10,7 @@ equally shaped matrices at once (`ranks`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,18 +68,6 @@ def make_matrix(f: PrimeField, rows: Sequence[Sequence[int]]) -> MatrixGF:
             raise DimensionMismatch("ragged rows")
         flat.extend(v % f.q for v in r)
     return MatrixGF(f, nrows, ncols, tuple(flat))
-
-
-def identity(f: PrimeField, n: int) -> MatrixGF:
-    return make_matrix(f, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def zeros(f: PrimeField, rows: int, cols: int) -> MatrixGF:
-    return MatrixGF(f, rows, cols, (0,) * (rows * cols))
-
-
-def transpose(m: MatrixGF) -> MatrixGF:
-    return make_matrix(m.field, [[m.at(i, j) for i in range(m.rows)] for j in range(m.cols)])
 
 
 # ---------- elimination ----------
@@ -212,50 +200,6 @@ def submatrix(m: MatrixGF, row_idx: Sequence[int], col_idx: Sequence[int]) -> Ma
             raise IndexOutOfRange(f"column {j} outside 0..{m.cols - 1}")
     entries = tuple(m.at(i, j) for i in row_idx for j in col_idx)
     return MatrixGF(m.field, len(row_idx), len(col_idx), entries)
-
-
-def block_assemble(blocks: Sequence[Sequence[Optional[MatrixGF]]]) -> MatrixGF:
-    """Assemble a block grid into one matrix; None cells are zero blocks.
-
-    Zero-block dimensions are inferred from the other blocks in the same
-    block row and block column, so every grid row and column must hold at
-    least one concrete matrix.
-    """
-    if not blocks or not blocks[0]:
-        raise DimensionMismatch("empty block grid")
-    ncols_grid = len(blocks[0])
-    if any(len(brow) != ncols_grid for brow in blocks):
-        raise DimensionMismatch("ragged block grid")
-    f = next((b.field for brow in blocks for b in brow if b is not None), None)
-    if f is None:
-        raise DimensionMismatch("all blocks are zero placeholders")
-    heights = [None] * len(blocks)
-    widths: list[Optional[int]] = [None] * ncols_grid
-    for i, brow in enumerate(blocks):
-        for j, b in enumerate(brow):
-            if b is None:
-                continue
-            if heights[i] is None:
-                heights[i] = b.rows
-            elif heights[i] != b.rows:
-                raise DimensionMismatch(f"block row {i} mixes heights")
-            if widths[j] is None:
-                widths[j] = b.cols
-            elif widths[j] != b.cols:
-                raise DimensionMismatch(f"block column {j} mixes widths")
-    if any(h is None for h in heights) or any(w is None for w in widths):
-        raise DimensionMismatch("a block row or column has no concrete matrix")
-    out_rows: list[list[Felt]] = []
-    for i, brow in enumerate(blocks):
-        for r in range(heights[i]):
-            row: list[Felt] = []
-            for j, b in enumerate(brow):
-                if b is None:
-                    row.extend([0] * widths[j])
-                else:
-                    row.extend(b.row(r))
-            out_rows.append(row)
-    return make_matrix(f, out_rows)
 
 
 def row_vec_mul(x: Sequence[Felt], m: MatrixGF) -> list[Felt]:

@@ -56,20 +56,6 @@ class LocalityStructure:
 
 
 @dataclass(frozen=True)
-class ConstraintView:
-    """Per position j the allowed data set C_j; per data i the reach R_i."""
-
-    C: tuple[frozenset[int], ...]
-    R: tuple[frozenset[int], ...]
-
-    def C_of(self, j: int) -> frozenset[int]:
-        return self.C[j - 1]
-
-    def R_of(self, i: int) -> frozenset[int]:
-        return self.R[i - 1]
-
-
-@dataclass(frozen=True)
 class DmaxWitness:
     """The bound value with a minimizing group subset and its data set."""
 
@@ -150,21 +136,13 @@ def validate(s: LocalityStructure) -> LocalityStructure:
     return LocalityStructure(s.k, s.n, K_norm, N_norm)
 
 
-def constraints(s: LocalityStructure) -> ConstraintView:
-    """Materialize C_j (allowed data per position) and R_i (reach per datum)."""
-    C: list[frozenset[int]] = [frozenset()] * s.n
+def reach(s: LocalityStructure) -> tuple[frozenset[int], ...]:
+    """R_i per data symbol i (index 0 = symbol 1): the positions it may touch."""
+    out: list[set[int]] = [set() for _ in range(s.k)]
     for Kg, Ng in zip(s.K, s.N):
-        allowed = frozenset(Kg)
-        for j in Ng:
-            C[j - 1] = allowed
-    R = []
-    for i in range(1, s.k + 1):
-        reach: set[int] = set()
-        for Kg, Ng in zip(s.K, s.N):
-            if i in Kg:
-                reach.update(Ng)
-        R.append(frozenset(reach))
-    return ConstraintView(tuple(C), tuple(R))
+        for i in Kg:
+            out[i - 1].update(Ng)
+    return tuple(frozenset(r) for r in out)
 
 
 # ---------- the distance bound ----------
@@ -186,17 +164,12 @@ def dmax_witness(s: LocalityStructure) -> DmaxWitness:
         raise TooManyGroups(f"{s.m} groups exceed the cap of {MAX_GROUPS}")
     masks = _signature_masks(s)
     sizes = s.n_sizes()
-    best: Optional[tuple[int, int, list[int]]] = None
-    for T in range(1, 1 << s.m):
-        members = [i + 1 for i in range(s.k) if masks[i] & ~T == 0]
-        if not members:
-            continue
-        union = sum(sizes[g] for g in range(s.m) if T >> g & 1)
-        value = union - len(members)
-        if best is None or value < best[0]:
-            best = (value, T, members)
-    assert best is not None, "every structure covers some data symbol"
-    value, T, members = best
+    # Equal values compare on T next, so the lowest-numbered minimizing T wins.
+    value, T, members = min(
+        (sum(sizes[g] for g in range(s.m) if T >> g & 1) - len(members), T, members)
+        for T in range(1, 1 << s.m)
+        if (members := [i + 1 for i in range(s.k) if masks[i] & ~T == 0])
+    )
     blocks = tuple(g + 1 for g in range(s.m) if T >> g & 1)
     return DmaxWitness(1 + value, blocks, tuple(members))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import DivisionByZeroPoly, ShiftOverflow
+from .errors import DivisionByZeroPoly, PreconditionViolated, ShiftOverflow
 from .field import Felt, PrimeField, inv
 
 NEG_INF = float("-inf")
@@ -26,7 +26,8 @@ class PolyGF:
     coeffs: tuple[Felt, ...]
 
     def __post_init__(self) -> None:
-        assert not self.coeffs or self.coeffs[-1] != 0, "unnormalized coefficients"
+        if self.coeffs and self.coeffs[-1] == 0:
+            raise PreconditionViolated("unnormalized coefficients: trailing zero")
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -55,10 +56,6 @@ def poly_add(p: PolyGF, r: PolyGF) -> PolyGF:
     for i, c in enumerate(r.coeffs):
         out[i] = (out[i] + c) % f.q
     return make_poly(f, out)
-
-
-def poly_scale(p: PolyGF, s: Felt) -> PolyGF:
-    return make_poly(p.field, [c * s for c in p.coeffs])
 
 
 def poly_mul(p: PolyGF, r: PolyGF) -> PolyGF:
@@ -141,7 +138,3 @@ def coeffs_to_row(p: PolyGF, shift: int, width: int) -> list[Felt]:
         row[shift + d] = c
     return row
 
-
-def row_to_poly(f: PrimeField, row: Sequence[int]) -> PolyGF:
-    """Inverse of coeffs_to_row at shift 0: the row as a polynomial."""
-    return make_poly(f, row)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 from conftest import FIXTURES, load_json
 
+import ledc
 from ledc.cli import code_from_dict, code_to_dict, run
 from ledc.code import ERASED, encode, erasure_decode
 from ledc.errors import UnrecoverableErasurePattern
@@ -18,6 +23,25 @@ def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as from a shell."""
+    src = str(Path(ledc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ledc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
+def assert_clean_exit(result, code, error):
+    assert result.returncode == code
+    assert result.stderr.startswith(f"error={error}: ")
+    assert "Traceback" not in result.stderr
 
 
 def failing_erasure_pattern(code, size):
@@ -117,6 +141,18 @@ def test_construct_random_exhaustion_exit(tmp_path, capsys):
     assert "error=ExhaustedAttempts" in capsys.readouterr().err
 
 
+def test_construct_random_past_group_cap_exits_2(tmp_path):
+    groups = [{"K": [i], "n": 1} for i in range(1, 22)]
+    s = write_json(tmp_path, "many.json", {"q": 7, "groups": groups})
+    assert_clean_exit(run_cli("construct", s, "--method", "random"), 2, "TooManyGroups")
+
+
+def test_construct_random_past_local_mds_budget_exits_3(tmp_path):
+    # C(30,15) local minors exceed the rank budget before any is eliminated
+    s = write_json(tmp_path, "wide.json", {"q": 2**31 - 1, "groups": [{"K": list(range(1, 16)), "n": 30}]})
+    assert_clean_exit(run_cli("construct", s, "--method", "random"), 3, "TooLarge")
+
+
 # ---------- verify ----------
 
 
@@ -171,6 +207,16 @@ def test_verify_past_budget_exits_3(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error=TooLarge: ")
+
+
+def test_verify_past_group_cap_exits_2(tmp_path):
+    many = write_json(tmp_path, "many.json", {
+        "structure": {"q": 7, "groups": [{"K": [i], "n": 1} for i in range(1, 22)]},
+        "method": "random",
+        "G": [[int(i == j) for j in range(21)] for i in range(21)],
+        "claimed_distance": 1,
+    })
+    assert_clean_exit(run_cli("verify", many), 2, "TooManyGroups")
 
 
 # ---------- encode / decode ----------
@@ -241,6 +287,17 @@ def test_demo_unrecoverable_pattern(cyclic_codefile, capsys):
     bad = failing_erasure_pattern(cyclic_codefile.code, 5)
     assert run(["demo", CYC, "--fail", ",".join(map(str, bad))]) == 0
     assert "global=fail" in capsys.readouterr().out
+
+
+def test_demo_singular_local_minor_needs_cooperation(tmp_path, capsys):
+    payload = load_json("cyclic_code.json")
+    for row in payload["G"]:
+        row[0] = 0  # position 1 carries nothing, so group 1 is not MDS
+    broken = write_json(tmp_path, "broken.json", payload)
+    assert run(["demo", broken, "--fail", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "group1_local=fail" in out
+    assert "group2_local=ok" in out
 
 
 def test_demo_input_errors(capsys):

@@ -30,7 +30,7 @@ from ledc.errors import (
     UnrecoverableErasurePattern,
 )
 from ledc.field import make_field
-from ledc.linalg import identity, make_matrix, vandermonde
+from ledc.linalg import make_matrix, vandermonde
 from ledc.locality import blocks_for_sizes, dmax, make_structure
 
 F7 = make_field(7)
@@ -43,6 +43,10 @@ def single_group_code(f, G_rows):
     return make_code(s, f, make_matrix(f, G_rows))
 
 
+def identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def random_single_group_code(f, k, n, rng):
     return single_group_code(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)])
 
@@ -53,7 +57,7 @@ def random_single_group_code(f, k, n, rng):
 def test_make_code_shape_checks(suboptimal_codefile):
     s = suboptimal_codefile.code.structure
     with pytest.raises(DimensionMismatch):
-        make_code(s, F7, identity(F7, 5))
+        make_code(s, F7, make_matrix(F7, identity_rows(5)))
     with pytest.raises(DimensionMismatch):
         make_code(s, make_field(11), suboptimal_codefile.code.G)
 
@@ -210,7 +214,7 @@ def test_distance_golden_cyclic_fixture(cyclic_codefile, cyclic_descending):
 
 
 def test_distance_identity_code():
-    c = single_group_code(F7, identity(F7, 3).to_rows())
+    c = single_group_code(F7, identity_rows(3))
     assert min_distance_exhaustive(c) == 1
     assert min_distance_rank(c) == 1
 
@@ -256,15 +260,18 @@ def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, monkeypa
     assert dmax(dense.structure) < 4 < dmax(suboptimal_codefile.code.structure)
 
 
-def test_exhaustive_distance_independent_of_partitioning(suboptimal_codefile):
+def test_exhaustive_distance_independent_of_partitioning(suboptimal_codefile, monkeypatch):
     c = suboptimal_codefile.code
-    results = {min_distance_exhaustive(c, suffix_cap=cap) for cap in (1, 7, 49, 1 << 19)}
+    results = set()
+    for cap in (1, 7, 49, 1 << 19):
+        monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
+        results.add(min_distance_exhaustive(c))
     assert results == {4}
 
 
 def test_distance_budgets():
     f101 = make_field(101)
-    c = single_group_code(f101, identity(f101, 5).to_rows())
+    c = single_group_code(f101, identity_rows(5))
     with pytest.raises(TooLarge):
         min_distance_exhaustive(c)  # 101^5 > 10^9
     wide = single_group_code(F7, [[1 if i == j else 0 for j in range(30)] for i in range(5)])
@@ -272,6 +279,14 @@ def test_distance_budgets():
         min_distance_rank(wide)
     with pytest.raises(TooLarge):
         distance_at_least(wide, 11)  # C(30,10) patterns
+
+
+def test_local_mds_budget_fails_before_any_rank(monkeypatch):
+    f = make_field(2**31 - 1)
+    c = random_single_group_code(f, 15, 30, random.Random(5604))  # C(30,15) minors
+    monkeypatch.setattr(code_module, "ranks", lambda *args: pytest.fail("ranks ran past the budget"))
+    with pytest.raises(TooLarge):
+        verify_local_mds(c)
 
 
 def test_distance_at_least_bounds(suboptimal_codefile):

@@ -4,7 +4,14 @@ from itertools import product
 
 import pytest
 
-from ledc.code import encode, min_distance_exhaustive, min_distance_rank, support_violations, verify_ledc
+from ledc.code import (
+    encode,
+    min_distance_exhaustive,
+    min_distance_rank,
+    support_violations,
+    verify_ledc,
+    verify_local_mds,
+)
 from ledc.construct import (
     construct_cyclic,
     construct_nested,
@@ -19,8 +26,7 @@ from ledc.errors import (
     PreconditionViolated,
 )
 from ledc.field import find_primitive, inv, make_field
-from ledc.field import pow as fpow
-from ledc.locality import dmax, make_structure
+from ledc.locality import blocks_for_sizes, dmax, make_structure
 from ledc.poly import make_poly, poly_eval, poly_mul
 
 F7 = make_field(7)
@@ -127,7 +133,7 @@ def test_lemma3_single_shared_row_closed_form():
     omega, r, T = 2, 1, 5
     a_star, b_star = lemma3_solve(F13, omega, ell=1, t=1, r=r, T=T)
     assert a_star == make_poly(F13, [1])
-    expected = (13 - inv(F13, fpow(F13, omega, r * T))) % 13
+    expected = (13 - inv(F13, pow(omega, r * T, 13))) % 13
     assert b_star == make_poly(F13, [expected])
 
 
@@ -149,8 +155,8 @@ def test_lemma3_defining_equation_sweep():
             assert all(c != 0 for c in b_star.coeffs)
             assert a_star.constant() == 1
             for j in range(r, r + t):
-                wj = fpow(f, omega, j)
-                lhs = poly_eval(a_star, wj) + fpow(f, wj, T) * poly_eval(b_star, wj)
+                wj = pow(omega, j, f.q)
+                lhs = poly_eval(a_star, wj) + pow(wj, T, f.q) * poly_eval(b_star, wj)
                 assert lhs % q == 0
             checked += 1
     assert checked == 180
@@ -174,8 +180,8 @@ def test_lemma3_rejects_bad_parameters(ell, t, r, T):
 def test_lemma3_accepts_zero_local_redundancy():
     a_star, b_star = lemma3_solve(F13, 2, ell=1, t=2, r=0, T=6)
     for j in range(2):
-        wj = fpow(F13, 2, j)
-        assert (poly_eval(a_star, wj) + fpow(F13, wj, 6) * poly_eval(b_star, wj)) % 13 == 0
+        wj = pow(2, j, 13)
+        assert (poly_eval(a_star, wj) + pow(wj, 6, 13) * poly_eval(b_star, wj)) % 13 == 0
 
 
 # ---------- cyclic construction ----------
@@ -298,9 +304,20 @@ def test_random_exhausts_on_impossible_target():
     f2 = make_field(2)
     with pytest.raises(ExhaustedAttempts) as exc_info:
         construct_random(s, f2, seed=0, max_attempts=30)
+    # no [4, 2] MDS code exists over GF(2), so no attempt may compete
     err = exc_info.value
-    assert err.best_code is not None
-    assert 0 <= err.best_distance < dmax(s) == 3
+    assert err.best_code is None
+    assert err.best_distance == 0 < dmax(s) == 3
+
+
+def test_random_best_code_is_locally_mds():
+    s = make_structure([range(1, 7), range(4, 11)], blocks_for_sizes([9, 10]))
+    with pytest.raises(ExhaustedAttempts) as exc_info:
+        construct_random(s, make_field(257), seed=1, max_attempts=2)
+    err = exc_info.value
+    assert err.best_distance == 6 < dmax(s) == 7
+    assert err.best_code.meta["attempt"] == 0
+    assert all(verify_local_mds(err.best_code).values())
 
 
 def test_random_rejects_zero_attempts(unequal_r):

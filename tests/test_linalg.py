@@ -16,8 +16,6 @@ from ledc.errors import (
 from ledc.field import make_field
 from ledc.linalg import (
     MatrixGF,
-    block_assemble,
-    identity,
     make_matrix,
     nullspace,
     rank,
@@ -26,14 +24,16 @@ from ledc.linalg import (
     rref,
     solve,
     submatrix,
-    transpose,
     vandermonde,
-    zeros,
 )
 
 F3 = make_field(3)
 F7 = make_field(7)
 F13 = make_field(13)
+
+
+def identity(f, n):
+    return make_matrix(f, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def random_matrix(f, rows, cols, rng):
@@ -58,7 +58,7 @@ def test_rref_identity_is_fixed_point():
 
 
 def test_rref_zero_matrix():
-    m = zeros(F7, 3, 2)
+    m = make_matrix(F7, [[0, 0]] * 3)
     reduced, rk, pivots = rref(m)
     assert reduced == m
     assert rk == 0
@@ -87,7 +87,7 @@ def test_rank_equals_rank_of_transpose():
     for f in (F7, F13):
         for _ in range(60):
             m = random_matrix(f, rng.randint(1, 8), rng.randint(1, 8), rng)
-            assert rank(m) == rank(transpose(m))
+            assert rank(m) == rank(make_matrix(f, list(zip(*m.to_rows()))))
 
 
 # ---------- numpy kernel against the pure-Python oracle ----------
@@ -189,7 +189,7 @@ def test_det_two_by_two_vandermonde():
 
 def test_det_requires_square():
     with pytest.raises(ValueError):
-        det(7, zeros(F7, 2, 3).to_rows())
+        det(7, [[0, 0, 0]] * 2)
 
 
 def test_det_nonzero_iff_full_rank():
@@ -217,7 +217,7 @@ def test_nullspace_identity_empty():
 
 
 def test_nullspace_zero_matrix_full():
-    basis = nullspace(zeros(F7, 2, 3))
+    basis = nullspace(make_matrix(F7, [[0, 0, 0]] * 2))
     assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -313,7 +313,7 @@ def test_vandermonde_k_bounds():
     assert (m.rows, m.cols) == (0, 3)
 
 
-# ---------- submatrix / blocks ----------
+# ---------- submatrix ----------
 
 
 def test_submatrix_respects_index_order():
@@ -336,37 +336,6 @@ def test_submatrix_empty_selection_keeps_shape():
     assert (empty_rows.rows, empty_rows.cols) == (0, 3)
     empty_cols = submatrix(m, [0, 1], [])
     assert (empty_cols.rows, empty_cols.cols) == (2, 0)
-    stacked = block_assemble([[m], [empty_rows], [m]])
-    assert stacked.rows == 4 and stacked.cols == 3
-
-
-def test_block_assemble_layout():
-    u = make_matrix(F7, [[1, 1, 1]])
-    a = make_matrix(F7, [[1, 2, 3], [2, 3, 4]])
-    b = make_matrix(F7, [[5, 6], [6, 5]])
-    v = make_matrix(F7, [[4, 4]])
-    g = block_assemble([[u, None], [a, b], [None, v]])
-    assert g.to_rows() == [
-        [1, 1, 1, 0, 0],
-        [1, 2, 3, 5, 6],
-        [2, 3, 4, 6, 5],
-        [0, 0, 0, 4, 4],
-    ]
-
-
-def test_block_assemble_rejects_mismatched_widths():
-    u = make_matrix(F7, [[1, 1, 1]])
-    v = make_matrix(F7, [[1, 1]])
-    with pytest.raises(DimensionMismatch):
-        block_assemble([[u], [make_matrix(F7, [[1]])]])
-    with pytest.raises(DimensionMismatch):
-        block_assemble([[u, None], [v, v]])
-
-
-def test_block_assemble_needs_concrete_blocks():
-    u = make_matrix(F7, [[1]])
-    with pytest.raises(DimensionMismatch):
-        block_assemble([[u, None], [None, None]])
 
 
 def test_row_vec_mul():

@@ -14,11 +14,11 @@ from ledc.errors import (
 )
 from ledc.locality import (
     blocks_for_sizes,
-    constraints,
     dmax,
     dmax_two_subcodes,
     dmax_witness,
     make_structure,
+    reach,
     two_group_params,
     validate,
 )
@@ -75,19 +75,16 @@ def test_validate_returns_normalized():
 
 def test_constraints_reference_structure(unequal_r):
     s, _ = unequal_r
-    view = constraints(s)
-    assert view.R_of(1) == frozenset(range(1, 5))
-    assert view.R_of(2) == frozenset(range(1, 11))
-    assert view.R_of(4) == frozenset(range(5, 11))
-    assert view.C_of(1) == frozenset({1, 2, 3})
-    assert view.C_of(10) == frozenset({2, 3, 4, 5})
+    R = reach(s)
+    assert len(R) == s.k == 5
+    assert R[0] == frozenset(range(1, 5))
+    assert R[1] == frozenset(range(1, 11))
+    assert R[3] == frozenset(range(5, 11))
 
 
 def test_constraints_single_group():
     s = make_structure([[1, 2, 3]], [[1, 2, 3, 4, 5]])
-    view = constraints(s)
-    for i in (1, 2, 3):
-        assert view.R_of(i) == frozenset(range(1, 6))
+    assert reach(s) == (frozenset(range(1, 6)),) * 3
 
 
 # ---------- dmax ----------
@@ -115,6 +112,21 @@ def test_dmax_witness_is_consistent(equal_r):
     for i in range(1, s.k + 1):
         groups = {g for g in range(1, s.m + 1) if i in s.K[g - 1]}
         assert (i in w.data) == (groups <= T)
+
+
+def test_dmax_witness_takes_lowest_minimizing_subset():
+    rng = random.Random(4503)
+    for _ in range(60):
+        s = random_structure(rng)
+        w = dmax_witness(s)
+        values = {}
+        for T in range(1, 1 << s.m):
+            members = [i for i in range(1, s.k + 1) if all(T >> g & 1 for g in range(s.m) if i in s.K[g])]
+            if members:
+                values[T] = sum(len(s.N[g]) for g in range(s.m) if T >> g & 1) - len(members)
+        lowest = min(values, key=lambda T: (values[T], T))
+        assert w.blocks == tuple(g + 1 for g in range(s.m) if lowest >> g & 1), (s.K, s.N)
+        assert w.dmax == 1 + values[lowest]
 
 
 def test_dmax_matches_bruteforce_oracle():
