@@ -7,8 +7,9 @@ verification functions, which report rather than raise, so defective
 matrices can be inspected.
 
 Two independent minimum-distance algorithms are provided on purpose:
-exhaustive message enumeration and column-rank certification. Golden
-values in the test suite never rest on a single implementation.
+exhaustive message enumeration and column-rank certification. They
+share only the rank-deficiency verdict (distance 0). Golden values in
+the test suite never rest on a single implementation.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ ERASED = None
 
 EXHAUSTIVE_BUDGET = 10**9
 RANK_BUDGET = 4 * 10**6
-# Suffix messages tabulated at once by the exhaustive search.
-SUFFIX_CAP = 1 << 19
+# Suffix codewords tabulated at once by the exhaustive search: the table stays
+# cache-sized, since every prefix scans all of it.
+SUFFIX_CAP = 1 << 15
 # Verification enumerates messages by default while q^k stays within this.
 AUTO_EXHAUSTIVE_LIMIT = 10**7
 # Erasure patterns per `ranks` call: amortises numpy overhead, keeps RSS flat.
@@ -147,17 +149,31 @@ def erasure_decode(c: LedcCode, received: Sequence[Optional[Felt]]) -> list[Felt
 # ---------- minimum distance, two ways ----------
 
 
-def min_distance_exhaustive(c: LedcCode) -> int:
-    """Minimum weight over all q^k - 1 nonzero messages.
+def _span(q: int, rows: np.ndarray, start: np.ndarray, dtype) -> np.ndarray:
+    """start + x @ rows for every x in GF(q)^len(rows), first row most significant."""
+    table = start.astype(dtype)[None, :]
+    for row in rows:
+        mult = (np.arange(q, dtype=np.int64)[:, None] * row[None, :] % q).astype(dtype)
+        table = (table[:, None, :] + mult[None, :, :]).reshape(-1, len(row)) % q
+    return table
 
-    The message space is split into prefix x suffix; all suffix codewords
-    are tabulated once and each prefix is then a vectorized scan. The
-    split point (SUFFIX_CAP) only partitions the work, never changes the
-    result.
+
+def min_distance_exhaustive(c: LedcCode) -> int:
+    """Minimum weight over the nonzero messages, one per scalar class.
+
+    x and λx have the same weight, so only the (q^k - 1)/(q - 1) messages
+    whose first nonzero entry is 1 are enumerated. The last rows span a
+    suffix table; each prefix (a leading 1, then any later prefix entries)
+    is one vectorized scan of it. Within the budget, the suffix table and
+    each leading position's prefix table stay at or below
+    max(SUFFIX_CAP, q) rows. The split only partitions the work, never
+    changes the result. Returns 0 when G is rank deficient.
     """
     q, k, n = c.field.q, c.structure.k, c.structure.n
     if q**k > EXHAUSTIVE_BUDGET:
         raise TooLarge(f"q^k = {q}^{k} exceeds the enumeration budget")
+    if rank(c.G) < k:
+        return 0
     dtype = np.int16 if q <= 16383 else np.int32
     G = c.G.array()
 
@@ -166,26 +182,14 @@ def min_distance_exhaustive(c: LedcCode) -> int:
         k_suf += 1
     k_pre = k - k_suf
 
-    # Codewords of every suffix message, suffix symbols = last k_suf rows.
-    S = np.zeros((1, n), dtype=dtype)
-    for r in range(k_pre, k):
-        mult = (np.arange(q, dtype=np.int64)[:, None] * G[r][None, :]) % q
-        mult = mult.astype(dtype)
-        S = (S[:, None, :] + mult[None, :, :]).reshape(-1, n) % q
-
-    best = n + 1
-    for xp in itertools.product(range(q), repeat=k_pre):
-        prefix_zero = not any(xp)
-        cp = (np.array(xp, dtype=np.int64) @ G[:k_pre]) % q if k_pre else np.zeros(n, dtype=np.int64)
-        target = ((q - cp) % q).astype(dtype)
-        zero_counts = np.count_nonzero(S == target, axis=1)
-        if prefix_zero:
-            if zero_counts.shape[0] == 1:
-                continue
-            zero_counts = zero_counts[1:]
-        weight = n - int(zero_counts.max())
-        if weight < best:
-            best = weight
+    S = _span(q, G[k_pre:], np.zeros(n, dtype=np.int64), dtype)
+    best = n - int(np.count_nonzero(S[1:] == 0, axis=1).max())
+    neg = (q - G[:k_pre]) % q
+    for lead in range(k_pre):
+        if best <= 1:
+            break
+        for target in _span(q, neg[lead + 1 :], neg[lead], dtype):
+            best = min(best, n - int(np.count_nonzero(S == target, axis=1).max()))
             if best <= 1:
                 break
     return best
@@ -303,20 +307,15 @@ def verify_ledc(c: LedcCode, distance_method: str = "auto") -> VerifyReport:
     method = distance_method
     if method == "auto":
         method = "exhaustive" if q**k <= AUTO_EXHAUSTIVE_LIMIT else "rank"
-    if method == "exhaustive":
-        distance = min_distance_exhaustive(c)
-    elif method == "rank":
-        distance = min_distance_rank(c)
-    elif method == "both":
-        distance = min_distance_exhaustive(c)
-        by_rank = min_distance_rank(c)
-        if distance != by_rank:
-            raise DistanceDisagreement(
-                f"distance algorithms disagree: enumeration {distance}, rank {by_rank}"
-            )
-    else:
+    if method not in ("exhaustive", "rank", "both"):
         raise ValueError(f"unknown distance method {distance_method!r}")
+    # Local MDS first: its budget check refuses a code before any enumeration.
     mds = verify_local_mds(c)
+    distance = min_distance_rank(c) if method == "rank" else min_distance_exhaustive(c)
+    if method == "both" and distance != (by_rank := min_distance_rank(c)):
+        raise DistanceDisagreement(
+            f"distance algorithms disagree: enumeration {distance}, rank {by_rank}"
+        )
     bound = dmax(c.structure)
     return VerifyReport(
         support_ok=not support_violations(c),

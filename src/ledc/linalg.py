@@ -99,7 +99,12 @@ def ranks(f: PrimeField, stack: np.ndarray) -> np.ndarray:
         factor = col * free
         pivot_row = m[batch, p, j + 1 :]
         rest = m[:, :, j + 1 :]
-        rest[:] = (rest * piv[:, None, None] - factor[:, :, None] * pivot_row[:, None, :]) % q
+        # In place: one (B, r, c) temporary per column instead of four. At
+        # RANK_CHUNK matrices each is near glibc's 128 KB mmap and trim
+        # thresholds, where every fresh one can cost page faults.
+        rest *= piv[:, None, None]
+        rest -= factor[:, :, None] * pivot_row[:, None, :]
+        rest %= q
     return r - free.sum(axis=1)
 
 

@@ -3,7 +3,7 @@
 Each test prints one ACCEPTANCE line with its verdict and wall time so
 the suite output doubles as a report. The sweeps in criteria 5 and 6
 enumerate every admissible two-group shape up to the size cutoffs and
-take a few tens of seconds each.
+take a few seconds each.
 """
 
 import random

@@ -225,9 +225,11 @@ def test_distance_rank_deficient_is_zero():
     assert min_distance_exhaustive(c) == 0
 
 
-def test_distance_agrees_with_bruteforce_oracle():
+def test_distance_agrees_with_bruteforce_oracle(monkeypatch):
+    # Caps 1 and q split off a one-row suffix table, so the lead loop runs.
+    default_cap = code_module.SUFFIX_CAP
     rng = random.Random(5603)
-    for q in (3, 5, 7):
+    for q in (3, 5, 7, 2):
         f = make_field(q)
         for _ in range(25):
             k = rng.randint(1, 4)
@@ -236,8 +238,37 @@ def test_distance_agrees_with_bruteforce_oracle():
                 continue
             c = random_single_group_code(f, k, n, rng)
             expected = min_weight_bruteforce(q, c.G.to_rows())
-            assert min_distance_exhaustive(c) == expected
+            for cap in (1, q, default_cap):
+                monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
+                assert min_distance_exhaustive(c) == expected, (q, cap, c.G.to_rows())
             assert min_distance_rank(c) == expected
+
+
+def test_exhaustive_distance_edge_cases_under_small_cap(monkeypatch):
+    default_cap = code_module.SUFFIX_CAP
+    monkeypatch.setattr(code_module, "SUFFIX_CAP", 1)  # one suffix row, k - 1 leads
+    f2 = make_field(2)
+    # Rank deficient: rows 2 + 3 give the zero codeword, from the nonzero
+    # prefix (0, 1); row 3 alone is a weight-1 codeword of the suffix scan.
+    deficient = single_group_code(f2, [[1, 0, 1], [0, 1, 0], [0, 1, 0]])
+    assert min_distance_exhaustive(deficient) == 0 == min_weight_bruteforce(2, deficient.G.to_rows())
+    assert min_distance_rank(deficient) == 0
+
+    # Every suffix codeword has weight 2; row 1 - row 2 = (1, 0, 0) is found
+    # by lead 0, which returns before lead 1's prefix table is built.
+    rows = [[1, 1, 1], [0, 1, 1], [0, 1, 2]]
+    tables = []
+    span = code_module._span
+    monkeypatch.setattr(code_module, "_span", lambda *args: tables.append(args) or span(*args))
+    assert min_distance_exhaustive(single_group_code(F7, rows)) == 1 == min_weight_bruteforce(7, rows)
+    assert len(tables) == 2  # the suffix table, then lead 0's prefixes
+    monkeypatch.setattr(code_module, "_span", span)
+
+    f65537 = make_field(65537)  # int32 tables
+    wide = single_group_code(f65537, [[1, 2, 0, 65536, 3]])
+    for cap in (1, default_cap):
+        monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
+        assert min_distance_exhaustive(wide) == 4
 
 
 def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, monkeypatch):
@@ -287,6 +318,13 @@ def test_local_mds_budget_fails_before_any_rank(monkeypatch):
     monkeypatch.setattr(code_module, "ranks", lambda *args: pytest.fail("ranks ran past the budget"))
     with pytest.raises(TooLarge):
         verify_local_mds(c)
+
+
+def test_verify_ledc_checks_local_mds_before_distance(monkeypatch):
+    c = random_single_group_code(make_field(3), 15, 30, random.Random(5605))  # C(30,15) minors
+    monkeypatch.setattr(code_module, "min_distance_exhaustive", lambda c: pytest.fail("enumerated past the budget"))
+    with pytest.raises(TooLarge):
+        verify_ledc(c, distance_method="exhaustive")
 
 
 def test_distance_at_least_bounds(suboptimal_codefile):
