@@ -13,14 +13,16 @@ is
 where R_i is the set of coded positions whose value may depend on data
 symbol i. Because each R_i is a union of whole position blocks, the
 minimum is attained at I_T = {i : every group containing i lies in T}
-for some group subset T, so enumerating the 2^m - 1 group subsets gives
-the exact value in polynomial time for fixed m.
+for some group subset T. A subset-sum (zeta) transform gives |I_T| and
+the positions owned by T's blocks for all 2^m subsets in O(m 2^m) steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     CoverageGap,
@@ -148,30 +150,28 @@ def reach(s: LocalityStructure) -> tuple[frozenset[int], ...]:
 # ---------- the distance bound ----------
 
 
-def _signature_masks(s: LocalityStructure) -> list[int]:
-    """Bitmask of groups containing each data symbol (index 0 = symbol 1)."""
-    masks = [0] * s.k
-    for g, Kg in enumerate(s.K):
-        for i in Kg:
-            masks[i - 1] |= 1 << g
-    return masks
-
-
 def dmax_witness(s: LocalityStructure) -> DmaxWitness:
-    """The bound plus a minimizing group subset and its data symbols."""
+    """The bound plus the lowest-numbered minimizing group subset and its data."""
     s = validate(s)
     if s.m > MAX_GROUPS:
         raise TooManyGroups(f"{s.m} groups exceed the cap of {MAX_GROUPS}")
-    masks = _signature_masks(s)
-    sizes = s.n_sizes()
-    # Equal values compare on T next, so the lowest-numbered minimizing T wins.
-    value, T, members = min(
-        (sum(sizes[g] for g in range(s.m) if T >> g & 1) - len(members), T, members)
-        for T in range(1, 1 << s.m)
-        if (members := [i + 1 for i in range(s.k) if masks[i] & ~T == 0])
-    )
+    sig = [0] * s.k  # bitmask of the groups holding each data symbol
+    for g, Kg in enumerate(s.K):
+        for i in Kg:
+            sig[i - 1] |= 1 << g
+    # Zeta transform, one butterfly pass per group: cnt[T] = |I_T|, tot[T] = owned positions.
+    cnt = np.bincount(sig, minlength=1 << s.m).astype(np.int32)
+    tot = np.zeros(1 << s.m, dtype=np.int32)
+    for g, size in enumerate(s.n_sizes()):
+        pairs = cnt.reshape(-1, 2, 1 << g)
+        pairs[:, 1] += pairs[:, 0]
+        tot.reshape(-1, 2, 1 << g)[:, 1] += size
+    tot -= cnt
+    tot[cnt == 0] = s.n  # above every T with cnt > 0, whose value is at most n - 1
+    T = int(tot.argmin())  # the first minimum, so the lowest T wins ties
     blocks = tuple(g + 1 for g in range(s.m) if T >> g & 1)
-    return DmaxWitness(1 + value, blocks, tuple(members))
+    data = tuple(i + 1 for i in range(s.k) if sig[i] & ~T == 0)
+    return DmaxWitness(1 + int(tot[T]), blocks, data)
 
 
 def dmax(s: LocalityStructure) -> int:
@@ -198,9 +198,7 @@ def dmax_two_subcodes(s: LocalityStructure) -> int:
     """
     n1, k1, n2, k2, t = two_group_params(s)
     if t >= s.k:
-        raise PreconditionViolated(
-            f"shared data count t={t} must be below k={s.k}"
-        )
+        raise PreconditionViolated(f"shared data count t={t} must be below k={s.k}")
     if not (t < min(k1, k2) or n1 - k1 == n2 - k2):
         raise PreconditionViolated(
             f"need t < min(k1, k2) or equal redundancies; "

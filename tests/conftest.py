@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,20 @@ def random_structure(rng, max_k=12, max_m=4, max_extra=3):
         if set().union(*K) == set(range(1, k + 1)):
             break
     sizes = [len(Kg) + rng.randint(0, max_extra) for Kg in K]
+    return make_structure(K, blocks_for_sizes(sizes))
+
+
+def cap_structure():
+    """Seeded structure at the group cap: 20 groups, k = 40, each symbol in two groups."""
+    rng = random.Random(2049)
+    while True:
+        K = [set() for _ in range(20)]
+        for i in range(1, 41):
+            for g in rng.sample(range(20), 2):
+                K[g].add(i)
+        if all(K):
+            break
+    sizes = [len(Kg) + rng.randint(0, 2) for Kg in K]
     return make_structure(K, blocks_for_sizes(sizes))
 
 

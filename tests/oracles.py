@@ -37,6 +37,27 @@ def dmax_bruteforce(K, N):
     return 1 + best
 
 
+def dmax_witness_scan(K, N):
+    """(dmax, blocks, data) of the lowest-numbered minimizing group subset.
+
+    Walks the nonempty group subsets T in increasing order. The data set of
+    T holds the symbols all of whose groups lie in T; a later T replaces the
+    best only when its value is strictly smaller.
+    """
+    m = len(K)
+    k = max(max(Kg) for Kg in K)
+    groups = [[g for g in range(m) if i in K[g]] for i in range(1, k + 1)]
+    best = None
+    for T in range(1, 1 << m):
+        members = [i + 1 for i in range(k) if all(T >> g & 1 for g in groups[i])]
+        if members:
+            value = sum(len(N[g]) for g in range(m) if T >> g & 1) - len(members)
+            if best is None or value < best[0]:
+                best = (value, T, members)
+    value, T, members = best
+    return 1 + value, tuple(g + 1 for g in range(m) if T >> g & 1), tuple(members)
+
+
 def min_weight_bruteforce(q, rows):
     """Minimum codeword weight by enumerating every nonzero message."""
     k = len(rows)

@@ -5,7 +5,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from conftest import FIXTURES, load_json
+from conftest import FIXTURES, cap_structure, load_json
 
 import ledc
 from ledc.cli import code_from_dict, code_to_dict, run
@@ -66,6 +66,13 @@ def test_bound_reference_structures(capsys):
     assert "dmax=5" in out
     assert "blocks=1" in out
     assert "data=1" in out
+
+
+def test_bound_at_group_cap(tmp_path, capsys):
+    s = cap_structure()
+    groups = [{"K": list(Kg), "n": len(Ng)} for Kg, Ng in zip(s.K, s.N)]
+    assert run(["bound", write_json(tmp_path, "cap.json", {"q": 13, "groups": groups})]) == 0
+    assert capsys.readouterr().out == "dmax=6\nblocks=12,18\ndata=6,15\n"
 
 
 def test_bound_input_errors(tmp_path, capsys):

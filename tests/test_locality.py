@@ -1,9 +1,12 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_structure
-from oracles import dmax_bruteforce
+from conftest import cap_structure, random_structure
+from oracles import dmax_bruteforce, dmax_witness_scan
 
 from ledc.errors import (
     CoverageGap,
@@ -101,9 +104,7 @@ def test_dmax_single_group_is_singleton_bound():
         assert dmax(s) == n - k + 1
 
 
-def test_dmax_witness_is_consistent(equal_r):
-    s = equal_r[0]
-    w = dmax_witness(s)
+def assert_witness_consistent(s, w):
     sizes = s.n_sizes()
     union = sum(sizes[g - 1] for g in w.blocks)
     assert w.dmax == 1 + union - len(w.data)
@@ -114,19 +115,51 @@ def test_dmax_witness_is_consistent(equal_r):
         assert (i in w.data) == (groups <= T)
 
 
+def test_dmax_witness_is_consistent(equal_r):
+    s = equal_r[0]
+    assert_witness_consistent(s, dmax_witness(s))
+
+
 def test_dmax_witness_takes_lowest_minimizing_subset():
     rng = random.Random(4503)
     for _ in range(60):
         s = random_structure(rng)
         w = dmax_witness(s)
-        values = {}
-        for T in range(1, 1 << s.m):
-            members = [i for i in range(1, s.k + 1) if all(T >> g & 1 for g in range(s.m) if i in s.K[g])]
-            if members:
-                values[T] = sum(len(s.N[g]) for g in range(s.m) if T >> g & 1) - len(members)
-        lowest = min(values, key=lambda T: (values[T], T))
-        assert w.blocks == tuple(g + 1 for g in range(s.m) if lowest >> g & 1), (s.K, s.N)
-        assert w.dmax == 1 + values[lowest]
+        assert (w.dmax, w.blocks, w.data) == dmax_witness_scan(s.K, s.N), (s.K, s.N)
+
+
+@st.composite
+def structures(draw, max_k=14, max_m=10):
+    """Valid structures with up to 10 groups and 0..3 spare positions per group.
+
+    Hypothesis leans towards 0 spare positions, where tied subsets are common.
+    """
+    k = draw(st.integers(1, max_k))
+    m = draw(st.integers(1, max_m))
+    K = [draw(st.sets(st.integers(1, k), min_size=1)) for _ in range(m)]
+    for i in set(range(1, k + 1)).difference(*K):
+        K[draw(st.integers(0, m - 1))].add(i)
+    sizes = [len(Kg) + draw(st.integers(0, 3)) for Kg in K]
+    return make_structure(K, blocks_for_sizes(sizes))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(structures())
+def test_dmax_witness_fuzz_past_four_groups(s):
+    """Reaches the bit positions >= 4 of the subset transform that random_structure never draws."""
+    assert dmax(s) == dmax_bruteforce(s.K, s.N)
+    w = dmax_witness(s)
+    assert (w.dmax, w.blocks, w.data) == dmax_witness_scan(s.K, s.N)
+
+
+def test_dmax_witness_at_group_cap():
+    s = cap_structure()
+    start = time.perf_counter()
+    w = dmax_witness(s)
+    assert time.perf_counter() - start < 2.0
+    assert_witness_consistent(s, w)
+    # golden value from the per-subset enumeration this transform replaced
+    assert (w.dmax, w.blocks, w.data) == (6, (12, 18), (6, 15))
 
 
 def test_dmax_matches_bruteforce_oracle():
