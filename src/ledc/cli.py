@@ -20,6 +20,7 @@ budget, 4 verification failure, 5 unrecoverable decode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -70,20 +71,33 @@ class CodeFile:
     claimed_distance: int
 
 
+def _integer(v) -> int:
+    """A JSON integer; floats (even integral ones), booleans and strings are input errors."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _integers(vs) -> list[int]:
+    if not isinstance(vs, list):
+        raise ValueError(f"expected a list of integers, got {vs!r}")
+    return [_integer(v) for v in vs]
+
+
 def structure_from_dict(d: dict) -> tuple[LocalityStructure, PrimeField]:
-    f = make_field(int(d["q"]))
+    f = make_field(_integer(d["q"]))
     groups = d["groups"]
     if not isinstance(groups, list) or not groups:
         raise ValueError("'groups' must be a nonempty list")
-    K = [[int(i) for i in g["K"]] for g in groups]
-    sizes = [int(g["n"]) for g in groups]
+    K = [_integers(g["K"]) for g in groups]
+    sizes = [_integer(g["n"]) for g in groups]
     listed = [g for g in groups if "N" in g]
     if not listed:
         N = blocks_for_sizes(sizes)
     elif len(listed) == len(groups):
-        N = [[int(j) for j in g["N"]] for g in groups]
+        N = [_integers(g["N"]) for g in groups]
         for g, ng in zip(groups, N):
-            if len(ng) != int(g["n"]):
+            if len(ng) != _integer(g["n"]):
                 raise ValueError(f"group declares n={g['n']} but lists {len(ng)} positions")
     else:
         raise ValueError("either every group or no group may list N explicitly")
@@ -102,7 +116,7 @@ def structure_to_dict(s: LocalityStructure, f: PrimeField) -> dict:
 
 def code_from_dict(d: dict) -> CodeFile:
     s, f = structure_from_dict(d["structure"])
-    rows = [[int(v) for v in row] for row in d["G"]]
+    rows = [_integers(row) for row in d["G"]]
     for row in rows:
         for v in row:
             if not 0 <= v < f.q:
@@ -113,9 +127,9 @@ def code_from_dict(d: dict) -> CodeFile:
     return CodeFile(
         code=code,
         method=str(d["method"]),
-        omega=None if omega is None else int(omega),
-        seed=None if seed is None else int(seed),
-        claimed_distance=int(d["claimed_distance"]),
+        omega=None if omega is None else _integer(omega),
+        seed=None if seed is None else _integer(seed),
+        claimed_distance=_integer(d["claimed_distance"]),
     )
 
 
@@ -135,7 +149,10 @@ def code_to_dict(cf: CodeFile) -> dict:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 # ---------- vector parsing ----------
@@ -161,7 +178,10 @@ def _parse_vector(text: str, q: int, expected: int, allow_erasure: bool) -> list
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    s, _ = structure_from_dict(_load_json(args.structure_file))
+    d = _load_json(args.structure_file)
+    if isinstance(d, dict) and "structure" in d:
+        d = d["structure"]  # a code file
+    s, _ = structure_from_dict(d)
     witness = dmax_witness(s)
     print(f"dmax={witness.dmax}")
     print(f"blocks={','.join(map(str, witness.blocks))}")
@@ -291,6 +311,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # ---------- argument parsing ----------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ledc",

@@ -32,7 +32,7 @@ from .errors import (
     UnrecoverableErasurePattern,
 )
 from .field import Felt, PrimeField
-from .linalg import MatrixGF, rank, ranks, row_vec_mul, solve, submatrix
+from .linalg import MatrixGF, nullspace, rank, ranks, row_vec_mul, solve, submatrix
 from .locality import LocalityStructure, dmax, reach, validate
 
 # Erasure marker inside a received word.
@@ -195,43 +195,60 @@ def min_distance_exhaustive(c: LedcCode) -> int:
     return best
 
 
-def _survives_erasures(f: PrimeField, M: np.ndarray, erasures: int) -> bool:
-    """Does M keep full row rank whichever `erasures` of its columns are lost?
+def check_rank_budget(n: int, w: int) -> None:
+    """Raise TooLarge when the C(n, w) column subsets exceed RANK_BUDGET."""
+    if comb(n, w) > RANK_BUDGET:
+        raise TooLarge(f"C({n},{w}) column subsets exceed the rank budget")
 
-    Raises TooLarge before any work when the patterns exceed RANK_BUDGET.
-    Patterns go to `ranks` RANK_CHUNK at a time, in combinations order.
+
+def _full_rank_subsets(f: PrimeField, M: np.ndarray, w: int) -> bool:
+    """Does every w-column submatrix of M have rank min(rows, w)?
+
+    Raises TooLarge before any work when the subsets exceed RANK_BUDGET.
+    Subsets go to `ranks` RANK_CHUNK at a time, in combinations order.
     """
     r, n = M.shape
-    if comb(n, erasures) > RANK_BUDGET:
-        raise TooLarge(f"C({n},{erasures}) erasure patterns exceed the budget")
-    patterns = itertools.combinations(range(n), erasures)
-    while chunk := list(itertools.islice(patterns, RANK_CHUNK)):
-        erased = np.array(chunk, dtype=np.intp).reshape(len(chunk), erasures)
-        keep = np.ones((len(chunk), n), dtype=bool)
-        keep[np.arange(len(chunk))[:, None], erased] = False
-        surviving = np.nonzero(keep)[1].reshape(len(chunk), n - erasures)
-        if (ranks(f, M[:, surviving].transpose(1, 0, 2)) < r).any():
+    check_rank_budget(n, w)
+    target = min(r, w)
+    subsets = itertools.combinations(range(n), w)
+    while chunk := list(itertools.islice(subsets, RANK_CHUNK)):
+        cols = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
+        if (ranks(f, M[:, cols].transpose(1, 0, 2)) < target).any():
             return False
     return True
 
 
 def distance_at_least(c: LedcCode, d0: int) -> bool:
-    """Certify d >= d0: every set of d0 - 1 erasures leaves rank k."""
+    """Certify d >= d0: every set of e = d0 - 1 erasures leaves rank k.
+
+    Equivalently, every e columns of the parity-check matrix H =
+    nullspace(G) are independent. The level is checked on whichever side
+    sweeps less: G's k x (n - e) submatrices or H's (n - k) x e ones,
+    compared by rows times columns squared.
+    """
     k, n = c.structure.k, c.structure.n
     if d0 <= 0:
         return True
-    erasures = d0 - 1
-    if erasures > n - k:
+    e = d0 - 1
+    if e > n - k:
         return False
-    return _survives_erasures(c.field, c.G.array(), erasures)
+    if k * (n - e) ** 2 <= (n - k) * e**2:
+        return _full_rank_subsets(c.field, c.G.array(), n - e)
+    H = nullspace(c.G)
+    if len(H) > n - k:
+        return False  # G is rank deficient
+    return _full_rank_subsets(c.field, np.array(H, dtype=np.int64).reshape(len(H), n), e)
 
 
 def min_distance_rank(c: LedcCode) -> int:
     """Largest d such that every (n - d + 1)-column submatrix has rank k.
 
     The search starts at min(dmax, n - k + 1) and walks up or down. The
-    result rests on two enumerations: every (d - 1)-erasure pattern leaves
-    rank k, and some d-erasure pattern does not (or d = n - k + 1).
+    result rests on two facts: every (d - 1)-erasure pattern leaves rank
+    k, and no larger d holds. The second is the paper's bound d <= dmax
+    when G respects the support pattern and d = dmax; otherwise some
+    d-erasure pattern leaves rank below k, or d = n - k + 1. Only the
+    levels searched are enumerated, each within RANK_BUDGET.
 
     Returns 0 when G itself is rank deficient (some nonzero message maps
     to the zero codeword, so no distance is defined in the usual sense).
@@ -239,11 +256,11 @@ def min_distance_rank(c: LedcCode) -> int:
     k, n = c.structure.k, c.structure.n
     if rank(c.G) < k:
         return 0
-    total = sum(comb(n, e) for e in range(1, n - k + 2))
-    if total > RANK_BUDGET:
-        raise TooLarge(f"{total} column subsets exceed the budget")
-    d = min(dmax(c.structure), n - k + 1)
+    bound = dmax(c.structure)
+    d = min(bound, n - k + 1)
     if distance_at_least(c, d):
+        if d == bound and not support_violations(c):
+            return d
         while distance_at_least(c, d + 1):
             d += 1
         return d
@@ -274,7 +291,7 @@ def verify_local_mds(c: LedcCode) -> dict[int, bool]:
     out = {}
     for g in range(1, c.structure.m + 1):
         local = local_generator(c, g)
-        out[g] = _survives_erasures(c.field, local.array(), local.cols - local.rows)
+        out[g] = _full_rank_subsets(c.field, local.array(), local.rows)
     return out
 
 

@@ -25,7 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .code import LedcCode, distance_at_least, make_code, min_distance_rank, verify_local_mds
+from .code import (
+    LedcCode,
+    check_rank_budget,
+    distance_at_least,
+    make_code,
+    min_distance_rank,
+    verify_local_mds,
+)
 from .errors import (
     DegenerateSystem,
     ExhaustedAttempts,
@@ -395,12 +402,15 @@ def construct_random(
     so the result is the lowest-numbered succeeding attempt regardless
     of evaluation order. Otherwise ExhaustedAttempts carries the locally
     MDS attempt of largest distance, or None if no attempt was locally MDS.
+    TooLarge is raised before the first attempt when the distance level's
+    C(n, dmax - 1) erasure patterns exceed the rank budget.
     """
     if max_attempts < 1:
         raise PreconditionViolated(f"max_attempts must be >= 1, got {max_attempts}")
     s = validate(s)
     reaches = reach(s)
     bound = dmax(s)
+    check_rank_budget(s.n, bound - 1)  # the distance level, before any attempt
     best_code: Optional[LedcCode] = None
     best_distance = 0
     for attempt in range(max_attempts):

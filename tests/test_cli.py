@@ -5,6 +5,8 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 from conftest import FIXTURES, cap_structure, load_json
 
 import ledc
@@ -83,6 +85,31 @@ def test_bound_input_errors(tmp_path, capsys):
     composite = write_json(tmp_path, "c.json", {"q": 12, "groups": [{"K": [1], "n": 1}]})
     assert run(["bound", composite]) == 2
     assert "error=" in capsys.readouterr().err
+
+
+def test_bound_reads_a_code_files_structure(tmp_path, capsys):
+    for path in (SUBOPT, CYC_DESC, CYC):
+        structure = write_json(tmp_path, "structure.json", load_json(Path(path).name)["structure"])
+        assert run(["bound", structure]) == 0
+        expected = capsys.readouterr().out
+        assert run(["bound", path]) == 0
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"q": 1e400, "groups": [{"K": [1], "n": 2}]}',  # float overflow to inf
+        "[" * 100_000,  # past the JSON decoder's recursion limit
+        '{"q": 13.7, "groups": [{"K": [1], "n": 2}]}',
+        '{"q": 13, "groups": [{"K": [1, true], "n": 3}]}',
+    ],
+    ids=["huge-float", "deep-nesting", "fractional-q", "boolean-in-K"],
+)
+def test_structure_file_input_gaps_exit_2(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert_clean_exit(run_cli("bound", str(path)), 2, "ValueError")
 
 
 # ---------- construct ----------

@@ -1,7 +1,10 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import min_weight_bruteforce
 
@@ -30,8 +33,8 @@ from ledc.errors import (
     UnrecoverableErasurePattern,
 )
 from ledc.field import make_field
-from ledc.linalg import make_matrix, vandermonde
-from ledc.locality import blocks_for_sizes, dmax, make_structure
+from ledc.linalg import make_matrix, nullspace, vandermonde
+from ledc.locality import blocks_for_sizes, dmax, make_structure, reach
 
 F7 = make_field(7)
 
@@ -271,7 +274,7 @@ def test_exhaustive_distance_edge_cases_under_small_cap(monkeypatch):
         assert min_distance_exhaustive(wide) == 4
 
 
-def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, monkeypatch):
+def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, cyclic_codefile, monkeypatch):
     f11 = make_field(11)
     s = make_structure([[1, 2, 3], [3, 4]], blocks_for_sizes([3, 4]))
     dense = make_code(s, f11, vandermonde(f11, range(1, 8), 4))  # MDS, ignores the support
@@ -280,6 +283,7 @@ def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, monkeypa
     certify = code_module.distance_at_least
     monkeypatch.setattr(code_module, "distance_at_least", lambda c, d0: levels.append(d0) or certify(c, d0))
     cases = (
+        (cyclic_codefile.code, 5, [5]),  # d >= dmax = 5 and the support holds: the bound is the upper side
         (suboptimal_codefile.code, 4, [5, 4]),  # dmax = 5: walks down
         (dense, 4, [2, 3, 4, 5]),  # dmax = 2: walks up to n - k + 1
         (deficient, 0, []),
@@ -289,6 +293,60 @@ def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, monkeypa
         assert min_distance_rank(c) == min_distance_exhaustive(c) == d
         assert levels == searched
     assert dmax(dense.structure) < 4 < dmax(suboptimal_codefile.code.structure)
+
+
+@st.composite
+def small_codes(draw):
+    """Codes over GF(q), q <= 11, n <= 9, k <= 4 on a random structure.
+
+    G is drawn on the support pattern, or with entries off it, or with a
+    row that repeats a multiple of another (rank deficient).
+    """
+    q = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    f = make_field(q)
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, min(3, n)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), min_size=m - 1, max_size=m - 1)))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    k = draw(st.integers(1, min(4, n)))
+    K = [set() for _ in sizes]
+    for i in range(1, k + 1):  # every symbol gets a group with room
+        K[draw(st.sampled_from([g for g in range(m) if len(K[g]) < sizes[g]]))].add(i)
+    for g in range(m):
+        for i in draw(st.lists(st.integers(1, k), min_size=0 if K[g] else 1, max_size=sizes[g])):
+            if len(K[g]) < sizes[g]:
+                K[g].add(i)
+    s = make_structure(K, blocks_for_sizes(sizes))
+    kind = draw(st.sampled_from(("support", "off support", "deficient")))
+    value = st.integers(0, q - 1)
+    rows = [
+        [draw(value) if j in allowed or kind == "off support" else 0 for j in range(1, n + 1)]
+        for allowed in reach(s)
+    ]
+    if kind == "deficient" and k >= 2:
+        scale = draw(value)
+        rows[-1] = [scale * v % q for v in rows[0]]
+    return make_code(s, f, make_matrix(f, rows))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_codes())
+def test_distance_sides_agree_with_enumeration(c):
+    """G's (n - d0 + 1)-column subsets, H's (d0 - 1)-column subsets and enumeration agree on d >= d0."""
+    f, k, n = c.field, c.structure.k, c.structure.n
+    d = min_distance_exhaustive(c)
+    assert d == min_weight_bruteforce(f.q, c.G.to_rows())
+    assert min_distance_rank(c) == d
+    if not support_violations(c):
+        assert d <= dmax(c.structure)
+    H = np.array(nullspace(c.G), dtype=np.int64).reshape(-1, n)
+    for d0 in range(1, n - k + 2):
+        on_G = code_module._full_rank_subsets(f, c.G.array(), n - d0 + 1)
+        assert on_G == (d >= d0) == distance_at_least(c, d0)
+        if len(H) == n - k:
+            assert code_module._full_rank_subsets(f, H, d0 - 1) == on_G
+        else:
+            assert d == 0  # H has more than n - k rows only when G is rank deficient
 
 
 def test_exhaustive_distance_independent_of_partitioning(suboptimal_codefile, monkeypatch):
@@ -307,9 +365,14 @@ def test_distance_budgets():
         min_distance_exhaustive(c)  # 101^5 > 10^9
     wide = single_group_code(F7, [[1 if i == j else 0 for j in range(30)] for i in range(5)])
     with pytest.raises(TooLarge):
-        min_distance_rank(wide)
+        min_distance_rank(wide)  # walks down from d = 26 to C(30,22) patterns
     with pytest.raises(TooLarge):
         distance_at_least(wide, 11)  # C(30,10) patterns
+    # Only the searched level is budgeted: C(30,28) patterns, though the
+    # levels 1..29 hold about 2^30 together.
+    f31 = make_field(31)
+    mds = single_group_code(f31, vandermonde(f31, range(1, 31), 2).to_rows())
+    assert min_distance_rank(mds) == 29
 
 
 def test_local_mds_budget_fails_before_any_rank(monkeypatch):

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+import ledc.code as code_module
+import ledc.construct as construct_module
 from ledc.code import (
     encode,
     min_distance_exhaustive,
@@ -24,6 +26,7 @@ from ledc.errors import (
     FieldTooSmall,
     NotPrimitive,
     PreconditionViolated,
+    TooLarge,
 )
 from ledc.field import find_primitive, inv, make_field
 from ledc.locality import blocks_for_sizes, dmax, make_structure
@@ -318,6 +321,16 @@ def test_random_best_code_is_locally_mds():
     assert err.best_distance == 6 < dmax(s) == 7
     assert err.best_code.meta["attempt"] == 0
     assert all(verify_local_mds(err.best_code).values())
+
+
+def test_random_budgets_distance_level_before_sampling(monkeypatch):
+    # Each local code has C(20,10) minors, within the budget; the distance
+    # level dmax = 11 needs C(40,10) erasure patterns, past it.
+    s = make_structure([range(1, 11), range(11, 21)], blocks_for_sizes([20, 20]))
+    monkeypatch.setattr(code_module, "ranks", lambda *args: pytest.fail("ranked a local minor"))
+    monkeypatch.setattr(construct_module, "_attempt_stream", lambda *args: pytest.fail("sampled an attempt"))
+    with pytest.raises(TooLarge):
+        construct_random(s, make_field(65537), seed=0, max_attempts=20)
 
 
 def test_random_rejects_zero_attempts(unequal_r):
