@@ -96,9 +96,9 @@ def structure_from_dict(d: dict) -> tuple[LocalityStructure, PrimeField]:
         N = blocks_for_sizes(sizes)
     elif len(listed) == len(groups):
         N = [_integers(g["N"]) for g in groups]
-        for g, ng in zip(groups, N):
-            if len(ng) != _integer(g["n"]):
-                raise ValueError(f"group declares n={g['n']} but lists {len(ng)} positions")
+        for ng, n in zip(N, sizes):
+            if len(ng) != n:
+                raise ValueError(f"group declares n={n} but lists {len(ng)} positions")
     else:
         raise ValueError("either every group or no group may list N explicitly")
     return make_structure(K, N), f

@@ -195,20 +195,25 @@ def min_distance_exhaustive(c: LedcCode) -> int:
     return best
 
 
-def check_rank_budget(n: int, w: int) -> None:
-    """Raise TooLarge when the C(n, w) column subsets exceed RANK_BUDGET."""
-    if comb(n, w) > RANK_BUDGET:
-        raise TooLarge(f"C({n},{w}) column subsets exceed the rank budget")
+def _check_budget(n: int, erasures: int) -> None:
+    if comb(n, erasures) > RANK_BUDGET:
+        raise TooLarge(f"C({n},{erasures}) erasure patterns exceed the budget")
+
+
+def check_distance_budget(n: int, d0: int) -> None:
+    """Raise TooLarge when the level d >= d0, C(n, d0 - 1) erasure patterns, exceeds RANK_BUDGET."""
+    _check_budget(n, d0 - 1)
 
 
 def _full_rank_subsets(f: PrimeField, M: np.ndarray, w: int) -> bool:
     """Does every w-column submatrix of M have rank min(rows, w)?
 
-    Raises TooLarge before any work when the subsets exceed RANK_BUDGET.
-    Subsets go to `ranks` RANK_CHUNK at a time, in combinations order.
+    Raises TooLarge before any work when the C(n, n - w) patterns of
+    erased columns exceed RANK_BUDGET. Subsets go to `ranks` RANK_CHUNK at
+    a time, in combinations order.
     """
     r, n = M.shape
-    check_rank_budget(n, w)
+    _check_budget(n, n - w)
     target = min(r, w)
     subsets = itertools.combinations(range(n), w)
     while chunk := list(itertools.islice(subsets, RANK_CHUNK)):
@@ -232,6 +237,7 @@ def distance_at_least(c: LedcCode, d0: int) -> bool:
     e = d0 - 1
     if e > n - k:
         return False
+    check_distance_budget(n, d0)
     if k * (n - e) ** 2 <= (n - k) * e**2:
         return _full_rank_subsets(c.field, c.G.array(), n - e)
     H = nullspace(c.G)

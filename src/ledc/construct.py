@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .code import (
     LedcCode,
-    check_rank_budget,
+    check_distance_budget,
     distance_at_least,
     make_code,
     min_distance_rank,
@@ -410,7 +410,7 @@ def construct_random(
     s = validate(s)
     reaches = reach(s)
     bound = dmax(s)
-    check_rank_budget(s.n, bound - 1)  # the distance level, before any attempt
+    check_distance_budget(s.n, bound)  # before any attempt
     best_code: Optional[LedcCode] = None
     best_distance = 0
     for attempt in range(max_attempts):

@@ -349,6 +349,18 @@ def test_distance_sides_agree_with_enumeration(c):
             assert d == 0  # H has more than n - k rows only when G is rank deficient
 
 
+def test_distance_level_side_follows_the_shape_rule(cyclic_codefile, monkeypatch):
+    """k (n - e)^2 <= (n - k) e^2 sweeps G, otherwise H (timings in BENCH_dual.json)."""
+    swept = []
+    sweep = code_module._full_rank_subsets
+    monkeypatch.setattr(code_module, "_full_rank_subsets", lambda f, M, w: swept.append((M.shape, w)) or sweep(f, M, w))
+    f31 = make_field(31)
+    low_rate = single_group_code(f31, vandermonde(f31, range(1, 31), 2).to_rows())
+    assert distance_at_least(low_rate, 29)  # 2 * 2^2 <= 28 * 28^2: G's 2 x 2 submatrices
+    assert distance_at_least(cyclic_codefile.code, 5)  # 7 * 8^2 > 5 * 4^2: H's 5 x 4 ones
+    assert swept == [((2, 30), 2), ((5, 12), 4)]
+
+
 def test_exhaustive_distance_independent_of_partitioning(suboptimal_codefile, monkeypatch):
     c = suboptimal_codefile.code
     results = set()
@@ -364,10 +376,10 @@ def test_distance_budgets():
     with pytest.raises(TooLarge):
         min_distance_exhaustive(c)  # 101^5 > 10^9
     wide = single_group_code(F7, [[1 if i == j else 0 for j in range(30)] for i in range(5)])
-    with pytest.raises(TooLarge):
-        min_distance_rank(wide)  # walks down from d = 26 to C(30,22) patterns
-    with pytest.raises(TooLarge):
-        distance_at_least(wide, 11)  # C(30,10) patterns
+    with pytest.raises(TooLarge, match=r"C\(30,22\) erasure patterns"):
+        min_distance_rank(wide)  # walks down from d = 26, on G's side, to the level d = 23
+    with pytest.raises(TooLarge, match=r"C\(30,10\) erasure patterns"):
+        distance_at_least(wide, 11)  # on H's side
     # Only the searched level is budgeted: C(30,28) patterns, though the
     # levels 1..29 hold about 2^30 together.
     f31 = make_field(31)

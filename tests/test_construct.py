@@ -329,7 +329,7 @@ def test_random_budgets_distance_level_before_sampling(monkeypatch):
     s = make_structure([range(1, 11), range(11, 21)], blocks_for_sizes([20, 20]))
     monkeypatch.setattr(code_module, "ranks", lambda *args: pytest.fail("ranked a local minor"))
     monkeypatch.setattr(construct_module, "_attempt_stream", lambda *args: pytest.fail("sampled an attempt"))
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"C\(40,10\) erasure patterns"):
         construct_random(s, make_field(65537), seed=0, max_attempts=20)
 
 
