@@ -84,13 +84,22 @@ def _integers(vs) -> list[int]:
     return [_integer(v) for v in vs]
 
 
+def _member(obj, key: str, where: str):
+    """obj[key] of a JSON object; a non-object or a missing key is an input error naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    return obj[key]
+
+
 def structure_from_dict(d: dict) -> tuple[LocalityStructure, PrimeField]:
-    f = make_field(_integer(d["q"]))
-    groups = d["groups"]
+    f = make_field(_integer(_member(d, "q", "structure")))
+    groups = _member(d, "groups", "structure")
     if not isinstance(groups, list) or not groups:
         raise ValueError("'groups' must be a nonempty list")
-    K = [_integers(g["K"]) for g in groups]
-    sizes = [_integer(g["n"]) for g in groups]
+    K = [_integers(_member(g, "K", f"group {i}")) for i, g in enumerate(groups, start=1)]
+    sizes = [_integer(_member(g, "n", f"group {i}")) for i, g in enumerate(groups, start=1)]
     listed = [g for g in groups if "N" in g]
     if not listed:
         N = blocks_for_sizes(sizes)
@@ -115,8 +124,11 @@ def structure_to_dict(s: LocalityStructure, f: PrimeField) -> dict:
 
 
 def code_from_dict(d: dict) -> CodeFile:
-    s, f = structure_from_dict(d["structure"])
-    rows = [_integers(row) for row in d["G"]]
+    s, f = structure_from_dict(_member(d, "structure", "code file"))
+    G = _member(d, "G", "code file")
+    if not isinstance(G, list):
+        raise ValueError(f"'G' must be a list of rows, got {G!r}")
+    rows = [_integers(row) for row in G]
     for row in rows:
         for v in row:
             if not 0 <= v < f.q:
@@ -126,10 +138,10 @@ def code_from_dict(d: dict) -> CodeFile:
     seed = d.get("seed")
     return CodeFile(
         code=code,
-        method=str(d["method"]),
+        method=str(_member(d, "method", "code file")),
         omega=None if omega is None else _integer(omega),
         seed=None if seed is None else _integer(seed),
-        claimed_distance=_integer(d["claimed_distance"]),
+        claimed_distance=_integer(_member(d, "claimed_distance", "code file")),
     )
 
 

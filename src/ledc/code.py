@@ -150,11 +150,11 @@ def erasure_decode(c: LedcCode, received: Sequence[Optional[Felt]]) -> list[Felt
 
 
 def _span(q: int, rows: np.ndarray, start: np.ndarray, dtype) -> np.ndarray:
-    """start + x @ rows for every x in GF(q)^len(rows), first row most significant."""
-    table = start.astype(dtype)[None, :]
+    """start + x @ rows for every x in GF(q)^len(rows), one column each, first row most significant."""
+    table = start.astype(dtype)[:, None]
     for row in rows:
-        mult = (np.arange(q, dtype=np.int64)[:, None] * row[None, :] % q).astype(dtype)
-        table = (table[:, None, :] + mult[None, :, :]).reshape(-1, len(row)) % q
+        mult = (row[:, None] * np.arange(q, dtype=np.int64)[None, :] % q).astype(dtype)
+        table = (table[:, :, None] + mult[:, None, :]).reshape(len(row), -1) % q
     return table
 
 
@@ -163,11 +163,11 @@ def min_distance_exhaustive(c: LedcCode) -> int:
 
     x and λx have the same weight, so only the (q^k - 1)/(q - 1) messages
     whose first nonzero entry is 1 are enumerated. The last rows span a
-    suffix table; each prefix (a leading 1, then any later prefix entries)
-    is one vectorized scan of it. Within the budget, the suffix table and
-    each leading position's prefix table stay at or below
-    max(SUFFIX_CAP, q) rows. The split only partitions the work, never
-    changes the result. Returns 0 when G is rank deficient.
+    suffix table, one column per codeword; each prefix (a leading 1, then
+    any later prefix entries) is one vectorized scan of it. Within the
+    budget, the suffix table and each leading position's prefix table
+    hold at most max(SUFFIX_CAP, q) codewords. The split only partitions
+    the work, never changes the result. Returns 0 when G is rank deficient.
     """
     q, k, n = c.field.q, c.structure.k, c.structure.n
     if q**k > EXHAUSTIVE_BUDGET:
@@ -183,16 +183,25 @@ def min_distance_exhaustive(c: LedcCode) -> int:
     k_pre = k - k_suf
 
     S = _span(q, G[k_pre:], np.zeros(n, dtype=np.int64), dtype)
-    best = n - int(np.count_nonzero(S[1:] == 0, axis=1).max())
+    best = n - _most_matches(S[:, 1:], np.zeros(n, dtype=dtype))
     neg = (q - G[:k_pre]) % q
     for lead in range(k_pre):
         if best <= 1:
             break
-        for target in _span(q, neg[lead + 1 :], neg[lead], dtype):
-            best = min(best, n - int(np.count_nonzero(S == target, axis=1).max()))
+        for target in _span(q, neg[lead + 1 :], neg[lead], dtype).T:
+            best = min(best, n - _most_matches(S, target))
             if best <= 1:
                 break
     return best
+
+
+def _most_matches(S: np.ndarray, target: np.ndarray) -> int:
+    """Most positions at which a codeword (column) of the n x R table S equals target.
+
+    The reduction adds each position's matches into one counter per
+    codeword, a position at a time; the counter's dtype holds n.
+    """
+    return int(np.add.reduce(S == target[:, None], axis=0, dtype=np.min_scalar_type(len(S))).max())
 
 
 def _check_budget(n: int, erasures: int) -> None:

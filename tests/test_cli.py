@@ -19,6 +19,7 @@ EQUAL_R = str(FIXTURES / "equal_r_structure.json")
 SUBOPT = str(FIXTURES / "suboptimal_code.json")
 CYC_DESC = str(FIXTURES / "cyclic_code_descending.json")
 CYC = str(FIXTURES / "cyclic_code.json")
+CYC_JSON = load_json("cyclic_code.json")
 
 
 def write_json(tmp_path, name, payload):
@@ -110,6 +111,32 @@ def test_structure_file_input_gaps_exit_2(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert_clean_exit(run_cli("bound", str(path)), 2, "ValueError")
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("verify", {**CYC_JSON, "G": 5}, "'G'"),
+        ("verify", {**CYC_JSON, "structure": 5}, "structure"),
+        ("bound", {**CYC_JSON, "structure": 5}, "structure"),
+        ("bound", {"q": 13, "groups": [5]}, "group 1"),
+        ("bound", {"q": 13, "groups": [{"n": 2}]}, "'K'"),
+        ("verify", {key: v for key, v in CYC_JSON.items() if key != "structure"}, "'structure'"),
+        ("verify", [1, 2], "code file"),
+        ("bound", [1, 2], "structure"),
+        ("verify", "code", "code file"),
+        ("bound", "structure", "structure"),
+    ],
+    ids=[
+        "G-int", "structure-int", "bound-structure-int", "group-int", "group-without-K",
+        "no-structure", "top-list", "bound-top-list", "top-string", "bound-top-string",
+    ],
+)
+def test_malformed_files_exit_2_naming_the_field(tmp_path, command, payload, field):
+    result = run_cli(command, write_json(tmp_path, "bad.json", payload))
+    assert_clean_exit(result, 2, "ValueError")
+    assert field in result.stderr
+    assert "TypeError" not in result.stderr and "KeyError" not in result.stderr
 
 
 # ---------- construct ----------

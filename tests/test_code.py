@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import min_weight_bruteforce
@@ -23,6 +23,7 @@ from ledc.code import (
     verify_ledc,
     verify_local_mds,
 )
+from ledc.construct import construct_cyclic, construct_nested
 from ledc.errors import (
     DimensionMismatch,
     DistanceDisagreement,
@@ -370,6 +371,13 @@ def test_exhaustive_distance_independent_of_partitioning(suboptimal_codefile, mo
     assert results == {4}
 
 
+def test_exhaustive_distance_counts_past_255_positions():
+    """The match counter's dtype holds n: a uint8 counter wraps at 256 matching positions and gives 256 here."""
+    f2 = make_field(2)
+    assert min_distance_exhaustive(single_group_code(f2, [[1] * 300, [1] * 44 + [0] * 256])) == 44
+    assert min_distance_exhaustive(single_group_code(f2, [[1] * 300])) == 300
+
+
 def test_distance_budgets():
     f101 = make_field(101)
     c = single_group_code(f101, identity_rows(5))
@@ -408,6 +416,47 @@ def test_distance_at_least_bounds(suboptimal_codefile):
     assert distance_at_least(c, 4)
     assert not distance_at_least(c, 5)
     assert not distance_at_least(c, 7)  # erasures beyond n - k
+
+
+# ---------- decode round trips ----------
+
+
+@st.composite
+def two_group_codes(draw):
+    """construct_nested over GF(7) or construct_cyclic over GF(13), on shapes each accepts, n_i <= 6."""
+    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    nested = draw(st.booleans())
+    if nested:
+        k1, k2 = draw(st.integers(1, n1)), draw(st.integers(1, n2))
+        t = draw(st.integers(0, min(k1 - 1, k2 - 1, max(n1 - k1, n2 - k2) + 1)))
+    else:  # equal redundancies, n1 + n2 <= q - 1, and t = k1 = k2 excluded
+        k1 = draw(st.integers(max(1, n1 - n2 + 1), n1))
+        k2 = n2 - (n1 - k1)
+        assume(min(k1, k2) - (k1 == k2) >= 1)
+        t = draw(st.integers(1, min(k1, k2) - (k1 == k2)))
+    s = make_structure(
+        [list(range(1, k1 + 1)), list(range(k1 - t + 1, k1 - t + k2 + 1))], blocks_for_sizes([n1, n2])
+    )
+    return construct_nested(s, make_field(7)) if nested else construct_cyclic(s, make_field(13))[0]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(two_group_codes(), small_codes()), st.data())
+def test_decode_round_trips_fuzz(c, data):
+    """erasure_decode undoes any <= d - 1 erasures; local_decode any k_i survivors of a locally MDS group."""
+    s, q = c.structure, c.field.q
+    x = data.draw(st.lists(st.integers(0, q - 1), min_size=s.k, max_size=s.k))
+    word = encode(c, x)
+    d = min_distance_rank(c)
+    if d:
+        erased = data.draw(st.sets(st.integers(0, s.n - 1), max_size=d - 1))
+        assert erasure_decode(c, [ERASED if j in erased else v for j, v in enumerate(word)]) == x
+    on_support = not support_violations(c)  # off the support pattern, N_i also depends on data outside K_i
+    for g, mds in verify_local_mds(c).items():
+        if mds and on_support:
+            Kg = s.K[g - 1]
+            survivors = data.draw(st.permutations(s.N[g - 1]))[: len(Kg)]
+            assert local_decode(c, g, [(p, word[p - 1]) for p in survivors]) == {i: x[i - 1] for i in Kg}
 
 
 # ---------- verification ----------
