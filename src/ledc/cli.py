@@ -37,6 +37,7 @@ from .errors import (
     NotPrimitive,
     PreconditionViolated,
     SingularSubmatrix,
+    SupportViolation,
     TooLarge,
     UnrecoverableErasurePattern,
 )
@@ -78,9 +79,9 @@ def _integer(v) -> int:
     return v
 
 
-def _integers(vs) -> list[int]:
+def _integers(vs, where: str) -> list[int]:
     if not isinstance(vs, list):
-        raise ValueError(f"expected a list of integers, got {vs!r}")
+        raise ValueError(f"{where} must be a list of integers, got {vs!r}")
     return [_integer(v) for v in vs]
 
 
@@ -98,13 +99,13 @@ def structure_from_dict(d: dict) -> tuple[LocalityStructure, PrimeField]:
     groups = _member(d, "groups", "structure")
     if not isinstance(groups, list) or not groups:
         raise ValueError("'groups' must be a nonempty list")
-    K = [_integers(_member(g, "K", f"group {i}")) for i, g in enumerate(groups, start=1)]
+    K = [_integers(_member(g, "K", f"group {i}"), f"'K' of group {i}") for i, g in enumerate(groups, start=1)]
     sizes = [_integer(_member(g, "n", f"group {i}")) for i, g in enumerate(groups, start=1)]
     listed = [g for g in groups if "N" in g]
     if not listed:
         N = blocks_for_sizes(sizes)
     elif len(listed) == len(groups):
-        N = [_integers(g["N"]) for g in groups]
+        N = [_integers(g["N"], f"'N' of group {i}") for i, g in enumerate(groups, start=1)]
         for ng, n in zip(N, sizes):
             if len(ng) != n:
                 raise ValueError(f"group declares n={n} but lists {len(ng)} positions")
@@ -128,7 +129,7 @@ def code_from_dict(d: dict) -> CodeFile:
     G = _member(d, "G", "code file")
     if not isinstance(G, list):
         raise ValueError(f"'G' must be a list of rows, got {G!r}")
-    rows = [_integers(row) for row in G]
+    rows = [_integers(row, f"row {i} of 'G'") for i, row in enumerate(G, start=1)]
     for row in rows:
         for v in row:
             if not 0 <= v < f.q:
@@ -296,7 +297,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         try:
             recovered = local_decode(code, g, [(p, word[p - 1]) for p in surviving])
             ok = all(recovered[i] == x[i - 1] for i in Kg)
-        except (NotEnoughSymbols, SingularSubmatrix):
+        except (NotEnoughSymbols, SingularSubmatrix, SupportViolation):
             ok = False
         print(
             f"group {g}: lost {lost} of {len(Ng)} positions; "
@@ -315,7 +316,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         + ("succeeds: all data restored by cooperation" if global_ok else "FAILS: too many erasures")
     )
     print(f"global={'ok' if global_ok else 'fail'}")
-    if not failed:
+    if not failed and all_local:
         print("no failures: every group decodes locally")
     return EXIT_OK
 

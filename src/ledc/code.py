@@ -14,7 +14,6 @@ the test suite never rest on a single implementation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import Optional, Sequence
@@ -27,12 +26,13 @@ from .errors import (
     NotEnoughSymbols,
     PositionsOutsideGroup,
     SingularSubmatrix,
+    SupportViolation,
     TooLarge,
     Underdetermined,
     UnrecoverableErasurePattern,
 )
 from .field import Felt, PrimeField
-from .linalg import MatrixGF, nullspace, rank, ranks, row_vec_mul, solve, submatrix
+from .linalg import MatrixGF, full_rank_subsets, nullspace, rank, row_vec_mul, solve, submatrix
 from .locality import LocalityStructure, dmax, reach, validate
 
 # Erasure marker inside a received word.
@@ -45,8 +45,6 @@ RANK_BUDGET = 4 * 10**6
 SUFFIX_CAP = 1 << 15
 # Verification enumerates messages by default while q^k stays within this.
 AUTO_EXHAUSTIVE_LIMIT = 10**7
-# Erasure patterns per `ranks` call: amortises numpy overhead, keeps RSS flat.
-RANK_CHUNK = 256
 
 # ---------- type ----------
 
@@ -97,7 +95,8 @@ def local_decode(
 
     `observed` pairs are (1-based position, value). Returns a map from
     data index to value. A singular local submatrix means the code
-    violates its own local MDS invariant and raises SingularSubmatrix.
+    violates its own local MDS invariant and raises SingularSubmatrix; G off
+    the support pattern at an observed position raises SupportViolation.
     """
     s = c.structure
     if not 1 <= group <= s.m:
@@ -106,14 +105,17 @@ def local_decode(
     positions = [p for p, _ in observed]
     outside = [p for p in positions if p not in group_set]
     if outside:
-        raise PositionsOutsideGroup(
-            f"positions {outside} not in group {group}"
-        )
+        raise PositionsOutsideGroup(f"positions {outside} not in group {group}")
     if len(set(positions)) != len(positions):
         raise PositionsOutsideGroup("observed positions must be distinct")
     ki = len(s.K[group - 1])
     if len(observed) < ki:
         raise NotEnoughSymbols(f"{len(observed)} symbols < k_{group}={ki}")
+    for i in sorted(set(range(1, s.k + 1)) - set(s.K[group - 1])):
+        row = c.G.row(i - 1)
+        for p in positions:
+            if row[p - 1]:
+                raise SupportViolation(f"group {group}: position {p} depends on data {i}, outside K_{group}")
     rows = [i - 1 for i in s.K[group - 1]]
     cols = [p - 1 for p, _ in observed]
     values = [v % c.field.q for _, v in observed]
@@ -204,55 +206,37 @@ def _most_matches(S: np.ndarray, target: np.ndarray) -> int:
     return int(np.add.reduce(S == target[:, None], axis=0, dtype=np.min_scalar_type(len(S))).max())
 
 
-def _check_budget(n: int, erasures: int) -> None:
-    if comb(n, erasures) > RANK_BUDGET:
-        raise TooLarge(f"C({n},{erasures}) erasure patterns exceed the budget")
-
-
 def check_distance_budget(n: int, d0: int) -> None:
     """Raise TooLarge when the level d >= d0, C(n, d0 - 1) erasure patterns, exceeds RANK_BUDGET."""
-    _check_budget(n, d0 - 1)
+    if comb(n, d0 - 1) > RANK_BUDGET:
+        raise TooLarge(f"C({n},{d0 - 1}) erasure patterns exceed the budget")
 
 
-def _full_rank_subsets(f: PrimeField, M: np.ndarray, w: int) -> bool:
-    """Does every w-column submatrix of M have rank min(rows, w)?
+def _level(f: PrimeField, G: MatrixGF, d0: int) -> bool:
+    """Does the code generated by the k x n matrix G have d >= d0 >= 1?
 
-    Raises TooLarge before any work when the C(n, n - w) patterns of
-    erased columns exceed RANK_BUDGET. Subsets go to `ranks` RANK_CHUNK at
-    a time, in combinations order.
-    """
-    r, n = M.shape
-    _check_budget(n, n - w)
-    target = min(r, w)
-    subsets = itertools.combinations(range(n), w)
-    while chunk := list(itertools.islice(subsets, RANK_CHUNK)):
-        cols = np.array(chunk, dtype=np.intp).reshape(len(chunk), w)
-        if (ranks(f, M[:, cols].transpose(1, 0, 2)) < target).any():
-            return False
-    return True
-
-
-def distance_at_least(c: LedcCode, d0: int) -> bool:
-    """Certify d >= d0: every set of e = d0 - 1 erasures leaves rank k.
-
-    Equivalently, every e columns of the parity-check matrix H =
-    nullspace(G) are independent. The level is checked on whichever side
-    sweeps less: G's k x (n - e) submatrices or H's (n - k) x e ones,
+    That is, every e = d0 - 1 erasures leave rank k; equivalently, every e
+    columns of the parity-check matrix H = nullspace(G) are independent.
+    The budget is checked before any work. The level then runs on whichever
+    side sweeps less: G's k x (n - e) submatrices or H's (n - k) x e ones,
     compared by rows times columns squared.
     """
-    k, n = c.structure.k, c.structure.n
-    if d0 <= 0:
-        return True
+    k, n = G.rows, G.cols
     e = d0 - 1
     if e > n - k:
         return False
     check_distance_budget(n, d0)
     if k * (n - e) ** 2 <= (n - k) * e**2:
-        return _full_rank_subsets(c.field, c.G.array(), n - e)
-    H = nullspace(c.G)
+        return full_rank_subsets(f, G.array(), n - e)
+    H = nullspace(G)
     if len(H) > n - k:
         return False  # G is rank deficient
-    return _full_rank_subsets(c.field, np.array(H, dtype=np.int64).reshape(len(H), n), e)
+    return full_rank_subsets(f, np.array(H, dtype=np.int64).reshape(len(H), n), e)
+
+
+def distance_at_least(c: LedcCode, d0: int) -> bool:
+    """Certify d >= d0: every set of d0 - 1 erasures leaves rank k, on G or on H."""
+    return d0 <= 0 or _level(c.field, c.G, d0)
 
 
 def min_distance_rank(c: LedcCode) -> int:
@@ -300,14 +284,12 @@ def support_violations(c: LedcCode) -> list[tuple[int, int]]:
 def verify_local_mds(c: LedcCode) -> dict[int, bool]:
     """Group -> does G[K_i, N_i] generate an [n_i, k_i] MDS code.
 
-    A local code is MDS exactly when every k_i-column submatrix of its
-    generator is invertible: it keeps rank k_i after any n_i - k_i erasures.
+    A local code is MDS exactly when it has distance n_i - k_i + 1, so each
+    group is that distance level of its local generator: on the generator
+    when k_i <= n_i - k_i, on its local parity-check matrix otherwise.
     """
-    out = {}
-    for g in range(1, c.structure.m + 1):
-        local = local_generator(c, g)
-        out[g] = _full_rank_subsets(c.field, local.array(), local.rows)
-    return out
+    generators = {g: local_generator(c, g) for g in range(1, c.structure.m + 1)}
+    return {g: _level(c.field, G, G.cols - G.rows + 1) for g, G in generators.items()}
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,10 @@ class SingularSubmatrix(LedcError):
     """
 
 
+class SupportViolation(LedcError):
+    """An observed position depends on data outside its group, against the support pattern."""
+
+
 class UnrecoverableErasurePattern(LedcError):
     """Surviving coded positions do not determine the data."""
 

@@ -2,9 +2,9 @@
 
 Matrices are immutable (flat row-major tuple of residues) and all
 operations are pure functions returning fresh values. Elimination runs
-on int64 numpy arrays of residues, either one matrix a row-vectorised
-step at a time (`rref`, `rank`, `solve`, `nullspace`) or a whole stack of
-equally shaped matrices at once (`ranks`).
+on int64 numpy arrays of residues: one matrix a row-vectorised step at a
+time (`rank`, `solve`, `nullspace`), or every w-column subset of a matrix
+by a walk that shares each prefix of columns (`full_rank_subsets`).
 """
 
 from __future__ import annotations
@@ -74,38 +74,72 @@ def make_matrix(f: PrimeField, rows: Sequence[Sequence[int]]) -> MatrixGF:
 # Both entry points reduce int64 residues mod q after every multiply-subtract;
 # for q <= 2^31 - 1 no intermediate exceeds (q-1)^2 + q < 2^63 in size.
 
+# Entries (prefixes x rows x columns) in one slice of the subset walk: it
+# holds about one slice per level of its tree, whatever the level's size.
+WALK_SLICE = 1 << 16
 
-def ranks(f: PrimeField, stack: np.ndarray) -> np.ndarray:
-    """Rank of each matrix in a (B, r, c) stack of residues, as a (B,) array.
 
-    Per column, each matrix takes its first unused row with a nonzero entry
-    as pivot and clears the column from its other unused rows by
-    row * pivot - entry * pivot_row, which needs no inverse.
+def full_rank_subsets(f: PrimeField, M: np.ndarray, w: int) -> bool:
+    """Does every w-column submatrix of the r x n residue array M have rank min(r, w)?
+
+    Walks the tree of column combinations. A node is a prefix of columns:
+    M reduced against them, cut to the columns right of its last one. Each
+    chosen column took a row where it is nonzero as pivot and was cleared
+    from every row by row * pivot - entry * pivot_row, which needs no inverse
+    and zeroes the pivot row, so a child costs one such reduction of its
+    parent. A column adds no rank when it is zero in its parent; a subset has
+    rank min(r, w) when at most w - min(r, w) of its columns add none. A
+    prefix of rank r passes whatever follows, and the last level only tests
+    its parents' columns for zeros.
     """
     q = f.q
-    m = np.array(stack, dtype=np.int64)
-    b, r, c = m.shape
-    free = np.ones((b, r), dtype=bool)
-    batch = np.arange(b)
-    for j in range(c):
-        if not free.any():
-            break
-        col = m[:, :, j]
-        cand = (col != 0) & free
-        p = cand.argmax(axis=1)
-        has = cand[batch, p]
-        free[batch, p] &= ~has
-        piv = np.where(has, col[batch, p], 1)
-        factor = col * free
-        pivot_row = m[batch, p, j + 1 :]
-        rest = m[:, :, j + 1 :]
-        # In place: one (B, r, c) temporary per column instead of four. At
-        # RANK_CHUNK matrices each is near glibc's 128 KB mmap and trim
-        # thresholds, where every fresh one can cost page faults.
-        rest *= piv[:, None, None]
-        rest -= factor[:, :, None] * pivot_row[:, None, :]
-        rest %= q
-    return r - free.sum(axis=1)
+    r, n = M.shape
+    spare = w - min(r, w)
+
+    def walk(R: np.ndarray, last: np.ndarray, dead: np.ndarray, depth: int) -> bool:
+        # R is (B, r, W): B prefixes of `depth` columns on the columns n - W ..
+        # n - 1, `last` their last columns, `dead` their columns that added no rank.
+        lo = n - R.shape[2]
+        if depth == w - 1:
+            zero = ~R.any(axis=1) & (np.arange(lo, n) > last[:, None])
+            return not (zero.any(axis=1) & (dead == spare)).any()
+        # Children (prefix, next column) in column order, so each slice is
+        # cut to the columns right of its first child's.
+        cols = np.arange(lo, n - w + depth + 1)
+        at, parents = np.nonzero(last < cols[:, None])
+        nexts = cols[at]
+        start = 0
+        while start < len(parents):
+            first = int(nexts[start])
+            stop = start + max(1, WALK_SLICE // (r * (n - first)))
+            b, c = parents[start:stop], nexts[start:stop]
+            start = stop
+            col = R[b, :, c - lo]
+            p = col.argmax(axis=1)
+            i = np.arange(len(b))
+            pivot = col[i, p]
+            adds = pivot != 0
+            np.maximum(pivot, 1, out=pivot)  # a zero column leaves its parent as it is
+            child = np.take(R[:, :, first + 1 - lo :], b, axis=0)
+            pivot_row = child[i, p]
+            child *= pivot[:, None, None]
+            child -= col[:, :, None] * pivot_row[:, None, :]
+            child -= child // q * q  # mod q: numpy divides by a scalar faster than it takes %
+            child_dead = dead[b]
+            if not adds.all():
+                child_dead += ~adds
+                if (child_dead > spare).any():
+                    return False
+            if depth + 1 >= r:
+                live = depth + 1 - child_dead < r
+                child, c, child_dead = child[live], c[live], child_dead[live]
+            if len(c) and not walk(child, c, child_dead, depth + 1):
+                return False
+        return True
+
+    if w == 0 or r == 0 or w > n:
+        return True
+    return walk(np.array(M, dtype=np.int64)[None], np.full(1, -1), np.zeros(1, dtype=np.intp), 0)
 
 
 def _rref(f: PrimeField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -129,12 +163,6 @@ def _rref(f: PrimeField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         a[pr, j:] = pivot_row
         pivots.append(j)
     return a, pivots
-
-
-def rref(m: MatrixGF) -> tuple[MatrixGF, int, list[int]]:
-    """Reduced row-echelon form; returns (rref, rank, pivot columns)."""
-    a, pivots = _rref(m.field, m.array())
-    return MatrixGF(m.field, m.rows, m.cols, tuple(a.ravel().tolist())), len(pivots), pivots
 
 
 def rank(m: MatrixGF) -> int:

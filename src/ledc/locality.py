@@ -187,21 +187,3 @@ def two_group_params(s: LocalityStructure) -> tuple[int, int, int, int, int]:
     n1, n2 = s.n_sizes()
     t = len(set(s.K[0]) & set(s.K[1]))
     return n1, k1, n2, k2, t
-
-
-def dmax_two_subcodes(s: LocalityStructure) -> int:
-    """Closed-form bound 1 + t + min(n1-k1, n2-k2) for two groups.
-
-    Valid only when t < k and additionally t < min(k1, k2) or the two
-    redundancies are equal; outside that range this formula can differ
-    from the true bound, so the input is refused.
-    """
-    n1, k1, n2, k2, t = two_group_params(s)
-    if t >= s.k:
-        raise PreconditionViolated(f"shared data count t={t} must be below k={s.k}")
-    if not (t < min(k1, k2) or n1 - k1 == n2 - k2):
-        raise PreconditionViolated(
-            f"need t < min(k1, k2) or equal redundancies; "
-            f"got t={t}, k1={k1}, k2={k2}, r1={n1 - k1}, r2={n2 - k2}"
-        )
-    return 1 + t + min(n1 - k1, n2 - k2)

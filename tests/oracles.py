@@ -58,6 +58,24 @@ def dmax_witness_scan(K, N):
     return 1 + value, tuple(g + 1 for g in range(m) if T >> g & 1), tuple(members)
 
 
+def dmax_two_subcodes(K, N):
+    """Closed-form bound 1 + t + min(n1-k1, n2-k2) for two groups.
+
+    K and N are the two groups' data and position lists. Valid only when
+    t < k and additionally t < min(k1, k2) or the two redundancies are
+    equal; outside that range the formula can differ from the true bound,
+    so the input is refused with ValueError.
+    """
+    (K1, K2), (N1, N2) = K, N
+    k1, k2, n1, n2 = len(K1), len(K2), len(N1), len(N2)
+    t = len(set(K1) & set(K2))
+    if t >= len(set(K1) | set(K2)):
+        raise ValueError(f"shared data count t={t} must be below k")
+    if not (t < min(k1, k2) or n1 - k1 == n2 - k2):
+        raise ValueError(f"need t < min(k1, k2) or equal redundancies; got t={t}, k1={k1}, k2={k2}")
+    return 1 + t + min(n1 - k1, n2 - k2)
+
+
 def min_weight_bruteforce(q, rows):
     """Minimum codeword weight by enumerating every nonzero message."""
     k = len(rows)

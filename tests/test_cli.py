@@ -117,6 +117,7 @@ def test_structure_file_input_gaps_exit_2(tmp_path, text):
     "command, payload, field",
     [
         ("verify", {**CYC_JSON, "G": 5}, "'G'"),
+        ("verify", {**CYC_JSON, "G": [5]}, "row 1 of 'G'"),
         ("verify", {**CYC_JSON, "structure": 5}, "structure"),
         ("bound", {**CYC_JSON, "structure": 5}, "structure"),
         ("bound", {"q": 13, "groups": [5]}, "group 1"),
@@ -128,7 +129,7 @@ def test_structure_file_input_gaps_exit_2(tmp_path, text):
         ("bound", "structure", "structure"),
     ],
     ids=[
-        "G-int", "structure-int", "bound-structure-int", "group-int", "group-without-K",
+        "G-int", "G-row-int", "structure-int", "bound-structure-int", "group-int", "group-without-K",
         "no-structure", "top-list", "bound-top-list", "top-string", "bound-top-string",
     ],
 )
@@ -359,6 +360,23 @@ def test_demo_singular_local_minor_needs_cooperation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "group1_local=fail" in out
     assert "group2_local=ok" in out
+
+
+def test_demo_off_support_group_fails_locally(tmp_path, capsys):
+    """Position 3 carries data symbol 3, outside K_2. The demo data has x_3 = 0, so decoding
+    group 2 would look right by luck; local recovery is refused instead."""
+    payload = {
+        "structure": {"q": 3, "groups": [{"K": [1, 3], "n": 2, "N": [1, 2]}, {"K": [2], "n": 2, "N": [3, 4]}]},
+        "method": "random",
+        "G": [[1, 0, 0, 0], [0, 0, 1, 1], [0, 1, 1, 0]],
+        "claimed_distance": 1,
+    }
+    assert run(["demo", write_json(tmp_path, "off.json", payload)]) == 0
+    out = capsys.readouterr().out
+    assert "data symbols: 1,2,0" in out
+    assert "group1_local=ok" in out
+    assert "group2_local=fail" in out
+    assert "every group decodes locally" not in out
 
 
 def test_demo_input_errors(capsys):

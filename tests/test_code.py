@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import min_weight_bruteforce
+from oracles import det, min_weight_bruteforce
 
 import ledc.code as code_module
 from ledc.code import (
@@ -30,6 +30,7 @@ from ledc.errors import (
     NotEnoughSymbols,
     PositionsOutsideGroup,
     SingularSubmatrix,
+    SupportViolation,
     TooLarge,
     UnrecoverableErasurePattern,
 )
@@ -158,6 +159,22 @@ def test_local_decode_singular_submatrix_is_invariant_breach():
     c = single_group_code(F7, [[1, 0], [1, 0]])
     with pytest.raises(SingularSubmatrix):
         local_decode(c, 1, [(1, 2), (2, 0)])
+
+
+def off_support_code():
+    """GF(2), K = {1, 2}, {2}, N = {1, 2}, {3, 4}: data 1 reaches position 3, outside its group."""
+    f2 = make_field(2)
+    s = make_structure([[1, 2], [2]], [[1, 2], [3, 4]])
+    return make_code(s, f2, make_matrix(f2, [[0, 0, 1, 0], [0, 0, 1, 1]]))
+
+
+def test_local_decode_refuses_off_support_position():
+    """Position 3 alone would give x_2 = 1 for x = (1, 0): it carries x_1 + x_2."""
+    c = off_support_code()
+    word = encode(c, [1, 0])
+    with pytest.raises(SupportViolation, match="position 3 depends on data 1"):
+        local_decode(c, 2, [(3, word[2])])
+    assert local_decode(c, 2, [(4, word[3])]) == {2: 0}  # position 4 carries x_2 alone
 
 
 # ---------- erasure decode ----------
@@ -342,19 +359,29 @@ def test_distance_sides_agree_with_enumeration(c):
         assert d <= dmax(c.structure)
     H = np.array(nullspace(c.G), dtype=np.int64).reshape(-1, n)
     for d0 in range(1, n - k + 2):
-        on_G = code_module._full_rank_subsets(f, c.G.array(), n - d0 + 1)
+        on_G = code_module.full_rank_subsets(f, c.G.array(), n - d0 + 1)
         assert on_G == (d >= d0) == distance_at_least(c, d0)
         if len(H) == n - k:
-            assert code_module._full_rank_subsets(f, H, d0 - 1) == on_G
+            assert code_module.full_rank_subsets(f, H, d0 - 1) == on_G
         else:
             assert d == 0  # H has more than n - k rows only when G is rank deficient
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_codes())
+def test_local_mds_is_every_minor_invertible(c):
+    """verify_local_mds against its definition: every k_i-column minor of G[K_i, N_i] has a nonzero determinant."""
+    for g, mds in verify_local_mds(c).items():
+        rows = local_generator(c, g).to_rows()
+        minors = combinations(range(len(rows[0])), len(rows))
+        assert mds == all(det(c.field.q, [[row[j] for j in cols] for row in rows]) for cols in minors)
 
 
 def test_distance_level_side_follows_the_shape_rule(cyclic_codefile, monkeypatch):
     """k (n - e)^2 <= (n - k) e^2 sweeps G, otherwise H (timings in BENCH_dual.json)."""
     swept = []
-    sweep = code_module._full_rank_subsets
-    monkeypatch.setattr(code_module, "_full_rank_subsets", lambda f, M, w: swept.append((M.shape, w)) or sweep(f, M, w))
+    sweep = code_module.full_rank_subsets
+    monkeypatch.setattr(code_module, "full_rank_subsets", lambda f, M, w: swept.append((M.shape, w)) or sweep(f, M, w))
     f31 = make_field(31)
     low_rate = single_group_code(f31, vandermonde(f31, range(1, 31), 2).to_rows())
     assert distance_at_least(low_rate, 29)  # 2 * 2^2 <= 28 * 28^2: G's 2 x 2 submatrices
@@ -398,7 +425,8 @@ def test_distance_budgets():
 def test_local_mds_budget_fails_before_any_rank(monkeypatch):
     f = make_field(2**31 - 1)
     c = random_single_group_code(f, 15, 30, random.Random(5604))  # C(30,15) minors
-    monkeypatch.setattr(code_module, "ranks", lambda *args: pytest.fail("ranks ran past the budget"))
+    for kernel in ("full_rank_subsets", "nullspace"):
+        monkeypatch.setattr(code_module, kernel, lambda *args: pytest.fail("eliminated past the budget"))
     with pytest.raises(TooLarge):
         verify_local_mds(c)
 
@@ -443,7 +471,8 @@ def two_group_codes(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.one_of(two_group_codes(), small_codes()), st.data())
 def test_decode_round_trips_fuzz(c, data):
-    """erasure_decode undoes any <= d - 1 erasures; local_decode any k_i survivors of a locally MDS group."""
+    """erasure_decode undoes any <= d - 1 erasures; local_decode any k_i survivors of a locally MDS group,
+    or refuses them when one depends on data outside the group."""
     s, q = c.structure, c.field.q
     x = data.draw(st.lists(st.integers(0, q - 1), min_size=s.k, max_size=s.k))
     word = encode(c, x)
@@ -451,12 +480,16 @@ def test_decode_round_trips_fuzz(c, data):
     if d:
         erased = data.draw(st.sets(st.integers(0, s.n - 1), max_size=d - 1))
         assert erasure_decode(c, [ERASED if j in erased else v for j, v in enumerate(word)]) == x
-    on_support = not support_violations(c)  # off the support pattern, N_i also depends on data outside K_i
     for g, mds in verify_local_mds(c).items():
-        if mds and on_support:
-            Kg = s.K[g - 1]
-            survivors = data.draw(st.permutations(s.N[g - 1]))[: len(Kg)]
-            assert local_decode(c, g, [(p, word[p - 1]) for p in survivors]) == {i: x[i - 1] for i in Kg}
+        Kg = s.K[g - 1]
+        survivors = data.draw(st.permutations(s.N[g - 1]))[: len(Kg)]
+        observed = [(p, word[p - 1]) for p in survivors]
+        off = [(i, p) for i, p in support_violations(c) if i not in Kg and p in survivors]
+        if off:
+            with pytest.raises(SupportViolation):
+                local_decode(c, g, observed)
+        elif mds:
+            assert local_decode(c, g, observed) == {i: x[i - 1] for i in Kg}
 
 
 # ---------- verification ----------

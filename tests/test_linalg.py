@@ -1,10 +1,15 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import det
+
+import ledc.linalg as linalg_module
 
 from ledc.errors import (
     DimensionMismatch,
@@ -16,12 +21,11 @@ from ledc.errors import (
 from ledc.field import make_field
 from ledc.linalg import (
     MatrixGF,
+    full_rank_subsets,
     make_matrix,
     nullspace,
     rank,
-    ranks,
     row_vec_mul,
-    rref,
     solve,
     submatrix,
     vandermonde,
@@ -47,6 +51,12 @@ def mat_vec(m, v):
 
 
 # ---------- rref / rank ----------
+
+
+def rref(m):
+    """(reduced matrix, rank, pivot columns) from the package's in-place elimination."""
+    a, pivots = linalg_module._rref(m.field, m.array())
+    return MatrixGF(m.field, m.rows, m.cols, tuple(a.ravel().tolist())), len(pivots), pivots
 
 
 def test_rref_identity_is_fixed_point():
@@ -145,7 +155,7 @@ def test_elimination_matches_oracle(q):
         got, got_rk, got_pivots = rref(m)
         assert (got.to_rows(), got_rk, got_pivots) == (reduced, rk, pivots), rows
         assert rank(m) == rk
-        assert ranks(f, m.array()[None])[0] == rk
+        assert full_rank_subsets(f, m.array(), m.cols) == (rk == min(m.rows, m.cols))
         assert nullspace(m) == oracle_nullspace(q, rows, cols)
         b = [rng.randrange(q) for _ in range(cols)]
         for rhs in (b, row_vec_mul([rng.randrange(q) for _ in range(len(rows))], m)):
@@ -156,8 +166,17 @@ def test_elimination_matches_oracle(q):
             assert x == oracle_solve(q, rows, rhs), rows
 
 
+def every_subset_full_rank(q, M, w):
+    """Oracle: every w-column subset of M has rank min(rows, w), each ranked by schoolbook elimination."""
+    r, n = M.shape
+    return all(
+        oracles.rref(q, M[:, list(cols)].tolist())[1] == min(r, w) for cols in combinations(range(n), w)
+    )
+
+
 @pytest.mark.parametrize("q", ORACLE_FIELDS)
 def test_ranks_of_stacks_match_oracle(q):
+    """The subset walk on each matrix of a sparse stack, a quarter of them zero, at every w."""
     f = make_field(q)
     rng = random.Random(7 * q)
     for shape in ((40, 3, 5), (40, 5, 3), (40, 4, 4), (7, 0, 3), (7, 3, 0), (0, 2, 2)):
@@ -167,9 +186,55 @@ def test_ranks_of_stacks_match_oracle(q):
             dtype=np.int64,
         ).reshape(shape)
         stack[: shape[0] // 4] = 0
-        got = ranks(f, stack)
-        assert got.shape == (shape[0],)
-        assert got.tolist() == [oracles.rref(q, m.tolist())[1] for m in stack]
+        for m in stack:
+            for w in range(shape[2] + 2):
+                assert full_rank_subsets(f, m, w) == every_subset_full_rank(q, m, w), (m.tolist(), w)
+
+
+@st.composite
+def walk_cases(draw):
+    """A matrix over GF(q), q in {2, 3, 5, 7, 257, 65537}, up to 5 x 8, maybe with a zero
+    column, a repeated (scaled) column or a row that combines two others."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 257, 65537)))
+    r, n = draw(st.integers(0, 5)), draw(st.integers(0, 8))
+    entry = st.integers(0, q - 1)
+    M = np.array([[draw(entry) for _ in range(n)] for _ in range(r)], dtype=np.int64).reshape(r, n)
+    defect = draw(st.sampled_from(("none", "zero column", "repeated column", "deficient")))
+    if defect == "zero column" and n:
+        M[:, draw(st.integers(0, n - 1))] = 0
+    elif defect == "repeated column" and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        M[:, j] = M[:, i] * draw(st.integers(1, q - 1)) % q
+    elif defect == "deficient" and r >= 3:
+        M[-1] = (M[0] * draw(entry) + M[1] * draw(entry)) % q
+    return q, M
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(walk_cases())
+def test_full_rank_subsets_fuzz(case):
+    """Every w from 0 to n, so w < r, w = r and w > r all occur whenever n > r."""
+    q, M = case
+    for w in range(M.shape[1] + 1):
+        assert full_rank_subsets(make_field(q), M, w) == every_subset_full_rank(q, M, w), (M.tolist(), w)
+
+
+def test_full_rank_subsets_memory_is_flat(monkeypatch):
+    """A level of C(30, 5) = 142,506 subsets peaks under 8 MB; with every level built whole it peaks near 90."""
+    f = make_field(65537)
+    M = vandermonde(f, range(1, 31), 5).array()  # MDS: the walk visits every subset
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert full_rank_subsets(f, M, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < 8 << 20
+    monkeypatch.setattr(linalg_module, "WALK_SLICE", 1 << 40)
+    assert peak() > 8 << 20
 
 
 # ---------- det (test oracle) ----------

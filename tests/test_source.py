@@ -1,9 +1,16 @@
 import ast
+import tomllib
+from collections import Counter
 from pathlib import Path
 
 import ledc
 
 PACKAGE = Path(ledc.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_package_has_no_assert():
@@ -13,7 +20,45 @@ def test_package_has_no_assert():
     found = [
         f"{path.name}:{node.lineno}"
         for path in modules
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(parse(path))
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def referenced(nodes):
+    """Every name, attribute and imported name under the given AST nodes."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                out.add(sub.name)
+    return out
+
+
+def test_every_function_is_used():
+    """No top-level function in src/ledc that only tests call.
+
+    A function counts as used when the package refers to it outside its own
+    body (another module imports it, or its own module calls it), when it is
+    in `ledc.__all__`, when it is the CLI entry point, or when the
+    benchmark's workloads call it.
+    """
+    nodes = [node for path in sorted(PACKAGE.glob("*.py")) for node in parse(path).body]
+    names = [referenced([node]) for node in nodes]
+    users = Counter(name for found in names for name in found)  # top-level statements per name
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    outside = set(ledc.__all__) | {target.rsplit(":", 1)[1] for target in scripts.values()}
+    outside |= referenced([parse(ROOT / "perfbench" / "workloads.py")])
+    unused = [
+        node.name
+        for node, found in zip(nodes, names)
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in outside
+        and users[node.name] == (node.name in found)
+    ]
+    assert unused == []
