@@ -15,6 +15,7 @@ the test suite never rest on a single implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import comb
 from typing import Optional, Sequence
 
@@ -58,6 +59,21 @@ class LedcCode:
     G: MatrixGF
     meta: dict = dc_field(default_factory=dict, compare=False)
 
+    @cached_property
+    def local_generators(self) -> tuple[MatrixGF, ...]:
+        """The k_i x n_i generator G[K_i, N_i] per group (index 0 = group 1), each with its own cached RREF."""
+        s = self.structure
+        return tuple(submatrix(self.G, [i - 1 for i in Kg], [j - 1 for j in Ng]) for Kg, Ng in zip(s.K, s.N))
+
+    @cached_property
+    def off_support(self) -> np.ndarray:
+        """Read-only k x n mask of G's nonzero entries outside their data symbol's reach."""
+        mask = self.G.entries != 0
+        for i, positions in enumerate(reach(self.structure)):
+            mask[i, [j - 1 for j in positions]] = False
+        mask.flags.writeable = False
+        return mask
+
 
 def make_code(s: LocalityStructure, f: PrimeField, G: MatrixGF, meta: Optional[dict] = None) -> LedcCode:
     s = validate(s)
@@ -70,14 +86,6 @@ def make_code(s: LocalityStructure, f: PrimeField, G: MatrixGF, meta: Optional[d
     return LedcCode(s, f, G, meta or {})
 
 
-def local_generator(c: LedcCode, group: int) -> MatrixGF:
-    """The k_i x n_i generator of group `group` (1-based)."""
-    s = c.structure
-    rows = [i - 1 for i in s.K[group - 1]]
-    cols = [j - 1 for j in s.N[group - 1]]
-    return submatrix(c.G, rows, cols)
-
-
 # ---------- encoding and decoding ----------
 
 
@@ -85,7 +93,7 @@ def encode(c: LedcCode, x: Sequence[Felt]) -> list[Felt]:
     """Codeword x G; positions in N_i depend only on entries in K_i."""
     if len(x) != c.structure.k:
         raise DimensionMismatch(f"data length {len(x)} != k={c.structure.k}")
-    return row_vec_mul([v % c.field.q for v in x], c.G)
+    return row_vec_mul(x, c.G)
 
 
 def local_decode(
@@ -101,9 +109,9 @@ def local_decode(
     s = c.structure
     if not 1 <= group <= s.m:
         raise PositionsOutsideGroup(f"no group {group} (have 1..{s.m})")
-    group_set = set(s.N[group - 1])
+    local = {p: j for j, p in enumerate(s.N[group - 1])}
     positions = [p for p, _ in observed]
-    outside = [p for p in positions if p not in group_set]
+    outside = [p for p in positions if p not in local]
     if outside:
         raise PositionsOutsideGroup(f"positions {outside} not in group {group}")
     if len(set(positions)) != len(positions):
@@ -111,22 +119,19 @@ def local_decode(
     ki = len(s.K[group - 1])
     if len(observed) < ki:
         raise NotEnoughSymbols(f"{len(observed)} symbols < k_{group}={ki}")
-    for i in sorted(set(range(1, s.k + 1)) - set(s.K[group - 1])):
-        row = c.G.row(i - 1)
-        for p in positions:
-            if row[p - 1]:
-                raise SupportViolation(f"group {group}: position {p} depends on data {i}, outside K_{group}")
-    rows = [i - 1 for i in s.K[group - 1]]
-    cols = [p - 1 for p, _ in observed]
-    values = [v % c.field.q for _, v in observed]
+    # An off-support entry in a column of N_i lies in a row outside K_i.
+    off = c.off_support[:, [p - 1 for p in positions]]
+    if off.any():
+        i, at = np.argwhere(off)[0]
+        raise SupportViolation(f"group {group}: position {positions[at]} depends on data {i + 1}, outside K_{group}")
     try:
-        x = solve(submatrix(c.G, rows, cols), values)
+        x = solve(c.local_generators[group - 1], [v for _, v in observed], [local[p] for p in positions])
     except Underdetermined as exc:
         raise SingularSubmatrix(
-            f"group {group}: {len(cols)} observed columns do not determine "
+            f"group {group}: {len(observed)} observed columns do not determine "
             f"the {ki} local data symbols; local MDS invariant is broken"
         ) from exc
-    return {i: v for i, v in zip(s.K[group - 1], x)}
+    return dict(zip(s.K[group - 1], x))
 
 
 def erasure_decode(c: LedcCode, received: Sequence[Optional[Felt]]) -> list[Felt]:
@@ -139,9 +144,8 @@ def erasure_decode(c: LedcCode, received: Sequence[Optional[Felt]]) -> list[Felt
     if len(received) != s.n:
         raise DimensionMismatch(f"received length {len(received)} != n={s.n}")
     cols = [j for j, v in enumerate(received) if v is not ERASED]
-    values = [received[j] % c.field.q for j in cols]
     try:
-        return solve(submatrix(c.G, list(range(s.k)), cols), values)
+        return solve(c.G, [received[j] for j in cols], cols)
     except Underdetermined as exc:
         raise UnrecoverableErasurePattern(
             f"{s.n - len(cols)} erasures leave rank below k={s.k}"
@@ -177,7 +181,7 @@ def min_distance_exhaustive(c: LedcCode) -> int:
     if rank(c.G) < k:
         return 0
     dtype = np.int16 if q <= 16383 else np.int32
-    G = c.G.array()
+    G = c.G.entries
 
     k_suf = 0
     while k_suf < k and q ** (k_suf + 1) <= max(SUFFIX_CAP, q):
@@ -227,7 +231,7 @@ def _level(f: PrimeField, G: MatrixGF, d0: int) -> bool:
         return False
     check_distance_budget(n, d0)
     if k * (n - e) ** 2 <= (n - k) * e**2:
-        return full_rank_subsets(f, G.array(), n - e)
+        return full_rank_subsets(f, G.entries, n - e)
     H = nullspace(G)
     if len(H) > n - k:
         return False  # G is rank deficient
@@ -273,12 +277,8 @@ def min_distance_rank(c: LedcCode) -> int:
 
 def support_violations(c: LedcCode) -> list[tuple[int, int]]:
     """(data index, position) pairs where G is nonzero outside the reach."""
-    bad = []
-    for i, allowed in enumerate(reach(c.structure), start=1):
-        for j in range(1, c.structure.n + 1):
-            if c.G.at(i - 1, j - 1) != 0 and j not in allowed:
-                bad.append((i, j))
-    return bad
+    rows, cols = np.nonzero(c.off_support)
+    return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
 def verify_local_mds(c: LedcCode) -> dict[int, bool]:
@@ -288,8 +288,7 @@ def verify_local_mds(c: LedcCode) -> dict[int, bool]:
     group is that distance level of its local generator: on the generator
     when k_i <= n_i - k_i, on its local parity-check matrix otherwise.
     """
-    generators = {g: local_generator(c, g) for g in range(1, c.structure.m + 1)}
-    return {g: _level(c.field, G, G.cols - G.rows + 1) for g, G in generators.items()}
+    return {g: _level(c.field, G, G.cols - G.rows + 1) for g, G in enumerate(c.local_generators, start=1)}
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ Three methods are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .code import (
     LedcCode,
@@ -59,31 +61,18 @@ from .poly import (
 # ---------- shared two-group plumbing ----------
 
 
-def _scatter(
-    f: PrimeField,
-    s: LocalityStructure,
-    canonical: MatrixGF,
-    data_order: Sequence[int],
-    pos_order: Sequence[int],
-) -> MatrixGF:
-    """Place a canonically ordered matrix into the structure's indexing."""
-    rows = [[0] * s.n for _ in range(s.k)]
-    for a, i in enumerate(data_order):
-        for b, j in enumerate(pos_order):
-            rows[i - 1][j - 1] = canonical.at(a, b)
-    return make_matrix(f, rows)
+def _scatter(f: PrimeField, s: LocalityStructure, canonical: np.ndarray, first: int, second: int) -> MatrixGF:
+    """Place a residue array in canonical order into the structure's indexing.
 
-
-def _two_group_orders(
-    s: LocalityStructure, first: int, second: int
-) -> tuple[list[int], list[int]]:
-    """Canonical data order (first-only, shared, second-only) and positions."""
+    Its rows are the data symbols of the group `first` only, then the shared
+    ones, then those of `second` only; its columns are `first`'s block, then
+    `second`'s.
+    """
     Kf, Ks = set(s.K[first]), set(s.K[second])
-    data_order = (
-        sorted(Kf - Ks) + sorted(Kf & Ks) + sorted(Ks - Kf)
-    )
-    pos_order = sorted(s.N[first]) + sorted(s.N[second])
-    return data_order, pos_order
+    data_order = sorted(Kf - Ks) + sorted(Kf & Ks) + sorted(Ks - Kf)
+    G = np.zeros((s.k, s.n), dtype=np.int64)
+    G[np.ix_([i - 1 for i in data_order], [j - 1 for j in s.N[first] + s.N[second]])] = canonical
+    return MatrixGF(f, G)
 
 
 # ---------- nested Vandermonde construction ----------
@@ -118,17 +107,13 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
             f"construction requires n2 - k2 + 1 >= t once groups are ordered "
             f"by redundancy; got t={t} > {ns - ks + 1}"
         )
-    Wf = vandermonde(f, list(range(1, nf + 1)), kf).to_rows()
-    Ws = vandermonde(f, list(range(1, ns + 1)), ks).to_rows()
-    # U = Wf[:kf-t], A = Wf[kf-t:], V = Ws[:ks-t], B = Ws[ks-t:]
-    canonical = make_matrix(
-        f,
-        [row + [0] * ns for row in Wf[: kf - t]]
-        + [a + b for a, b in zip(Wf[kf - t :], Ws[ks - t :])]
-        + [[0] * nf + row for row in Ws[: ks - t]],
-    )
-    data_order, pos_order = _two_group_orders(s, first, second)
-    G = _scatter(f, s, canonical, data_order, pos_order)
+    Wf = vandermonde(f, range(1, nf + 1), kf).entries
+    Ws = vandermonde(f, range(1, ns + 1), ks).entries
+    # [[U, 0], [A, B], [0, V]] with U = Wf[:kf-t], A = Wf[kf-t:], V = Ws[:ks-t], B = Ws[ks-t:]
+    canonical = np.zeros((kf + ks - t, nf + ns), dtype=np.int64)
+    canonical[:kf, :nf] = Wf
+    canonical[kf - t :, nf:] = np.vstack([Ws[ks - t :], Ws[: ks - t]])
+    G = _scatter(f, s, canonical, first, second)
     meta = {
         "method": "nested",
         "swapped": swapped,
@@ -260,9 +245,7 @@ def construct_cyclic(
         rows.append(coeffs_to_row(c_poly, 0, n))
     for j in range(k2 - t):
         rows.append(coeffs_to_row(v, n1 + j, n))
-    canonical = make_matrix(f, rows)
-    data_order, pos_order = _two_group_orders(s, 0, 1)
-    G = _scatter(f, s, canonical, data_order, pos_order)
+    G = _scatter(f, s, np.array(rows, dtype=np.int64), 0, 1)
     meta = {"method": "cyclic", "omega": omega, "claimed_distance": r + t + 1}
     ingredients = CyclicIngredients(
         omega=omega,
@@ -293,14 +276,7 @@ class CyclicConditionReport:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.nonzero_constants
-            and self.uv_roots
-            and self.ab_roots
-            and self.c_roots
-            and self.global_rows_divisible
-            and self.local_rows_divisible
-        )
+        return all(vars(self).values())
 
 
 def verify_cyclic_conditions(

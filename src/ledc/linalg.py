@@ -1,16 +1,18 @@
 """Dense matrices over a prime field.
 
-Matrices are immutable (flat row-major tuple of residues) and all
-operations are pure functions returning fresh values. Elimination runs
-on int64 numpy arrays of residues: one matrix a row-vectorised step at a
-time (`rank`, `solve`, `nullspace`), or every w-column subset of a matrix
-by a walk that shares each prefix of columns (`full_rank_subsets`).
+A matrix is an immutable value holding one read-only rows x cols int64
+array of residues. Elimination runs on such arrays: one matrix a row at a
+time, at most once per matrix and cached for `rank`, `nullspace` and
+`solve` (O(rows x (rows + cols)) memory per matrix, none per call), or
+every w-column subset of a matrix by a walk that shares each prefix of
+columns (`full_rank_subsets`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,48 +28,57 @@ from .field import Felt, PrimeField
 # ---------- type ----------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixGF:
-    """rows x cols matrix over GF(q), entries stored row-major."""
+    """rows x cols matrix over GF(q): one read-only int64 array of residues."""
 
     field: PrimeField
-    rows: int
-    cols: int
-    entries: tuple[Felt, ...]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionMismatch("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+        a = np.array(self.entries, dtype=np.int64)
+        if a.ndim != 2:
+            raise DimensionMismatch(f"a matrix needs 2-D entries, got {a.ndim}-D")
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
 
-    def at(self, i: int, j: int) -> Felt:
-        return self.entries[i * self.cols + j]
+    @property
+    def rows(self) -> int:
+        return self.entries.shape[0]
 
-    def row(self, i: int) -> tuple[Felt, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+    @property
+    def cols(self) -> int:
+        return self.entries.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, MatrixGF) and self.field == other.field
+        return same and np.array_equal(self.entries, other.entries)
 
     def to_rows(self) -> list[list[Felt]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return self.entries.tolist()
 
-    def array(self) -> np.ndarray:
-        """A fresh rows x cols int64 array of the entries."""
-        return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
+    @cached_property
+    def echelon(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """(R, T, P) from the RREF [R | T] of [M | I_rows], reduced once per matrix.
+
+        R is M's RREF, T M = R and P its pivot columns. With full row rank P is an
+        information set: R[:, P] = I and T = M[:, P]^-1. R and T are read-only.
+        """
+        k, n = self.entries.shape
+        reduced = np.eye(k, n + k, n, dtype=np.int64)
+        reduced[:, :n] = self.entries
+        pivots = tuple(p for p in _rref(self.field, reduced)[1] if p < n)
+        reduced.flags.writeable = False
+        return reduced[:, :n], reduced[:, n:], pivots
 
 
 def make_matrix(f: PrimeField, rows: Sequence[Sequence[int]]) -> MatrixGF:
     """Build a matrix from nested sequences, reducing entries mod q."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    flat: list[Felt] = []
-    for r in rows:
-        if len(r) != ncols:
-            raise DimensionMismatch("ragged rows")
-        flat.extend(v % f.q for v in r)
-    return MatrixGF(f, nrows, ncols, tuple(flat))
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise DimensionMismatch("ragged rows")
+    entries = np.array([[v % f.q for v in r] for r in rows], dtype=np.int64)
+    return MatrixGF(f, entries.reshape(len(rows), ncols))
 
 
 # ---------- elimination ----------
@@ -166,7 +177,7 @@ def _rref(f: PrimeField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: MatrixGF) -> int:
-    return len(_rref(m.field, m.array())[1])
+    return len(m.echelon[2])
 
 
 def nullspace(m: MatrixGF) -> list[list[Felt]]:
@@ -175,34 +186,59 @@ def nullspace(m: MatrixGF) -> list[list[Felt]]:
     One basis vector per free column, in increasing column order, with
     the free variable set to 1.
     """
-    q = m.field.q
-    reduced, pivot_cols = _rref(m.field, m.array())
-    pivot_set = set(pivot_cols)
+    R, _, pivots = m.echelon
+    rows = R[: len(pivots)].tolist()
     basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
+    for free in (j for j in range(m.cols) if j not in pivots):
         v = [0] * m.cols
         v[free] = 1
-        for r, pc in enumerate(pivot_cols):
-            v[pc] = (-int(reduced[r, free])) % q
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[free] % m.field.q
         basis.append(v)
     return basis
 
 
-def solve(a: MatrixGF, b: Sequence[Felt]) -> list[Felt]:
-    """Solve x a = b for the row vector x (length = a.rows)."""
-    if len(b) != a.cols:
-        raise DimensionMismatch(f"rhs length {len(b)} != {a.cols} columns")
-    # Transpose to the column convention and eliminate the augmented system.
-    entries = list(a.entries) + [v % a.field.q for v in b]
-    aug = np.array(entries, dtype=np.int64).reshape(a.rows + 1, a.cols).T
-    reduced, pivot_cols = _rref(a.field, aug)
-    if a.rows in pivot_cols:
+def _solve(f: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with x a = b for the residue array a, by elimination of the augmented transpose."""
+    k = a.shape[0]
+    reduced, pivot_cols = _rref(f, np.vstack([a, b[None]]).T)
+    if k in pivot_cols:
         raise Inconsistent("no x satisfies x a = b")
-    if len(pivot_cols) < a.rows:
-        raise Underdetermined(f"rank {len(pivot_cols)} < {a.rows} unknowns")
-    return reduced[: a.rows, a.rows].tolist()
+    if len(pivot_cols) < k:
+        raise Underdetermined(f"rank {len(pivot_cols)} < {k} unknowns")
+    return reduced[:k, k]
+
+
+def solve(a: MatrixGF, b: Sequence[Felt], cols: Optional[Sequence[int]] = None) -> list[Felt]:
+    """Solve x a[:, cols] = b for x through a's cached RREF; distinct `cols`, all by default.
+
+    With full row rank, u = x a[:, P] on the pivot columns P is a bijection of
+    x, and x a[:, j] = u R[:, j]. Each pivot column in `cols` gives its u_t; the
+    pivots E left out solve u_E R[E, F] = b_F - u R[:, F] over the other columns
+    F (u still zero on E); then x = u T. That small system has the solutions of
+    the whole one, so Inconsistent (checked first) and Underdetermined are
+    raised alike. A rank-deficient a eliminates the whole system.
+    """
+    cols = np.arange(a.cols) if cols is None else np.asarray(cols, dtype=np.intp)
+    if len(b) != len(cols):
+        raise DimensionMismatch(f"rhs length {len(b)} != {len(cols)} columns")
+    q, k = a.field.q, a.rows
+    b = np.array([v % q for v in b], dtype=np.int64)
+    R, T, pivots = a.echelon
+    if len(pivots) < k:
+        return _solve(a.field, a.entries[:, cols], b).tolist()
+    slot = np.full(a.cols, -1)  # slot[P[t]] = t
+    slot[list(pivots)] = np.arange(k)
+    at = slot[cols]
+    known = at >= 0
+    u = np.zeros(k, dtype=np.int64)
+    u[at[known]] = b[known]
+    erased = np.ones(k, dtype=bool)
+    erased[at[known]] = False
+    F = cols[~known]
+    rhs = (b[~known] - (u[:, None] * R[:, F] % q).sum(axis=0)) % q
+    u[erased] = _solve(a.field, R[erased][:, F], rhs)
+    return ((u[:, None] * T % q).sum(axis=0) % q).tolist()
 
 
 # ---------- builders ----------
@@ -215,12 +251,8 @@ def vandermonde(f: PrimeField, points: Sequence[Felt], k: int) -> MatrixGF:
         raise DuplicatePoint(f"evaluation points not distinct: {pts}")
     if k > len(pts):
         raise DimensionMismatch(f"k={k} exceeds {len(pts)} points")
-    flat: list[Felt] = []
-    current = [1] * len(pts)
-    for _ in range(k):
-        flat.extend(current)
-        current = [c * p % f.q for c, p in zip(current, pts)]
-    return MatrixGF(f, k, len(pts), tuple(flat))
+    powers = [[pow(p, i, f.q) for p in pts] for i in range(k)]
+    return MatrixGF(f, np.array(powers, dtype=np.int64).reshape(k, len(pts)))
 
 
 def submatrix(m: MatrixGF, row_idx: Sequence[int], col_idx: Sequence[int]) -> MatrixGF:
@@ -231,20 +263,13 @@ def submatrix(m: MatrixGF, row_idx: Sequence[int], col_idx: Sequence[int]) -> Ma
     for j in col_idx:
         if not 0 <= j < m.cols:
             raise IndexOutOfRange(f"column {j} outside 0..{m.cols - 1}")
-    entries = tuple(m.at(i, j) for i in row_idx for j in col_idx)
-    return MatrixGF(m.field, len(row_idx), len(col_idx), entries)
+    return MatrixGF(m.field, m.entries.take(row_idx, axis=0).take(col_idx, axis=1))
 
 
 def row_vec_mul(x: Sequence[Felt], m: MatrixGF) -> list[Felt]:
-    """Row vector times matrix: (x m)_j = sum_i x_i m_ij."""
+    """Row vector times matrix: (x m)_j = sum_i x_i m_ij, each product reduced before the sum."""
     if len(x) != m.rows:
         raise DimensionMismatch(f"vector length {len(x)} != {m.rows} rows")
     q = m.field.q
-    out = [0] * m.cols
-    for i, xi in enumerate(x):
-        if xi % q == 0:
-            continue
-        base = i * m.cols
-        for j in range(m.cols):
-            out[j] += xi * m.entries[base + j]
-    return [v % q for v in out]
+    v = np.array([xi % q for xi in x], dtype=np.int64)
+    return ((v[:, None] * m.entries % q).sum(axis=0) % q).tolist()

@@ -125,6 +125,18 @@ def rref(q, rows):
     return rows, pr, pivot_cols
 
 
+def oracle_solve(q, rows, b):
+    """x with x A = b from the rref of the augmented transpose, or "Inconsistent" or "Underdetermined"."""
+    cols = len(b)
+    aug = [[rows[i][j] for i in range(len(rows))] + [b[j]] for j in range(cols)]
+    reduced, rk, pivots = rref(q, aug)
+    if len(rows) in pivots:
+        return "Inconsistent"
+    if rk < len(rows):
+        return "Underdetermined"
+    return [reduced[r][len(rows)] for r in range(len(rows))]
+
+
 def det(q, rows):
     """Determinant over GF(q) by elimination with swap-sign tracking."""
     size = len(rows)

@@ -1,18 +1,23 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES, cap_structure, load_json
+from conftest import FIXTURES, cap_structure, load_json, random_structure
 
 import ledc
-from ledc.cli import code_from_dict, code_to_dict, run
-from ledc.code import ERASED, encode, erasure_decode
+from ledc.cli import CodeFile, code_from_dict, code_to_dict, run
+from ledc.code import ERASED, encode, erasure_decode, make_code
 from ledc.errors import UnrecoverableErasurePattern
+from ledc.field import make_field
+from ledc.linalg import make_matrix
 
 UNEQUAL_R = str(FIXTURES / "unequal_r_structure.json")
 EQUAL_R = str(FIXTURES / "equal_r_structure.json")
@@ -396,6 +401,38 @@ def test_code_file_round_trip_is_identity():
     assert once["G"] == load_json("cyclic_code_descending.json")["G"]
     assert once["omega"] == 2
     assert "seed" not in once
+
+
+@st.composite
+def code_files(draw):
+    """A code file on a random structure over GF(q), q up to 2^31 - 1: any residues in G, any method, omega, seed
+    and claimed distance."""
+    f = make_field(draw(st.sampled_from((2, 13, 257, 65537, 2**31 - 1))))
+    s = random_structure(random.Random(draw(st.integers(0, 2**32))), max_k=6, max_m=3)
+    row = st.lists(st.integers(0, f.q - 1), min_size=s.n, max_size=s.n)
+    rows = draw(st.lists(row, min_size=s.k, max_size=s.k))
+    return CodeFile(
+        code=make_code(s, f, make_matrix(f, rows)),
+        method=draw(st.sampled_from(("nested", "cyclic", "random"))),
+        omega=draw(st.none() | st.integers(0, f.q - 1)),
+        seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+        claimed_distance=draw(st.integers(0, 40)),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(code_files())
+def test_code_file_json_round_trip_fuzz(cf):
+    """Through JSON text and back: the same G of plain ints, structure, field, method, omega, seed and claim."""
+    payload = code_to_dict(cf)
+    assert all(type(v) is int for row in payload["G"] for v in row)
+    back = code_from_dict(json.loads(json.dumps(payload)))
+    assert back.code.G.to_rows() == cf.code.G.to_rows() == payload["G"]
+    assert (back.code.structure, back.code.field) == (cf.code.structure, cf.code.field)
+    assert (back.method, back.omega, back.seed, back.claimed_distance) == (
+        cf.method, cf.omega, cf.seed, cf.claimed_distance
+    )
+    assert back == cf
 
 
 def test_explicit_position_layout(tmp_path, capsys):

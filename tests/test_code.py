@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import det, min_weight_bruteforce
+from oracles import det, min_weight_bruteforce, oracle_solve
 
 import ledc.code as code_module
 from ledc.code import (
@@ -15,7 +15,6 @@ from ledc.code import (
     encode,
     erasure_decode,
     local_decode,
-    local_generator,
     make_code,
     min_distance_exhaustive,
     min_distance_rank,
@@ -68,7 +67,7 @@ def test_make_code_shape_checks(suboptimal_codefile):
 
 
 def test_local_generator(suboptimal_codefile):
-    lg = local_generator(suboptimal_codefile.code, 1)
+    lg = suboptimal_codefile.code.local_generators[0]
     assert (lg.rows, lg.cols) == (4, 5)
     assert lg.to_rows()[0] == [1, 1, 1, 1, 1]
 
@@ -314,13 +313,15 @@ def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, cyclic_c
 
 
 @st.composite
-def small_codes(draw):
-    """Codes over GF(q), q <= 11, n <= 9, k <= 4 on a random structure.
+def small_codes(draw, fields=(2, 3, 5, 7, 11), kinds=("support", "off support", "deficient")):
+    """Codes over GF(q), q in `fields`, n <= 9, k <= 4 on a random structure.
 
     G is drawn on the support pattern, or with entries off it, or with a
-    row that repeats a multiple of another (rank deficient).
+    row that repeats a multiple of another (rank deficient), or, as the kind
+    "singular local", with a group's second column a multiple of its first
+    (every local minor holding both is singular).
     """
-    q = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    q = draw(st.sampled_from(fields))
     f = make_field(q)
     n = draw(st.integers(1, 9))
     m = draw(st.integers(1, min(3, n)))
@@ -335,7 +336,7 @@ def small_codes(draw):
             if len(K[g]) < sizes[g]:
                 K[g].add(i)
     s = make_structure(K, blocks_for_sizes(sizes))
-    kind = draw(st.sampled_from(("support", "off support", "deficient")))
+    kind = draw(st.sampled_from(kinds))
     value = st.integers(0, q - 1)
     rows = [
         [draw(value) if j in allowed or kind == "off support" else 0 for j in range(1, n + 1)]
@@ -344,6 +345,11 @@ def small_codes(draw):
     if kind == "deficient" and k >= 2:
         scale = draw(value)
         rows[-1] = [scale * v % q for v in rows[0]]
+    group = s.N[draw(st.integers(0, m - 1))] if kind == "singular local" else ()
+    if len(group) >= 2:
+        scale = draw(value)
+        for row in rows:
+            row[group[1] - 1] = scale * row[group[0] - 1] % q
     return make_code(s, f, make_matrix(f, rows))
 
 
@@ -359,7 +365,7 @@ def test_distance_sides_agree_with_enumeration(c):
         assert d <= dmax(c.structure)
     H = np.array(nullspace(c.G), dtype=np.int64).reshape(-1, n)
     for d0 in range(1, n - k + 2):
-        on_G = code_module.full_rank_subsets(f, c.G.array(), n - d0 + 1)
+        on_G = code_module.full_rank_subsets(f, c.G.entries, n - d0 + 1)
         assert on_G == (d >= d0) == distance_at_least(c, d0)
         if len(H) == n - k:
             assert code_module.full_rank_subsets(f, H, d0 - 1) == on_G
@@ -372,7 +378,7 @@ def test_distance_sides_agree_with_enumeration(c):
 def test_local_mds_is_every_minor_invertible(c):
     """verify_local_mds against its definition: every k_i-column minor of G[K_i, N_i] has a nonzero determinant."""
     for g, mds in verify_local_mds(c).items():
-        rows = local_generator(c, g).to_rows()
+        rows = c.local_generators[g - 1].to_rows()
         minors = combinations(range(len(rows[0])), len(rows))
         assert mds == all(det(c.field.q, [[row[j] for j in cols] for row in rows]) for cols in minors)
 
@@ -490,6 +496,100 @@ def test_decode_round_trips_fuzz(c, data):
                 local_decode(c, g, observed)
         elif mds:
             assert local_decode(c, g, observed) == {i: x[i - 1] for i in Kg}
+
+
+@st.composite
+def wide_codes(draw):
+    """One group of k = 20 data symbols and up to 4 parity positions over GF(2^31 - 1).
+
+    Residues near 2^31 make a sum of two unreduced products pass 2^63. The
+    entries come from a drawn seed, which keeps hypothesis's buffer small.
+    """
+    f = make_field(2**31 - 1)
+    k = 20
+    n = k + draw(st.integers(0, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    s = make_structure([list(range(1, k + 1))], [list(range(1, n + 1))])
+    return make_code(s, f, make_matrix(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]))
+
+
+def outcome(fn, *args):
+    """fn's value, or the type name and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def oracle_erasure_decode(q, rows, received):
+    """erasure_decode's contract, by a pure-Python solve of x G[:, survivors] = survivors."""
+    cols = [j for j, v in enumerate(received) if v is not ERASED]
+    got = oracle_solve(q, [[row[j] for j in cols] for row in rows], [received[j] for j in cols])
+    if got == "Underdetermined":
+        return "UnrecoverableErasurePattern", f"{len(received) - len(cols)} erasures leave rank below k={len(rows)}"
+    return ("Inconsistent", "no x satisfies x a = b") if got == "Inconsistent" else got
+
+
+def oracle_local_decode(q, rows, Kg, Ng, group, observed):
+    """local_decode's contract, checked in its order, with a pure-Python solve of x G[K_i, observed] = observed."""
+    positions = [p for p, _ in observed]
+    outside = [p for p in positions if p not in Ng]
+    if outside:
+        return "PositionsOutsideGroup", f"positions {outside} not in group {group}"
+    if len(observed) < len(Kg):
+        return "NotEnoughSymbols", f"{len(observed)} symbols < k_{group}={len(Kg)}"
+    for i in range(1, len(rows) + 1):
+        for p in positions:
+            if i not in Kg and rows[i - 1][p - 1]:
+                return "SupportViolation", f"group {group}: position {p} depends on data {i}, outside K_{group}"
+    got = oracle_solve(q, [[rows[i - 1][p - 1] for p in positions] for i in Kg], [v for _, v in observed])
+    if got == "Underdetermined":
+        return "SingularSubmatrix", (
+            f"group {group}: {len(observed)} observed columns do not determine "
+            f"the {len(Kg)} local data symbols; local MDS invariant is broken"
+        )
+    return ("Inconsistent", "no x satisfies x a = b") if got == "Inconsistent" else dict(zip(Kg, got))
+
+
+DECODE_FIELDS = (2, 7, 257, 2**31 - 1)
+DECODE_KINDS = ("support", "off support", "deficient", "singular local")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(small_codes(DECODE_FIELDS, DECODE_KINDS), wide_codes()), st.data())
+def test_decoders_match_oracle_fuzz(c, data):
+    """Both decoders against a pure-Python solve: the same value, or the same exception and message.
+
+    The word is a codeword, maybe with one position corrupted; any number of
+    positions is erased, and k_i - 1 or more positions of a group's block are
+    observed, in any order, maybe with a position of another group.
+    """
+    s, q, rows = c.structure, c.field.q, c.G.to_rows()
+    x = data.draw(st.lists(st.integers(0, q - 1), min_size=s.k, max_size=s.k))
+    word = [sum(a * g for a, g in zip(x, col)) % q for col in zip(*rows)]
+    assert encode(c, x) == word
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, s.n - 1))
+        word[j] = (word[j] + data.draw(st.integers(1, q - 1))) % q
+    erased = data.draw(st.sets(st.integers(0, s.n - 1), max_size=data.draw(st.integers(0, s.n))))
+    received = [ERASED if j in erased else v for j, v in enumerate(word)]
+    assert outcome(erasure_decode, c, received) == oracle_erasure_decode(q, rows, received)
+    group = data.draw(st.integers(1, s.m))
+    Kg, Ng = s.K[group - 1], s.N[group - 1]
+    positions = data.draw(st.permutations(Ng))[: data.draw(st.integers(max(0, len(Kg) - 1), len(Ng)))]
+    if data.draw(st.integers(0, 9)) == 0:
+        positions.append(data.draw(st.integers(1, s.n).filter(lambda p: p not in positions)))
+    observed = [(p, word[p - 1]) for p in positions]
+    assert outcome(local_decode, c, group, observed) == oracle_local_decode(q, rows, Kg, Ng, group, observed)
+
+
+def test_code_caches_are_built_once_and_read_only(cyclic_codefile):
+    c = cyclic_codefile.code
+    assert c.local_generators is c.local_generators and c.off_support is c.off_support
+    assert not c.off_support.flags.writeable and not c.off_support.any()
+    assert [g.to_rows() for g in c.local_generators] == [
+        [[c.G.to_rows()[i - 1][j - 1] for j in Ng] for i in Kg] for Kg, Ng in zip(c.structure.K, c.structure.N)
+    ]
 
 
 # ---------- verification ----------

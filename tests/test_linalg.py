@@ -7,7 +7,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import det
+from oracles import det, oracle_solve
 
 import ledc.linalg as linalg_module
 
@@ -47,7 +47,7 @@ def random_matrix(f, rows, cols, rng):
 def mat_vec(m, v):
     # m v for a column vector, plain check helper
     q = m.field.q
-    return [sum(m.at(i, j) * v[j] for j in range(m.cols)) % q for i in range(m.rows)]
+    return [sum(a * b for a, b in zip(row, v)) % q for row in m.to_rows()]
 
 
 # ---------- rref / rank ----------
@@ -55,8 +55,8 @@ def mat_vec(m, v):
 
 def rref(m):
     """(reduced matrix, rank, pivot columns) from the package's in-place elimination."""
-    a, pivots = linalg_module._rref(m.field, m.array())
-    return MatrixGF(m.field, m.rows, m.cols, tuple(a.ravel().tolist())), len(pivots), pivots
+    a, pivots = linalg_module._rref(m.field, m.entries.copy())
+    return MatrixGF(m.field, a), len(pivots), pivots
 
 
 def test_rref_identity_is_fixed_point():
@@ -121,18 +121,6 @@ def oracle_cases(q, rng):
     return cases
 
 
-def oracle_solve(q, rows, b):
-    """x with x A = b from the oracle's rref of the augmented transpose."""
-    cols = len(b)
-    aug = [[rows[i][j] for i in range(len(rows))] + [b[j]] for j in range(cols)]
-    reduced, rk, pivots = oracles.rref(q, aug)
-    if len(rows) in pivots:
-        return "Inconsistent"
-    if rk < len(rows):
-        return "Underdetermined"
-    return [reduced[r][len(rows)] for r in range(len(rows))]
-
-
 def oracle_nullspace(q, rows, cols):
     reduced, _, pivots = oracles.rref(q, rows)
     basis = []
@@ -150,12 +138,16 @@ def test_elimination_matches_oracle(q):
     f = make_field(q)
     rng = random.Random(q)
     for rows, cols in oracle_cases(q, rng):
-        m = MatrixGF(f, len(rows), cols, tuple(v for row in rows for v in row))
+        m = MatrixGF(f, np.array(rows, dtype=np.int64).reshape(len(rows), cols))
         reduced, rk, pivots = oracles.rref(q, rows)
         got, got_rk, got_pivots = rref(m)
         assert (got.to_rows(), got_rk, got_pivots) == (reduced, rk, pivots), rows
         assert rank(m) == rk
-        assert full_rank_subsets(f, m.array(), m.cols) == (rk == min(m.rows, m.cols))
+        R, T, P = m.echelon
+        assert (R.tolist(), list(P)) == (reduced, pivots), rows
+        # T M = R, computed on Python ints: the cached row operation really produces R.
+        assert [[sum(t * r[j] for t, r in zip(trow, rows)) % q for j in range(cols)] for trow in T.tolist()] == reduced
+        assert full_rank_subsets(f, m.entries, m.cols) == (rk == min(m.rows, m.cols))
         assert nullspace(m) == oracle_nullspace(q, rows, cols)
         b = [rng.randrange(q) for _ in range(cols)]
         for rhs in (b, row_vec_mul([rng.randrange(q) for _ in range(len(rows))], m)):
@@ -164,6 +156,12 @@ def test_elimination_matches_oracle(q):
             except (Inconsistent, Underdetermined) as exc:
                 x = type(exc).__name__
             assert x == oracle_solve(q, rows, rhs), rows
+            picked = rng.sample(range(cols), rng.randint(0, cols))  # a subset of columns, in any order
+            try:
+                x = solve(m, [rhs[j] for j in picked], picked)
+            except (Inconsistent, Underdetermined) as exc:
+                x = type(exc).__name__
+            assert x == oracle_solve(q, [[row[j] for j in picked] for row in rows], [rhs[j] for j in picked]), rows
 
 
 def every_subset_full_rank(q, M, w):
@@ -222,7 +220,7 @@ def test_full_rank_subsets_fuzz(case):
 def test_full_rank_subsets_memory_is_flat(monkeypatch):
     """A level of C(30, 5) = 142,506 subsets peaks under 8 MB; with every level built whole it peaks near 90."""
     f = make_field(65537)
-    M = vandermonde(f, range(1, 31), 5).array()  # MDS: the walk visits every subset
+    M = vandermonde(f, range(1, 31), 5).entries  # MDS: the walk visits every subset
 
     def peak():
         tracemalloc.start()
@@ -235,6 +233,24 @@ def test_full_rank_subsets_memory_is_flat(monkeypatch):
     assert peak() < 8 << 20
     monkeypatch.setattr(linalg_module, "WALK_SLICE", 1 << 40)
     assert peak() > 8 << 20
+
+
+def test_matrix_and_its_cached_forms_are_read_only():
+    """A matrix copies its entries; they and its cached RREF are read-only, and the RREF is reduced once."""
+    rows = [[1, 2, 3], [2, 4, 6]]
+    m = make_matrix(F7, rows)
+    rows[0][0] = 5
+    source = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    copied = MatrixGF(F7, source)
+    source[0, 0] = 3
+    assert m.to_rows() == [[1, 2, 3], [2, 4, 6]] and copied.to_rows() == [[1, 0], [0, 1]]
+    assert m.echelon is m.echelon
+    R, T, _ = m.echelon
+    for a in (m.entries, copied.entries, R, T):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+    assert all(type(v) is int for row in m.to_rows() for v in row)
 
 
 # ---------- det (test oracle) ----------
