@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .code import LedcCode, encode, erasure_decode, local_decode, make_code, verify_ledc
+from .code import LedcCode, encode, erasure_decode, local_decode, verify_ledc
 from .construct import construct_cyclic, construct_nested, construct_random
 from .errors import (
     ExhaustedAttempts,
@@ -134,7 +134,7 @@ def code_from_dict(d: dict) -> CodeFile:
         for v in row:
             if not 0 <= v < f.q:
                 raise ValueError(f"matrix entry {v} outside [0, {f.q})")
-    code = make_code(s, f, make_matrix(f, rows))
+    code = LedcCode(s, f, make_matrix(f, rows))
     omega = d.get("omega")
     seed = d.get("seed")
     return CodeFile(

@@ -1,9 +1,9 @@
 """Codes with a locality structure: encoding, decoding, verification.
 
 A LedcCode couples a locality structure with a generator matrix. The
-constructor checks shapes only; whether the matrix actually satisfies
-the support pattern and the local MDS property is the job of the
-verification functions, which report rather than raise, so defective
+constructor checks the matrix's shape and field only; whether it actually
+satisfies the support pattern and the local MDS property is the job of
+the verification functions, which report rather than raise, so defective
 matrices can be inspected.
 
 Two independent minimum-distance algorithms are provided on purpose:
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .field import Felt, PrimeField
 from .linalg import MatrixGF, full_rank_subsets, nullspace, rank, row_vec_mul, solve, submatrix
-from .locality import LocalityStructure, dmax, reach, validate
+from .locality import LocalityStructure, dmax, reach
 
 # Erasure marker inside a received word.
 ERASED = None
@@ -52,12 +52,26 @@ AUTO_EXHAUSTIVE_LIMIT = 10**7
 
 @dataclass(frozen=True)
 class LedcCode:
-    """A locality structure plus a k x n generator matrix over GF(q)."""
+    """A locality structure plus a k x n generator matrix over GF(q), checked for shape and field when made."""
 
     structure: LocalityStructure
     field: PrimeField
     G: MatrixGF
     meta: dict = dc_field(default_factory=dict, compare=False)
+
+    def __post_init__(self) -> None:
+        s, G = self.structure, self.G
+        if G.rows != s.k or G.cols != s.n:
+            raise DimensionMismatch(
+                f"generator must be {s.k}x{s.n}, got {G.rows}x{G.cols}"
+            )
+        if G.field.q != self.field.q:
+            raise DimensionMismatch(f"matrix over GF({G.field.q}), expected GF({self.field.q})")
+
+    @cached_property
+    def dmax(self) -> int:
+        """locality.dmax of the structure, computed once per code."""
+        return dmax(self.structure)
 
     @cached_property
     def local_generators(self) -> tuple[MatrixGF, ...]:
@@ -73,17 +87,6 @@ class LedcCode:
             mask[i, [j - 1 for j in positions]] = False
         mask.flags.writeable = False
         return mask
-
-
-def make_code(s: LocalityStructure, f: PrimeField, G: MatrixGF, meta: Optional[dict] = None) -> LedcCode:
-    s = validate(s)
-    if G.rows != s.k or G.cols != s.n:
-        raise DimensionMismatch(
-            f"generator must be {s.k}x{s.n}, got {G.rows}x{G.cols}"
-        )
-    if G.field.q != f.q:
-        raise DimensionMismatch(f"matrix over GF({G.field.q}), expected GF({f.q})")
-    return LedcCode(s, f, G, meta or {})
 
 
 # ---------- encoding and decoding ----------
@@ -259,7 +262,7 @@ def min_distance_rank(c: LedcCode) -> int:
     k, n = c.structure.k, c.structure.n
     if rank(c.G) < k:
         return 0
-    bound = dmax(c.structure)
+    bound = c.dmax
     d = min(bound, n - k + 1)
     if distance_at_least(c, d):
         if d == bound and not support_violations(c):
@@ -329,12 +332,11 @@ def verify_ledc(c: LedcCode, distance_method: str = "auto") -> VerifyReport:
         raise DistanceDisagreement(
             f"distance algorithms disagree: enumeration {distance}, rank {by_rank}"
         )
-    bound = dmax(c.structure)
     return VerifyReport(
         support_ok=not support_violations(c),
         local_mds=tuple(mds[g] for g in sorted(mds)),
         distance=distance,
-        dmax=bound,
-        optimal=distance == bound,
+        dmax=c.dmax,
+        optimal=distance == c.dmax,
         method=method,
     )

@@ -31,7 +31,6 @@ from .code import (
     LedcCode,
     check_distance_budget,
     distance_at_least,
-    make_code,
     min_distance_rank,
     verify_local_mds,
 )
@@ -45,7 +44,7 @@ from .errors import (
 )
 from .field import Felt, PrimeField, find_primitive, inv, is_primitive
 from .linalg import MatrixGF, make_matrix, nullspace, vandermonde
-from .locality import LocalityStructure, dmax, reach, two_group_params, validate
+from .locality import LocalityStructure, dmax, reach, two_group_params
 from .poly import (
     PolyGF,
     coeffs_to_row,
@@ -86,7 +85,6 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
     resulting distance is exactly min(r1, r2) + t + 1, which equals the
     structure bound under the stated preconditions.
     """
-    s = validate(s)
     n1, k1, n2, k2, t = two_group_params(s)
     if f.q < max(n1, n2):
         raise FieldTooSmall(
@@ -119,7 +117,7 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
         "swapped": swapped,
         "claimed_distance": min(n1 - k1, n2 - k2) + t + 1,
     }
-    return make_code(s, f, G, meta)
+    return LedcCode(s, f, G, meta)
 
 
 # ---------- cyclic polynomial construction ----------
@@ -195,7 +193,6 @@ def construct_cyclic(
     shared data symbols (t = 0) needs no shared rows at all and is built
     by construct_nested instead; the ingredients are then None.
     """
-    s = validate(s)
     n1, k1, n2, k2, t = two_group_params(s)
     r = n1 - k1
     if n2 - k2 != r:
@@ -262,7 +259,7 @@ def construct_cyclic(
         b=tuple(b_list),
         c=tuple(c_list),
     )
-    return make_code(s, f, G, meta), ingredients
+    return LedcCode(s, f, G, meta), ingredients
 
 
 @dataclass(frozen=True)
@@ -383,7 +380,6 @@ def construct_random(
     """
     if max_attempts < 1:
         raise PreconditionViolated(f"max_attempts must be >= 1, got {max_attempts}")
-    s = validate(s)
     reaches = reach(s)
     bound = dmax(s)
     check_distance_budget(s.n, bound)  # before any attempt
@@ -395,7 +391,7 @@ def construct_random(
             [stream.below(f.q) if j in allowed else 0 for j in range(1, s.n + 1)]
             for allowed in reaches
         ]
-        code = make_code(
+        code = LedcCode(
             s,
             f,
             make_matrix(f, rows),

@@ -198,26 +198,16 @@ def nullspace(m: MatrixGF) -> list[list[Felt]]:
     return basis
 
 
-def _solve(f: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with x a = b for the residue array a, by elimination of the augmented transpose."""
-    k = a.shape[0]
-    reduced, pivot_cols = _rref(f, np.vstack([a, b[None]]).T)
-    if k in pivot_cols:
-        raise Inconsistent("no x satisfies x a = b")
-    if len(pivot_cols) < k:
-        raise Underdetermined(f"rank {len(pivot_cols)} < {k} unknowns")
-    return reduced[:k, k]
-
-
 def solve(a: MatrixGF, b: Sequence[Felt], cols: Optional[Sequence[int]] = None) -> list[Felt]:
     """Solve x a[:, cols] = b for x through a's cached RREF; distinct `cols`, all by default.
 
-    With full row rank, u = x a[:, P] on the pivot columns P is a bijection of
-    x, and x a[:, j] = u R[:, j]. Each pivot column in `cols` gives its u_t; the
-    pivots E left out solve u_E R[E, F] = b_F - u R[:, F] over the other columns
-    F (u still zero on E); then x = u T. That small system has the solutions of
-    the whole one, so Inconsistent (checked first) and Underdetermined are
-    raised alike. A rank-deficient a eliminates the whole system.
+    With u = x T^-1 the system is u R[:, cols] = b, and only R's first
+    r = rank(a) rows are nonzero, with R[:r, P] = I on the pivot columns P.
+    Each pivot column in `cols` gives its u_t; the pivots E left out solve
+    u_E R[E, F] = b_F - u R[:r, F] over the other columns F (u still zero on
+    E), by elimination of the augmented transpose; then x = u T. That small
+    system has the solutions of the whole one, so Inconsistent is checked first
+    and Underdetermined follows, also when r < rows.
     """
     cols = np.arange(a.cols) if cols is None else np.asarray(cols, dtype=np.intp)
     if len(b) != len(cols):
@@ -225,19 +215,24 @@ def solve(a: MatrixGF, b: Sequence[Felt], cols: Optional[Sequence[int]] = None) 
     q, k = a.field.q, a.rows
     b = np.array([v % q for v in b], dtype=np.int64)
     R, T, pivots = a.echelon
-    if len(pivots) < k:
-        return _solve(a.field, a.entries[:, cols], b).tolist()
+    r = len(pivots)
     slot = np.full(a.cols, -1)  # slot[P[t]] = t
-    slot[list(pivots)] = np.arange(k)
+    slot[list(pivots)] = np.arange(r)
     at = slot[cols]
     known = at >= 0
-    u = np.zeros(k, dtype=np.int64)
+    u = np.zeros(r, dtype=np.int64)
     u[at[known]] = b[known]
-    erased = np.ones(k, dtype=bool)
+    erased = np.ones(r, dtype=bool)
     erased[at[known]] = False
     F = cols[~known]
-    rhs = (b[~known] - (u[:, None] * R[:, F] % q).sum(axis=0)) % q
-    u[erased] = _solve(a.field, R[erased][:, F], rhs)
+    rhs = (b[~known] - (u[:, None] * R[:r, F] % q).sum(axis=0)) % q
+    e = int(erased.sum())
+    reduced, small = _rref(a.field, np.vstack([R[:r][erased][:, F], rhs[None]]).T)
+    if e in small:
+        raise Inconsistent("no x satisfies x a = b")
+    if len(small) < e or r < k:
+        raise Underdetermined(f"rank {r - e + len(small)} < {k} unknowns")
+    u[erased] = reduced[:e, e]
     return ((u[:, None] * T % q).sum(axis=0) % q).tolist()
 
 

@@ -3,7 +3,8 @@
 A locality structure lists, for each of m groups, which data symbols
 K_i feed it and which coded positions N_i it owns. The K_i may overlap;
 the N_i partition the coded positions. All indices are 1-based at this
-interface.
+interface. A structure is checked once, when it is made;
+`make_structure` derives k and n as the largest index each side names.
 
 The largest minimum distance any code with a given structure can reach
 is
@@ -20,7 +21,7 @@ the positions owned by T's blocks for all 2^m subsets in O(m 2^m) steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,12 +40,52 @@ MAX_GROUPS = 20
 
 @dataclass(frozen=True)
 class LocalityStructure:
-    """Data groups K and coded-position groups N, stored as sorted tuples."""
+    """Data groups K and coded-position groups N, checked when made and stored as sorted tuples."""
 
     k: int
     n: int
     K: tuple[tuple[int, ...], ...]
     N: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.K) != len(self.N) or not self.K:
+            raise CoverageGap("need matching nonempty lists of K and N groups")
+        K = tuple(tuple(sorted(set(g))) for g in self.K)
+        N = tuple(tuple(sorted(set(g))) for g in self.N)
+
+        covered: set[int] = set()
+        for gi, g in enumerate(K, start=1):
+            if not g:
+                raise CoverageGap(f"group {gi} has an empty data set")
+            if g[0] < 1 or g[-1] > self.k:
+                raise CoverageGap(f"group {gi} mentions data index outside 1..{self.k}")
+            covered.update(g)
+        # Indices are in range, so counting settles coverage; the lowest gap is at most len + 1.
+        if len(covered) < self.k:
+            lowest = next(i for i in range(1, self.k + 1) if i not in covered)
+            raise CoverageGap(f"{self.k - len(covered)} data indices covered by no group, the lowest {lowest}")
+
+        seen: set[int] = set()
+        for gi, g in enumerate(N, start=1):
+            if not g:
+                raise CoverageGap(f"group {gi} has an empty position set")
+            if g[0] < 1 or g[-1] > self.n:
+                raise CoverageGap(f"group {gi} mentions position outside 1..{self.n}")
+            overlap = seen.intersection(g)
+            if overlap:
+                raise OverlapN(f"positions claimed by two groups: {sorted(overlap)}")
+            seen.update(g)
+        if len(seen) < self.n:
+            lowest = next(j for j in range(1, self.n + 1) if j not in seen)
+            raise CoverageGap(f"{self.n - len(seen)} positions owned by no group, the lowest {lowest}")
+
+        for gi, (kg, ng) in enumerate(zip(K, N), start=1):
+            if len(ng) < len(kg):
+                raise GroupTooSmall(
+                    f"group {gi}: {len(ng)} coded positions for {len(kg)} data symbols"
+                )
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "N", N)
 
     @property
     def m(self) -> int:
@@ -66,7 +107,7 @@ class DmaxWitness:
     data: tuple[int, ...]
 
 
-# ---------- construction and validation ----------
+# ---------- construction ----------
 
 
 def blocks_for_sizes(sizes: Sequence[int]) -> list[list[int]]:
@@ -79,63 +120,11 @@ def blocks_for_sizes(sizes: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def make_structure(
-    K: Sequence[Sequence[int]],
-    N: Sequence[Sequence[int]],
-    k: Optional[int] = None,
-    n: Optional[int] = None,
-) -> LocalityStructure:
-    """Normalize, validate and return a structure.
-
-    k and n default to the largest mentioned index so that a gap-free
-    cover determines them; passing them explicitly lets validation catch
-    declared-but-uncovered indices.
-    """
-    K_norm = tuple(tuple(sorted(set(g))) for g in K)
-    N_norm = tuple(tuple(sorted(set(g))) for g in N)
-    k_eff = k if k is not None else max((g[-1] for g in K_norm if g), default=0)
-    n_eff = n if n is not None else max((g[-1] for g in N_norm if g), default=0)
-    return validate(LocalityStructure(k_eff, n_eff, K_norm, N_norm))
-
-
-def validate(s: LocalityStructure) -> LocalityStructure:
-    """Check every structure invariant; returns the normalized structure."""
-    if len(s.K) != len(s.N) or s.m == 0:
-        raise CoverageGap("need matching nonempty lists of K and N groups")
-    K_norm = tuple(tuple(sorted(set(g))) for g in s.K)
-    N_norm = tuple(tuple(sorted(set(g))) for g in s.N)
-
-    covered = set()
-    for gi, g in enumerate(K_norm, start=1):
-        if not g:
-            raise CoverageGap(f"group {gi} has an empty data set")
-        if g[0] < 1 or g[-1] > s.k:
-            raise CoverageGap(f"group {gi} mentions data index outside 1..{s.k}")
-        covered.update(g)
-    missing = set(range(1, s.k + 1)) - covered
-    if missing:
-        raise CoverageGap(f"data indices covered by no group: {sorted(missing)}")
-
-    seen: set[int] = set()
-    for gi, g in enumerate(N_norm, start=1):
-        if not g:
-            raise CoverageGap(f"group {gi} has an empty position set")
-        if g[0] < 1 or g[-1] > s.n:
-            raise CoverageGap(f"group {gi} mentions position outside 1..{s.n}")
-        overlap = seen.intersection(g)
-        if overlap:
-            raise OverlapN(f"positions claimed by two groups: {sorted(overlap)}")
-        seen.update(g)
-    missing_pos = set(range(1, s.n + 1)) - seen
-    if missing_pos:
-        raise CoverageGap(f"positions owned by no group: {sorted(missing_pos)}")
-
-    for gi, (kg, ng) in enumerate(zip(K_norm, N_norm), start=1):
-        if len(ng) < len(kg):
-            raise GroupTooSmall(
-                f"group {gi}: {len(ng)} coded positions for {len(kg)} data symbols"
-            )
-    return LocalityStructure(s.k, s.n, K_norm, N_norm)
+def make_structure(K: Sequence[Sequence[int]], N: Sequence[Sequence[int]]) -> LocalityStructure:
+    """The structure whose k and n are the largest data index and position mentioned."""
+    k = max((max(g) for g in K if g), default=0)
+    n = max((max(g) for g in N if g), default=0)
+    return LocalityStructure(k, n, K, N)
 
 
 def reach(s: LocalityStructure) -> tuple[frozenset[int], ...]:
@@ -152,7 +141,6 @@ def reach(s: LocalityStructure) -> tuple[frozenset[int], ...]:
 
 def dmax_witness(s: LocalityStructure) -> DmaxWitness:
     """The bound plus the lowest-numbered minimizing group subset and its data."""
-    s = validate(s)
     if s.m > MAX_GROUPS:
         raise TooManyGroups(f"{s.m} groups exceed the cap of {MAX_GROUPS}")
     sig = [0] * s.k  # bitmask of the groups holding each data symbol

@@ -160,3 +160,31 @@ def det(q, rows):
     for i in range(size):
         prod = prod * rows[i][i] % q
     return prod * sign % q
+
+
+def structure_violation(k, n, K, N):
+    """Name of the error a structure over data 1..k and positions 1..n must raise, or None.
+
+    The invariants in the order they are checked: matching nonempty group
+    lists; each data group nonempty and inside 1..k, and together covering
+    1..k; each position group nonempty, inside 1..n and disjoint from the
+    groups before it, and together covering 1..n; |N_i| >= |K_i| per group.
+    """
+    if len(K) != len(N) or not K:
+        return "CoverageGap"
+    data = set(range(1, k + 1))
+    if any(not Kg or not set(Kg) <= data for Kg in K) or set().union(*map(set, K)) != data:
+        return "CoverageGap"
+    positions = set(range(1, n + 1))
+    owned = set()
+    for Ng in N:
+        if not Ng or not set(Ng) <= positions:
+            return "CoverageGap"
+        if owned & set(Ng):
+            return "OverlapN"
+        owned |= set(Ng)
+    if owned != positions:
+        return "CoverageGap"
+    if any(len(set(Ng)) < len(set(Kg)) for Kg, Ng in zip(K, N)):
+        return "GroupTooSmall"
+    return None

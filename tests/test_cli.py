@@ -3,6 +3,10 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from itertools import combinations
 from pathlib import Path
 
@@ -14,10 +18,11 @@ from conftest import FIXTURES, cap_structure, load_json, random_structure
 
 import ledc
 from ledc.cli import CodeFile, code_from_dict, code_to_dict, run
-from ledc.code import ERASED, encode, erasure_decode, make_code
+from ledc.code import ERASED, LedcCode, encode, erasure_decode
 from ledc.errors import UnrecoverableErasurePattern
 from ledc.field import make_field
 from ledc.linalg import make_matrix
+from ledc.locality import LocalityStructure
 
 UNEQUAL_R = str(FIXTURES / "unequal_r_structure.json")
 EQUAL_R = str(FIXTURES / "equal_r_structure.json")
@@ -143,6 +148,49 @@ def test_malformed_files_exit_2_naming_the_field(tmp_path, command, payload, fie
     assert_clean_exit(result, 2, "ValueError")
     assert field in result.stderr
     assert "TypeError" not in result.stderr and "KeyError" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"q": 13, "groups": [{"K": [1000000000], "n": 1}]},
+        {"q": 13, "groups": [{"K": [1], "n": 1, "N": [1000000000]}]},
+    ],
+    ids=["huge-data-index", "huge-position"],
+)
+def test_huge_indices_exit_2_fast(tmp_path, capsys, payload):
+    """Coverage is settled by counting, so a large index named in a tiny file costs nothing."""
+    path = write_json(tmp_path, "huge.json", payload)
+    start = time.perf_counter()
+    assert run(["bound", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error=CoverageGap: 999999999 ")
+
+
+def test_each_command_checks_its_structure_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    check = LocalityStructure.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(LocalityStructure, "__post_init__", counted)
+    commands = [
+        ["bound", EQUAL_R],
+        ["construct", UNEQUAL_R, "--method", "nested"],
+        ["construct", EQUAL_R, "--method", "cyclic"],
+        ["construct", UNEQUAL_R, "--method", "random", "--q", "101", "--seed", "5"],
+        ["verify", CYC],
+        ["encode", CYC, "--data", "1,2,3,4,5,6,7"],
+        ["decode", SUBOPT, "--received", "?,?,3,1,0,1,4,2,2,3"],
+        ["demo", CYC, "--fail", "1,2"],
+    ]
+    for argv in commands:
+        calls.clear()
+        assert run(argv) in (0, 5), argv
+        assert len(calls) == 1, argv
+    capsys.readouterr()
 
 
 # ---------- construct ----------
@@ -412,7 +460,7 @@ def code_files(draw):
     row = st.lists(st.integers(0, f.q - 1), min_size=s.n, max_size=s.n)
     rows = draw(st.lists(row, min_size=s.k, max_size=s.k))
     return CodeFile(
-        code=make_code(s, f, make_matrix(f, rows)),
+        code=LedcCode(s, f, make_matrix(f, rows)),
         method=draw(st.sampled_from(("nested", "cyclic", "random"))),
         omega=draw(st.none() | st.integers(0, f.q - 1)),
         seed=draw(st.none() | st.integers(0, 2**64 - 1)),
@@ -472,3 +520,92 @@ def test_argparse_failures_use_input_exit(capsys):
     assert run(["construct", UNEQUAL_R]) == 2  # --method is required
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+# ---------- contract fuzz ----------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.floats(-3, 3), st.text(max_size=3),
+    st.lists(st.sampled_from((-1, 0, 1, 2, 5, 14, 10**9)), max_size=5),  # 10^9: checked by counting
+)
+
+
+@st.composite
+def cli_files(draw, code):
+    """A structure or code file (n <= 12, q <= 31), often mutated past validity, or raw text."""
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        return draw(st.text(max_size=30))
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 12 // m - 2))  # so that n <= 12
+    K = [draw(st.sets(st.integers(1, k), min_size=1)) for _ in range(m)]
+    for i in set(range(1, k + 1)).difference(*K):
+        K[draw(st.integers(0, m - 1))].add(i)
+    K = [sorted(Kg) for Kg in K]
+    sizes = [len(Kg) + draw(st.integers(0, 2)) for Kg in K]
+    structure = {"q": draw(st.sampled_from(PRIMES)), "groups": [{"K": Kg, "n": n} for Kg, n in zip(K, sizes)]}
+    if draw(st.booleans()):
+        N = draw(st.permutations(range(1, sum(sizes) + 1)))
+        for g, n in zip(structure["groups"], sizes):
+            g["N"], N = list(N[:n]), N[n:]
+    payload = structure
+    if code:
+        k, n, q = max(max(Kg) for Kg in K), sum(sizes), structure["q"]
+        G = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=k, max_size=k))
+        payload = {"structure": structure, "method": "random", "G": G, "claimed_distance": draw(st.integers(0, 13))}
+    for _ in range(draw(st.integers(0, 2))):
+        group = draw(st.sampled_from(structure["groups"]))
+        where, key = draw(st.sampled_from([(structure, "q"), (group, "K"), (group, "n"), (group, "N"), (payload, "G")]))
+        if key == "n":
+            where[key] = draw(st.integers(-1, 40))  # a declared n of 10^9 lists 10^9 positions
+        elif draw(st.booleans()):
+            where.pop(key, None)
+        else:
+            where[key] = draw(JUNK)
+    return payload
+
+
+def vector_text(draw, length):
+    """Comma-separated symbols, erasures and positions, or tokens that are none of these."""
+    clean = st.sampled_from(("0", "1", "2", "3", "?"))
+    junk = st.sampled_from(("12", "31", "-1", "", " 3", "x", "1.5"))
+    size = draw(st.sampled_from((length, length, draw(st.integers(0, 14)))))
+    return ",".join(draw(st.lists(draw(st.sampled_from((clean, clean, junk))), min_size=size, max_size=size)))
+
+
+@st.composite
+def cli_argvs(draw):
+    """A file and the arguments of one command on it; vectors are often, not always, of the right length."""
+    command = draw(st.sampled_from(("construct", "verify", "encode", "decode", "demo", "bound")))
+    payload = draw(cli_files(code=command != "construct" and (command != "bound" or draw(st.booleans()))))
+    structure = payload.get("structure", payload) if isinstance(payload, dict) else None
+    groups = structure.get("groups") if isinstance(structure, dict) else None
+    groups = [g for g in groups if isinstance(g, dict)] if isinstance(groups, list) else []
+    k = max((max(g["K"], default=0) for g in groups if isinstance(g.get("K"), list)), default=0)
+    n = sum(g["n"] for g in groups if isinstance(g.get("n"), int))
+    options = []
+    if command == "construct":
+        options = ["--method", draw(st.sampled_from(("nested", "cyclic", "random")))]
+        options += ["--max-attempts", str(draw(st.sampled_from((1, 2, 3, 0, -1))))]
+        for flag, values in (("--q", st.integers(-1, 31)), ("--omega", st.integers(-1, 31)), ("--seed", st.integers(-5, 2**64))):
+            if draw(st.booleans()):
+                options += [flag, str(draw(values))]
+    elif command == "verify":
+        options = ["--distance-method", draw(st.sampled_from(("auto", "exhaustive", "rank", "both")))]
+    elif command != "bound":
+        flag, length = {"encode": ("--data", k), "decode": ("--received", n), "demo": ("--fail", 2)}[command]
+        options = [flag, vector_text(draw, length)]
+    return payload, [command, *options]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cli_argvs())
+def test_cli_contract_fuzz(case):
+    """Every fuzzed file and argument string ends in a documented exit code, never an exception."""
+    payload, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload if isinstance(payload, str) else json.dumps(payload))
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            assert run([argv[0], path, *argv[1:]]) in (0, 2, 3, 4, 5)

@@ -11,11 +11,11 @@ from oracles import det, min_weight_bruteforce, oracle_solve
 import ledc.code as code_module
 from ledc.code import (
     ERASED,
+    LedcCode,
     distance_at_least,
     encode,
     erasure_decode,
     local_decode,
-    make_code,
     min_distance_exhaustive,
     min_distance_rank,
     support_violations,
@@ -44,7 +44,7 @@ def single_group_code(f, G_rows):
     k = len(G_rows)
     n = len(G_rows[0])
     s = make_structure([list(range(1, k + 1))], [list(range(1, n + 1))])
-    return make_code(s, f, make_matrix(f, G_rows))
+    return LedcCode(s, f, make_matrix(f, G_rows))
 
 
 def identity_rows(n):
@@ -61,9 +61,9 @@ def random_single_group_code(f, k, n, rng):
 def test_make_code_shape_checks(suboptimal_codefile):
     s = suboptimal_codefile.code.structure
     with pytest.raises(DimensionMismatch):
-        make_code(s, F7, make_matrix(F7, identity_rows(5)))
+        LedcCode(s, F7, make_matrix(F7, identity_rows(5)))
     with pytest.raises(DimensionMismatch):
-        make_code(s, make_field(11), suboptimal_codefile.code.G)
+        LedcCode(s, make_field(11), suboptimal_codefile.code.G)
 
 
 def test_local_generator(suboptimal_codefile):
@@ -164,7 +164,7 @@ def off_support_code():
     """GF(2), K = {1, 2}, {2}, N = {1, 2}, {3, 4}: data 1 reaches position 3, outside its group."""
     f2 = make_field(2)
     s = make_structure([[1, 2], [2]], [[1, 2], [3, 4]])
-    return make_code(s, f2, make_matrix(f2, [[0, 0, 1, 0], [0, 0, 1, 1]]))
+    return LedcCode(s, f2, make_matrix(f2, [[0, 0, 1, 0], [0, 0, 1, 1]]))
 
 
 def test_local_decode_refuses_off_support_position():
@@ -294,7 +294,7 @@ def test_exhaustive_distance_edge_cases_under_small_cap(monkeypatch):
 def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, cyclic_codefile, monkeypatch):
     f11 = make_field(11)
     s = make_structure([[1, 2, 3], [3, 4]], blocks_for_sizes([3, 4]))
-    dense = make_code(s, f11, vandermonde(f11, range(1, 8), 4))  # MDS, ignores the support
+    dense = LedcCode(s, f11, vandermonde(f11, range(1, 8), 4))  # MDS, ignores the support
     deficient = single_group_code(F7, [[1, 2, 3], [2, 4, 6]])
     levels = []
     certify = code_module.distance_at_least
@@ -350,7 +350,7 @@ def small_codes(draw, fields=(2, 3, 5, 7, 11), kinds=("support", "off support", 
         scale = draw(value)
         for row in rows:
             row[group[1] - 1] = scale * row[group[0] - 1] % q
-    return make_code(s, f, make_matrix(f, rows))
+    return LedcCode(s, f, make_matrix(f, rows))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -510,7 +510,7 @@ def wide_codes(draw):
     n = k + draw(st.integers(0, 4))
     rng = random.Random(draw(st.integers(0, 2**32)))
     s = make_structure([list(range(1, k + 1))], [list(range(1, n + 1))])
-    return make_code(s, f, make_matrix(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]))
+    return LedcCode(s, f, make_matrix(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]))
 
 
 def outcome(fn, *args):
@@ -600,7 +600,7 @@ def test_support_violations(cyclic_codefile):
     assert support_violations(c) == []
     rows = c.G.to_rows()
     rows[0][11] = 1  # data 1 may only touch group 1 positions
-    bad = make_code(c.structure, c.field, make_matrix(c.field, rows))
+    bad = LedcCode(c.structure, c.field, make_matrix(c.field, rows))
     assert support_violations(bad) == [(1, 12)]
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cap_structure, random_structure
-from oracles import dmax_bruteforce, dmax_two_subcodes, dmax_witness_scan
+from oracles import dmax_bruteforce, dmax_two_subcodes, dmax_witness_scan, structure_violation
 
 from ledc.errors import (
     CoverageGap,
@@ -16,13 +16,13 @@ from ledc.errors import (
     TooManyGroups,
 )
 from ledc.locality import (
+    LocalityStructure,
     blocks_for_sizes,
     dmax,
     dmax_witness,
     make_structure,
     reach,
     two_group_params,
-    validate,
 )
 
 
@@ -46,11 +46,11 @@ def test_make_structure_sorts_and_dedups():
 
 def test_validate_coverage_gap():
     with pytest.raises(CoverageGap):
-        make_structure([[1]], [[1, 2]], k=2)
+        LocalityStructure(2, 2, [[1]], [[1, 2]])
     with pytest.raises(CoverageGap):
         make_structure([[1], []], [[1], [2]])
     with pytest.raises(CoverageGap):
-        make_structure([[1, 3]], [[1, 2]], k=2)  # index outside 1..k
+        LocalityStructure(2, 2, [[1, 3]], [[1, 2]])  # index outside 1..k
 
 
 def test_validate_position_errors():
@@ -68,8 +68,52 @@ def test_validate_group_too_small():
 
 
 def test_validate_returns_normalized():
-    s = validate(make_structure([[1, 2]], [[1, 2, 3]]))
+    s = make_structure([[1, 2]], [[1, 2, 3]])
     assert s.K == ((1, 2),)
+
+
+@st.composite
+def structure_fields(draw):
+    """(k, n, K, N), often invalid: groups from a random labelling of 1..k and 1..n, shuffled,
+    with repeated or stray indices, sometimes one out of range, one dropped or all dropped, and
+    sometimes one group more."""
+    rarely = st.sampled_from((False,) * 9 + (True,))
+    m = 0 if draw(rarely) else draw(st.integers(1, 3))
+    k, n = draw(st.integers(m, 6)), draw(st.integers(m, 9))
+
+    def groups(size):
+        rest = draw(st.lists(st.integers(0, max(m - 1, 0)), min_size=size - m, max_size=size - m))
+        labels = draw(st.permutations(list(range(m)) + rest))  # every group gets an index
+        out = [[i for i, g in enumerate(labels, start=1) if g == h] for h in range(m)]
+        for g in out:
+            g += draw(st.lists(st.integers(1, size), max_size=2))
+            if draw(rarely):
+                g.append(draw(st.sampled_from((-1, 0, size + 1))))
+            if draw(rarely) and g:
+                g.remove(draw(st.sampled_from(g)))  # may leave an index uncovered
+            if draw(rarely):
+                g.clear()
+        if draw(rarely):
+            out.append(draw(st.lists(st.integers(1, size + 1), max_size=3)))
+        return [draw(st.permutations(g)) for g in out]
+
+    return k, n, groups(k), groups(n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(structure_fields())
+def test_structure_checks_itself_against_invariant_oracle(fields):
+    k, n, K, N = fields
+    expected = structure_violation(k, n, K, N)
+    try:
+        s = LocalityStructure(k, n, K, N)
+    except (CoverageGap, OverlapN, GroupTooSmall) as exc:
+        assert type(exc).__name__ == expected, fields
+        return
+    assert expected is None, fields
+    assert (s.k, s.n) == (k, n)
+    assert s.K == tuple(tuple(sorted(set(Kg))) for Kg in K)
+    assert s.N == tuple(tuple(sorted(set(Ng))) for Ng in N)
 
 
 # ---------- constraints ----------
