@@ -51,6 +51,10 @@ EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 EXIT_DECODE = 5
 
+# Coded positions a structure file may declare, over all its groups. The
+# distance searches give up far below it; `bound` stays well under a second.
+MAX_POSITIONS = 10**5
+
 # Exception types to exit codes; the first row that matches wins.
 EXIT_CODES = (
     ((UnrecoverableErasurePattern, Inconsistent), EXIT_DECODE),
@@ -101,6 +105,9 @@ def structure_from_dict(d: dict) -> tuple[LocalityStructure, PrimeField]:
         raise ValueError("'groups' must be a nonempty list")
     K = [_integers(_member(g, "K", f"group {i}"), f"'K' of group {i}") for i, g in enumerate(groups, start=1)]
     sizes = [_integer(_member(g, "n", f"group {i}")) for i, g in enumerate(groups, start=1)]
+    declared = sum(n for n in sizes if n > 0)
+    if declared > MAX_POSITIONS:  # before any position is listed
+        raise ValueError(f"groups declare {declared} positions, past the cap of {MAX_POSITIONS}")
     listed = [g for g in groups if "N" in g]
     if not listed:
         N = blocks_for_sizes(sizes)
@@ -129,12 +136,14 @@ def code_from_dict(d: dict) -> CodeFile:
     G = _member(d, "G", "code file")
     if not isinstance(G, list):
         raise ValueError(f"'G' must be a list of rows, got {G!r}")
-    rows = [_integers(row, f"row {i} of 'G'") for i, row in enumerate(G, start=1)]
-    for row in rows:
-        for v in row:
-            if not 0 <= v < f.q:
-                raise ValueError(f"matrix entry {v} outside [0, {f.q})")
-    code = LedcCode(s, f, make_matrix(f, rows))
+    for i, row in enumerate(G, start=1):  # types in one pass, then the range once
+        if not isinstance(row, list) or not set(map(type, row)) <= {int}:
+            _integers(row, f"row {i} of 'G'")  # names the first entry that is not an integer
+    filled = [row for row in G if row]
+    if filled and (min(map(min, filled)) < 0 or max(map(max, filled)) >= f.q):
+        v = next(v for row in filled for v in row if not 0 <= v < f.q)
+        raise ValueError(f"matrix entry {v} outside [0, {f.q})")
+    code = LedcCode(s, f, make_matrix(f, G))
     omega = d.get("omega")
     seed = d.get("seed")
     return CodeFile(

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .field import Felt, PrimeField
 from .linalg import MatrixGF, full_rank_subsets, nullspace, rank, row_vec_mul, solve, submatrix
-from .locality import LocalityStructure, dmax, reach
+from .locality import LocalityStructure, dmax, group_masks, reach
 
 # Erasure marker inside a received word.
 ERASED = None
@@ -87,6 +87,11 @@ class LedcCode:
             mask[i, [j - 1 for j in positions]] = False
         mask.flags.writeable = False
         return mask
+
+    @cached_property
+    def local_levels(self) -> dict[tuple[int, tuple[int, ...], int], bool]:
+        """Local subcode levels checked so far: (group index, rows of its generator, d0) -> d >= d0."""
+        return {}
 
 
 # ---------- encoding and decoding ----------
@@ -246,20 +251,93 @@ def distance_at_least(c: LedcCode, d0: int) -> bool:
     return d0 <= 0 or _level(c.field, c.G, d0)
 
 
+def _local_level(c: LedcCode, g: int, rows: tuple[int, ...], d0: int) -> bool:
+    """Does the code that `rows` of group g's local generator spans (index 0 = group 1) have d >= d0?
+
+    Each level is checked once per code, and TooLarge is not cached.
+    """
+    key = (g, rows, d0)
+    verdict = c.local_levels.get(key)
+    if verdict is None:
+        G = c.local_generators[g]
+        sub = G if len(rows) == G.rows else submatrix(G, rows, range(G.cols))
+        verdict = c.local_levels[key] = _level(c.field, sub, d0)
+    return verdict
+
+
+def _subcode_distance(c: LedcCode, g: int, rows: tuple[int, ...]) -> int:
+    """Exact distance of the code that `rows` of group g's local generator spans; 0 when they are dependent.
+
+    Walks down from the Singleton level n_g - len(rows) + 1; level 1 fails
+    only on dependent rows.
+    """
+    d = c.local_generators[g].cols - len(rows) + 1
+    while d and not _local_level(c, g, rows, d):
+        d -= 1
+    return d
+
+
+def certifies_dmax(c: LedcCode) -> bool:
+    """Do the local subcodes alone prove d >= dmax? No global pattern is enumerated.
+
+    Valid for a G on its support pattern, where block N_g of xG is x_{K_g} G_g.
+    For a nonzero message x let A be the groups with x_{K_g} != 0. Then supp(x)
+    lies in I_A = {i : every group holding i is in A}, and each block of A is a
+    nonzero word of the subcode that the rows K_g & I_A of G_g span, so
+    wt(xG) >= LB(A), the sum over g in A of those subcodes' distances, and
+    d >= min LB(A). Two facts keep the search small. LB adds up over the
+    parts of an A that no symbol of I_A spans, so only connected A are
+    searched: unions of symbols' group sets, each meeting the union so far.
+    And a subcode's distance is at least its group's, d_g, so an A with
+    sum d_g >= dmax, and every A grown from it, passes unseen. Each (group,
+    rows) level is checked once per code; one past the budget gives False.
+    """
+    s, bound = c.structure, c.dmax
+    sig = group_masks(s)
+    edges = set(sig)
+    try:
+        floor = [_subcode_distance(c, g, tuple(range(len(Kg)))) for g, Kg in enumerate(s.K)]
+        todo, seen = list(edges), set(edges)
+        while todo:
+            A = todo.pop()
+            groups = [g for g in range(s.m) if A >> g & 1]
+            lb = sum(floor[g] for g in groups)
+            if lb >= bound:
+                continue
+            for g in groups:  # raise the floors one at a time, until A passes
+                rows = tuple(j for j, i in enumerate(s.K[g]) if sig[i - 1] & ~A == 0)
+                lb += _subcode_distance(c, g, rows) - floor[g]
+                if lb >= bound:
+                    break
+            else:
+                return False
+            for e in edges:
+                if e & A and e & ~A and A | e not in seen:
+                    seen.add(A | e)
+                    todo.append(A | e)
+    except TooLarge:
+        return False
+    return True
+
+
 def min_distance_rank(c: LedcCode) -> int:
     """Largest d such that every (n - d + 1)-column submatrix has rank k.
 
-    The search starts at min(dmax, n - k + 1) and walks up or down. The
-    result rests on two facts: every (d - 1)-erasure pattern leaves rank
-    k, and no larger d holds. The second is the paper's bound d <= dmax
-    when G respects the support pattern and d = dmax; otherwise some
-    d-erasure pattern leaves rank below k, or d = n - k + 1. Only the
-    levels searched are enumerated, each within RANK_BUDGET.
+    A code on its support pattern that `certifies_dmax` has d = dmax by the
+    paper's bound, with no global enumeration. Otherwise the search starts
+    at min(dmax, n - k + 1) and walks up or down. The result rests on two
+    facts: every (d - 1)-erasure pattern leaves rank k, and no larger d
+    holds. The second is the paper's bound d <= dmax when G respects the
+    support pattern and d = dmax; otherwise some d-erasure pattern leaves
+    rank below k, or d = n - k + 1. Only the levels searched are
+    enumerated, each within RANK_BUDGET.
 
     Returns 0 when G itself is rank deficient (some nonzero message maps
     to the zero codeword, so no distance is defined in the usual sense).
     """
     k, n = c.structure.k, c.structure.n
+    if not support_violations(c) and certifies_dmax(c):
+        return c.dmax
     if rank(c.G) < k:
         return 0
     bound = c.dmax
@@ -291,7 +369,10 @@ def verify_local_mds(c: LedcCode) -> dict[int, bool]:
     group is that distance level of its local generator: on the generator
     when k_i <= n_i - k_i, on its local parity-check matrix otherwise.
     """
-    return {g: _level(c.field, G, G.cols - G.rows + 1) for g, G in enumerate(c.local_generators, start=1)}
+    return {
+        g + 1: _local_level(c, g, tuple(range(G.rows)), G.cols - G.rows + 1)
+        for g, G in enumerate(c.local_generators)
+    }
 
 
 @dataclass(frozen=True)

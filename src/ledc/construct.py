@@ -29,6 +29,7 @@ import numpy as np
 
 from .code import (
     LedcCode,
+    certifies_dmax,
     check_distance_budget,
     distance_at_least,
     min_distance_rank,
@@ -371,18 +372,22 @@ def construct_random(
     Entries are drawn row by row in ascending (data index, position)
     order over the allowed support; everything off support stays zero.
     An attempt is accepted when every local code is MDS and the distance
-    certifies at the structure bound. Attempts are independent streams,
-    so the result is the lowest-numbered succeeding attempt regardless
-    of evaluation order. Otherwise ExhaustedAttempts carries the locally
-    MDS attempt of largest distance, or None if no attempt was locally MDS.
-    TooLarge is raised before the first attempt when the distance level's
-    C(n, dmax - 1) erasure patterns exceed the rank budget.
+    certifies at the structure bound: from its local subcodes
+    (`certifies_dmax`), or failing that by the global walk. Attempts are
+    independent streams, so the result is the lowest-numbered succeeding
+    attempt regardless of evaluation order. Otherwise ExhaustedAttempts
+    carries the locally MDS attempt of largest distance, or None if no
+    attempt was locally MDS. TooLarge is raised before the first attempt
+    when a group's local-MDS level, C(n_i, n_i - k_i) patterns, exceeds the
+    rank budget, and at the first attempt that needs the global walk when
+    its C(n, dmax - 1) erasure patterns do.
     """
     if max_attempts < 1:
         raise PreconditionViolated(f"max_attempts must be >= 1, got {max_attempts}")
     reaches = reach(s)
     bound = dmax(s)
-    check_distance_budget(s.n, bound)  # before any attempt
+    for Kg, Ng in zip(s.K, s.N):  # the local levels every attempt runs, before any attempt
+        check_distance_budget(len(Ng), len(Ng) - len(Kg) + 1)
     best_code: Optional[LedcCode] = None
     best_distance = 0
     for attempt in range(max_attempts):
@@ -404,7 +409,7 @@ def construct_random(
         )
         if not all(verify_local_mds(code).values()):
             continue
-        if distance_at_least(code, bound):
+        if certifies_dmax(code) or distance_at_least(code, bound):
             return code
         try:
             achieved = min_distance_rank(code)

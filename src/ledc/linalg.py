@@ -77,8 +77,11 @@ def make_matrix(f: PrimeField, rows: Sequence[Sequence[int]]) -> MatrixGF:
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise DimensionMismatch("ragged rows")
-    entries = np.array([[v % f.q for v in r] for r in rows], dtype=np.int64)
-    return MatrixGF(f, entries.reshape(len(rows), ncols))
+    try:
+        entries = np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % f.q
+    except OverflowError:  # entries past int64 are reduced one at a time
+        entries = np.array([[v % f.q for v in r] for r in rows], dtype=np.int64).reshape(len(rows), ncols)
+    return MatrixGF(f, entries)
 
 
 # ---------- elimination ----------

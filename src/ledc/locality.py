@@ -139,27 +139,49 @@ def reach(s: LocalityStructure) -> tuple[frozenset[int], ...]:
 # ---------- the distance bound ----------
 
 
+def group_masks(s: LocalityStructure) -> list[int]:
+    """Per data symbol (index 0 = symbol 1), the bitmask of the groups holding it (bit 0 = group 1)."""
+    sig = [0] * s.k
+    for g, Kg in enumerate(s.K):
+        for i in Kg:
+            sig[i - 1] |= 1 << g
+    return sig
+
+
 def dmax_witness(s: LocalityStructure) -> DmaxWitness:
     """The bound plus the lowest-numbered minimizing group subset and its data."""
     if s.m > MAX_GROUPS:
         raise TooManyGroups(f"{s.m} groups exceed the cap of {MAX_GROUPS}")
-    sig = [0] * s.k  # bitmask of the groups holding each data symbol
-    for g, Kg in enumerate(s.K):
-        for i in Kg:
-            sig[i - 1] |= 1 << g
-    # Zeta transform, one butterfly pass per group: cnt[T] = |I_T|, tot[T] = owned positions.
-    cnt = np.bincount(sig, minlength=1 << s.m).astype(np.int32)
-    tot = np.zeros(1 << s.m, dtype=np.int32)
-    for g, size in enumerate(s.n_sizes()):
+    sig = group_masks(s)
+    # Zeta transform, one butterfly pass per group: cnt[T] = |I_T|. A pass over
+    # bit g adds runs of 2^g entries, so the low half of the bits is summed on
+    # a transposed copy, where they are the high ones and every run is long;
+    # T = h 2^low + l sits at [l, h] there, and the rest stays in that layout.
+    m, low = s.m, s.m // 2
+    cnt = np.bincount(sig, minlength=1 << m)
+    for g in range(low, m):
         pairs = cnt.reshape(-1, 2, 1 << g)
         pairs[:, 1] += pairs[:, 0]
-        tot.reshape(-1, 2, 1 << g)[:, 1] += size
-    tot -= cnt
-    tot[cnt == 0] = s.n  # above every T with cnt > 0, whose value is at most n - 1
-    T = int(tot.argmin())  # the first minimum, so the lowest T wins ties
+    cnt = np.ascontiguousarray(cnt.reshape(-1, 1 << low).T, dtype=np.int32)
+    for g in range(low):
+        pairs = cnt.reshape(-1, 2, 1 << (g + m - low))
+        pairs[:, 1] += pairs[:, 0]
+    sizes = s.n_sizes()
+    value = _owned(sizes[:low])[:, None] + _owned(sizes[low:]) - cnt
+    value[cnt == 0] = s.n  # above every T with cnt > 0, whose value is at most n - 1
+    least = value.min()
+    T = int((value == least).T.argmax())  # the first minimum in T's order, so the lowest T wins ties
     blocks = tuple(g + 1 for g in range(s.m) if T >> g & 1)
     data = tuple(i + 1 for i in range(s.k) if sig[i] & ~T == 0)
-    return DmaxWitness(1 + int(tot[T]), blocks, data)
+    return DmaxWitness(1 + int(least), blocks, data)
+
+
+def _owned(sizes: Sequence[int]) -> np.ndarray:
+    """Positions owned by each subset T of blocks with these sizes, doubled in place a block at a time."""
+    tot = np.zeros(1 << len(sizes), dtype=np.int32)
+    for g, size in enumerate(sizes):
+        np.add(tot[: 1 << g], size, out=tot[1 << g : 2 << g])
+    return tot
 
 
 def dmax(s: LocalityStructure) -> int:

@@ -96,6 +96,35 @@ def min_weight_bruteforce(q, rows):
     return best
 
 
+def local_subcode_bound(q, K, N, rows):
+    """min over group sets A of the sum, over g in A, of the distance of G[K_g & I_A, N_g].
+
+    I_A holds the data symbols all of whose groups are in A; a set A in
+    which some group keeps no symbol of I_A is skipped. Every nonempty A is
+    visited and every subcode distance is found by enumeration, 0 when its
+    rows are dependent. K and N are lists of 1-based index lists, rows the
+    k x n generator.
+    """
+    m = len(K)
+    k = max(max(Kg) for Kg in K)
+    distance = {}  # (group, its rows) -> subcode distance
+    best = None
+    for A in range(1, 1 << m):
+        inside = {i for i in range(1, k + 1) if all(A >> g & 1 for g in range(m) if i in K[g])}
+        chosen = [g for g in range(m) if A >> g & 1]
+        if any(not inside & set(K[g]) for g in chosen):
+            continue
+        total = 0
+        for g in chosen:
+            key = (g, tuple(sorted(inside & set(K[g]))))
+            if key not in distance:
+                distance[key] = min_weight_bruteforce(q, [[rows[i - 1][j - 1] for j in N[g]] for i in key[1]])
+            total += distance[key]
+        if best is None or total < best:
+            best = total
+    return best
+
+
 def rref(q, rows):
     """Reduced row-echelon form of a list of rows over GF(q), q prime.
 

@@ -308,6 +308,25 @@ def test_verify_rejects_out_of_field_entries(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({(0, 0): -1}, "matrix entry -1 outside [0, 7)"),
+        ({(0, 3): 10**30}, f"matrix entry {10**30} outside [0, 7)"),
+        ({(1, 0): 9, (0, 7): -3}, "matrix entry -3 outside [0, 7)"),  # the first in row order
+        ({(1, 2): True, (0, 1): 8}, "expected an integer, got True"),  # types before the range
+        ({(2, 4): 2.0}, "expected an integer, got 2.0"),
+    ],
+    ids=["negative", "past-int64", "row-order", "bool-before-range", "float"],
+)
+def test_code_file_entries_checked_types_then_range(tmp_path, capsys, edit, message):
+    payload = load_json("suboptimal_code.json")
+    for (i, j), v in edit.items():
+        payload["G"][i][j] = v
+    assert run(["verify", write_json(tmp_path, "bad.json", payload)]) == 2
+    assert capsys.readouterr().err == f"error=ValueError: {message}\n"
+
+
 def test_verify_past_budget_exits_3(tmp_path, capsys):
     # 101^5 > 10^7 picks the rank path, whose erasure patterns of n=30 exceed its
     # budget; forced exhaustive enumeration exceeds its q^k <= 10^9 budget too
@@ -332,6 +351,40 @@ def test_verify_past_group_cap_exits_2(tmp_path):
         "claimed_distance": 1,
     })
     assert_clean_exit(run_cli("verify", many), 2, "TooManyGroups")
+
+
+@pytest.mark.parametrize(
+    "groups, q, method, distance",
+    [
+        ([(range(1, 16), 20), (range(14, 29), 20)], 43, "cyclic", 8),
+        ([(range(1, 8), 11), (range(6, 13), 11), (range(11, 17), 11)], 65537, "random", 7),
+    ],
+    ids=["cyclic-40-28-gf43", "random-3-groups-gf65537"],
+)
+def test_construct_then_verify_certified_by_local_subcodes(tmp_path, capsys, groups, q, method, distance):
+    """The [40,28] code's C(40,7) erasure patterns are past the walk's budget; its local subcodes prove d = dmax."""
+    s = write_json(tmp_path, "s.json", {"q": q, "groups": [{"K": list(K), "n": n} for K, n in groups]})
+    out = str(tmp_path / "code.json")
+    assert run(["construct", s, "--method", method, "--out", out]) == 0
+    assert f"claimed_distance={distance}" in capsys.readouterr().out
+    assert run(["verify", out]) == 0
+    printed = capsys.readouterr().out
+    assert f"distance={distance}\nclaimed={distance}\ndmax={distance}\noptimal=true\n" in printed
+
+
+def test_declared_sizes_past_the_cap_exit_2_fast(tmp_path, capsys):
+    """Sizes are checked before any position is listed, so a declared n of 10^9 costs nothing."""
+    huge = write_json(tmp_path, "huge.json", {"q": 13, "groups": [{"K": [1], "n": 10**9}]})
+    start = time.perf_counter()
+    assert run(["bound", huge]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error=ValueError: groups declare 1000000000 positions, past the cap of 100000\n"
+    split = write_json(tmp_path, "split.json", {"q": 13, "groups": [{"K": [1], "n": 60000}, {"K": [1], "n": 40001}]})
+    assert run(["bound", split]) == 2
+    assert "groups declare 100001 positions" in capsys.readouterr().err
+    at_cap = write_json(tmp_path, "cap.json", {"q": 13, "groups": [{"K": [1], "n": 10**5}]})
+    assert run(["bound", at_cap]) == 0
+    assert capsys.readouterr().out == "dmax=100000\nblocks=1\ndata=1\n"
 
 
 # ---------- encode / decode ----------

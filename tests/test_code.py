@@ -1,17 +1,19 @@
 import random
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import det, min_weight_bruteforce, oracle_solve
+from oracles import det, local_subcode_bound, min_weight_bruteforce, oracle_solve
 
 import ledc.code as code_module
 from ledc.code import (
     ERASED,
     LedcCode,
+    certifies_dmax,
     distance_at_least,
     encode,
     erasure_decode,
@@ -381,6 +383,100 @@ def test_local_mds_is_every_minor_invertible(c):
         rows = c.local_generators[g - 1].to_rows()
         minors = combinations(range(len(rows[0])), len(rows))
         assert mds == all(det(c.field.q, [[row[j] for j in cols] for row in rows]) for cols in minors)
+
+
+@st.composite
+def subcode_codes(draw):
+    """Codes on their support pattern over GF(5..13): m = 2..4 groups, k <= 5, k_i <= 3, n <= 14.
+
+    Symbols sit in one or two groups. G is uniform, or nonzero on the whole
+    support, or has a group where one row's block repeats a multiple of
+    another's, so that the group's subcodes holding both are rank deficient.
+    """
+    q = draw(st.sampled_from((5, 7, 11, 13)))
+    m = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 5))
+    K = [set() for _ in range(m)]
+    for i in range(1, k + 1):
+        for g in draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=2)):
+            K[g].add(i)
+    for g in range(m):
+        if not K[g]:
+            K[g].add(draw(st.integers(1, k)))
+    assume(max(map(len, K)) <= 3)
+    sizes = [len(Kg) + draw(st.integers(0, 3)) for Kg in K]
+    assume(sum(sizes) <= 14)
+    s = make_structure(K, blocks_for_sizes(sizes))
+    kind = draw(st.sampled_from(("uniform", "nonzero", "dependent")))
+    value = st.integers(1 if kind == "nonzero" else 0, q - 1)
+    rows = [[draw(value) if j in allowed else 0 for j in range(1, s.n + 1)] for allowed in reach(s)]
+    wide = [g for g in range(m) if len(s.K[g]) >= 2]
+    if kind == "dependent" and wide:
+        g = draw(st.sampled_from(wide))
+        a, b = draw(st.permutations(s.K[g]))[:2]
+        scale = draw(st.integers(0, q - 1))
+        for j in s.N[g]:
+            rows[b - 1][j - 1] = scale * rows[a - 1][j - 1] % q
+    return LedcCode(s, make_field(q), make_matrix(make_field(q), rows))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(subcode_codes())
+def test_local_certificate_against_oracles(c):
+    """The local subcode bound LB never exceeds d; the certificate holds exactly when LB >= dmax, and then the walk finds dmax."""
+    s = c.structure
+    lb = local_subcode_bound(c.field.q, s.K, s.N, c.G.to_rows())
+    d = min_distance_exhaustive(c)
+    assert lb <= d
+    assert certifies_dmax(c) == (lb >= c.dmax)
+    event("certified" if lb >= c.dmax else "LB = 0" if lb == 0 else "LB below dmax")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_module, "certifies_dmax", lambda c: False)
+        walked = min_distance_rank(LedcCode(s, c.field, c.G))
+    assert min_distance_rank(c) == walked == d
+    if lb >= c.dmax:
+        assert walked == c.dmax
+
+
+def chain_code():
+    """20 groups in a chain, each with 3 symbols of its own and the next group's first: n = 119, dmax = 4."""
+    K = [range(3 * g + 1, min(3 * g + 5, 61)) for g in range(20)]
+    s = make_structure(K, blocks_for_sizes([len(Kg) + 2 for Kg in K]))
+    rng = random.Random(2020)
+    f = make_field(65537)
+    rows = [[rng.randrange(1, f.q) if j in allowed else 0 for j in range(1, s.n + 1)] for allowed in reach(s)]
+    return LedcCode(s, f, make_matrix(f, rows))
+
+
+def test_certificate_at_20_groups_no_slower_than_the_walk(monkeypatch):
+    """Only the connected group sets whose local distances sum below dmax are searched: 20 here, not 2^20."""
+    c = chain_code()
+    assert c.dmax == 4 and c.structure.n == 119
+    fresh = LedcCode(c.structure, c.field, c.G)
+    start = time.perf_counter()
+    certified = verify_ledc(fresh, "rank")
+    certify_s = time.perf_counter() - start
+    monkeypatch.setattr(code_module, "certifies_dmax", lambda c: False)
+    start = time.perf_counter()
+    walked = verify_ledc(c, "rank")
+    walk_s = time.perf_counter() - start
+    assert certified == walked and walked.all_ok and walked.distance == 4
+    assert certify_s <= walk_s
+
+
+def test_local_levels_are_checked_once_per_code(monkeypatch):
+    """verify_local_mds and the certificate share one cache: each (group, rows, d0) level is swept once."""
+    swept = []
+    level = code_module._level
+    monkeypatch.setattr(code_module, "_level", lambda f, G, d0: swept.append((G.rows, G.cols, d0)) or level(f, G, d0))
+    s = make_structure([[1, 2, 3], [3, 4, 5]], blocks_for_sizes([6, 6]))
+    c = construct_nested(s, make_field(13))
+    report = verify_ledc(c, "rank")
+    assert report.all_ok and report.distance == report.dmax == 5
+    # local MDS at 4 per group, then each private subcode (2 rows) at 5; no global level
+    assert swept == [(3, 6, 4), (3, 6, 4), (2, 6, 5), (2, 6, 5)]
+    swept.clear()
+    assert min_distance_rank(c) == 5 and swept == []
 
 
 def test_distance_level_side_follows_the_shape_rule(cyclic_codefile, monkeypatch):

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+from conftest import cap_structure
+
 import ledc.code as code_module
 import ledc.construct as construct_module
 from ledc.code import (
@@ -323,15 +325,54 @@ def test_random_best_code_is_locally_mds():
     assert all(verify_local_mds(err.best_code).values())
 
 
-def test_random_budgets_distance_level_before_sampling(monkeypatch):
-    # Each local code has C(20,10) minors, within the budget; the distance
-    # level dmax = 11 needs C(40,10) erasure patterns, past it.
-    s = make_structure([range(1, 11), range(11, 21)], blocks_for_sizes([20, 20]))
+def test_random_budgets_local_levels_before_sampling(monkeypatch):
+    # Group 1's local-MDS level needs C(30,15) minors, past the budget; every
+    # attempt would run it, so nothing is sampled.
+    s = make_structure([range(1, 16), range(16, 21)], blocks_for_sizes([30, 8]))
     for kernel in ("full_rank_subsets", "nullspace"):
         monkeypatch.setattr(code_module, kernel, lambda *args: pytest.fail("eliminated past the budget"))
     monkeypatch.setattr(construct_module, "_attempt_stream", lambda *args: pytest.fail("sampled an attempt"))
-    with pytest.raises(TooLarge, match=r"C\(40,10\) erasure patterns"):
+    with pytest.raises(TooLarge, match=r"C\(30,15\) erasure patterns"):
         construct_random(s, make_field(65537), seed=0, max_attempts=20)
+
+
+def test_random_budgets_the_walk_when_the_certificate_fails(monkeypatch):
+    # Every symbol of cap_structure sits in two groups, so some group set's
+    # local subcodes sum below dmax = 6: the first locally MDS attempt needs
+    # the global walk, whose C(95,5) erasure patterns are past the budget.
+    s = cap_structure()
+    attempts = []
+    certify = construct_module.certifies_dmax
+    monkeypatch.setattr(construct_module, "certifies_dmax", lambda c: attempts.append(c) or certify(c))
+    with pytest.raises(TooLarge, match=r"C\(95,5\) erasure patterns"):
+        construct_random(s, make_field(65537), seed=0, max_attempts=20)
+    assert len(attempts) == 1 and not certify(attempts[0])
+
+
+def test_random_certificate_keeps_the_accepted_attempt(monkeypatch):
+    """The attempt a certificate accepts is the one the global walk accepts, with the same G."""
+    f257 = make_field(257)
+    cases = [
+        (make_structure([range(1, 7), range(4, 11)], blocks_for_sizes([9, 10])), f257),
+        (make_structure([[1, 2, 3], [3, 4, 5], [5, 6, 1]], blocks_for_sizes([5, 5, 5])), make_field(31)),
+        (make_structure([[1, 2, 3, 4], [2, 3, 4, 5, 6, 7]], blocks_for_sizes([5, 7])), make_field(13)),
+    ]
+    def outcome(s, f, seed):
+        try:
+            code = construct_random(s, f, seed=seed, max_attempts=10)
+        except ExhaustedAttempts as exc:
+            return str(exc), exc.best_distance
+        return code.meta, code.G.to_rows()
+
+    certified = []
+    certify = construct_module.certifies_dmax
+    for s, f in cases:
+        for seed in range(8):
+            monkeypatch.setattr(construct_module, "certifies_dmax", lambda c: certified.append(certify(c)) or certified[-1])
+            built = outcome(s, f, seed)
+            monkeypatch.setattr(construct_module, "certifies_dmax", lambda c: False)
+            assert built == outcome(s, f, seed)
+    assert 0 < certified.count(True) < len(certified)
 
 
 def test_random_rejects_zero_attempts(unequal_r):
