@@ -215,22 +215,17 @@ def cmd_construct(args: argparse.Namespace) -> int:
     s, f = structure_from_dict(_load_json(args.structure_file))
     if args.q is not None:
         f = make_field(args.q)
-    omega = None
-    seed = None
     if args.method == "nested":
         code = construct_nested(s, f)
     elif args.method == "cyclic":
-        code, ingredients = construct_cyclic(s, f, args.omega)
-        if ingredients is not None:
-            omega = ingredients.omega
+        code, _ = construct_cyclic(s, f, args.omega)
     else:
-        seed = args.seed if args.seed is not None else 0
-        code = construct_random(s, f, seed, args.max_attempts)
+        code = construct_random(s, f, args.seed, args.max_attempts)
     cf = CodeFile(
         code=code,
         method=args.method,
-        omega=omega,
-        seed=seed,
+        omega=code.meta.get("omega"),
+        seed=code.meta.get("seed"),
         claimed_distance=code.meta["claimed_distance"],
     )
     payload = json.dumps(code_to_dict(cf), indent=2)
@@ -254,12 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"claimed={cf.claimed_distance}")
     print(f"dmax={report.dmax}")
     print(f"optimal={'true' if report.optimal else 'false'}")
-    passed = (
-        report.support_ok
-        and report.local_mds_ok
-        and report.distance == cf.claimed_distance
-        and report.optimal
-    )
+    passed = report.all_ok and report.distance == cf.claimed_distance
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -351,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=["nested", "cyclic", "random"])
     p.add_argument("--q", type=int, default=None, help="override the field order")
     p.add_argument("--omega", type=int, default=None, help="primitive element (cyclic)")
-    p.add_argument("--seed", type=int, default=None, help="random stream seed")
+    p.add_argument("--seed", type=int, default=0, help="random stream seed")
     p.add_argument("--max-attempts", type=int, default=20)
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.set_defaults(func=cmd_construct)

@@ -2,10 +2,11 @@
 
 Three methods are provided.
 
-* construct_nested: two groups, each built from a prefix of a Vandermonde
-  matrix so that the private rows generate a smaller MDS code nested
-  inside the full local code. Reaches the distance bound whenever the
-  shared-symbol count t is at most the larger group redundancy plus one.
+* construct_nested: two groups, one Vandermonde block per group with the
+  group's private data rows first, so that the private rows generate a
+  smaller MDS code nested inside the full local code. Reaches the
+  distance bound whenever the shared-symbol count t is at most the larger
+  group redundancy plus one.
 
 * construct_cyclic: two groups with equal redundancy r. Rows are
   coefficient vectors of polynomials that are all divisible by
@@ -52,39 +53,23 @@ from .poly import (
     linear_factor_product,
     make_poly,
     poly_add,
-    poly_divides,
     poly_eval,
     poly_mul,
     poly_shift,
 )
 
-# ---------- shared two-group plumbing ----------
-
-
-def _scatter(f: PrimeField, s: LocalityStructure, canonical: np.ndarray, first: int, second: int) -> MatrixGF:
-    """Place a residue array in canonical order into the structure's indexing.
-
-    Its rows are the data symbols of the group `first` only, then the shared
-    ones, then those of `second` only; its columns are `first`'s block, then
-    `second`'s.
-    """
-    Kf, Ks = set(s.K[first]), set(s.K[second])
-    data_order = sorted(Kf - Ks) + sorted(Kf & Ks) + sorted(Ks - Kf)
-    G = np.zeros((s.k, s.n), dtype=np.int64)
-    G[np.ix_([i - 1 for i in data_order], [j - 1 for j in s.N[first] + s.N[second]])] = canonical
-    return MatrixGF(f, G)
-
-
 # ---------- nested Vandermonde construction ----------
 
 
 def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
-    """Two nested Vandermonde pairs assembled as [[U,0],[A,B],[0,V]].
+    """One Vandermonde block per group: G[K_g, N_g] = vandermonde(1..n_g, k_g).
 
-    Groups are ordered internally so the first has the smaller
-    redundancy; the swap is reported in the returned code's meta. The
-    resulting distance is exactly min(r1, r2) + t + 1, which equals the
-    structure bound under the stated preconditions.
+    The rows of K_g are its private data symbols first, then the shared
+    ones, each in index order, so the private rows generate a smaller MDS
+    code nested inside the group's local code. meta reports whether the
+    first group has the larger redundancy ("swapped"). The resulting
+    distance is exactly min(r1, r2) + t + 1, which equals the structure
+    bound under the stated preconditions.
     """
     n1, k1, n2, k2, t = two_group_params(s)
     if f.q < max(n1, n2):
@@ -97,28 +82,23 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
             f"nested pairs need a private data symbol in each group "
             f"(t < min(k1, k2)); got t={t}, k1={k1}, k2={k2}"
         )
-    swapped = (n1 - k1) > (n2 - k2)
-    first, second = (1, 0) if swapped else (0, 1)
-    nf, kf = len(s.N[first]), len(s.K[first])
-    ns, ks = len(s.N[second]), len(s.K[second])
-    if t > ns - ks + 1:
+    r1, r2 = n1 - k1, n2 - k2
+    if t > max(r1, r2) + 1:
         raise PreconditionViolated(
             f"construction requires n2 - k2 + 1 >= t once groups are ordered "
-            f"by redundancy; got t={t} > {ns - ks + 1}"
+            f"by redundancy; got t={t} > {max(r1, r2) + 1}"
         )
-    Wf = vandermonde(f, range(1, nf + 1), kf).entries
-    Ws = vandermonde(f, range(1, ns + 1), ks).entries
-    # [[U, 0], [A, B], [0, V]] with U = Wf[:kf-t], A = Wf[kf-t:], V = Ws[:ks-t], B = Ws[ks-t:]
-    canonical = np.zeros((kf + ks - t, nf + ns), dtype=np.int64)
-    canonical[:kf, :nf] = Wf
-    canonical[kf - t :, nf:] = np.vstack([Ws[ks - t :], Ws[: ks - t]])
-    G = _scatter(f, s, canonical, first, second)
+    G = np.zeros((s.k, s.n), dtype=np.int64)
+    for Kg, Ng, other in zip(s.K, s.N, (set(s.K[1]), set(s.K[0]))):
+        rows = sorted(Kg, key=lambda i: i in other)  # private first; the sort is stable
+        block = vandermonde(f, range(1, len(Ng) + 1), len(Kg)).entries
+        G[np.ix_([i - 1 for i in rows], [j - 1 for j in Ng])] = block
     meta = {
         "method": "nested",
-        "swapped": swapped,
-        "claimed_distance": min(n1 - k1, n2 - k2) + t + 1,
+        "swapped": r1 > r2,
+        "claimed_distance": min(r1, r2) + t + 1,
     }
-    return LedcCode(s, f, G, meta)
+    return LedcCode(s, f, MatrixGF(f, G), meta)
 
 
 # ---------- cyclic polynomial construction ----------
@@ -134,14 +114,11 @@ class CyclicIngredients:
 
     omega: Felt
     r: int
-    t: int
     u: PolyGF
     v: PolyGF
     g1: PolyGF
     g2: PolyGF
     T: tuple[int, ...]
-    a_star: tuple[PolyGF, ...]
-    b_star: tuple[PolyGF, ...]
     a: tuple[PolyGF, ...]
     b: tuple[PolyGF, ...]
     c: tuple[PolyGF, ...]
@@ -222,7 +199,7 @@ def construct_cyclic(
     u = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r + t)])
     v = u
     g2 = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r)])
-    T_list, a_stars, b_stars, a_list, b_list, c_list = [], [], [], [], [], []
+    T_list, a_list, b_list, c_list = [], [], [], []
     for ell in range(1, t + 1):
         T = (n1 + k2 - ell) - (k1 - t + ell - 1)
         a_star, b_star = lemma3_solve(f, omega, ell, t, r, T)
@@ -230,8 +207,6 @@ def construct_cyclic(
         b = poly_mul(g2, b_star)
         c = poly_add(poly_shift(a, k1 - t + ell - 1), poly_shift(b, n1 + k2 - ell))
         T_list.append(T)
-        a_stars.append(a_star)
-        b_stars.append(b_star)
         a_list.append(a)
         b_list.append(b)
         c_list.append(c)
@@ -243,24 +218,24 @@ def construct_cyclic(
         rows.append(coeffs_to_row(c_poly, 0, n))
     for j in range(k2 - t):
         rows.append(coeffs_to_row(v, n1 + j, n))
-    G = _scatter(f, s, np.array(rows, dtype=np.int64), 0, 1)
+    K1, K2 = set(s.K[0]), set(s.K[1])
+    data_order = sorted(K1 - K2) + sorted(K1 & K2) + sorted(K2 - K1)
+    G = np.zeros((s.k, s.n), dtype=np.int64)
+    G[np.ix_([i - 1 for i in data_order], [j - 1 for j in s.N[0] + s.N[1]])] = rows
     meta = {"method": "cyclic", "omega": omega, "claimed_distance": r + t + 1}
     ingredients = CyclicIngredients(
         omega=omega,
         r=r,
-        t=t,
         u=u,
         v=v,
         g1=u,
         g2=g2,
         T=tuple(T_list),
-        a_star=tuple(a_stars),
-        b_star=tuple(b_stars),
         a=tuple(a_list),
         b=tuple(b_list),
         c=tuple(c_list),
     )
-    return LedcCode(s, f, G, meta), ingredients
+    return LedcCode(s, f, MatrixGF(f, G), meta), ingredients
 
 
 @dataclass(frozen=True)
@@ -269,8 +244,6 @@ class CyclicConditionReport:
     uv_roots: bool
     ab_roots: bool
     c_roots: bool
-    global_rows_divisible: bool
-    local_rows_divisible: bool
 
     @property
     def all_ok(self) -> bool:
@@ -280,50 +253,22 @@ class CyclicConditionReport:
 def verify_cyclic_conditions(
     ing: CyclicIngredients, s: LocalityStructure, f: PrimeField
 ) -> CyclicConditionReport:
-    """Re-check every root and divisibility condition behind the design.
+    """Re-check every root condition behind the design.
 
-    The global row polynomials must vanish at w^0..w^(r+t-1) (so g1
-    divides them, giving distance at least r+t+1), and the two local
-    projections must vanish at w^0..w^(r-1) (so g2 divides them, keeping
-    each local code MDS).
+    The global row polynomials must vanish at w^0..w^(r+t-1), giving
+    distance at least r+t+1, and the two local projections at
+    w^0..w^(r-1), keeping each local code MDS. w is primitive and
+    r + t <= n1 < q - 1, so these roots are distinct and nonzero: vanishing
+    at them is exactly divisibility of every shifted row by g1 and g2.
     """
-    n1, k1, n2, k2, t = two_group_params(s)
-    r, omega = ing.r, ing.omega
-    roots_rt = [pow(omega, j, f.q) for j in range(r + t)]
-    roots_r = [pow(omega, j, f.q) for j in range(r)]
-
-    nonzero_constants = (
-        ing.u.constant() != 0
-        and ing.v.constant() != 0
-        and all(p.constant() != 0 for p in ing.a)
-        and all(p.constant() != 0 for p in ing.b)
-    )
-    uv_roots = all(
-        poly_eval(ing.u, z) == 0 and poly_eval(ing.v, z) == 0 for z in roots_rt
-    )
-    ab_roots = all(
-        poly_eval(p, z) == 0 for z in roots_r for pair in zip(ing.a, ing.b) for p in pair
-    )
-    c_roots = all(poly_eval(c, z) == 0 for c in ing.c for z in roots_rt)
-
-    global_rows = (
-        [poly_shift(ing.u, i) for i in range(k1 - t)]
-        + list(ing.c)
-        + [poly_shift(ing.v, n1 + j) for j in range(k2 - t)]
-    )
-    local_rows = (
-        [poly_shift(ing.u, i) for i in range(k1 - t)]
-        + [poly_shift(a, k1 - t + ell) for ell, a in enumerate(ing.a)]
-        + [poly_shift(b, k2 - 1 - ell) for ell, b in enumerate(ing.b)]
-        + [poly_shift(ing.v, j) for j in range(k2 - t)]
-    )
+    t = two_group_params(s)[4]
+    roots_rt = [pow(ing.omega, j, f.q) for j in range(ing.r + t)]
+    roots_r = roots_rt[: ing.r]
     return CyclicConditionReport(
-        nonzero_constants=nonzero_constants,
-        uv_roots=uv_roots,
-        ab_roots=ab_roots,
-        c_roots=c_roots,
-        global_rows_divisible=all(poly_divides(ing.g1, p) for p in global_rows),
-        local_rows_divisible=all(poly_divides(ing.g2, p) for p in local_rows),
+        nonzero_constants=all(p.constant() != 0 for p in (ing.u, ing.v, *ing.a, *ing.b)),
+        uv_roots=all(poly_eval(p, z) == 0 for p in (ing.u, ing.v) for z in roots_rt),
+        ab_roots=all(poly_eval(p, z) == 0 for p in (*ing.a, *ing.b) for z in roots_r),
+        c_roots=all(poly_eval(c, z) == 0 for c in ing.c for z in roots_rt),
     )
 
 

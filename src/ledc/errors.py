@@ -43,10 +43,6 @@ class DimensionMismatch(LedcError):
 
 # ---------- poly ----------
 
-class DivisionByZeroPoly(LedcError):
-    """Polynomial division by the zero polynomial."""
-
-
 class ShiftOverflow(LedcError):
     """Shifted polynomial does not fit in the requested row width."""
 

@@ -19,19 +19,6 @@ Felt = int
 MAX_Q = 2**31 - 1
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    d = 3
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 2
-    return True
-
-
 @dataclass(frozen=True)
 class PrimeField:
     """Arithmetic context for GF(q), q prime."""
@@ -41,7 +28,7 @@ class PrimeField:
     def __post_init__(self) -> None:
         if not (2 <= self.q <= MAX_Q):
             raise NotPrime(f"field order must be in [2, 2^31-1], got {self.q}")
-        if not _is_prime(self.q):
+        if _prime_factors(self.q) != [self.q]:
             raise NotPrime(f"{self.q} is not prime")
 
 
@@ -89,11 +76,4 @@ def find_primitive(f: PrimeField) -> Felt:
     The smallest candidate is chosen so that constructed matrices are
     reproducible across runs and implementations.
     """
-    if f.q == 2:
-        return 1
-    group = f.q - 1
-    factors = _prime_factors(group)
-    for g in range(2, f.q):
-        if all(pow(g, group // p, f.q) != 1 for p in factors):
-            return g
-    raise AssertionError("no primitive element found; field order not prime?")
+    return next(g for g in range(1, f.q) if is_primitive(f, g))

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import DivisionByZeroPoly, PreconditionViolated, ShiftOverflow
-from .field import Felt, PrimeField, inv
+from .errors import PreconditionViolated, ShiftOverflow
+from .field import Felt, PrimeField
 
 NEG_INF = float("-inf")
 
@@ -85,35 +85,6 @@ def poly_eval(p: PolyGF, z: Felt) -> Felt:
     for c in reversed(p.coeffs):
         acc = (acc * z + c) % p.field.q
     return acc
-
-
-def poly_divrem(p: PolyGF, r: PolyGF) -> tuple[PolyGF, PolyGF]:
-    """Euclidean division: p = quot * r + rem with deg rem < deg r."""
-    f = p.field
-    if r.is_zero():
-        raise DivisionByZeroPoly("division by the zero polynomial")
-    if p.degree() < r.degree():
-        return PolyGF(f, ()), p
-    rem = list(p.coeffs)
-    lead_inv = inv(f, r.coeffs[-1])
-    dr = len(r.coeffs) - 1
-    quot = [0] * (len(rem) - dr)
-    for i in range(len(rem) - 1, dr - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        factor = c * lead_inv % f.q
-        quot[i - dr] = factor
-        for j, rc in enumerate(r.coeffs):
-            rem[i - dr + j] = (rem[i - dr + j] - factor * rc) % f.q
-    return make_poly(f, quot), make_poly(f, rem)
-
-
-def poly_divides(r: PolyGF, p: PolyGF) -> bool:
-    """True iff r divides p (the zero polynomial is divisible by anything)."""
-    if p.is_zero():
-        return True
-    return poly_divrem(p, r)[1].is_zero()
 
 
 def linear_factor_product(f: PrimeField, roots: Sequence[Felt]) -> PolyGF:

@@ -76,6 +76,40 @@ def dmax_two_subcodes(K, N):
     return 1 + t + min(n1 - k1, n2 - k2)
 
 
+def nested_canonical(q, K, N):
+    """The two-group nested generator, assembled in the original canonical layout.
+
+    The group of smaller redundancy (the first when they tie) is ordered
+    first. Rows run over its private data, the shared data, then the other
+    group's private data, each by index; columns over its positions, then
+    the other's. The array is [[U, 0], [A, B], [0, V]]: [U; A] is the first
+    group's k_f x n_f Vandermonde matrix on the points 1..n_f, B the last t
+    rows of the second's and V its first k_s - t rows. Returns (rows, swapped),
+    or None when q < max(n1, n2), t >= min(k1, k2) or t exceeds the larger
+    redundancy plus one.
+    """
+    sets = [set(Kg) for Kg in K]
+    k = max(sets[0] | sets[1])
+    t = len(sets[0] & sets[1])
+    swapped = len(N[0]) - len(K[0]) > len(N[1]) - len(K[1])
+    first, second = (1, 0) if swapped else (0, 1)
+    nf, kf, ns, ks = len(N[first]), len(K[first]), len(N[second]), len(K[second])
+    if q < max(nf, ns) or t >= min(kf, ks) or t > ns - ks + 1:
+        return None
+    Wf = [[pow(p, i, q) for p in range(1, nf + 1)] for i in range(kf)]
+    Ws = [[pow(p, i, q) for p in range(1, ns + 1)] for i in range(ks)]
+    canonical = [row + [0] * ns for row in Wf[: kf - t]]
+    canonical += [Wf[kf - t + ell] + Ws[ks - t + ell] for ell in range(t)]
+    canonical += [[0] * nf + row for row in Ws[: ks - t]]
+    data_order = sorted(sets[first] - sets[second]) + sorted(sets[0] & sets[1]) + sorted(sets[second] - sets[first])
+    columns = sorted(N[first]) + sorted(N[second])
+    rows = [[0] * (nf + ns) for _ in range(k)]
+    for row, i in zip(canonical, data_order):
+        for value, j in zip(row, columns):
+            rows[i - 1][j - 1] = value
+    return rows, swapped
+
+
 def min_weight_bruteforce(q, rows):
     """Minimum codeword weight by enumerating every nonzero message."""
     k = len(rows)

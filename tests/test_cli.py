@@ -222,6 +222,21 @@ def test_construct_cyclic_matches_fixture(tmp_path, capsys):
     assert written["G"] == load_json("cyclic_code.json")["G"]
 
 
+def test_construct_cyclic_records_omega_from_the_code(tmp_path, capsys):
+    """No shared symbols: cyclic writes the nested G and no omega; a chosen omega is written."""
+    s = write_json(tmp_path, "t0.json", {"q": 13, "groups": [{"K": [1, 2], "n": 4}, {"K": [3, 4, 5], "n": 5}]})
+    assert run(["construct", s, "--method", "cyclic"]) == 0
+    written = json.loads(capsys.readouterr().out)
+    assert written["method"] == "cyclic"
+    assert "omega" not in written and "seed" not in written
+    assert run(["construct", s, "--method", "nested"]) == 0
+    assert written["G"] == json.loads(capsys.readouterr().out)["G"]
+    assert run(["construct", EQUAL_R, "--method", "cyclic", "--omega", "6"]) == 0
+    written = json.loads(capsys.readouterr().out)
+    assert written["omega"] == 6
+    assert "seed" not in written
+
+
 def test_construct_precondition_exit(tmp_path, capsys):
     s = write_json(
         tmp_path,

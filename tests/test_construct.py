@@ -3,8 +3,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cap_structure
+from oracles import nested_canonical
 
 import ledc.code as code_module
 import ledc.construct as construct_module
@@ -123,6 +126,42 @@ def test_nested_disjoint_groups_block_diagonal():
     assert all(row[3:] == [0, 0, 0] for row in top)
 
 
+@st.composite
+def relabelled_two_group(draw):
+    """A two-group structure with its data and positions relabelled, and a prime q.
+
+    The group order is drawn too, so either group may have the larger
+    redundancy; sizes run past every precondition of the nested method.
+    """
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k1, k2 = draw(st.integers(1, n1)), draw(st.integers(1, n2))
+    t = draw(st.integers(0, min(k1, k2)))
+    data = draw(st.permutations(range(1, k1 + k2 - t + 1)))
+    positions = draw(st.permutations(range(1, n1 + n2 + 1)))
+    K = [data[:k1], data[k1 - t : k1 - t + k2]]
+    N = [positions[:n1], positions[n1:]]
+    if draw(st.booleans()):
+        K, N = K[::-1], N[::-1]
+    return K, N, draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(relabelled_two_group())
+def test_nested_matches_canonical_layout(case):
+    """One Vandermonde block per group gives the canonical [[U,0],[A,B],[0,V]] array, placed."""
+    K, N, q = case
+    s, f = make_structure(K, N), make_field(q)
+    expected = nested_canonical(q, K, N)
+    if expected is None:
+        with pytest.raises((FieldTooSmall, PreconditionViolated)):
+            construct_nested(s, f)
+        return
+    rows, swapped = expected
+    code = construct_nested(s, f)
+    assert code.G.to_rows() == rows
+    assert code.meta["swapped"] is swapped
+
+
 # ---------- shared-row solver ----------
 
 
@@ -224,6 +263,40 @@ def test_cyclic_conditions_catch_corruption(equal_r):
     report = verify_cyclic_conditions(broken, s, f)
     assert not report.nonzero_constants
     assert not report.all_ok
+
+
+@pytest.mark.parametrize(
+    "q,n1,k1,n2,k2,t",
+    [(13, 5, 4, 7, 6, 3), (13, 3, 1, 4, 2, 1), (17, 6, 3, 6, 3, 2), (19, 4, 2, 5, 3, 2), (19, 7, 5, 4, 2, 2)],
+)
+def test_cyclic_conditions_catch_every_bumped_coefficient(q, n1, k1, n2, k2, t):
+    """Changing any one coefficient of u, v, a_l, b_l or c_l breaks a root condition.
+
+    Adding d x^i moves the value at a nonzero root by d z^i != 0. The shapes
+    have r >= 1, so a_l and b_l have roots to check.
+    """
+    f = make_field(q)
+    K = [list(range(1, k1 + 1)), list(range(k1 - t + 1, k1 - t + k2 + 1))]
+    s = make_structure(K, blocks_for_sizes([n1, n2]))
+    _, ing = construct_cyclic(s, f)
+    assert verify_cyclic_conditions(ing, s, f).all_ok
+    variants = [("u", None, ing.u), ("v", None, ing.v)]
+    variants += [(name, ell, p) for name in ("a", "b", "c") for ell, p in enumerate(getattr(ing, name))]
+    checked = 0
+    for name, ell, p in variants:
+        for i in range(len(p.coeffs)):
+            coeffs = list(p.coeffs)
+            coeffs[i] += 1
+            bumped = make_poly(f, coeffs)
+            if ell is None:
+                broken = dataclasses.replace(ing, **{name: bumped})
+            else:
+                polys = list(getattr(ing, name))
+                polys[ell] = bumped
+                broken = dataclasses.replace(ing, **{name: tuple(polys)})
+            assert not verify_cyclic_conditions(broken, s, f).all_ok, (name, ell, i)
+            checked += 1
+    assert checked >= 2 + 3 * t
 
 
 def test_cyclic_alternative_generator(equal_r):

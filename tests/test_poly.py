@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ledc.errors import DivisionByZeroPoly, PreconditionViolated, ShiftOverflow
+from ledc.errors import PreconditionViolated, ShiftOverflow
 from ledc.field import make_field
 from ledc.poly import (
     NEG_INF,
@@ -11,8 +11,6 @@ from ledc.poly import (
     linear_factor_product,
     make_poly,
     poly_add,
-    poly_divides,
-    poly_divrem,
     poly_eval,
     poly_mul,
     poly_shift,
@@ -80,36 +78,6 @@ def test_u_vanishes_at_first_four_powers():
     for j in range(4):
         assert poly_eval(u, pow(2, j, 13)) == 0
     assert poly_eval(u, pow(2, 4, 13)) != 0
-
-
-def test_divrem_round_trip():
-    rng = random.Random(3403)
-    for _ in range(60):
-        p = random_poly(F7, 8, rng)
-        r = random_poly(F7, 4, rng, nonzero=True)
-        quot, rem = poly_divrem(p, r)
-        assert poly_add(poly_mul(quot, r), rem) == p
-        assert rem.is_zero() or rem.degree() < r.degree()
-
-
-def test_divrem_exact_division():
-    g = make_poly(F13, [12, 1])
-    h = make_poly(F13, [3, 0, 5, 1])
-    quot, rem = poly_divrem(poly_mul(g, h), g)
-    assert quot == h
-    assert rem.is_zero()
-
-
-def test_divrem_by_zero_rejected():
-    with pytest.raises(DivisionByZeroPoly):
-        poly_divrem(make_poly(F7, [1]), make_poly(F7, []))
-
-
-def test_poly_divides():
-    g = make_poly(F7, [6, 1])
-    assert poly_divides(g, poly_mul(g, make_poly(F7, [2, 3])))
-    assert not poly_divides(g, make_poly(F7, [1, 1]))
-    assert poly_divides(g, make_poly(F7, []))
 
 
 def test_linear_factor_product_golden():

@@ -62,3 +62,16 @@ def test_every_function_is_used():
         and users[node.name] == (node.name in found)
     ]
     assert unused == []
+
+
+def test_every_error_type_is_raised():
+    """Each exception class in errors.py, the base class aside, is raised somewhere in src/ledc."""
+    declared = {node.name for node in parse(PACKAGE / "errors.py").body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(declared - raised - {"LedcError"}) == []
