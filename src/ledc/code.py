@@ -325,25 +325,24 @@ def min_distance_rank(c: LedcCode) -> int:
 
     A code on its support pattern that `certifies_dmax` has d = dmax by the
     paper's bound, with no global enumeration. Otherwise the search starts
-    at min(dmax, n - k + 1) and walks up or down. The result rests on two
-    facts: every (d - 1)-erasure pattern leaves rank k, and no larger d
-    holds. The second is the paper's bound d <= dmax when G respects the
-    support pattern and d = dmax; otherwise some d-erasure pattern leaves
-    rank below k, or d = n - k + 1. Only the levels searched are
-    enumerated, each within RANK_BUDGET.
+    at dmax, which never exceeds n - k + 1, and walks up or down. The
+    result rests on two facts: every (d - 1)-erasure pattern leaves rank
+    k, and no larger d holds. The second is the paper's bound d <= dmax
+    when G respects the support pattern and d = dmax; otherwise some
+    d-erasure pattern leaves rank below k, or d = n - k + 1. Only the
+    levels searched are enumerated, each within RANK_BUDGET.
 
     Returns 0 when G itself is rank deficient (some nonzero message maps
     to the zero codeword, so no distance is defined in the usual sense).
     """
-    k, n = c.structure.k, c.structure.n
-    if not support_violations(c) and certifies_dmax(c):
-        return c.dmax
-    if rank(c.G) < k:
+    d = c.dmax
+    on_support = not support_violations(c)
+    if on_support and certifies_dmax(c):
+        return d
+    if rank(c.G) < c.structure.k:
         return 0
-    bound = c.dmax
-    d = min(bound, n - k + 1)
     if distance_at_least(c, d):
-        if d == bound and not support_violations(c):
+        if on_support:
             return d
         while distance_at_least(c, d + 1):
             d += 1

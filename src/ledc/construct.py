@@ -24,7 +24,7 @@ Three methods are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,16 +47,7 @@ from .errors import (
 from .field import Felt, PrimeField, find_primitive, inv, is_primitive
 from .linalg import MatrixGF, make_matrix, nullspace, vandermonde
 from .locality import LocalityStructure, dmax, reach, two_group_params
-from .poly import (
-    PolyGF,
-    coeffs_to_row,
-    linear_factor_product,
-    make_poly,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_shift,
-)
+from .poly import PolyGF, linear_factor_product, make_poly, poly_eval, poly_mul
 
 # ---------- nested Vandermonde construction ----------
 
@@ -162,10 +153,30 @@ def lemma3_solve(
     return make_poly(f, vec[: t - ell + 1]), make_poly(f, vec[t - ell + 1 :])
 
 
+def _shared_rows(n: int, n1: int, k1: int, k2: int, a: Sequence[PolyGF], b: Sequence[PolyGF]) -> np.ndarray:
+    """Coefficient rows of c_l = x^(k1-t+l-1) a_l + x^(n1+k2-l) b_l, l = 1..t.
+
+    The two halves never overlap: a_l ends at x^(n1-1) and b_l starts at
+    x^(n1+k2-l) >= x^n1. Each half is added into its slice, so halves
+    longer than that, laid out in an array wider than n, still sum.
+    """
+    t = len(a)
+    rows = np.zeros((t, n), dtype=np.int64)
+    for ell, halves in enumerate(zip(a, b), start=1):
+        for start, half in zip((k1 - t + ell - 1, n1 + k2 - ell), halves):
+            rows[ell - 1, start : start + len(half.coeffs)] += np.array(half.coeffs, dtype=np.int64)
+    return rows
+
+
 def construct_cyclic(
     s: LocalityStructure, f: PrimeField, omega: Optional[Felt] = None
 ) -> tuple[LedcCode, Optional[CyclicIngredients]]:
     """Equal-redundancy two-group construction from shared-root polynomials.
+
+    The canonical array holds group 1's private rows x^i u, the shared
+    rows of `_shared_rows`, then group 2's private rows x^(n1+j) u, over
+    group 1's positions, then group 2's; one scatter places it in the
+    structure's indexing.
 
     Returns the code and the polynomial ingredients. A structure with no
     shared data symbols (t = 0) needs no shared rows at all and is built
@@ -174,13 +185,9 @@ def construct_cyclic(
     n1, k1, n2, k2, t = two_group_params(s)
     r = n1 - k1
     if n2 - k2 != r:
-        raise PreconditionViolated(
-            f"equal redundancies required; got n1-k1={r}, n2-k2={n2 - k2}"
-        )
+        raise PreconditionViolated(f"equal redundancies required; got n1-k1={r}, n2-k2={n2 - k2}")
     if n1 + n2 > f.q - 1:
-        raise PreconditionViolated(
-            f"need n1 + n2 <= q - 1, got {n1 + n2} > {f.q - 1}"
-        )
+        raise PreconditionViolated(f"need n1 + n2 <= q - 1, got {n1 + n2} > {f.q - 1}")
     if t == 0:
         code = construct_nested(s, f)
         code.meta["delegated"] = "no shared symbols, used nested construction"
@@ -195,46 +202,27 @@ def construct_cyclic(
     elif not is_primitive(f, omega):
         raise NotPrimitive(f"{omega} does not generate the units of GF({f.q})")
 
-    n = s.n
     u = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r + t)])
-    v = u
     g2 = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r)])
-    T_list, a_list, b_list, c_list = [], [], [], []
-    for ell in range(1, t + 1):
-        T = (n1 + k2 - ell) - (k1 - t + ell - 1)
-        a_star, b_star = lemma3_solve(f, omega, ell, t, r, T)
-        a = poly_mul(g2, a_star)
-        b = poly_mul(g2, b_star)
-        c = poly_add(poly_shift(a, k1 - t + ell - 1), poly_shift(b, n1 + k2 - ell))
-        T_list.append(T)
-        a_list.append(a)
-        b_list.append(b)
-        c_list.append(c)
+    T = tuple((n1 + k2 - ell) - (k1 - t + ell - 1) for ell in range(1, t + 1))
+    stars = [lemma3_solve(f, omega, ell, t, r, T[ell - 1]) for ell in range(1, t + 1)]
+    a = tuple(poly_mul(g2, a_star) for a_star, _ in stars)
+    b = tuple(poly_mul(g2, b_star) for _, b_star in stars)
+    shared = _shared_rows(s.n, n1, k1, k2, a, b)
 
-    rows: list[list[Felt]] = []
+    canonical = np.zeros((s.k, s.n), dtype=np.int64)
     for i in range(k1 - t):
-        rows.append(coeffs_to_row(u, i, n))
-    for c_poly in c_list:
-        rows.append(coeffs_to_row(c_poly, 0, n))
+        canonical[i, i : i + r + t + 1] = u.coeffs
+    canonical[k1 - t : k1] = shared
     for j in range(k2 - t):
-        rows.append(coeffs_to_row(v, n1 + j, n))
+        canonical[k1 + j, n1 + j : n1 + j + r + t + 1] = u.coeffs
     K1, K2 = set(s.K[0]), set(s.K[1])
     data_order = sorted(K1 - K2) + sorted(K1 & K2) + sorted(K2 - K1)
     G = np.zeros((s.k, s.n), dtype=np.int64)
-    G[np.ix_([i - 1 for i in data_order], [j - 1 for j in s.N[0] + s.N[1]])] = rows
+    G[np.ix_([i - 1 for i in data_order], [j - 1 for j in s.N[0] + s.N[1]])] = canonical
     meta = {"method": "cyclic", "omega": omega, "claimed_distance": r + t + 1}
-    ingredients = CyclicIngredients(
-        omega=omega,
-        r=r,
-        u=u,
-        v=v,
-        g1=u,
-        g2=g2,
-        T=tuple(T_list),
-        a=tuple(a_list),
-        b=tuple(b_list),
-        c=tuple(c_list),
-    )
+    c = tuple(make_poly(f, row) for row in shared.tolist())
+    ingredients = CyclicIngredients(omega=omega, r=r, u=u, v=u, g1=u, g2=g2, T=T, a=a, b=b, c=c)
     return LedcCode(s, f, MatrixGF(f, G), meta), ingredients
 
 
@@ -244,6 +232,7 @@ class CyclicConditionReport:
     uv_roots: bool
     ab_roots: bool
     c_roots: bool
+    c_halves: bool
 
     @property
     def all_ok(self) -> bool:
@@ -253,22 +242,28 @@ class CyclicConditionReport:
 def verify_cyclic_conditions(
     ing: CyclicIngredients, s: LocalityStructure, f: PrimeField
 ) -> CyclicConditionReport:
-    """Re-check every root condition behind the design.
+    """Re-check every root condition behind the design, and the shared rows.
 
     The global row polynomials must vanish at w^0..w^(r+t-1), giving
     distance at least r+t+1, and the two local projections at
     w^0..w^(r-1), keeping each local code MDS. w is primitive and
     r + t <= n1 < q - 1, so these roots are distinct and nonzero: vanishing
     at them is exactly divisibility of every shifted row by g1 and g2.
+    c_halves checks that each c_l is the row `_shared_rows` lays out from
+    a_l and b_l, which binds the roots of a_l and b_l to those of c_l even
+    when r = 0 leaves a_l and b_l with no root of their own.
     """
-    t = two_group_params(s)[4]
+    n1, k1, _, k2, t = two_group_params(s)
     roots_rt = [pow(ing.omega, j, f.q) for j in range(ing.r + t)]
     roots_r = roots_rt[: ing.r]
+    width = s.n + max(len(p.coeffs) for p in (*ing.a, *ing.b))  # room for over-long halves
+    halves = _shared_rows(width, n1, k1, k2, ing.a, ing.b).tolist()
     return CyclicConditionReport(
         nonzero_constants=all(p.constant() != 0 for p in (ing.u, ing.v, *ing.a, *ing.b)),
         uv_roots=all(poly_eval(p, z) == 0 for p in (ing.u, ing.v) for z in roots_rt),
         ab_roots=all(poly_eval(p, z) == 0 for p in (*ing.a, *ing.b) for z in roots_r),
         c_roots=all(poly_eval(c, z) == 0 for c in ing.c for z in roots_rt),
+        c_halves=ing.c == tuple(make_poly(f, row) for row in halves),
     )
 
 
@@ -300,15 +295,6 @@ class _SplitMix64:
                 return v % q
 
 
-def _attempt_stream(seed: int, attempt: int) -> _SplitMix64:
-    """Stream for one attempt: seeded with the (attempt+1)-th master output."""
-    base = _SplitMix64(seed)
-    out = 0
-    for _ in range(attempt + 1):
-        out = base.next64()
-    return _SplitMix64(out)
-
-
 def construct_random(
     s: LocalityStructure, f: PrimeField, seed: int, max_attempts: int
 ) -> LedcCode:
@@ -335,8 +321,9 @@ def construct_random(
         check_distance_budget(len(Ng), len(Ng) - len(Kg) + 1)
     best_code: Optional[LedcCode] = None
     best_distance = 0
+    master = _SplitMix64(seed)
     for attempt in range(max_attempts):
-        stream = _attempt_stream(seed, attempt)
+        stream = _SplitMix64(master.next64())  # attempt a: the (a+1)-th master output
         rows = [
             [stream.below(f.q) if j in allowed else 0 for j in range(1, s.n + 1)]
             for allowed in reaches

@@ -41,12 +41,6 @@ class DimensionMismatch(LedcError):
     """Operand shapes are incompatible."""
 
 
-# ---------- poly ----------
-
-class ShiftOverflow(LedcError):
-    """Shifted polynomial does not fit in the requested row width."""
-
-
 # ---------- locality ----------
 
 class CoverageGap(LedcError):

@@ -1,21 +1,19 @@
 """Polynomials over a prime field.
 
 Coefficients are stored in ascending degree order with no trailing
-zeros; the zero polynomial is the empty tuple and its degree is the
-float -inf sentinel. Row polynomials of the cyclic construction all
-have degree at most n-1 <= q-2, so plain GF(q)[x] arithmetic suffices
-and no quotient-ring reduction is ever needed.
+zeros; the zero polynomial is the empty tuple. Row polynomials of the
+cyclic construction all have degree at most n-1 <= q-2, so plain
+GF(q)[x] arithmetic suffices and no quotient-ring reduction is ever
+needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
-from .errors import PreconditionViolated, ShiftOverflow
+from .errors import PreconditionViolated
 from .field import Felt, PrimeField
-
-NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -32,9 +30,6 @@ class PolyGF:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> Union[int, float]:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
     def constant(self) -> Felt:
         return self.coeffs[0] if self.coeffs else 0
 
@@ -45,17 +40,6 @@ def make_poly(f: PrimeField, coeffs: Sequence[int]) -> PolyGF:
     while reduced and reduced[-1] == 0:
         reduced.pop()
     return PolyGF(f, tuple(reduced))
-
-
-def poly_add(p: PolyGF, r: PolyGF) -> PolyGF:
-    f = p.field
-    n = max(len(p.coeffs), len(r.coeffs))
-    out = [0] * n
-    for i, c in enumerate(p.coeffs):
-        out[i] = c
-    for i, c in enumerate(r.coeffs):
-        out[i] = (out[i] + c) % f.q
-    return make_poly(f, out)
 
 
 def poly_mul(p: PolyGF, r: PolyGF) -> PolyGF:
@@ -72,13 +56,6 @@ def poly_mul(p: PolyGF, r: PolyGF) -> PolyGF:
     return make_poly(f, out)
 
 
-def poly_shift(p: PolyGF, shift: int) -> PolyGF:
-    """Multiply by x^shift."""
-    if p.is_zero():
-        return p
-    return PolyGF(p.field, (0,) * shift + p.coeffs)
-
-
 def poly_eval(p: PolyGF, z: Felt) -> Felt:
     """Horner evaluation."""
     acc = 0
@@ -93,19 +70,4 @@ def linear_factor_product(f: PrimeField, roots: Sequence[Felt]) -> PolyGF:
     for root in roots:
         out = poly_mul(out, make_poly(f, [-root, 1]))
     return out
-
-
-def coeffs_to_row(p: PolyGF, shift: int, width: int) -> list[Felt]:
-    """Embed x^shift * p as a length-`width` coefficient vector."""
-    if shift < 0:
-        raise ShiftOverflow(f"negative shift {shift}")
-    if not p.is_zero() and shift + len(p.coeffs) > width:
-        raise ShiftOverflow(
-            f"degree {p.degree()} polynomial at shift {shift} "
-            f"does not fit in width {width}"
-        )
-    row = [0] * width
-    for d, c in enumerate(p.coeffs):
-        row[shift + d] = c
-    return row
 

@@ -193,8 +193,8 @@ def test_lemma3_defining_equation_sweep():
             r = rng.randint(0, 3)
             T = rng.randint(t - ell + 1, q - ell - 1)
             a_star, b_star = lemma3_solve(f, omega, ell, t, r, T)
-            assert a_star.degree() == t - ell
-            assert b_star.degree() == ell - 1
+            assert len(a_star.coeffs) == t - ell + 1
+            assert len(b_star.coeffs) == ell
             assert all(c != 0 for c in a_star.coeffs)
             assert all(c != 0 for c in b_star.coeffs)
             assert a_star.constant() == 1
@@ -267,13 +267,22 @@ def test_cyclic_conditions_catch_corruption(equal_r):
 
 @pytest.mark.parametrize(
     "q,n1,k1,n2,k2,t",
-    [(13, 5, 4, 7, 6, 3), (13, 3, 1, 4, 2, 1), (17, 6, 3, 6, 3, 2), (19, 4, 2, 5, 3, 2), (19, 7, 5, 4, 2, 2)],
+    [
+        (13, 5, 4, 7, 6, 3),
+        (13, 3, 1, 4, 2, 1),
+        (17, 6, 3, 6, 3, 2),
+        (19, 4, 2, 5, 3, 2),
+        (19, 7, 5, 4, 2, 2),
+        (13, 3, 3, 4, 4, 2),
+    ],
 )
 def test_cyclic_conditions_catch_every_bumped_coefficient(q, n1, k1, n2, k2, t):
-    """Changing any one coefficient of u, v, a_l, b_l or c_l breaks a root condition.
+    """Changing any one coefficient of u, v, a_l, b_l or c_l breaks a condition.
 
-    Adding d x^i moves the value at a nonzero root by d z^i != 0. The shapes
-    have r >= 1, so a_l and b_l have roots to check.
+    Adding d x^i moves the value at a nonzero root by d z^i != 0, so a bump
+    of u, v or c_l, or of a_l or b_l when r >= 1, breaks a root condition.
+    The last shape has r = 0: a_l and b_l have no roots to check there, and
+    c_halves, which ties each c_l to its a_l and b_l, catches their bumps.
     """
     f = make_field(q)
     K = [list(range(1, k1 + 1)), list(range(k1 - t + 1, k1 - t + k2 + 1))]
@@ -297,6 +306,22 @@ def test_cyclic_conditions_catch_every_bumped_coefficient(q, n1, k1, n2, k2, t):
             assert not verify_cyclic_conditions(broken, s, f).all_ok, (name, ell, i)
             checked += 1
     assert checked >= 2 + 3 * t
+
+
+def test_cyclic_conditions_catch_lengthened_halves():
+    """An a_l or b_l with a coefficient past its slot no longer adds up to c_l.
+
+    With r = 0 and t = k2, a_2's slot ends where b_2's begins, and b_l's
+    slots end at position n, so the extra term lands on b_2 or past the row.
+    """
+    f = make_field(13)
+    s = make_structure([[1, 2, 3], [2, 3]], blocks_for_sizes([3, 2]))
+    _, ing = construct_cyclic(s, f)
+    for name in ("a", "b"):
+        for ell, p in enumerate(getattr(ing, name)):
+            polys = list(getattr(ing, name))
+            polys[ell] = make_poly(f, list(p.coeffs) + [1])
+            assert not verify_cyclic_conditions(dataclasses.replace(ing, **{name: tuple(polys)}), s, f).c_halves
 
 
 def test_cyclic_alternative_generator(equal_r):
@@ -404,7 +429,7 @@ def test_random_budgets_local_levels_before_sampling(monkeypatch):
     s = make_structure([range(1, 16), range(16, 21)], blocks_for_sizes([30, 8]))
     for kernel in ("full_rank_subsets", "nullspace"):
         monkeypatch.setattr(code_module, kernel, lambda *args: pytest.fail("eliminated past the budget"))
-    monkeypatch.setattr(construct_module, "_attempt_stream", lambda *args: pytest.fail("sampled an attempt"))
+    monkeypatch.setattr(construct_module, "_SplitMix64", lambda *args: pytest.fail("sampled an attempt"))
     with pytest.raises(TooLarge, match=r"C\(30,15\) erasure patterns"):
         construct_random(s, make_field(65537), seed=0, max_attempts=20)
 

@@ -2,19 +2,9 @@ import random
 
 import pytest
 
-from ledc.errors import PreconditionViolated, ShiftOverflow
+from ledc.errors import PreconditionViolated
 from ledc.field import make_field
-from ledc.poly import (
-    NEG_INF,
-    PolyGF,
-    coeffs_to_row,
-    linear_factor_product,
-    make_poly,
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_shift,
-)
+from ledc.poly import PolyGF, linear_factor_product, make_poly, poly_eval, poly_mul
 
 F2 = make_field(2)
 F7 = make_field(7)
@@ -32,7 +22,7 @@ def test_make_poly_normalizes():
     p = make_poly(F7, [3, 0, 14, 0, 0])
     assert p.coeffs == (3,)
     assert make_poly(F7, [0, 0]).is_zero()
-    assert make_poly(F7, []).degree() == NEG_INF
+    assert make_poly(F7, []).coeffs == ()
     assert make_poly(F7, [5]).constant() == 5
     assert make_poly(F7, []).constant() == 0
 
@@ -40,14 +30,6 @@ def test_make_poly_normalizes():
 def test_unnormalized_coefficients_rejected():
     with pytest.raises(PreconditionViolated):
         PolyGF(F7, (3, 0))
-
-
-def test_add_scale_basics():
-    p = make_poly(F7, [1, 2, 3])
-    r = make_poly(F7, [6, 5, 4])
-    assert poly_add(p, r).coeffs == ()
-    assert poly_add(p, p).coeffs == (2, 4, 6)
-    assert poly_add(p, make_poly(F7, [])) == p
 
 
 def test_mul_binary_square():
@@ -60,7 +42,7 @@ def test_mul_degree_adds():
     for _ in range(40):
         p = random_poly(F13, 5, rng, nonzero=True)
         r = random_poly(F13, 5, rng, nonzero=True)
-        assert poly_mul(p, r).degree() == p.degree() + r.degree()
+        assert len(poly_mul(p, r).coeffs) == len(p.coeffs) + len(r.coeffs) - 1
     assert poly_mul(make_poly(F13, []), p).is_zero()
 
 
@@ -104,38 +86,3 @@ def test_linear_factor_product_root_set_exact():
         p = linear_factor_product(f, sorted(roots))
         zero_set = {z for z in range(q) if poly_eval(p, z) == 0}
         assert zero_set == roots
-
-
-def test_coeffs_to_row_golden():
-    u = linear_factor_product(F13, [1, 2, 4, 8])
-    assert coeffs_to_row(u, 0, 5) == [12, 10, 5, 11, 1]
-    assert coeffs_to_row(make_poly(F13, [1]), 3, 5) == [0, 0, 0, 1, 0]
-
-
-def test_coeffs_to_row_overflow():
-    u = linear_factor_product(F13, [1, 2, 4, 8])
-    with pytest.raises(ShiftOverflow):
-        coeffs_to_row(u, 1, 5)
-    with pytest.raises(ShiftOverflow):
-        coeffs_to_row(u, -1, 12)
-    assert coeffs_to_row(make_poly(F13, []), 10, 3) == [0, 0, 0]
-
-
-def test_coeffs_to_row_recoverable_and_injective():
-    # injective as a function of the shifted polynomial x^shift * p
-    rng = random.Random(3405)
-    seen = {}
-    for _ in range(200):
-        p = random_poly(F7, 4, rng)
-        shift = rng.randint(0, 3)
-        row = coeffs_to_row(p, shift, 8)
-        shifted = poly_shift(p, shift)
-        assert make_poly(F7, row) == shifted
-        key = tuple(row)
-        assert seen.setdefault(key, shifted) == shifted
-
-
-def test_poly_shift():
-    p = make_poly(F7, [2, 1])
-    assert poly_shift(p, 2).coeffs == (0, 0, 2, 1)
-    assert poly_shift(make_poly(F7, []), 5).is_zero()

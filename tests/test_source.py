@@ -26,40 +26,49 @@ def test_package_has_no_assert():
     assert found == []
 
 
-def referenced(nodes):
-    """Every name, attribute and imported name under the given AST nodes."""
-    out = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
-            elif isinstance(sub, ast.alias):
-                out.add(sub.name)
-    return out
+def references(node):
+    """How often each name, attribute and imported name occurs under one AST node."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else sub.name
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))
+    )
 
 
 def test_every_function_is_used():
-    """No top-level function in src/ledc that only tests call.
+    """No function or method in src/ledc that only tests call.
 
-    A function counts as used when the package refers to it outside its own
-    body (another module imports it, or its own module calls it), when it is
-    in `ledc.__all__`, when it is the CLI entry point, or when the
-    benchmark's workloads call it.
+    A top-level function counts as used when the package refers to it
+    outside its own body (another module imports it, or its own module calls
+    it), when it is in `ledc.__all__`, when it is the CLI entry point, or
+    when the benchmark's workloads call it. A method or property of a
+    package class, dunders aside, counts as used when the package refers to
+    its name outside its own body, or the benchmark's workloads do.
     """
-    nodes = [node for path in sorted(PACKAGE.glob("*.py")) for node in parse(path).body]
-    names = [referenced([node]) for node in nodes]
+    modules = [parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    nodes = [node for module in modules for node in module.body]
+    names = [set(references(node)) for node in nodes]
     users = Counter(name for found in names for name in found)  # top-level statements per name
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
-    outside = set(ledc.__all__) | {target.rsplit(":", 1)[1] for target in scripts.values()}
-    outside |= referenced([parse(ROOT / "perfbench" / "workloads.py")])
+    workloads = set(references(parse(ROOT / "perfbench" / "workloads.py")))
+    outside = set(ledc.__all__) | {target.rsplit(":", 1)[1] for target in scripts.values()} | workloads
     unused = [
         node.name
         for node, found in zip(nodes, names)
         if isinstance(node, ast.FunctionDef)
         and node.name not in outside
         and users[node.name] == (node.name in found)
+    ]
+    mentions = sum(map(references, modules), Counter())
+    unused += [
+        f"{cls.name}.{method.name}"
+        for cls in nodes
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and method.name not in workloads
+        and mentions[method.name] == references(method)[method.name]
     ]
     assert unused == []
 
