@@ -5,13 +5,15 @@ array of residues. Elimination runs on such arrays: one matrix a row at a
 time, at most once per matrix and cached for `rank`, `nullspace` and
 `solve` (O(rows x (rows + cols)) memory per matrix, none per call), or
 every w-column subset of a matrix by a walk that shares each prefix of
-columns (`full_rank_subsets`).
+columns (`full_rank_subsets`). `solve` reduces only the pivots a call
+leaves out, in Python ints; products run on int64 without overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -208,35 +210,58 @@ def solve(a: MatrixGF, b: Sequence[Felt], cols: Optional[Sequence[int]] = None) 
     r = rank(a) rows are nonzero, with R[:r, P] = I on the pivot columns P.
     Each pivot column in `cols` gives its u_t; the pivots E left out solve
     u_E R[E, F] = b_F - u R[:r, F] over the other columns F (u still zero on
-    E), by elimination of the augmented transpose; then x = u T. That small
-    system has the solutions of the whole one, so Inconsistent is checked first
-    and Underdetermined follows, also when r < rows.
+    E), reduced in Python ints until |E| equations are independent and the rest
+    checked by substitution; then x = u T. That small system has the solutions of
+    the whole one, so Inconsistent is checked first and Underdetermined follows.
     """
-    cols = np.arange(a.cols) if cols is None else np.asarray(cols, dtype=np.intp)
+    cols = range(a.cols) if cols is None else cols
     if len(b) != len(cols):
         raise DimensionMismatch(f"rhs length {len(b)} != {len(cols)} columns")
-    q, k = a.field.q, a.rows
-    b = np.array([v % q for v in b], dtype=np.int64)
+    q, (k, n) = a.field.q, a.entries.shape
     R, T, pivots = a.echelon
     r = len(pivots)
-    slot = np.full(a.cols, -1)  # slot[P[t]] = t
-    slot[list(pivots)] = np.arange(r)
-    at = slot[cols]
-    known = at >= 0
-    u = np.zeros(r, dtype=np.int64)
-    u[at[known]] = b[known]
-    erased = np.ones(r, dtype=bool)
-    erased[at[known]] = False
-    F = cols[~known]
-    rhs = (b[~known] - (u[:, None] * R[:r, F] % q).sum(axis=0)) % q
-    e = int(erased.sum())
-    reduced, small = _rref(a.field, np.vstack([R[:r][erased][:, F], rhs[None]]).T)
-    if e in small:
-        raise Inconsistent("no x satisfies x a = b")
-    if len(small) < e or r < k:
-        raise Underdetermined(f"rank {r - e + len(small)} < {k} unknowns")
-    u[erased] = reduced[:e, e]
-    return ((u[:, None] * T % q).sum(axis=0) % q).tolist()
+    slot = {p: t for t, p in enumerate(pivots)}
+    u, F, b_F = [0] * r, [], []
+    for j, v in zip(cols, b):
+        if j in slot:
+            u[slot[j]] = v % q
+        elif 0 <= j < n:
+            F.append(j)
+            b_F.append(v)
+        else:
+            raise IndexOutOfRange(f"column {j} outside 0..{n - 1}")
+    chosen = set(cols)
+    if len(chosen) != len(cols):
+        raise DimensionMismatch(f"repeated columns in {list(cols)}")
+    E = [t for t, p in enumerate(pivots) if p not in chosen]
+    R_F = R[:r, F]
+    equations = zip(R_F[E].T.tolist(), [(y - v) % q for y, v in zip(b_F, _vec_mat(q, u, R_F).tolist())])
+    basis: dict[int, tuple[list[int], int]] = {}  # pivot -> (row, rhs), each row zero on the others' pivots
+    for row, y in equations:
+        for p, (other, y_other) in basis.items():
+            if c := row[p]:
+                row, y = [(v - c * w) % q for v, w in zip(row, other)], (y - c * y_other) % q
+        if (p := next((i for i, v in enumerate(row) if v), None)) is None:
+            if y:
+                raise Inconsistent("no x satisfies x a = b")
+            continue
+        inv = pow(row[p], -1, q)
+        row, y = [v * inv % q for v in row], y * inv % q
+        for p_other, (other, y_other) in basis.items():
+            if c := other[p]:
+                basis[p_other] = [(v - c * w) % q for v, w in zip(other, row)], (y_other - c * y) % q
+        basis[p] = row, y
+        if len(basis) == len(E):
+            break
+    if len(basis) == len(E):  # u_E is unique; the equations left must agree with it
+        u_E = [basis[i][1] for i in range(len(E))]
+        if any(sum(map(mul, row, u_E)) % q != y for row, y in equations):
+            raise Inconsistent("no x satisfies x a = b")
+        for t, v in zip(E, u_E):
+            u[t] = v
+    if len(basis) < len(E) or r < k:
+        raise Underdetermined(f"rank {r - len(E) + len(basis)} < {k} unknowns")
+    return _vec_mat(q, u, T).tolist()
 
 
 # ---------- builders ----------
@@ -265,9 +290,14 @@ def submatrix(m: MatrixGF, row_idx: Sequence[int], col_idx: Sequence[int]) -> Ma
 
 
 def row_vec_mul(x: Sequence[Felt], m: MatrixGF) -> list[Felt]:
-    """Row vector times matrix: (x m)_j = sum_i x_i m_ij, each product reduced before the sum."""
+    """Row vector times matrix: (x m)_j = sum_i x_i m_ij mod q."""
     if len(x) != m.rows:
         raise DimensionMismatch(f"vector length {len(x)} != {m.rows} rows")
-    q = m.field.q
-    v = np.array([xi % q for xi in x], dtype=np.int64)
-    return ((v[:, None] * m.entries % q).sum(axis=0) % q).tolist()
+    return _vec_mat(m.field.q, [xi % m.field.q for xi in x], m.entries).tolist()
+
+
+def _vec_mat(q: int, x: list[int], M: np.ndarray) -> np.ndarray:
+    """x M mod q for residues x: one int64 product while len(x) (q-1)^2 < 2^63, else each product reduced first."""
+    if len(x) * (q - 1) ** 2 < 1 << 63:
+        return np.array(x, dtype=np.int64) @ M % q
+    return (np.array(x, dtype=np.int64)[:, None] * M % q).sum(axis=0) % q

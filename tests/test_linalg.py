@@ -157,11 +157,17 @@ def test_elimination_matches_oracle(q):
                 x = type(exc).__name__
             assert x == oracle_solve(q, rows, rhs), rows
             picked = rng.sample(range(cols), rng.randint(0, cols))  # a subset of columns, in any order
-            try:
-                x = solve(m, [rhs[j] for j in picked], picked)
-            except (Inconsistent, Underdetermined) as exc:
-                x = type(exc).__name__
-            assert x == oracle_solve(q, [[row[j] for j in picked] for row in rows], [rhs[j] for j in picked]), rows
+            subs = [[rhs[j] for j in picked]]
+            if rhs is not b and picked:
+                # consistent but for the last picked entry: the mismatch lies past the
+                # first independent equations, where solve checks by substitution
+                subs.append(subs[0][:-1] + [(subs[0][-1] + 1) % q])
+            for sub in subs:
+                try:
+                    x = solve(m, sub, picked)
+                except (Inconsistent, Underdetermined) as exc:
+                    x = type(exc).__name__
+                assert x == oracle_solve(q, [[row[j] for j in picked] for row in rows], sub), (rows, picked, sub)
 
 
 def every_subset_full_rank(q, M, w):
@@ -358,6 +364,23 @@ def test_solve_rhs_length_checked():
         solve(identity(F7, 2), [1, 2, 3])
 
 
+def test_solve_rejects_repeated_columns():
+    with pytest.raises(DimensionMismatch, match="repeated"):
+        solve(make_matrix(F7, [[1]]), [1, 2], [0, 0])  # not the answer [2]
+    with pytest.raises(DimensionMismatch, match="repeated"):
+        solve(make_matrix(F7, [[1, 2, 3]]), [1, 2], [1, 1])
+
+
+def test_solve_rejects_negative_columns():
+    with pytest.raises(IndexOutOfRange, match="column -1 outside 0..2"):
+        solve(make_matrix(F7, [[1, 2, 3]]), [3, 1], [-1, 0])  # not a read of column 2
+
+
+def test_solve_rejects_columns_past_the_end():
+    with pytest.raises(IndexOutOfRange, match="column 5 outside 0..2"):
+        solve(make_matrix(F7, [[1, 2, 3]]), [1, 1], [5, 0])
+
+
 # ---------- vandermonde ----------
 
 
@@ -425,3 +448,11 @@ def test_row_vec_mul():
     assert row_vec_mul([1, 1], m) == [5, 0, 2]
     with pytest.raises(DimensionMismatch):
         row_vec_mul([1, 2, 3], m)
+    # Every entry q - 1 at q = 2^31 - 1: 2 (q-1)^2 < 2^63 < 3 (q-1)^2, so k = 2 sums one
+    # int64 product and k = 3 must reduce each product before the sum.
+    big = make_field(2**31 - 1)
+    q = big.q
+    for k in (2, 3):
+        rows, x = [[q - 1] * 4] * k, [q - 1] * k
+        expected = [sum(xi * row[j] for xi, row in zip(x, rows)) % q for j in range(4)]
+        assert row_vec_mul(x, make_matrix(big, rows)) == expected, k
