@@ -34,7 +34,7 @@ from .errors import (
 )
 from .field import Felt, PrimeField
 from .linalg import MatrixGF, full_rank_subsets, nullspace, rank, row_vec_mul, solve, submatrix
-from .locality import LocalityStructure, dmax, group_masks, reach
+from .locality import LocalityStructure, dmax, group_masks
 
 # Erasure marker inside a received word.
 ERASED = None
@@ -81,10 +81,14 @@ class LedcCode:
 
     @cached_property
     def off_support(self) -> np.ndarray:
-        """Read-only k x n mask of G's nonzero entries outside their data symbol's reach."""
+        """Read-only k x n mask of G's nonzero entries outside their data symbol's reach.
+
+        A symbol's reach is the union of its groups' blocks, so clearing each
+        group's K_g x N_g block leaves exactly the entries outside it.
+        """
         mask = self.G.entries != 0
-        for i, positions in enumerate(reach(self.structure)):
-            mask[i, [j - 1 for j in positions]] = False
+        for Kg, Ng in zip(self.structure.K, self.structure.N):
+            mask[np.ix_([i - 1 for i in Kg], [j - 1 for j in Ng])] = False
         mask.flags.writeable = False
         return mask
 
@@ -243,7 +247,7 @@ def _level(f: PrimeField, G: MatrixGF, d0: int) -> bool:
     H = nullspace(G)
     if len(H) > n - k:
         return False  # G is rank deficient
-    return full_rank_subsets(f, np.array(H, dtype=np.int64).reshape(len(H), n), e)
+    return full_rank_subsets(f, H, e)
 
 
 def distance_at_least(c: LedcCode, d0: int) -> bool:

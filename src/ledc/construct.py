@@ -28,22 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .code import (
-    LedcCode,
-    certifies_dmax,
-    check_distance_budget,
-    distance_at_least,
-    min_distance_rank,
-    verify_local_mds,
-)
-from .errors import (
-    DegenerateSystem,
-    ExhaustedAttempts,
-    FieldTooSmall,
-    NotPrimitive,
-    PreconditionViolated,
-    TooLarge,
-)
+from .code import LedcCode, check_distance_budget, min_distance_rank, verify_local_mds
+from .errors import DegenerateSystem, ExhaustedAttempts, FieldTooSmall, NotPrimitive, PreconditionViolated
 from .field import Felt, PrimeField, find_primitive, inv, is_primitive
 from .linalg import MatrixGF, make_matrix, nullspace, vandermonde
 from .locality import LocalityStructure, dmax, reach, two_group_params
@@ -145,7 +131,7 @@ def lemma3_solve(
         raise DegenerateSystem(
             f"kernel dimension {len(kernel)}, expected 1; is omega primitive?"
         )
-    vec = kernel[0]
+    vec = kernel[0].tolist()
     if any(x == 0 for x in vec):
         raise DegenerateSystem("kernel vector has a zero coordinate")
     scale = inv(f, vec[0])
@@ -302,16 +288,18 @@ def construct_random(
 
     Entries are drawn row by row in ascending (data index, position)
     order over the allowed support; everything off support stays zero.
-    An attempt is accepted when every local code is MDS and the distance
-    certifies at the structure bound: from its local subcodes
-    (`certifies_dmax`), or failing that by the global walk. Attempts are
+    An attempt is judged as `verify --distance-method rank` judges a code:
+    it is accepted when every local code is MDS (`verify_local_mds`) and
+    `min_distance_rank` puts it at the structure bound. Attempts are
     independent streams, so the result is the lowest-numbered succeeding
     attempt regardless of evaluation order. Otherwise ExhaustedAttempts
     carries the locally MDS attempt of largest distance, or None if no
     attempt was locally MDS. TooLarge is raised before the first attempt
     when a group's local-MDS level, C(n_i, n_i - k_i) patterns, exceeds the
-    rank budget, and at the first attempt that needs the global walk when
-    its C(n, dmax - 1) erasure patterns do.
+    rank budget. Later it comes from `min_distance_rank`, at the first
+    attempt that needs a global level past the budget: C(n, dmax - 1)
+    erasure patterns when the local certificate fails, or a lower level's
+    when the attempt misses dmax.
     """
     if max_attempts < 1:
         raise PreconditionViolated(f"max_attempts must be >= 1, got {max_attempts}")
@@ -341,12 +329,9 @@ def construct_random(
         )
         if not all(verify_local_mds(code).values()):
             continue
-        if certifies_dmax(code) or distance_at_least(code, bound):
+        achieved = min_distance_rank(code)
+        if achieved == bound:
             return code
-        try:
-            achieved = min_distance_rank(code)
-        except TooLarge:
-            achieved = 0
         if best_code is None or achieved > best_distance:
             best_code, best_distance = code, achieved
     best = "none locally MDS" if best_code is None else f"best achieved: {best_distance}"

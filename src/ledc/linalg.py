@@ -185,22 +185,18 @@ def rank(m: MatrixGF) -> int:
     return len(m.echelon[2])
 
 
-def nullspace(m: MatrixGF) -> list[list[Felt]]:
-    """Basis of the right kernel {v : m v = 0}.
+def nullspace(m: MatrixGF) -> np.ndarray:
+    """Basis of the right kernel {v : m v = 0}, one row of an int64 array each.
 
     One basis vector per free column, in increasing column order, with
     the free variable set to 1.
     """
     R, _, pivots = m.echelon
-    rows = R[: len(pivots)].tolist()
-    basis = []
-    for free in (j for j in range(m.cols) if j not in pivots):
-        v = [0] * m.cols
-        v[free] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[free] % m.field.q
-        basis.append(v)
-    return basis
+    free = [j for j in range(m.cols) if j not in pivots]
+    H = np.zeros((len(free), m.cols), dtype=np.int64)
+    H[:, free] = np.eye(len(free), dtype=np.int64)
+    H[:, list(pivots)] = -R[: len(pivots), free].T % m.field.q
+    return H
 
 
 def solve(a: MatrixGF, b: Sequence[Felt], cols: Optional[Sequence[int]] = None) -> list[Felt]:

@@ -423,6 +423,28 @@ def test_random_best_code_is_locally_mds():
     assert all(verify_local_mds(err.best_code).values())
 
 
+def test_random_walks_each_global_level_once(monkeypatch):
+    """An attempt's global distance levels are each walked once, also when it misses dmax.
+
+    Attempt 0 is locally MDS at distance 6 < dmax 7, so levels 7 and 6 of
+    its generator are both walked.
+    """
+    s = make_structure([range(1, 7), range(4, 11)], blocks_for_sizes([9, 10]))
+    walked = []
+    level = code_module._level
+
+    def record(f, G, d0):
+        if (G.rows, G.cols) == (s.k, s.n):  # the global generator; local ones are smaller
+            walked.append((G.entries.tobytes(), d0))
+        return level(f, G, d0)
+
+    monkeypatch.setattr(code_module, "_level", record)
+    with pytest.raises(ExhaustedAttempts):
+        construct_random(s, make_field(257), seed=1, max_attempts=2)
+    assert {7, 6} <= {d0 for _, d0 in walked}
+    assert len(set(walked)) == len(walked)
+
+
 def test_random_budgets_local_levels_before_sampling(monkeypatch):
     # Group 1's local-MDS level needs C(30,15) minors, past the budget; every
     # attempt would run it, so nothing is sampled.
@@ -440,8 +462,8 @@ def test_random_budgets_the_walk_when_the_certificate_fails(monkeypatch):
     # the global walk, whose C(95,5) erasure patterns are past the budget.
     s = cap_structure()
     attempts = []
-    certify = construct_module.certifies_dmax
-    monkeypatch.setattr(construct_module, "certifies_dmax", lambda c: attempts.append(c) or certify(c))
+    certify = code_module.certifies_dmax
+    monkeypatch.setattr(code_module, "certifies_dmax", lambda c: attempts.append(c) or certify(c))
     with pytest.raises(TooLarge, match=r"C\(95,5\) erasure patterns"):
         construct_random(s, make_field(65537), seed=0, max_attempts=20)
     assert len(attempts) == 1 and not certify(attempts[0])
@@ -463,12 +485,12 @@ def test_random_certificate_keeps_the_accepted_attempt(monkeypatch):
         return code.meta, code.G.to_rows()
 
     certified = []
-    certify = construct_module.certifies_dmax
+    certify = code_module.certifies_dmax
     for s, f in cases:
         for seed in range(8):
-            monkeypatch.setattr(construct_module, "certifies_dmax", lambda c: certified.append(certify(c)) or certified[-1])
+            monkeypatch.setattr(code_module, "certifies_dmax", lambda c: certified.append(certify(c)) or certified[-1])
             built = outcome(s, f, seed)
-            monkeypatch.setattr(construct_module, "certifies_dmax", lambda c: False)
+            monkeypatch.setattr(code_module, "certifies_dmax", lambda c: False)
             assert built == outcome(s, f, seed)
     assert 0 < certified.count(True) < len(certified)
 

@@ -73,6 +73,21 @@ def test_every_function_is_used():
     assert unused == []
 
 
+def test_every_import_is_used():
+    """Each name a src/ledc module imports is referenced in that module; __init__.py re-exports, so it is aside."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.name}:{name}" for name in bound if name not in used]
+    assert unused == []
+
+
 def test_every_error_type_is_raised():
     """Each exception class in errors.py, the base class aside, is raised somewhere in src/ledc."""
     declared = {node.name for node in parse(PACKAGE / "errors.py").body if isinstance(node, ast.ClassDef)}
