@@ -12,6 +12,10 @@ generator matrix to a structure:
     {"structure": {...}, "method": "cyclic", "omega": 2,
      "G": [[...], ...], "claimed_distance": 5}
 
+A code file is a LedcCode: code_from_dict puts its method,
+claimed_distance, and omega or seed when given into code.meta, where
+the constructions put them, and code_to_dict writes those keys back.
+
 Exit codes are a stable contract: 0 success, 2 input or validation
 error, 3 construction precondition failure or a computation past its
 budget, 4 verification failure, 5 unrecoverable decode.
@@ -23,8 +27,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .code import LedcCode, encode, erasure_decode, local_decode, verify_ledc
 from .construct import construct_cyclic, construct_nested, construct_random
@@ -63,17 +66,6 @@ EXIT_CODES = (
 )
 
 # ---------- file formats ----------
-
-
-@dataclass(frozen=True)
-class CodeFile:
-    """A deserialized code file."""
-
-    code: LedcCode
-    method: str
-    omega: Optional[int]
-    seed: Optional[int]
-    claimed_distance: int
 
 
 def _integer(v) -> int:
@@ -131,7 +123,7 @@ def structure_to_dict(s: LocalityStructure, f: PrimeField) -> dict:
     }
 
 
-def code_from_dict(d: dict) -> CodeFile:
+def code_from_dict(d: dict) -> LedcCode:
     s, f = structure_from_dict(_member(d, "structure", "code file"))
     G = _member(d, "G", "code file")
     if not isinstance(G, list):
@@ -144,28 +136,25 @@ def code_from_dict(d: dict) -> CodeFile:
         v = next(v for row in filled for v in row if not 0 <= v < f.q)
         raise ValueError(f"matrix entry {v} outside [0, {f.q})")
     code = LedcCode(s, f, make_matrix(f, G))
-    omega = d.get("omega")
-    seed = d.get("seed")
-    return CodeFile(
-        code=code,
-        method=str(_member(d, "method", "code file")),
-        omega=None if omega is None else _integer(omega),
-        seed=None if seed is None else _integer(seed),
-        claimed_distance=_integer(_member(d, "claimed_distance", "code file")),
-    )
+    method = _member(d, "method", "code file")
+    if not isinstance(method, str):
+        raise ValueError(f"'method' must be a string, got {method!r}")
+    code.meta["method"] = method
+    for key in ("omega", "seed"):  # a null counts as absent
+        if d.get(key) is not None:
+            code.meta[key] = _integer(d[key])
+    code.meta["claimed_distance"] = _integer(_member(d, "claimed_distance", "code file"))
+    return code
 
 
-def code_to_dict(cf: CodeFile) -> dict:
+def code_to_dict(code: LedcCode) -> dict:
     out = {
-        "structure": structure_to_dict(cf.code.structure, cf.code.field),
-        "method": cf.method,
-        "G": cf.code.G.to_rows(),
-        "claimed_distance": cf.claimed_distance,
+        "structure": structure_to_dict(code.structure, code.field),
+        "method": code.meta["method"],
+        "G": code.G.to_rows(),
+        "claimed_distance": code.meta["claimed_distance"],
     }
-    if cf.omega is not None:
-        out["omega"] = cf.omega
-    if cf.seed is not None:
-        out["seed"] = cf.seed
+    out.update((key, code.meta[key]) for key in ("omega", "seed") if code.meta.get(key) is not None)
     return out
 
 
@@ -221,57 +210,50 @@ def cmd_construct(args: argparse.Namespace) -> int:
         code, _ = construct_cyclic(s, f, args.omega)
     else:
         code = construct_random(s, f, args.seed, args.max_attempts)
-    cf = CodeFile(
-        code=code,
-        method=args.method,
-        omega=code.meta.get("omega"),
-        seed=code.meta.get("seed"),
-        claimed_distance=code.meta["claimed_distance"],
-    )
-    payload = json.dumps(code_to_dict(cf), indent=2)
+    payload = json.dumps(code_to_dict(code), indent=2)
     if args.out == "-":
         print(payload)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
         print(f"wrote={args.out}")
-        print(f"claimed_distance={cf.claimed_distance}")
+        print(f"claimed_distance={code.meta['claimed_distance']}")
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cf = code_from_dict(_load_json(args.code_file))
-    report = verify_ledc(cf.code, distance_method=args.distance_method)
+    code = code_from_dict(_load_json(args.code_file))
+    report = verify_ledc(code, distance_method=args.distance_method)
     print(f"support={'ok' if report.support_ok else 'FAIL'}")
     for g, ok in enumerate(report.local_mds, start=1):
         print(f"local_mds_{g}={'ok' if ok else 'FAIL'}")
     print(f"distance={report.distance}")
-    print(f"claimed={cf.claimed_distance}")
+    print(f"claimed={code.meta['claimed_distance']}")
     print(f"dmax={report.dmax}")
     print(f"optimal={'true' if report.optimal else 'false'}")
-    passed = report.all_ok and report.distance == cf.claimed_distance
+    passed = report.all_ok and report.distance == code.meta["claimed_distance"]
     return EXIT_OK if passed else EXIT_VERIFY
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    cf = code_from_dict(_load_json(args.code_file))
-    x = _parse_vector(args.data, cf.code.field.q, cf.code.structure.k, False)
-    word = encode(cf.code, x)
+    code = code_from_dict(_load_json(args.code_file))
+    x = _parse_vector(args.data, code.field.q, code.structure.k, False)
+    word = encode(code, x)
     print(f"codeword={','.join(map(str, word))}")
     return EXIT_OK
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    cf = code_from_dict(_load_json(args.code_file))
-    received = _parse_vector(args.received, cf.code.field.q, cf.code.structure.n, True)
-    x = erasure_decode(cf.code, received)
+    code = code_from_dict(_load_json(args.code_file))
+    received = _parse_vector(args.received, code.field.q, code.structure.n, True)
+    x = erasure_decode(code, received)
     print(f"data={','.join(map(str, x))}")
     return EXIT_OK
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     """Walk one failure scenario: local-only repair, then cooperation."""
-    code = code_from_dict(_load_json(args.code_file)).code
+    code = code_from_dict(_load_json(args.code_file))
     s, f = code.structure, code.field
     failed: list[int] = []
     if args.fail.strip():
@@ -288,9 +270,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"data symbols: {','.join(map(str, x))}")
     print(f"failed positions: {','.join(map(str, failed)) if failed else 'none'}")
     all_local = True
-    for g in range(1, s.m + 1):
-        Ng = s.N[g - 1]
-        Kg = s.K[g - 1]
+    for g, (Kg, Ng) in enumerate(zip(s.K, s.N), start=1):
         surviving = [p for p in Ng if p not in failed_set]
         lost = len(Ng) - len(surviving)
         try:

@@ -52,7 +52,11 @@ AUTO_EXHAUSTIVE_LIMIT = 10**7
 
 @dataclass(frozen=True)
 class LedcCode:
-    """A locality structure plus a k x n generator matrix over GF(q), checked for shape and field when made."""
+    """A locality structure plus a k x n generator matrix over GF(q), checked for shape and field when made.
+
+    meta holds what a construction or a code file says of it: "method" and "claimed_distance",
+    plus "omega" (cyclic) or "seed" (random) where they apply, and any notes a construction adds.
+    """
 
     structure: LocalityStructure
     field: PrimeField

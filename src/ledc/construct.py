@@ -30,7 +30,7 @@ import numpy as np
 
 from .code import LedcCode, check_distance_budget, min_distance_rank, verify_local_mds
 from .errors import DegenerateSystem, ExhaustedAttempts, FieldTooSmall, NotPrimitive, PreconditionViolated
-from .field import Felt, PrimeField, find_primitive, inv, is_primitive
+from .field import Felt, PrimeField, find_primitive, is_primitive
 from .linalg import MatrixGF, make_matrix, nullspace, vandermonde
 from .locality import LocalityStructure, dmax, reach, two_group_params
 from .poly import PolyGF, linear_factor_product, make_poly, poly_eval, poly_mul
@@ -70,11 +70,7 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
         rows = sorted(Kg, key=lambda i: i in other)  # private first; the sort is stable
         block = vandermonde(f, range(1, len(Ng) + 1), len(Kg)).entries
         G[np.ix_([i - 1 for i in rows], [j - 1 for j in Ng])] = block
-    meta = {
-        "method": "nested",
-        "swapped": r1 > r2,
-        "claimed_distance": min(r1, r2) + t + 1,
-    }
+    meta = {"method": "nested", "swapped": r1 > r2, "claimed_distance": min(r1, r2) + t + 1}
     return LedcCode(s, f, MatrixGF(f, G), meta)
 
 
@@ -134,7 +130,7 @@ def lemma3_solve(
     vec = kernel[0].tolist()
     if any(x == 0 for x in vec):
         raise DegenerateSystem("kernel vector has a zero coordinate")
-    scale = inv(f, vec[0])
+    scale = pow(vec[0], -1, f.q)
     vec = [x * scale % f.q for x in vec]
     return make_poly(f, vec[: t - ell + 1]), make_poly(f, vec[t - ell + 1 :])
 
@@ -166,7 +162,8 @@ def construct_cyclic(
 
     Returns the code and the polynomial ingredients. A structure with no
     shared data symbols (t = 0) needs no shared rows at all and is built
-    by construct_nested instead; the ingredients are then None.
+    by construct_nested instead; the ingredients are then None, and meta
+    still reports method "cyclic", with a "delegated" note.
     """
     n1, k1, n2, k2, t = two_group_params(s)
     r = n1 - k1
@@ -176,7 +173,7 @@ def construct_cyclic(
         raise PreconditionViolated(f"need n1 + n2 <= q - 1, got {n1 + n2} > {f.q - 1}")
     if t == 0:
         code = construct_nested(s, f)
-        code.meta["delegated"] = "no shared symbols, used nested construction"
+        code.meta.update(method="cyclic", delegated="no shared symbols, used nested construction")
         return code, None
     if t >= s.k:
         raise PreconditionViolated(
@@ -316,17 +313,8 @@ def construct_random(
             [stream.below(f.q) if j in allowed else 0 for j in range(1, s.n + 1)]
             for allowed in reaches
         ]
-        code = LedcCode(
-            s,
-            f,
-            make_matrix(f, rows),
-            {
-                "method": "random",
-                "seed": seed,
-                "attempt": attempt,
-                "claimed_distance": bound,
-            },
-        )
+        meta = {"method": "random", "seed": seed, "attempt": attempt, "claimed_distance": bound}
+        code = LedcCode(s, f, make_matrix(f, rows), meta)
         if not all(verify_local_mds(code).values()):
             continue
         achieved = min_distance_rank(code)

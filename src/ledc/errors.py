@@ -15,10 +15,6 @@ class NotPrime(LedcError):
     """Field order is not a prime number."""
 
 
-class DivisionByZero(LedcError):
-    """Multiplicative inverse of zero requested."""
-
-
 # ---------- linalg ----------
 
 class Inconsistent(LedcError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, NotPrime
+from .errors import NotPrime
 
 # An element of GF(q), always a canonical residue in [0, q-1].
 Felt = int
@@ -35,14 +35,6 @@ class PrimeField:
 def make_field(q: int) -> PrimeField:
     """Return the GF(q) context; raises NotPrime for composite q."""
     return PrimeField(q)
-
-
-def inv(f: PrimeField, a: Felt) -> Felt:
-    """Multiplicative inverse of a in GF(q)."""
-    a %= f.q
-    if a == 0:
-        raise DivisionByZero("0 has no multiplicative inverse")
-    return pow(a, -1, f.q)
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -103,8 +103,8 @@ def test_criterion_2_cyclic_reference_code(equal_r, cyclic_descending, cyclic_co
             make_poly(f, [7, 2, 4]),
             make_poly(f, [10, 12, 3, 1]),
         )
-        assert code.G.to_rows() == cyclic_codefile.code.G.to_rows()
-        descending_rows = {tuple(row) for row in cyclic_descending.code.G.to_rows()}
+        assert code.G.to_rows() == cyclic_codefile.G.to_rows()
+        descending_rows = {tuple(row) for row in cyclic_descending.G.to_rows()}
         assert {tuple(row) for row in code.G.to_rows()} == descending_rows
 
         start = time.perf_counter()
@@ -117,7 +117,7 @@ def test_criterion_2_cyclic_reference_code(equal_r, cyclic_descending, cyclic_co
 
 def test_criterion_3_suboptimal_code_detected(suboptimal_codefile, capsys):
     with criterion(capsys, 3, "valid but suboptimal code is flagged"):
-        code = suboptimal_codefile.code
+        code = suboptimal_codefile
         assert min_distance_exhaustive(code) == 4
         assert dmax(code.structure) == 5
         assert verify_local_mds(code) == {1: True, 2: True}
@@ -197,9 +197,8 @@ def test_criterion_6_cyclic_sweep_optimal(capsys):
 def test_criterion_7_decoding_guarantees(suboptimal_codefile, cyclic_descending, cyclic_codefile, capsys):
     with criterion(capsys, 7, "erasure and local decoding guarantees"):
         rng = random.Random(8207)
-        for cf in (suboptimal_codefile, cyclic_descending, cyclic_codefile):
-            code = cf.code
-            s, q, d = code.structure, code.field.q, cf.claimed_distance
+        for code in (suboptimal_codefile, cyclic_descending, cyclic_codefile):
+            s, q, d = code.structure, code.field.q, code.meta["claimed_distance"]
             x = [rng.randrange(q) for _ in range(s.k)]
             word = encode(code, x)
             for size in range(d):

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, cap_structure, load_json, random_structure
+from conftest import FIXTURES, cap_structure, load_json, load_structure, random_structure
 
 import ledc
-from ledc.cli import CodeFile, code_from_dict, code_to_dict, run
+from ledc.cli import code_from_dict, code_to_dict, run, structure_from_dict
 from ledc.code import ERASED, LedcCode, encode, erasure_decode
+from ledc.construct import construct_cyclic, construct_nested, construct_random
 from ledc.errors import UnrecoverableErasurePattern
 from ledc.field import make_field
 from ledc.linalg import make_matrix
@@ -30,6 +31,7 @@ SUBOPT = str(FIXTURES / "suboptimal_code.json")
 CYC_DESC = str(FIXTURES / "cyclic_code_descending.json")
 CYC = str(FIXTURES / "cyclic_code.json")
 CYC_JSON = load_json("cyclic_code.json")
+T0 = {"q": 7, "groups": [{"K": [1, 2], "n": 3}, {"K": [3], "n": 2}]}  # equal redundancy, no shared symbol
 
 
 def write_json(tmp_path, name, payload):
@@ -209,9 +211,9 @@ def test_construct_nested_then_verify(tmp_path, capsys):
 def test_construct_to_stdout_round_trips(capsys):
     assert run(["construct", UNEQUAL_R, "--method", "nested"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    cf = code_from_dict(payload)
-    assert cf.claimed_distance == 4
-    assert code_to_dict(cf) == payload
+    code = code_from_dict(payload)
+    assert code.meta["claimed_distance"] == 4
+    assert code_to_dict(code) == payload
 
 
 def test_construct_cyclic_matches_fixture(tmp_path, capsys):
@@ -235,6 +237,14 @@ def test_construct_cyclic_records_omega_from_the_code(tmp_path, capsys):
     written = json.loads(capsys.readouterr().out)
     assert written["omega"] == 6
     assert "seed" not in written
+
+
+def test_construct_cyclic_without_shared_symbols_writes_the_nested_code(tmp_path, capsys):
+    assert run(["construct", write_json(tmp_path, "t0.json", T0), "--method", "cyclic"]) == 0
+    structure = {"q": 7, "groups": [{"K": [1, 2], "n": 3, "N": [1, 2, 3]}, {"K": [3], "n": 2, "N": [4, 5]}]}
+    G = [[1, 1, 1, 0, 0], [1, 2, 3, 0, 0], [0, 0, 0, 1, 1]]
+    expected = {"structure": structure, "method": "cyclic", "G": G, "claimed_distance": 2}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_construct_precondition_exit(tmp_path, capsys):
@@ -418,7 +428,7 @@ def test_encode_input_errors(capsys):
 
 
 def test_decode_round_trip(suboptimal_codefile, capsys):
-    word = encode(suboptimal_codefile.code, [1, 2, 3, 4, 5])
+    word = encode(suboptimal_codefile, [1, 2, 3, 4, 5])
     tokens = [str(v) for v in word]
     for j in (0, 4, 8):
         tokens[j] = "?"
@@ -427,8 +437,8 @@ def test_decode_round_trip(suboptimal_codefile, capsys):
 
 
 def test_decode_unrecoverable(suboptimal_codefile, capsys):
-    word = encode(suboptimal_codefile.code, [1] * 5)
-    bad = failing_erasure_pattern(suboptimal_codefile.code, 4)
+    word = encode(suboptimal_codefile, [1] * 5)
+    bad = failing_erasure_pattern(suboptimal_codefile, 4)
     tokens = ["?" if j + 1 in bad else str(word[j]) for j in range(10)]
     assert run(["decode", SUBOPT, "--received", ",".join(tokens)]) == 5
     assert "error=UnrecoverableErasurePattern" in capsys.readouterr().err
@@ -467,7 +477,7 @@ def test_demo_no_failures(capsys):
 
 
 def test_demo_unrecoverable_pattern(cyclic_codefile, capsys):
-    bad = failing_erasure_pattern(cyclic_codefile.code, 5)
+    bad = failing_erasure_pattern(cyclic_codefile, 5)
     assert run(["demo", CYC, "--fail", ",".join(map(str, bad))]) == 0
     assert "global=fail" in capsys.readouterr().out
 
@@ -511,12 +521,46 @@ def test_demo_input_errors(capsys):
 
 
 def test_code_file_round_trip_is_identity():
-    cf = code_from_dict(load_json("cyclic_code_descending.json"))
-    once = code_to_dict(cf)
+    code = code_from_dict(load_json("cyclic_code_descending.json"))
+    once = code_to_dict(code)
     assert code_to_dict(code_from_dict(once)) == once
     assert once["G"] == load_json("cyclic_code_descending.json")["G"]
     assert once["omega"] == 2
     assert "seed" not in once
+
+
+@pytest.mark.parametrize(
+    "method", [5, None, True, [1], {"a": 1}], ids=["int", "null", "bool", "list", "object"]
+)
+def test_code_file_method_must_be_a_string(tmp_path, capsys, method):
+    """Checked after G and before omega, seed and claimed_distance, which are wrong here too."""
+    payload = {**CYC_JSON, "method": method, "omega": "2", "seed": 1.5, "claimed_distance": None}
+    assert run(["verify", write_json(tmp_path, "bad.json", payload)]) == 2
+    assert capsys.readouterr().err == f"error=ValueError: 'method' must be a string, got {method!r}\n"
+
+
+@pytest.mark.parametrize(
+    "build, method, keys",
+    [
+        (lambda: construct_nested(*load_structure("unequal_r_structure.json")), "nested", ()),
+        (lambda: construct_cyclic(*load_structure("equal_r_structure.json"))[0], "cyclic", ("omega",)),
+        (lambda: construct_cyclic(*structure_from_dict(T0))[0], "cyclic", ()),
+        (
+            lambda: construct_random(load_structure("unequal_r_structure.json")[0], make_field(101), 5, 20),
+            "random",
+            ("seed",),
+        ),
+    ],
+    ids=["nested", "cyclic", "cyclic-no-shared", "random"],
+)
+def test_built_codes_round_trip_through_code_files(build, method, keys):
+    """A built code comes back with its G, structure, field and the meta keys a code file carries, and no others."""
+    code = build()
+    back = code_from_dict(json.loads(json.dumps(code_to_dict(code))))
+    assert back.G.to_rows() == code.G.to_rows()
+    assert (back.structure, back.field) == (code.structure, code.field)
+    assert back.meta == {key: code.meta[key] for key in ("method", *keys, "claimed_distance")}
+    assert back.meta["method"] == method
 
 
 @st.composite
@@ -527,13 +571,13 @@ def code_files(draw):
     s = random_structure(random.Random(draw(st.integers(0, 2**32))), max_k=6, max_m=3)
     row = st.lists(st.integers(0, f.q - 1), min_size=s.n, max_size=s.n)
     rows = draw(st.lists(row, min_size=s.k, max_size=s.k))
-    return CodeFile(
-        code=LedcCode(s, f, make_matrix(f, rows)),
-        method=draw(st.sampled_from(("nested", "cyclic", "random"))),
-        omega=draw(st.none() | st.integers(0, f.q - 1)),
-        seed=draw(st.none() | st.integers(0, 2**64 - 1)),
-        claimed_distance=draw(st.integers(0, 40)),
-    )
+    meta = {
+        "method": draw(st.sampled_from(("nested", "cyclic", "random"))),
+        "omega": draw(st.none() | st.integers(0, f.q - 1)),
+        "seed": draw(st.none() | st.integers(0, 2**64 - 1)),
+        "claimed_distance": draw(st.integers(0, 40)),
+    }
+    return LedcCode(s, f, make_matrix(f, rows), {key: v for key, v in meta.items() if v is not None})
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -543,11 +587,9 @@ def test_code_file_json_round_trip_fuzz(cf):
     payload = code_to_dict(cf)
     assert all(type(v) is int for row in payload["G"] for v in row)
     back = code_from_dict(json.loads(json.dumps(payload)))
-    assert back.code.G.to_rows() == cf.code.G.to_rows() == payload["G"]
-    assert (back.code.structure, back.code.field) == (cf.code.structure, cf.code.field)
-    assert (back.method, back.omega, back.seed, back.claimed_distance) == (
-        cf.method, cf.omega, cf.seed, cf.claimed_distance
-    )
+    assert back.G.to_rows() == cf.G.to_rows() == payload["G"]
+    assert (back.structure, back.field) == (cf.structure, cf.field)
+    assert back.meta == cf.meta
     assert back == cf
 
 

@@ -60,15 +60,15 @@ def random_single_group_code(f, k, n, rng):
 
 
 def test_make_code_shape_checks(suboptimal_codefile):
-    s = suboptimal_codefile.code.structure
+    s = suboptimal_codefile.structure
     with pytest.raises(DimensionMismatch):
         LedcCode(s, F7, make_matrix(F7, identity_rows(5)))
     with pytest.raises(DimensionMismatch):
-        LedcCode(s, make_field(11), suboptimal_codefile.code.G)
+        LedcCode(s, make_field(11), suboptimal_codefile.G)
 
 
 def test_local_generator(suboptimal_codefile):
-    lg = suboptimal_codefile.code.local_generators[0]
+    lg = suboptimal_codefile.local_generators[0]
     assert (lg.rows, lg.cols) == (4, 5)
     assert lg.to_rows()[0] == [1, 1, 1, 1, 1]
 
@@ -77,7 +77,7 @@ def test_local_generator(suboptimal_codefile):
 
 
 def test_encode_zero_and_units(suboptimal_codefile):
-    c = suboptimal_codefile.code
+    c = suboptimal_codefile
     assert encode(c, [0] * 5) == [0] * 10
     for i in range(5):
         x = [0] * 5
@@ -86,7 +86,7 @@ def test_encode_zero_and_units(suboptimal_codefile):
 
 
 def test_encode_all_ones_is_column_sums(suboptimal_codefile):
-    c = suboptimal_codefile.code
+    c = suboptimal_codefile
     rows = c.G.to_rows()
     expected = [sum(row[j] for row in rows) % 7 for j in range(10)]
     assert encode(c, [1] * 5) == expected
@@ -94,14 +94,13 @@ def test_encode_all_ones_is_column_sums(suboptimal_codefile):
 
 def test_encode_length_checked(suboptimal_codefile):
     with pytest.raises(DimensionMismatch):
-        encode(suboptimal_codefile.code, [1, 2, 3])
+        encode(suboptimal_codefile, [1, 2, 3])
 
 
 def test_encode_changes_stay_local(suboptimal_codefile, cyclic_codefile):
     """A data symbol owned by one group only touches that group's block."""
     rng = random.Random(5601)
-    for cf in (suboptimal_codefile, cyclic_codefile):
-        c = cf.code
+    for c in (suboptimal_codefile, cyclic_codefile):
         s = c.structure
         q = c.field.q
         x = [rng.randrange(q) for _ in range(s.k)]
@@ -122,7 +121,7 @@ def test_encode_changes_stay_local(suboptimal_codefile, cyclic_codefile):
 
 
 def test_local_decode_all_subsets_round_trip(suboptimal_codefile):
-    c = suboptimal_codefile.code
+    c = suboptimal_codefile
     s = c.structure
     rng = random.Random(5602)
     x = [rng.randrange(7) for _ in range(s.k)]
@@ -135,7 +134,7 @@ def test_local_decode_all_subsets_round_trip(suboptimal_codefile):
 
 
 def test_local_decode_uses_extra_symbols(cyclic_codefile):
-    c = cyclic_codefile.code
+    c = cyclic_codefile
     x = list(range(1, 8))
     word = encode(c, x)
     got = local_decode(c, 2, [(p, word[p - 1]) for p in c.structure.N[1]])
@@ -143,7 +142,7 @@ def test_local_decode_uses_extra_symbols(cyclic_codefile):
 
 
 def test_local_decode_input_errors(suboptimal_codefile):
-    c = suboptimal_codefile.code
+    c = suboptimal_codefile
     word = encode(c, [1, 2, 3, 4, 5])
     with pytest.raises(NotEnoughSymbols):
         local_decode(c, 1, [(1, word[0]), (2, word[1]), (3, word[2])])
@@ -181,13 +180,13 @@ def test_local_decode_refuses_off_support_position():
 
 
 def test_erasure_decode_no_erasures(suboptimal_codefile):
-    c = suboptimal_codefile.code
+    c = suboptimal_codefile
     x = [3, 1, 4, 1, 5]
     assert erasure_decode(c, encode(c, x)) == x
 
 
 def test_erasure_decode_every_small_pattern(suboptimal_codefile):
-    c = suboptimal_codefile.code
+    c = suboptimal_codefile
     x = [2, 0, 6, 1, 3]
     word = encode(c, x)
     for size in range(1, 4):  # distance is 4, all 3-erasure patterns recover
@@ -197,7 +196,7 @@ def test_erasure_decode_every_small_pattern(suboptimal_codefile):
 
 
 def test_erasure_decode_unrecoverable_pattern_exists(suboptimal_codefile):
-    c = suboptimal_codefile.code
+    c = suboptimal_codefile
     word = encode(c, [2, 0, 6, 1, 3])
     failures = 0
     for erased in combinations(range(10), 4):
@@ -211,7 +210,7 @@ def test_erasure_decode_unrecoverable_pattern_exists(suboptimal_codefile):
 
 def test_erasure_decode_length_checked(suboptimal_codefile):
     with pytest.raises(DimensionMismatch):
-        erasure_decode(suboptimal_codefile.code, [0] * 9)
+        erasure_decode(suboptimal_codefile, [0] * 9)
 
 
 def test_erasure_decode_all_erased():
@@ -224,14 +223,14 @@ def test_erasure_decode_all_erased():
 
 
 def test_distance_golden_suboptimal_code(suboptimal_codefile):
-    c = suboptimal_codefile.code
+    c = suboptimal_codefile
     assert min_distance_exhaustive(c) == 4
     assert min_distance_rank(c) == 4
 
 
 def test_distance_golden_cyclic_fixture(cyclic_codefile, cyclic_descending):
-    assert min_distance_rank(cyclic_codefile.code) == 5
-    assert min_distance_rank(cyclic_descending.code) == 5
+    assert min_distance_rank(cyclic_codefile) == 5
+    assert min_distance_rank(cyclic_descending) == 5
 
 
 def test_distance_identity_code():
@@ -301,8 +300,8 @@ def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, cyclic_c
     certify = code_module.distance_at_least
     monkeypatch.setattr(code_module, "distance_at_least", lambda c, d0: levels.append(d0) or certify(c, d0))
     cases = (
-        (cyclic_codefile.code, 5, [5]),  # d >= dmax = 5 and the support holds: the bound is the upper side
-        (suboptimal_codefile.code, 4, [5, 4]),  # dmax = 5: walks down
+        (cyclic_codefile, 5, [5]),  # d >= dmax = 5 and the support holds: the bound is the upper side
+        (suboptimal_codefile, 4, [5, 4]),  # dmax = 5: walks down
         (dense, 4, [2, 3, 4, 5]),  # dmax = 2: walks up to n - k + 1
         (deficient, 0, []),
     )
@@ -310,7 +309,7 @@ def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, cyclic_c
         levels.clear()
         assert min_distance_rank(c) == min_distance_exhaustive(c) == d
         assert levels == searched
-    assert dmax(dense.structure) < 4 < dmax(suboptimal_codefile.code.structure)
+    assert dmax(dense.structure) < 4 < dmax(suboptimal_codefile.structure)
 
 
 @st.composite
@@ -486,12 +485,12 @@ def test_distance_level_side_follows_the_shape_rule(cyclic_codefile, monkeypatch
     f31 = make_field(31)
     low_rate = single_group_code(f31, vandermonde(f31, range(1, 31), 2).to_rows())
     assert distance_at_least(low_rate, 29)  # 2 * 2^2 <= 28 * 28^2: G's 2 x 2 submatrices
-    assert distance_at_least(cyclic_codefile.code, 5)  # 7 * 8^2 > 5 * 4^2: H's 5 x 4 ones
+    assert distance_at_least(cyclic_codefile, 5)  # 7 * 8^2 > 5 * 4^2: H's 5 x 4 ones
     assert swept == [((2, 30), 2), ((5, 12), 4)]
 
 
 def test_exhaustive_distance_independent_of_partitioning(suboptimal_codefile, monkeypatch):
-    c = suboptimal_codefile.code
+    c = suboptimal_codefile
     results = set()
     for cap in (1, 7, 49, 1 << 19):
         monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
@@ -540,7 +539,7 @@ def test_verify_ledc_checks_local_mds_before_distance(monkeypatch):
 
 
 def test_distance_at_least_bounds(suboptimal_codefile):
-    c = suboptimal_codefile.code
+    c = suboptimal_codefile
     assert distance_at_least(c, 0)
     assert distance_at_least(c, 4)
     assert not distance_at_least(c, 5)
@@ -679,7 +678,7 @@ def test_decoders_match_oracle_fuzz(c, data):
 
 
 def test_code_caches_are_built_once_and_read_only(cyclic_codefile):
-    c = cyclic_codefile.code
+    c = cyclic_codefile
     assert c.local_generators is c.local_generators and c.off_support is c.off_support
     assert not c.off_support.flags.writeable and not c.off_support.any()
     assert [g.to_rows() for g in c.local_generators] == [
@@ -691,7 +690,7 @@ def test_code_caches_are_built_once_and_read_only(cyclic_codefile):
 
 
 def test_support_violations(cyclic_codefile):
-    c = cyclic_codefile.code
+    c = cyclic_codefile
     assert support_violations(c) == []
     rows = c.G.to_rows()
     rows[0][11] = 1  # data 1 may only touch group 1 positions
@@ -700,8 +699,8 @@ def test_support_violations(cyclic_codefile):
 
 
 def test_verify_local_mds(suboptimal_codefile, cyclic_codefile):
-    assert verify_local_mds(suboptimal_codefile.code) == {1: True, 2: True}
-    assert verify_local_mds(cyclic_codefile.code) == {1: True, 2: True}
+    assert verify_local_mds(suboptimal_codefile) == {1: True, 2: True}
+    assert verify_local_mds(cyclic_codefile) == {1: True, 2: True}
 
 
 def test_verify_local_mds_zero_column_fails():
@@ -710,7 +709,7 @@ def test_verify_local_mds_zero_column_fails():
 
 
 def test_verify_ledc_suboptimal_not_optimal(suboptimal_codefile):
-    report = verify_ledc(suboptimal_codefile.code, distance_method="both")
+    report = verify_ledc(suboptimal_codefile, distance_method="both")
     assert report.support_ok
     assert report.local_mds == (True, True)
     assert report.distance == 4
@@ -720,22 +719,22 @@ def test_verify_ledc_suboptimal_not_optimal(suboptimal_codefile):
 
 
 def test_verify_ledc_cyclic_fixture_optimal(cyclic_codefile):
-    report = verify_ledc(cyclic_codefile.code, distance_method="rank")
+    report = verify_ledc(cyclic_codefile, distance_method="rank")
     assert report.all_ok
     assert report.distance == report.dmax == 5
 
 
 def test_verify_ledc_auto_method_selection(suboptimal_codefile, cyclic_codefile):
-    assert verify_ledc(suboptimal_codefile.code).method == "exhaustive"  # 7^5 within budget
-    assert verify_ledc(cyclic_codefile.code).method == "rank"  # 13^7 beyond it
+    assert verify_ledc(suboptimal_codefile).method == "exhaustive"  # 7^5 within budget
+    assert verify_ledc(cyclic_codefile).method == "rank"  # 13^7 beyond it
 
 
 def test_verify_ledc_both_raises_on_disagreement(suboptimal_codefile, monkeypatch):
     monkeypatch.setattr(code_module, "min_distance_rank", lambda c: 3)
     with pytest.raises(DistanceDisagreement, match="enumeration 4, rank 3"):
-        verify_ledc(suboptimal_codefile.code, distance_method="both")
+        verify_ledc(suboptimal_codefile, distance_method="both")
 
 
 def test_verify_ledc_rejects_unknown_method(suboptimal_codefile):
     with pytest.raises(ValueError):
-        verify_ledc(suboptimal_codefile.code, distance_method="guess")
+        verify_ledc(suboptimal_codefile, distance_method="guess")

@@ -1,7 +1,7 @@
 import pytest
 
-from ledc.errors import DivisionByZero, NotPrime
-from ledc.field import find_primitive, inv, is_primitive, make_field
+from ledc.errors import NotPrime
+from ledc.field import find_primitive, is_primitive, make_field
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -17,31 +17,6 @@ def test_make_field_accepts_primes():
 def test_make_field_rejects_non_primes(q):
     with pytest.raises(NotPrime):
         make_field(q)
-
-
-def test_inv_golden_values():
-    assert inv(F13, 2) == 7
-    assert inv(F7, 3) == 5
-    assert inv(F13, 1) == 1
-
-
-def test_inv_of_zero_rejected():
-    with pytest.raises(DivisionByZero):
-        inv(F13, 0)
-
-
-def test_inv_round_trip_full_field():
-    f = make_field(101)
-    for a in range(1, 101):
-        assert a * inv(f, a) % 101 == 1
-        assert inv(f, inv(f, a)) == a
-
-
-def test_fermat_little_theorem():
-    # a^(q-1) = 1, so the inverse is a^(q-2)
-    f = make_field(31)
-    for a in range(1, 31):
-        assert inv(f, a) == a**29 % 31
 
 
 def test_find_primitive_golden_values():
