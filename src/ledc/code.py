@@ -171,59 +171,59 @@ def erasure_decode(c: LedcCode, received: Sequence[Optional[Felt]]) -> list[Felt
 # ---------- minimum distance, two ways ----------
 
 
-def _span(q: int, rows: np.ndarray, start: np.ndarray, dtype) -> np.ndarray:
-    """start + x @ rows for every x in GF(q)^len(rows), one column each, first row most significant."""
+def _span(q: int, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """start + x @ rows for every x in GF(q)^len(rows), one column each, first row most significant.
+
+    Entries are unsigned, one byte for q <= 128, two for q <= 2^15, else four, so a sum t < 2q of
+    two residues reduces with no division as min(t, t - q): for t < q, t - q wraps above t.
+    """
+    dtype = np.uint8 if q <= 128 else np.uint16 if q <= 1 << 15 else np.uint32
     table = start.astype(dtype)[:, None]
     for row in rows:
         mult = (row[:, None] * np.arange(q, dtype=np.int64)[None, :] % q).astype(dtype)
-        table = (table[:, :, None] + mult[:, None, :]).reshape(len(row), -1) % q
+        table = (table[:, :, None] + mult[:, None, :]).reshape(len(row), -1)
+        np.minimum(table, table - q, out=table)
     return table
 
 
 def min_distance_exhaustive(c: LedcCode) -> int:
     """Minimum weight over the nonzero messages, one per scalar class.
 
-    x and λx have the same weight, so only the (q^k - 1)/(q - 1) messages
-    whose first nonzero entry is 1 are enumerated. The last rows span a
-    suffix table, one column per codeword; each prefix (a leading 1, then
-    any later prefix entries) is one vectorized scan of it. Within the
-    budget, the suffix table and each leading position's prefix table
-    hold at most max(SUFFIX_CAP, q) codewords. The split only partitions
-    the work, never changes the result. Returns 0 when G is rank deficient.
+    x and λx have the same weight, so only the (q^k - 1)/(q - 1) messages whose first
+    nonzero entry is 1 are enumerated. The last rows span a suffix table, one column per
+    codeword; each prefix (a leading 1, then any later prefix entries) is one vectorized
+    scan of it. Within the budget, the suffix table and each leading position's prefix
+    table hold at most max(SUFFIX_CAP, q) codewords. The split only partitions the work,
+    never changes the result. A rank-deficient G gives 0, as some message maps to the zero
+    word; only a scan that stops early at weight 1 computes the rank.
     """
     q, k, n = c.field.q, c.structure.k, c.structure.n
     if q**k > EXHAUSTIVE_BUDGET:
         raise TooLarge(f"q^k = {q}^{k} exceeds the enumeration budget")
-    if rank(c.G) < k:
-        return 0
-    dtype = np.int16 if q <= 16383 else np.int32
-    G = c.G.entries
-
     k_suf = 0
     while k_suf < k and q ** (k_suf + 1) <= max(SUFFIX_CAP, q):
         k_suf += 1
     k_pre = k - k_suf
 
-    S = _span(q, G[k_pre:], np.zeros(n, dtype=np.int64), dtype)
-    best = n - _most_matches(S[:, 1:], np.zeros(n, dtype=dtype))
-    neg = (q - G[:k_pre]) % q
+    S = _span(q, c.G.entries[k_pre:], np.zeros(n, dtype=np.int64))
+    best = n - _most_matches(S[:, 1:], np.zeros(n, dtype=S.dtype))
+    neg = (q - c.G.entries[:k_pre]) % q
     for lead in range(k_pre):
         if best <= 1:
             break
-        for target in _span(q, neg[lead + 1 :], neg[lead], dtype).T:
+        for target in _span(q, neg[lead + 1 :], neg[lead]).T:
             best = min(best, n - _most_matches(S, target))
             if best <= 1:
                 break
-    return best
+    return 0 if best == 1 and rank(c.G) < k else best
 
 
 def _most_matches(S: np.ndarray, target: np.ndarray) -> int:
     """Most positions at which a codeword (column) of the n x R table S equals target.
 
-    The reduction adds each position's matches into one counter per
-    codeword, a position at a time; the counter's dtype holds n.
+    The matches, viewed as bytes, add up a position at a time into one counter per codeword; its dtype holds n.
     """
-    return int(np.add.reduce(S == target[:, None], axis=0, dtype=np.min_scalar_type(len(S))).max())
+    return int(np.add.reduce((S == target[:, None]).view(np.uint8), axis=0, dtype=np.min_scalar_type(len(S))).max())
 
 
 def check_distance_budget(n: int, d0: int) -> None:

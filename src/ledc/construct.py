@@ -180,10 +180,9 @@ def construct_cyclic(
             "both groups use the same data symbols (t = k); encode a plain "
             "MDS code instead of an overlapping structure"
         )
-    if omega is None:
-        omega = find_primitive(f)
-    elif not is_primitive(f, omega):
+    if omega is not None and not is_primitive(f, omega):
         raise NotPrimitive(f"{omega} does not generate the units of GF({f.q})")
+    omega = find_primitive(f) if omega is None else omega % f.q
 
     u = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r + t)])
     g2 = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r)])

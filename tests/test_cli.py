@@ -239,6 +239,17 @@ def test_construct_cyclic_records_omega_from_the_code(tmp_path, capsys):
     assert "seed" not in written
 
 
+def test_construct_cyclic_writes_omega_as_its_residue(tmp_path, capsys):
+    """--omega -2 and --omega 24 name the element 11 of GF(13): the three spellings write the same file."""
+    written = []
+    for omega in ("-2", "24", "11"):
+        out = tmp_path / f"cyclic{omega}.json"
+        assert run(["construct", EQUAL_R, "--method", "cyclic", "--omega", omega, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
+    assert json.loads(written[0])["omega"] == 11
+
+
 def test_construct_cyclic_without_shared_symbols_writes_the_nested_code(tmp_path, capsys):
     assert run(["construct", write_json(tmp_path, "t0.json", T0), "--method", "cyclic"]) == 0
     structure = {"q": 7, "groups": [{"K": [1, 2], "n": 3, "N": [1, 2, 3]}, {"K": [3], "n": 2, "N": [4, 5]}]}

@@ -284,11 +284,69 @@ def test_exhaustive_distance_edge_cases_under_small_cap(monkeypatch):
     assert len(tables) == 2  # the suffix table, then lead 0's prefixes
     monkeypatch.setattr(code_module, "_span", span)
 
-    f65537 = make_field(65537)  # int32 tables
+    f65537 = make_field(65537)  # uint32 tables
     wide = single_group_code(f65537, [[1, 2, 0, 65536, 3]])
     for cap in (1, default_cap):
         monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
         assert min_distance_exhaustive(wide) == 4
+
+
+def test_exhaustive_distance_at_each_table_width_edge(monkeypatch):
+    """GF(127) is the largest field with one-byte tables, whose residue sums reach 252; GF(131) the first with
+    two, and GF(31607) lies near 2^15 within the budget at k = 2; GF(32771) is the first with four."""
+    default_cap = code_module.SUFFIX_CAP
+    rng = random.Random(1931)
+    for q, width, k in ((127, 1, 3), (131, 2, 3), (31607, 2, 2), (32771, 4, 1), (65537, 4, 1)):
+        f = make_field(q)
+        # One row onto a nonzero start: every sum of two residues, wrapped or not.
+        row, start = make_matrix(f, [[1, q - 1, q - 2, rng.randrange(q)], [q - 1, q - 1, 1, rng.randrange(q)]]).entries
+        table = code_module._span(q, row[None, :], start)
+        assert (table.dtype.kind, table.dtype.itemsize) == ("u", width), q
+        assert table.tolist() == [[(b + x * a) % q for x in range(q)] for a, b in zip(row.tolist(), start.tolist())]
+        for _ in range(4):
+            c = random_single_group_code(f, k, rng.randint(k + 1, 6), rng)
+            expected = min_distance_rank(c)
+            for cap in (1, q, default_cap):
+                monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
+                assert min_distance_exhaustive(c) == expected, (q, cap, c.G.to_rows())
+
+
+def test_exhaustive_distance_checks_rank_only_at_a_weight_one_exit(monkeypatch):
+    """A rank-deficient G gives 0 under every cap, also when the scan stops early at weight 1."""
+    default_cap = code_module.SUFFIX_CAP
+    ranks = []
+    rank = code_module.rank
+    monkeypatch.setattr(code_module, "rank", lambda G: ranks.append(G) or rank(G))
+    cases = (
+        # Rows 2 + 3 are the zero word; under a one-row suffix, row 3 alone is a
+        # weight-1 word of the zero-prefix scan.
+        (make_field(2), [[1, 0, 1], [0, 1, 0], [0, 1, 0]]),
+        # Row 4 = 2 row 3, but every suffix word has weight 2 and lead 0 finds
+        # row 1 - row 2 = (1, 0, 0, 0) before lead 2 reaches the zero word.
+        (F7, [[1, 1, 1, 0], [0, 1, 1, 0], [0, 1, 2, 1], [0, 2, 4, 2]]),
+    )
+    for f, rows in cases:
+        c = single_group_code(f, rows)
+        assert min_weight_bruteforce(f.q, rows) == 0
+        for cap, stops_at_one in ((1, True), (f.q, True), (default_cap, False)):
+            monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
+            ranks.clear()
+            assert min_distance_exhaustive(c) == 0, (f.q, cap)
+            assert len(ranks) == stops_at_one, (f.q, cap)
+
+
+def test_exhaustive_distance_never_ranks_a_code_of_distance_two_or_more(suboptimal_codefile, monkeypatch):
+    default_cap = code_module.SUFFIX_CAP
+    rng = random.Random(2)
+    codes = [suboptimal_codefile, single_group_code(F7, [[1, 1, 0, 2], [0, 1, 1, 3]])]
+    codes += [random_single_group_code(make_field(q), 3, 7, rng) for q in (11, 13, 131)]
+    distances = [min_distance_rank(c) for c in codes]
+    assert min(distances) >= 2
+    monkeypatch.setattr(code_module, "rank", lambda G: pytest.fail("min_distance_exhaustive reduced G"))
+    for c, d in zip(codes, distances):
+        for cap in (1, c.field.q, default_cap):
+            monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
+            assert min_distance_exhaustive(c) == d, (c.field.q, cap)
 
 
 def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, cyclic_codefile, monkeypatch):

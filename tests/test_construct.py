@@ -352,6 +352,19 @@ def test_cyclic_rejects_non_primitive(equal_r):
         construct_cyclic(s, f, omega=3)
 
 
+def test_cyclic_reduces_omega_to_its_residue(equal_r):
+    """-2 and 24 are the element 11 of GF(13): the code, meta and ingredients name 11."""
+    s, f = equal_r
+    canonical, canonical_ing = construct_cyclic(s, f, omega=11)
+    for omega in (-2, 24):
+        code, ing = construct_cyclic(s, f, omega=omega)
+        assert code.G.to_rows() == canonical.G.to_rows()
+        assert code.meta == canonical.meta and code.meta["omega"] == 11
+        assert ing == canonical_ing and ing.omega == 11
+    with pytest.raises(NotPrimitive, match="^-10 does not generate"):
+        construct_cyclic(s, f, omega=-10)  # -10 = 3, as rejected above
+
+
 def test_cyclic_disjoint_groups_delegate():
     s = disjoint_structure()
     code, ing = construct_cyclic(s, F7)
