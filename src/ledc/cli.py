@@ -169,6 +169,14 @@ def _load_json(path: str) -> dict:
 # ---------- vector parsing ----------
 
 
+def _decimal(tok: str) -> int:
+    """A token of ASCII decimal digits; int() alone also reads '+1', '1_0' and non-ASCII digits."""
+    tok = tok.strip()
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"expected a decimal integer, got {tok!r}")
+    return int(tok)
+
+
 def _parse_vector(text: str, q: int, expected: int, allow_erasure: bool) -> list:
     tokens = [tok.strip() for tok in text.split(",")] if text.strip() else []
     if len(tokens) != expected:
@@ -178,7 +186,7 @@ def _parse_vector(text: str, q: int, expected: int, allow_erasure: bool) -> list
         if allow_erasure and tok == "?":
             out.append(None)
             continue
-        v = int(tok)
+        v = _decimal(tok)
         if not 0 <= v < q:
             raise ValueError(f"value {v} outside [0, {q})")
         out.append(v)
@@ -257,7 +265,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     s, f = code.structure, code.field
     failed: list[int] = []
     if args.fail.strip():
-        failed = [int(tok) for tok in args.fail.split(",")]
+        failed = [_decimal(tok) for tok in args.fail.split(",")]
     for p in failed:
         if not 1 <= p <= s.n:
             raise ValueError(f"position {p} outside 1..{s.n}")

@@ -9,10 +9,11 @@ Three methods are provided.
   group redundancy plus one.
 
 * construct_cyclic: two groups with equal redundancy r. Rows are
-  coefficient vectors of polynomials that are all divisible by
-  g1 = prod_{j<r+t} (x - w^j), which forces global distance r + t + 1,
-  while both local projections stay divisible by g2 = prod_{j<r} (x - w^j)
-  and hence MDS. Works whenever n1 + n2 <= q - 1.
+  coefficient vectors of polynomials that all vanish at w^0..w^(r+t-1),
+  the roots of u = prod_{j<r+t} (x - w^j), which forces global distance
+  r + t + 1, while both local projections vanish at the roots of
+  g2 = prod_{j<r} (x - w^j) and hence are MDS. The polynomials are
+  coefficient tuples (see ledc.poly). Works whenever n1 + n2 <= q - 1.
 
 * construct_random: any structure. Samples the free entries uniformly
   and keeps the first attempt whose local codes are MDS and whose
@@ -24,7 +25,7 @@ Three methods are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import DegenerateSystem, ExhaustedAttempts, FieldTooSmall, NotPrimi
 from .field import Felt, PrimeField, find_primitive, is_primitive
 from .linalg import MatrixGF, make_matrix, nullspace, vandermonde
 from .locality import LocalityStructure, dmax, reach, two_group_params
-from .poly import PolyGF, linear_factor_product, make_poly, poly_eval, poly_mul
+from .poly import linear_factor_product, poly_eval, poly_mul
 
 # ---------- nested Vandermonde construction ----------
 
@@ -79,27 +80,26 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
 
 @dataclass(frozen=True)
 class CyclicIngredients:
-    """Everything the cyclic construction produced besides the matrix.
+    """The polynomials behind a cyclic code, as coefficient tuples in ascending degree.
 
-    Index ell-1 of each per-row tuple belongs to shared row ell
-    (1 <= ell <= t).
+    u = prod_{j<r+t} (x - w^j) generates both groups' private rows (the
+    paper's v and g1 are u too), g2 = prod_{j<r} (x - w^j) divides every
+    a_l and b_l, and shared row l (index l-1 of T, a and b) is the
+    polynomial x^(k1-t+l-1) (a_l + x^(T_l) b_l); G holds those rows.
     """
 
     omega: Felt
     r: int
-    u: PolyGF
-    v: PolyGF
-    g1: PolyGF
-    g2: PolyGF
+    u: tuple[int, ...]
+    g2: tuple[int, ...]
     T: tuple[int, ...]
-    a: tuple[PolyGF, ...]
-    b: tuple[PolyGF, ...]
-    c: tuple[PolyGF, ...]
+    a: tuple[tuple[int, ...], ...]
+    b: tuple[tuple[int, ...], ...]
 
 
 def lemma3_solve(
     f: PrimeField, omega: Felt, ell: int, t: int, r: int, T: int
-) -> tuple[PolyGF, PolyGF]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Solve for a_star (degree <= t - ell) and b_star (degree <= ell - 1)
     with a_star(w^j) + w^(jT) b_star(w^j) = 0 for j = r .. r + t - 1.
 
@@ -114,40 +114,18 @@ def lemma3_solve(
     if r < 0:
         raise PreconditionViolated(f"need r >= 0, got r={r}")
     if not t - ell < T < f.q - ell:
-        raise PreconditionViolated(
-            f"need t - ell < T < q - ell, got T={T} with t={t}, ell={ell}, q={f.q}"
-        )
+        raise PreconditionViolated(f"need t - ell < T < q - ell, got T={T} with t={t}, ell={ell}, q={f.q}")
     exponents = list(range(t - ell + 1)) + list(range(T, T + ell))
-    rows = []
-    for j in range(r, r + t):
-        wj = pow(omega, j, f.q)
-        rows.append([pow(wj, e, f.q) for e in exponents])
+    rows = [[pow(omega, j * e, f.q) for e in exponents] for j in range(r, r + t)]
     kernel = nullspace(make_matrix(f, rows))
     if len(kernel) != 1:
-        raise DegenerateSystem(
-            f"kernel dimension {len(kernel)}, expected 1; is omega primitive?"
-        )
+        raise DegenerateSystem(f"kernel dimension {len(kernel)}, expected 1; is omega primitive?")
     vec = kernel[0].tolist()
     if any(x == 0 for x in vec):
         raise DegenerateSystem("kernel vector has a zero coordinate")
     scale = pow(vec[0], -1, f.q)
-    vec = [x * scale % f.q for x in vec]
-    return make_poly(f, vec[: t - ell + 1]), make_poly(f, vec[t - ell + 1 :])
-
-
-def _shared_rows(n: int, n1: int, k1: int, k2: int, a: Sequence[PolyGF], b: Sequence[PolyGF]) -> np.ndarray:
-    """Coefficient rows of c_l = x^(k1-t+l-1) a_l + x^(n1+k2-l) b_l, l = 1..t.
-
-    The two halves never overlap: a_l ends at x^(n1-1) and b_l starts at
-    x^(n1+k2-l) >= x^n1. Each half is added into its slice, so halves
-    longer than that, laid out in an array wider than n, still sum.
-    """
-    t = len(a)
-    rows = np.zeros((t, n), dtype=np.int64)
-    for ell, halves in enumerate(zip(a, b), start=1):
-        for start, half in zip((k1 - t + ell - 1, n1 + k2 - ell), halves):
-            rows[ell - 1, start : start + len(half.coeffs)] += np.array(half.coeffs, dtype=np.int64)
-    return rows
+    vec = tuple(x * scale % f.q for x in vec)
+    return vec[: t - ell + 1], vec[t - ell + 1 :]
 
 
 def construct_cyclic(
@@ -155,15 +133,16 @@ def construct_cyclic(
 ) -> tuple[LedcCode, Optional[CyclicIngredients]]:
     """Equal-redundancy two-group construction from shared-root polynomials.
 
-    The canonical array holds group 1's private rows x^i u, the shared
-    rows of `_shared_rows`, then group 2's private rows x^(n1+j) u, over
-    group 1's positions, then group 2's; one scatter places it in the
-    structure's indexing.
+    The canonical array, over group 1's positions then group 2's, holds
+    group 1's private rows x^i u, then shared row l as a_l in columns
+    [k1-t+l-1, n1) and b_l in [n1+k2-l, n), slots exactly as long as the
+    polynomials, then group 2's private rows x^(n1+j) u; one scatter
+    places it in the structure's indexing.
 
     Returns the code and the polynomial ingredients. A structure with no
-    shared data symbols (t = 0) needs no shared rows at all and is built
-    by construct_nested instead; the ingredients are then None, and meta
-    still reports method "cyclic", with a "delegated" note.
+    shared data symbols (t = 0) is built by construct_nested once omega,
+    if given, is checked; the ingredients are then None, and meta still
+    reports method "cyclic", with a "delegated" note.
     """
     n1, k1, n2, k2, t = two_group_params(s)
     r = n1 - k1
@@ -171,10 +150,6 @@ def construct_cyclic(
         raise PreconditionViolated(f"equal redundancies required; got n1-k1={r}, n2-k2={n2 - k2}")
     if n1 + n2 > f.q - 1:
         raise PreconditionViolated(f"need n1 + n2 <= q - 1, got {n1 + n2} > {f.q - 1}")
-    if t == 0:
-        code = construct_nested(s, f)
-        code.meta.update(method="cyclic", delegated="no shared symbols, used nested construction")
-        return code, None
     if t >= s.k:
         raise PreconditionViolated(
             "both groups use the same data symbols (t = k); encode a plain "
@@ -182,36 +157,40 @@ def construct_cyclic(
         )
     if omega is not None and not is_primitive(f, omega):
         raise NotPrimitive(f"{omega} does not generate the units of GF({f.q})")
+    if t == 0:
+        code = construct_nested(s, f)
+        code.meta.update(method="cyclic", delegated="no shared symbols, used nested construction")
+        return code, None
     omega = find_primitive(f) if omega is None else omega % f.q
 
     u = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r + t)])
     g2 = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r)])
     T = tuple((n1 + k2 - ell) - (k1 - t + ell - 1) for ell in range(1, t + 1))
     stars = [lemma3_solve(f, omega, ell, t, r, T[ell - 1]) for ell in range(1, t + 1)]
-    a = tuple(poly_mul(g2, a_star) for a_star, _ in stars)
-    b = tuple(poly_mul(g2, b_star) for _, b_star in stars)
-    shared = _shared_rows(s.n, n1, k1, k2, a, b)
+    a = tuple(poly_mul(f, g2, a_star) for a_star, _ in stars)
+    b = tuple(poly_mul(f, g2, b_star) for _, b_star in stars)
 
     canonical = np.zeros((s.k, s.n), dtype=np.int64)
     for i in range(k1 - t):
-        canonical[i, i : i + r + t + 1] = u.coeffs
-    canonical[k1 - t : k1] = shared
+        canonical[i, i : i + r + t + 1] = u
+    for ell in range(1, t + 1):
+        canonical[k1 - t + ell - 1, k1 - t + ell - 1 : n1] = a[ell - 1]
+        canonical[k1 - t + ell - 1, n1 + k2 - ell :] = b[ell - 1]
     for j in range(k2 - t):
-        canonical[k1 + j, n1 + j : n1 + j + r + t + 1] = u.coeffs
+        canonical[k1 + j, n1 + j : n1 + j + r + t + 1] = u
     K1, K2 = set(s.K[0]), set(s.K[1])
     data_order = sorted(K1 - K2) + sorted(K1 & K2) + sorted(K2 - K1)
     G = np.zeros((s.k, s.n), dtype=np.int64)
     G[np.ix_([i - 1 for i in data_order], [j - 1 for j in s.N[0] + s.N[1]])] = canonical
     meta = {"method": "cyclic", "omega": omega, "claimed_distance": r + t + 1}
-    c = tuple(make_poly(f, row) for row in shared.tolist())
-    ingredients = CyclicIngredients(omega=omega, r=r, u=u, v=u, g1=u, g2=g2, T=T, a=a, b=b, c=c)
+    ingredients = CyclicIngredients(omega=omega, r=r, u=u, g2=g2, T=T, a=a, b=b)
     return LedcCode(s, f, MatrixGF(f, G), meta), ingredients
 
 
 @dataclass(frozen=True)
 class CyclicConditionReport:
     nonzero_constants: bool
-    uv_roots: bool
+    u_roots: bool
     ab_roots: bool
     c_roots: bool
     c_halves: bool
@@ -221,31 +200,36 @@ class CyclicConditionReport:
         return all(vars(self).values())
 
 
-def verify_cyclic_conditions(
-    ing: CyclicIngredients, s: LocalityStructure, f: PrimeField
-) -> CyclicConditionReport:
-    """Re-check every root condition behind the design, and the shared rows.
+def verify_cyclic_conditions(ing: CyclicIngredients, s: LocalityStructure, f: PrimeField) -> CyclicConditionReport:
+    """Check the paper's conditions on the ingredients, which prove the code's design.
 
-    The global row polynomials must vanish at w^0..w^(r+t-1), giving
-    distance at least r+t+1, and the two local projections at
-    w^0..w^(r-1), keeping each local code MDS. w is primitive and
-    r + t <= n1 < q - 1, so these roots are distinct and nonzero: vanishing
-    at them is exactly divisibility of every shifted row by g1 and g2.
-    c_halves checks that each c_l is the row `_shared_rows` lays out from
-    a_l and b_l, which binds the roots of a_l and b_l to those of c_l even
-    when r = 0 leaves a_l and b_l with no root of their own.
+    Every global row (x^i u, x^(n1+j) u and the shared rows
+    x^(k1-t+l-1) (a_l + x^(T_l) b_l)) vanishes at w^0..w^(r+t-1), giving
+    distance at least r+t+1; both local projections, made of u, a_l and
+    b_l shifted, vanish at w^0..w^(r-1), and nonzero constants give each
+    row its own lowest term, so every local code is MDS and G has full
+    rank. w is primitive and r + t <= n1 < q - 1, so the roots are
+    distinct and nonzero. c_halves checks that each polynomial fills its
+    slot exactly (u: r+t+1 coefficients, a_l: r+t-l+1, b_l: r+l), so no
+    row spills into another's columns, and that r and T are the
+    structure's.
     """
     n1, k1, _, k2, t = two_group_params(s)
-    roots_rt = [pow(ing.omega, j, f.q) for j in range(ing.r + t)]
-    roots_r = roots_rt[: ing.r]
-    width = s.n + max(len(p.coeffs) for p in (*ing.a, *ing.b))  # room for over-long halves
-    halves = _shared_rows(width, n1, k1, k2, ing.a, ing.b).tolist()
+    q, r = f.q, n1 - k1
+    roots = [pow(ing.omega, j, q) for j in range(r + t)]
+    T = tuple((n1 + k2 - ell) - (k1 - t + ell - 1) for ell in range(1, t + 1))
+    halves = (*ing.a, *ing.b)
     return CyclicConditionReport(
-        nonzero_constants=all(p.constant() != 0 for p in (ing.u, ing.v, *ing.a, *ing.b)),
-        uv_roots=all(poly_eval(p, z) == 0 for p in (ing.u, ing.v) for z in roots_rt),
-        ab_roots=all(poly_eval(p, z) == 0 for p in (*ing.a, *ing.b) for z in roots_r),
-        c_roots=all(poly_eval(c, z) == 0 for c in ing.c for z in roots_rt),
-        c_halves=ing.c == tuple(make_poly(f, row) for row in halves),
+        nonzero_constants=all(p and p[0] % q for p in (ing.u, *halves)),
+        u_roots=all(poly_eval(f, ing.u, z) == 0 for z in roots),
+        ab_roots=all(poly_eval(f, p, z) == 0 for p in halves for z in roots[:r]),
+        c_roots=all(
+            (poly_eval(f, a, z) + pow(z, Tl, q) * poly_eval(f, b, z)) % q == 0
+            for a, b, Tl in zip(ing.a, ing.b, T)
+            for z in roots
+        ),
+        c_halves=(ing.r, ing.T) == (r, T)
+        and [len(p) for p in (ing.u, *halves)] == [r + t + 1, *range(r + t, r, -1), *range(r + 1, r + t + 1)],
     )
 
 

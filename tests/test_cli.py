@@ -258,6 +258,18 @@ def test_construct_cyclic_without_shared_symbols_writes_the_nested_code(tmp_path
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
+def test_construct_cyclic_checks_omega_before_handing_off(tmp_path, capsys):
+    """t = 0 is built by the nested construction, but --omega is checked first, as for t >= 1."""
+    s = write_json(tmp_path, "t0.json", {"q": 13, "groups": [{"K": [1, 2, 3], "n": 5}, {"K": [4, 5, 6], "n": 5}]})
+    for omega in ("4", "0"):
+        assert run(["construct", s, "--method", "cyclic", "--omega", omega]) == 3
+        assert "error=NotPrimitive" in capsys.readouterr().err
+    assert run(["construct", s, "--method", "cyclic", "--omega", "2"]) == 0
+    with_omega = capsys.readouterr().out
+    assert run(["construct", s, "--method", "cyclic"]) == 0
+    assert capsys.readouterr().out == with_omega
+
+
 def test_construct_precondition_exit(tmp_path, capsys):
     s = write_json(
         tmp_path,
@@ -436,6 +448,17 @@ def test_encode_input_errors(capsys):
     assert run(["encode", SUBOPT, "--data", "1,2,3,4,9"]) == 2
     assert run(["encode", SUBOPT, "--data", "1,2,3,4,x"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--data", "--received", "--fail"])
+def test_vector_integers_are_ascii_decimal(flag, capsys):
+    """int() reads '1_1' as 11, the Arabic-Indic digit one as 1 and '+1' as 1; every vector flag refuses them."""
+    command, length = {"--data": ("encode", 7), "--received": ("decode", 12), "--fail": ("demo", 2)}[flag]
+    plain = ["2", "3"] if flag == "--fail" else ["0"] * length  # the zero word decodes to zero data
+    assert run([command, CYC, flag, ",".join(plain)]) == 0
+    for spelled in ("1_1", "\u0661", "+1", "0_0", "\u0660"):
+        assert run([command, CYC, flag, ",".join([spelled] + plain[1:])]) == 2, spelled
+        assert "error=ValueError: expected a decimal integer" in capsys.readouterr().err
 
 
 def test_decode_round_trip(suboptimal_codefile, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -29,13 +31,14 @@ from ledc.construct import (
 from ledc.errors import (
     ExhaustedAttempts,
     FieldTooSmall,
+    LedcError,
     NotPrimitive,
     PreconditionViolated,
     TooLarge,
 )
 from ledc.field import find_primitive, make_field
 from ledc.locality import blocks_for_sizes, dmax, make_structure
-from ledc.poly import make_poly, poly_eval, poly_mul
+from ledc.poly import poly_eval, poly_mul
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -166,19 +169,19 @@ def test_nested_matches_canonical_layout(case):
 
 
 def test_lemma3_reference_solutions():
-    g2 = make_poly(F13, [12, 1])
+    g2 = (12, 1)
     a_star, b_star = lemma3_solve(F13, 2, ell=1, t=3, r=1, T=9)
-    assert poly_mul(g2, a_star) == make_poly(F13, [12, 2, 5, 7])
+    assert poly_mul(F13, g2, a_star) == (12, 2, 5, 7)
     a_star, b_star = lemma3_solve(F13, 2, ell=3, t=3, r=1, T=5)
-    assert poly_mul(g2, b_star) == make_poly(F13, [10, 12, 3, 1])
+    assert poly_mul(F13, g2, b_star) == (10, 12, 3, 1)
 
 
 def test_lemma3_single_shared_row_closed_form():
     omega, r, T = 2, 1, 5
     a_star, b_star = lemma3_solve(F13, omega, ell=1, t=1, r=r, T=T)
-    assert a_star == make_poly(F13, [1])
+    assert a_star == (1,)
     expected = (13 - pow(omega, -r * T, 13)) % 13
-    assert b_star == make_poly(F13, [expected])
+    assert b_star == (expected,)
 
 
 def test_lemma3_defining_equation_sweep():
@@ -193,14 +196,13 @@ def test_lemma3_defining_equation_sweep():
             r = rng.randint(0, 3)
             T = rng.randint(t - ell + 1, q - ell - 1)
             a_star, b_star = lemma3_solve(f, omega, ell, t, r, T)
-            assert len(a_star.coeffs) == t - ell + 1
-            assert len(b_star.coeffs) == ell
-            assert all(c != 0 for c in a_star.coeffs)
-            assert all(c != 0 for c in b_star.coeffs)
-            assert a_star.constant() == 1
+            assert len(a_star) == t - ell + 1
+            assert len(b_star) == ell
+            assert all(0 < c < q for c in a_star + b_star)
+            assert a_star[0] == 1
             for j in range(r, r + t):
                 wj = pow(omega, j, f.q)
-                lhs = poly_eval(a_star, wj) + pow(wj, T, f.q) * poly_eval(b_star, wj)
+                lhs = poly_eval(f, a_star, wj) + pow(wj, T, f.q) * poly_eval(f, b_star, wj)
                 assert lhs % q == 0
             checked += 1
     assert checked == 180
@@ -225,7 +227,7 @@ def test_lemma3_accepts_zero_local_redundancy():
     a_star, b_star = lemma3_solve(F13, 2, ell=1, t=2, r=0, T=6)
     for j in range(2):
         wj = pow(2, j, 13)
-        assert (poly_eval(a_star, wj) + pow(wj, 6, 13) * poly_eval(b_star, wj)) % 13 == 0
+        assert (poly_eval(F13, a_star, wj) + pow(wj, 6, 13) * poly_eval(F13, b_star, wj)) % 13 == 0
 
 
 # ---------- cyclic construction ----------
@@ -239,9 +241,9 @@ def test_cyclic_reference_code(equal_r, cyclic_descending, cyclic_codefile):
     assert code.G.to_rows() == cyclic_codefile.G.to_rows()
     descending_rows = {tuple(row) for row in cyclic_descending.G.to_rows()}
     assert {tuple(row) for row in code.G.to_rows()} == descending_rows
-    assert ing.u == make_poly(f, [12, 10, 5, 11, 1])
-    assert ing.v == ing.u == ing.g1
-    assert ing.g2 == make_poly(f, [12, 1])
+    assert [field.name for field in dataclasses.fields(ing)] == ["omega", "r", "u", "g2", "T", "a", "b"]
+    assert ing.u == (12, 10, 5, 11, 1)
+    assert ing.g2 == (12, 1)
     assert ing.T == (9, 7, 5)
     assert min_distance_rank(code) == 5 == dmax(s)
     assert support_violations(code) == []
@@ -258,70 +260,79 @@ def test_cyclic_conditions_hold(equal_r):
 def test_cyclic_conditions_catch_corruption(equal_r):
     s, f = equal_r
     _, ing = construct_cyclic(s, f)
-    broken_b0 = make_poly(f, [0] + list(ing.b[0].coeffs[1:]))
+    broken_b0 = (0,) + ing.b[0][1:]
     broken = dataclasses.replace(ing, b=(broken_b0,) + ing.b[1:])
     report = verify_cyclic_conditions(broken, s, f)
     assert not report.nonzero_constants
     assert not report.all_ok
 
 
-@pytest.mark.parametrize(
-    "q,n1,k1,n2,k2,t",
-    [
-        (13, 5, 4, 7, 6, 3),
-        (13, 3, 1, 4, 2, 1),
-        (17, 6, 3, 6, 3, 2),
-        (19, 4, 2, 5, 3, 2),
-        (19, 7, 5, 4, 2, 2),
-        (13, 3, 3, 4, 4, 2),
-    ],
-)
-def test_cyclic_conditions_catch_every_bumped_coefficient(q, n1, k1, n2, k2, t):
-    """Changing any one coefficient of u, v, a_l, b_l or c_l breaks a condition.
+SHAPES = [  # (q, n1, k1, n2, k2, t); the last has r = 0
+    (13, 5, 4, 7, 6, 3),
+    (13, 3, 1, 4, 2, 1),
+    (17, 6, 3, 6, 3, 2),
+    (19, 4, 2, 5, 3, 2),
+    (19, 7, 5, 4, 2, 2),
+    (13, 3, 3, 4, 4, 2),
+]
 
-    Adding d x^i moves the value at a nonzero root by d z^i != 0, so a bump
-    of u, v or c_l, or of a_l or b_l when r >= 1, breaks a root condition.
-    The last shape has r = 0: a_l and b_l have no roots to check there, and
-    c_halves, which ties each c_l to its a_l and b_l, catches their bumps.
-    """
+
+def cyclic_case(q, n1, k1, n2, k2, t):
     f = make_field(q)
     K = [list(range(1, k1 + 1)), list(range(k1 - t + 1, k1 - t + k2 + 1))]
     s = make_structure(K, blocks_for_sizes([n1, n2]))
     _, ing = construct_cyclic(s, f)
     assert verify_cyclic_conditions(ing, s, f).all_ok
-    variants = [("u", None, ing.u), ("v", None, ing.v)]
-    variants += [(name, ell, p) for name in ("a", "b", "c") for ell, p in enumerate(getattr(ing, name))]
+    return s, f, ing
+
+
+def replaced(ing, name, ell, p):
+    """ing with its polynomial `name` (index ell of it, when ell is not None) set to p."""
+    if ell is None:
+        return dataclasses.replace(ing, **{name: p})
+    polys = list(getattr(ing, name))
+    polys[ell] = p
+    return dataclasses.replace(ing, **{name: tuple(polys)})
+
+
+@pytest.mark.parametrize("q,n1,k1,n2,k2,t", SHAPES)
+def test_cyclic_conditions_catch_every_bumped_coefficient(q, n1, k1, n2, k2, t):
+    """Changing any one coefficient of u, a_l or b_l breaks a condition.
+
+    Adding d x^i moves the value at a nonzero root by d z^i != 0, so a bump
+    of u, or of a_l or b_l when r >= 1, breaks a root condition of its own.
+    The last shape has r = 0: a_l and b_l have no roots of their own there,
+    and c_roots, which checks a_l + x^(T_l) b_l at the r + t >= 1 roots of
+    u, catches their bumps.
+    """
+    s, f, ing = cyclic_case(q, n1, k1, n2, k2, t)
+    variants = [("u", None, ing.u)]
+    variants += [(name, ell, p) for name in ("a", "b") for ell, p in enumerate(getattr(ing, name))]
     checked = 0
     for name, ell, p in variants:
-        for i in range(len(p.coeffs)):
-            coeffs = list(p.coeffs)
-            coeffs[i] += 1
-            bumped = make_poly(f, coeffs)
-            if ell is None:
-                broken = dataclasses.replace(ing, **{name: bumped})
-            else:
-                polys = list(getattr(ing, name))
-                polys[ell] = bumped
-                broken = dataclasses.replace(ing, **{name: tuple(polys)})
-            assert not verify_cyclic_conditions(broken, s, f).all_ok, (name, ell, i)
+        for i in range(len(p)):
+            bumped = p[:i] + ((p[i] + 1) % q,) + p[i + 1 :]
+            assert not verify_cyclic_conditions(replaced(ing, name, ell, bumped), s, f).all_ok, (name, ell, i)
             checked += 1
-    assert checked >= 2 + 3 * t
+    assert checked >= 1 + 2 * t
 
 
 def test_cyclic_conditions_catch_lengthened_halves():
-    """An a_l or b_l with a coefficient past its slot no longer adds up to c_l.
+    """A polynomial longer than its slot would spill into another row's columns, or past the row.
 
-    With r = 0 and t = k2, a_2's slot ends where b_2's begins, and b_l's
-    slots end at position n, so the extra term lands on b_2 or past the row.
+    u (1 + x) has the roots of u and one more coefficient: every root
+    condition holds, and only the slot lengths of c_halves catch it. The
+    last shape has r = 0 and t = k2, where a_2's slot ends where b_2's begins.
     """
-    f = make_field(13)
-    s = make_structure([[1, 2, 3], [2, 3]], blocks_for_sizes([3, 2]))
-    _, ing = construct_cyclic(s, f)
-    for name in ("a", "b"):
-        for ell, p in enumerate(getattr(ing, name)):
-            polys = list(getattr(ing, name))
-            polys[ell] = make_poly(f, list(p.coeffs) + [1])
-            assert not verify_cyclic_conditions(dataclasses.replace(ing, **{name: tuple(polys)}), s, f).c_halves
+    for shape in SHAPES + [(13, 3, 3, 2, 2, 2)]:
+        s, f, ing = cyclic_case(*shape)
+        variants = [("u", None, poly_mul(f, ing.u, (1, 1)))]
+        variants += [(name, ell, p + (1,)) for name in ("a", "b") for ell, p in enumerate(getattr(ing, name))]
+        for name, ell, p in variants:
+            report = verify_cyclic_conditions(replaced(ing, name, ell, p), s, f)
+            assert not report.c_halves and not report.all_ok, (shape, name, ell)
+        report = verify_cyclic_conditions(replaced(ing, *variants[0]), s, f)
+        assert (report.u_roots, report.c_roots) == (True, True), shape
 
 
 def test_cyclic_alternative_generator(equal_r):
@@ -373,10 +384,49 @@ def test_cyclic_disjoint_groups_delegate():
     assert verify_ledc(code).all_ok
 
 
+def test_cyclic_checks_omega_before_delegating():
+    s = disjoint_structure()
+    for omega in (2, 0):  # 2 has order 3 in GF(7)
+        with pytest.raises(NotPrimitive):
+            construct_cyclic(s, F7, omega=omega)
+    code, ing = construct_cyclic(s, F7, omega=3)
+    assert ing is None
+    assert code.G.to_rows() == construct_cyclic(s, F7)[0].G.to_rows()
+
+
 def test_cyclic_rejects_identical_groups():
     s = make_structure([[1, 2], [1, 2]], [[1, 2, 3], [4, 5, 6]])
     with pytest.raises(PreconditionViolated, match="t = k"):
         construct_cyclic(s, F7)
+
+
+# ---------- pinned outputs ----------
+
+
+def test_two_group_constructions_are_pinned_byte_for_byte():
+    """One SHA-256 over G and meta of every two-group shape with n1, n2 <= 5 over GF(13) and GF(17).
+
+    Each shape is built contiguously and with data indices and positions
+    reversed, by construct_nested and by construct_cyclic (t = 0 hands off
+    to nested); a refused shape contributes its error type.
+    """
+    digest = hashlib.sha256()
+    for q, n1, n2 in product((13, 17), range(1, 6), range(1, 6)):
+        f = make_field(q)
+        for k1, k2 in product(range(1, n1 + 1), range(1, n2 + 1)):
+            for t in range(min(k1, k2) + 1):
+                k, n = k1 + k2 - t, n1 + n2
+                K, N = [range(1, k1 + 1), range(k1 - t + 1, k + 1)], blocks_for_sizes([n1, n2])
+                reversed_ = [[k + 1 - i for i in Kg] for Kg in K], [[n + 1 - j for j in Ng] for Ng in N]
+                for s in (make_structure(K, N), make_structure(*reversed_)):
+                    for build in (construct_nested, lambda s, f: construct_cyclic(s, f)[0]):
+                        try:
+                            code = build(s, f)
+                        except LedcError as exc:
+                            digest.update(type(exc).__name__.encode())
+                            continue
+                        digest.update(json.dumps([code.G.to_rows(), code.meta], sort_keys=True).encode())
+    assert digest.hexdigest() == "91ef50886c349934b09f16affae71e2ae8b94d41158a1df65d275b9813864ee6"
 
 
 # ---------- randomized construction ----------

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import tomllib
 from collections import Counter
 from pathlib import Path
@@ -99,3 +100,26 @@ def test_every_error_type_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(declared - raised - {"LedcError"}) == []
+
+
+def test_benchmark_contract_resolves():
+    """The benchmark reaches into the package by name: every layer its tracer wraps imports as
+    `ledc.<layer>`, and every `lib.<layer>.<attr>` its workloads call exists. Both files are only read."""
+    bench = ROOT / "perfbench"
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in parse(bench / "tracer.py").body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    modules = {layer: importlib.import_module(f"ledc.{layer}") for layer in layers}
+    calls = {
+        (node.value.attr, node.attr)
+        for node in ast.walk(parse(bench / "workloads.py"))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and (getattr(node.value.value, "id", None) == "lib" or getattr(node.value.value, "attr", None) == "lib")
+    }
+    assert len(calls) >= 10
+    modules.update((layer, importlib.import_module(f"ledc.{layer}")) for layer, _ in calls)
+    missing = [f"{layer}.{attr}" for layer, attr in sorted(calls) if not hasattr(modules[layer], attr)]
+    assert missing == []
