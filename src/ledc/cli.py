@@ -177,6 +177,11 @@ def _decimal(tok: str) -> int:
     return int(tok)
 
 
+def decimal(tok: str) -> int:
+    """An integer option, _decimal after an optional '-'; argparse reports others as "invalid decimal value"."""
+    return -_decimal(tok[1:]) if tok.startswith("-") else _decimal(tok)
+
+
 def _parse_vector(text: str, q: int, expected: int, allow_erasure: bool) -> list:
     tokens = [tok.strip() for tok in text.split(",")] if text.strip() else []
     if len(tokens) != expected:
@@ -209,6 +214,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    for flag, method in (("omega", "cyclic"), ("seed", "random"), ("max_attempts", "random")):
+        if getattr(args, flag) is not None and args.method != method:
+            raise ValueError(f"--{flag.replace('_', '-')} belongs to --method {method}, not {args.method}")
     s, f = structure_from_dict(_load_json(args.structure_file))
     if args.q is not None:
         f = make_field(args.q)
@@ -217,7 +225,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif args.method == "cyclic":
         code, _ = construct_cyclic(s, f, args.omega)
     else:
-        code = construct_random(s, f, args.seed, args.max_attempts)
+        code = construct_random(s, f, args.seed or 0, 20 if args.max_attempts is None else args.max_attempts)
     payload = json.dumps(code_to_dict(code), indent=2)
     if args.out == "-":
         print(payload)
@@ -327,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a generator matrix")
     p.add_argument("structure_file")
     p.add_argument("--method", required=True, choices=["nested", "cyclic", "random"])
-    p.add_argument("--q", type=int, default=None, help="override the field order")
-    p.add_argument("--omega", type=int, default=None, help="primitive element (cyclic)")
-    p.add_argument("--seed", type=int, default=0, help="random stream seed")
-    p.add_argument("--max-attempts", type=int, default=20)
+    p.add_argument("--q", type=decimal, help="override the field order")
+    p.add_argument("--omega", type=decimal, help="primitive element (cyclic)")
+    p.add_argument("--seed", type=decimal, help="random stream seed (random; default 0)")
+    p.add_argument("--max-attempts", type=decimal, help="attempts (random; default 20)")
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.set_defaults(func=cmd_construct)
 

@@ -125,9 +125,9 @@ def local_decode(
     s = c.structure
     if not 1 <= group <= s.m:
         raise PositionsOutsideGroup(f"no group {group} (have 1..{s.m})")
-    local = {p: j for j, p in enumerate(s.N[group - 1])}
+    word = dict.fromkeys(s.N[group - 1], ERASED)  # the local word, position -> symbol in N_i's order
     positions = [p for p, _ in observed]
-    outside = [p for p in positions if p not in local]
+    outside = [p for p in positions if p not in word]
     if outside:
         raise PositionsOutsideGroup(f"positions {outside} not in group {group}")
     if len(set(positions)) != len(positions):
@@ -140,8 +140,9 @@ def local_decode(
     if off.any():
         i, at = np.argwhere(off)[0]
         raise SupportViolation(f"group {group}: position {positions[at]} depends on data {i + 1}, outside K_{group}")
+    word.update(observed)
     try:
-        x = solve(c.local_generators[group - 1], [v for _, v in observed], [local[p] for p in positions])
+        x = solve(c.local_generators[group - 1], list(word.values()))
     except Underdetermined as exc:
         raise SingularSubmatrix(
             f"group {group}: {len(observed)} observed columns do not determine "
@@ -151,20 +152,16 @@ def local_decode(
 
 
 def erasure_decode(c: LedcCode, received: Sequence[Optional[Felt]]) -> list[Felt]:
-    """Recover the full data vector from a word with erased positions.
+    """Recover the full data vector from a length-n word with erased positions.
 
     Succeeds exactly when the surviving columns of G have rank k; in
     particular always for at most d-1 erasures.
     """
-    s = c.structure
-    if len(received) != s.n:
-        raise DimensionMismatch(f"received length {len(received)} != n={s.n}")
-    cols = [j for j, v in enumerate(received) if v is not ERASED]
     try:
-        return solve(c.G, [received[j] for j in cols], cols)
+        return solve(c.G, received)
     except Underdetermined as exc:
         raise UnrecoverableErasurePattern(
-            f"{s.n - len(cols)} erasures leave rank below k={s.k}"
+            f"{received.count(ERASED)} erasures leave rank below k={c.structure.k}"
         ) from exc
 
 

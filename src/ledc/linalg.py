@@ -5,8 +5,8 @@ array of residues. Elimination runs on such arrays: one matrix a row at a
 time, at most once per matrix and cached for `rank`, `nullspace` and
 `solve` (O(rows x (rows + cols)) memory per matrix, none per call), or
 every w-column subset of a matrix by a walk that shares each prefix of
-columns (`full_rank_subsets`). `solve` reduces only the pivots a call
-leaves out, in Python ints; products run on int64 without overflow.
+columns (`full_rank_subsets`). `solve` reduces only the pivots a word
+leaves unknown, in Python ints; products run on int64 without overflow.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from .field import Felt, PrimeField
 
 @dataclass(frozen=True, eq=False)
 class MatrixGF:
-    """rows x cols matrix over GF(q): one read-only int64 array of residues."""
+    """rows x cols matrix over GF(q): one read-only int64 array of residues, reduced mod q when made."""
 
     field: PrimeField
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=np.int64)
+        a = np.asarray(self.entries, dtype=np.int64) % self.field.q  # a new array, whatever was passed
         if a.ndim != 2:
             raise DimensionMismatch(f"a matrix needs 2-D entries, got {a.ndim}-D")
         a.flags.writeable = False
@@ -75,15 +75,15 @@ class MatrixGF:
 
 
 def make_matrix(f: PrimeField, rows: Sequence[Sequence[int]]) -> MatrixGF:
-    """Build a matrix from nested sequences, reducing entries mod q."""
+    """Build a matrix from nested sequences; MatrixGF reduces the entries mod q."""
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise DimensionMismatch("ragged rows")
     try:
-        entries = np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % f.q
+        entries = np.array(rows, dtype=np.int64)
     except OverflowError:  # entries past int64 are reduced one at a time
-        entries = np.array([[v % f.q for v in r] for r in rows], dtype=np.int64).reshape(len(rows), ncols)
-    return MatrixGF(f, entries)
+        entries = np.array([[v % f.q for v in r] for r in rows], dtype=np.int64)
+    return MatrixGF(f, entries.reshape(len(rows), ncols))
 
 
 # ---------- elimination ----------
@@ -199,39 +199,27 @@ def nullspace(m: MatrixGF) -> np.ndarray:
     return H
 
 
-def solve(a: MatrixGF, b: Sequence[Felt], cols: Optional[Sequence[int]] = None) -> list[Felt]:
-    """Solve x a[:, cols] = b for x through a's cached RREF; distinct `cols`, all by default.
+def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
+    """Solve x a = word on the columns where the word is known (not None), through a's cached RREF.
 
-    With u = x T^-1 the system is u R[:, cols] = b, and only R's first
+    With u = x T^-1 the system is u R = word there, and only R's first
     r = rank(a) rows are nonzero, with R[:r, P] = I on the pivot columns P.
-    Each pivot column in `cols` gives its u_t; the pivots E left out solve
-    u_E R[E, F] = b_F - u R[:r, F] over the other columns F (u still zero on
-    E), reduced in Python ints until |E| equations are independent and the rest
-    checked by substitution; then x = u T. That small system has the solutions of
+    Each known pivot column gives its u_t; the unknown pivots E solve
+    u_E R[E, F] = word_F - u R[:r, F] over the known columns F outside P (u still
+    zero on E), reduced in Python ints until |E| equations are independent and the
+    rest checked by substitution; then x = u T. That small system has the solutions of
     the whole one, so Inconsistent is checked first and Underdetermined follows.
     """
-    cols = range(a.cols) if cols is None else cols
-    if len(b) != len(cols):
-        raise DimensionMismatch(f"rhs length {len(b)} != {len(cols)} columns")
-    q, (k, n) = a.field.q, a.entries.shape
+    if len(word) != a.cols:
+        raise DimensionMismatch(f"word length {len(word)} != {a.cols} columns")
+    q, k = a.field.q, a.rows
     R, T, pivots = a.echelon
-    r = len(pivots)
-    slot = {p: t for t, p in enumerate(pivots)}
-    u, F, b_F = [0] * r, [], []
-    for j, v in zip(cols, b):
-        if j in slot:
-            u[slot[j]] = v % q
-        elif 0 <= j < n:
-            F.append(j)
-            b_F.append(v)
-        else:
-            raise IndexOutOfRange(f"column {j} outside 0..{n - 1}")
-    chosen = set(cols)
-    if len(chosen) != len(cols):
-        raise DimensionMismatch(f"repeated columns in {list(cols)}")
-    E = [t for t, p in enumerate(pivots) if p not in chosen]
+    r, P = len(pivots), set(pivots)
+    u = [0 if word[p] is None else word[p] % q for p in pivots]
+    E = [t for t, p in enumerate(pivots) if word[p] is None]
+    F = [j for j, v in enumerate(word) if v is not None and j not in P]
     R_F = R[:r, F]
-    equations = zip(R_F[E].T.tolist(), [(y - v) % q for y, v in zip(b_F, _vec_mat(q, u, R_F).tolist())])
+    equations = zip(R_F[E].T.tolist(), [(word[j] - v) % q for j, v in zip(F, _vec_mat(q, u, R_F).tolist())])
     basis: dict[int, tuple[list[int], int]] = {}  # pivot -> (row, rhs), each row zero on the others' pivots
     for row, y in equations:
         for p, (other, y_other) in basis.items():

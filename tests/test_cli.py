@@ -288,6 +288,41 @@ def test_construct_field_override(tmp_path, capsys):
     assert run(["construct", UNEQUAL_R, "--method", "nested", "--q", "6"]) == 2
 
 
+@pytest.mark.parametrize(
+    "method, flag, good",
+    [("nested", "--q", "13"), ("cyclic", "--omega", "11"), ("random", "--seed", "15"), ("random", "--max-attempts", "20")],
+)
+def test_construct_integer_options_are_decimal(tmp_path, capsys, method, flag, good):
+    """Each integer option takes ASCII digits after an optional '-', where int() also reads '1_3', '+13' and '١٣'."""
+    s = EQUAL_R if method == "cyclic" else UNEQUAL_R
+    field = ["--q", "101"] if method == "random" else []
+    assert run(["construct", s, "--method", method, *field, flag, good]) == 0
+    capsys.readouterr()
+    for spelling in (good[0] + "_" + good[1:], "+" + good, good.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))):
+        out = tmp_path / "code.json"
+        assert run(["construct", s, "--method", method, *field, flag, spelling, "--out", str(out)]) == 2, spelling
+        assert f"argument {flag}: invalid decimal value: {spelling!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_construct_refuses_options_of_other_methods(tmp_path, capsys):
+    """--omega belongs to cyclic, --seed and --max-attempts to random: another method exits 2 naming both."""
+    for method, flag, value, owner in (
+        ("nested", "--omega", "4", "cyclic"),
+        ("random", "--omega", "2", "cyclic"),
+        ("nested", "--seed", "0", "random"),
+        ("cyclic", "--seed", "3", "random"),
+        ("nested", "--max-attempts", "20", "random"),
+        ("cyclic", "--max-attempts", "1", "random"),
+    ):
+        out = tmp_path / "code.json"
+        assert run(["construct", EQUAL_R, "--method", method, flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error=ValueError: {flag} belongs to --method {owner}, not {method}\n"
+        assert not out.exists()
+    assert run(["construct", UNEQUAL_R, "--method", "random", "--q", "101"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
 def test_construct_random_records_seed(tmp_path, capsys):
     out = str(tmp_path / "rand.json")
     argv = ["construct", UNEQUAL_R, "--method", "random", "--q", "101", "--seed", "5", "--out", out]

@@ -156,18 +156,21 @@ def test_elimination_matches_oracle(q):
             except (Inconsistent, Underdetermined) as exc:
                 x = type(exc).__name__
             assert x == oracle_solve(q, rows, rhs), rows
-            picked = rng.sample(range(cols), rng.randint(0, cols))  # a subset of columns, in any order
-            subs = [[rhs[j] for j in picked]]
+            picked = rng.sample(range(cols), rng.randint(0, cols))  # any subset of the columns is known
+            word = [rhs[j] if j in picked else None for j in range(cols)]
+            words = [word]
             if rhs is not b and picked:
-                # consistent but for the last picked entry: the mismatch lies past the
-                # first independent equations, where solve checks by substitution
-                subs.append(subs[0][:-1] + [(subs[0][-1] + 1) % q])
-            for sub in subs:
+                # consistent but for the last known entry: solve reads the word in column order, so
+                # the mismatch lies past the first independent equations, where it checks by substitution
+                last = max(picked)
+                words.append(word[:last] + [(word[last] + 1) % q] + word[last + 1 :])
+            for word in words:
                 try:
-                    x = solve(m, sub, picked)
+                    x = solve(m, word)
                 except (Inconsistent, Underdetermined) as exc:
                     x = type(exc).__name__
-                assert x == oracle_solve(q, [[row[j] for j in picked] for row in rows], sub), (rows, picked, sub)
+                known = [j for j, v in enumerate(word) if v is not None]
+                assert x == oracle_solve(q, [[row[j] for j in known] for row in rows], [word[j] for j in known]), (rows, word)
 
 
 def every_subset_full_rank(q, M, w):
@@ -257,6 +260,20 @@ def test_matrix_and_its_cached_forms_are_read_only():
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
     assert all(type(v) is int for row in m.to_rows() for v in row)
+
+
+def test_matrix_reduces_its_entries_mod_q():
+    """A MatrixGF holds residues however it is made, so elimination never takes q as a nonzero pivot."""
+    m = MatrixGF(F13, [[13, 0], [0, 1]])
+    assert m.to_rows() == [[0, 0], [0, 1]] and rank(m) == 1
+    assert MatrixGF(F13, np.array([[-1, 27]], dtype=np.int64)).to_rows() == [[12, 1]]
+
+
+def test_make_matrix_reduces_entries_past_int64():
+    """Entries int64 cannot hold are reduced one at a time, to what Python's v % q gives."""
+    rows = [[2**70, -(2**70), 2**63], [-(2**63), 2**64 + 5, 1]]
+    for q in (2, 13, 2**31 - 1):
+        assert make_matrix(make_field(q), rows).to_rows() == [[v % q for v in row] for row in rows]
 
 
 # ---------- det (test oracle) ----------
@@ -360,25 +377,21 @@ def test_solve_rank_deficient_square():
 
 
 def test_solve_rhs_length_checked():
-    with pytest.raises(DimensionMismatch):
+    """A word has one entry, known or None, per column; repeated or outside columns cannot be written."""
+    with pytest.raises(DimensionMismatch, match="word length 3 != 2 columns"):
         solve(identity(F7, 2), [1, 2, 3])
+    with pytest.raises(DimensionMismatch, match="word length 1 != 2 columns"):
+        solve(identity(F7, 2), [None])
 
 
-def test_solve_rejects_repeated_columns():
-    with pytest.raises(DimensionMismatch, match="repeated"):
-        solve(make_matrix(F7, [[1]]), [1, 2], [0, 0])  # not the answer [2]
-    with pytest.raises(DimensionMismatch, match="repeated"):
-        solve(make_matrix(F7, [[1, 2, 3]]), [1, 2], [1, 1])
-
-
-def test_solve_rejects_negative_columns():
-    with pytest.raises(IndexOutOfRange, match="column -1 outside 0..2"):
-        solve(make_matrix(F7, [[1, 2, 3]]), [3, 1], [-1, 0])  # not a read of column 2
-
-
-def test_solve_rejects_columns_past_the_end():
-    with pytest.raises(IndexOutOfRange, match="column 5 outside 0..2"):
-        solve(make_matrix(F7, [[1, 2, 3]]), [1, 1], [5, 0])
+def test_solve_reads_only_the_known_columns():
+    a = make_matrix(F7, [[1, 2, 3], [0, 1, 4]])
+    x = [3, 5]
+    word = row_vec_mul(x, a)
+    for erased in range(3):
+        assert solve(a, [None if j == erased else v for j, v in enumerate(word)]) == x
+    with pytest.raises(Underdetermined):
+        solve(a, [None, None, word[2]])
 
 
 # ---------- vandermonde ----------

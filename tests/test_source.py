@@ -1,6 +1,6 @@
 import ast
 import importlib
-import tomllib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +27,13 @@ def test_package_has_no_assert():
     assert found == []
 
 
+def entry_points():
+    """[project.scripts] of pyproject.toml, name -> "module:function"; tomllib is new in Python 3.11."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    return dict(re.findall(r'^([\w.-]+)\s*=\s*"([^"]+)"\s*$', table, re.M))
+
+
 def references(node):
     """How often each name, attribute and imported name occurs under one AST node."""
     return Counter(
@@ -50,7 +57,7 @@ def test_every_function_is_used():
     nodes = [node for module in modules for node in module.body]
     names = [set(references(node)) for node in nodes]
     users = Counter(name for found in names for name in found)  # top-level statements per name
-    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    scripts = entry_points()
     workloads = set(references(parse(ROOT / "perfbench" / "workloads.py")))
     outside = set(ledc.__all__) | {target.rsplit(":", 1)[1] for target in scripts.values()} | workloads
     unused = [
