@@ -26,6 +26,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from typing import Sequence
 
@@ -158,6 +160,31 @@ def code_to_dict(code: LedcCode) -> dict:
     return out
 
 
+def _format_json(v, indent: str = "\n") -> str:
+    """json.dumps(v, indent=2) for string-keyed data, byte for byte, without the pure-Python encoder
+    that `indent` selects: an int is str(v), a list of ints one join, other scalars go through json.dumps."""
+    if type(v) is int:
+        return str(v)
+    inner = indent + "  "
+    if isinstance(v, dict) and v:
+        items = [f"{inner}{json.dumps(k)}: {_format_json(x, inner)}" for k, x in v.items()]
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(v, (list, tuple)) and v:
+        if all(type(x) is int for x in v):
+            return "[" + inner + f",{inner}".join(map(str, v)) + indent + "]"
+        return "[" + ",".join([inner + _format_json(x, inner) for x in v]) + indent + "]"
+    return json.dumps(v)
+
+
+def _write_in_place(path: str, text: str) -> None:
+    """Write text over path without O_TRUNC, so an existing file keeps its inode, links and mode and ext4
+    (auto_da_alloc) starts no writeback on close; a regular file is then cut to length, a device or pipe is not."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -226,12 +253,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
         code, _ = construct_cyclic(s, f, args.omega)
     else:
         code = construct_random(s, f, args.seed or 0, 20 if args.max_attempts is None else args.max_attempts)
-    payload = json.dumps(code_to_dict(code), indent=2)
+    payload = _format_json(code_to_dict(code))
     if args.out == "-":
         print(payload)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write_in_place(args.out, payload + "\n")
         print(f"wrote={args.out}")
         print(f"claimed_distance={code.meta['claimed_distance']}")
     return EXIT_OK

@@ -117,7 +117,8 @@ def local_decode(
 ) -> dict[int, Felt]:
     """Recover the data symbols K_i from >= k_i symbols inside N_i.
 
-    `observed` pairs are (1-based position, value). Returns a map from
+    `observed` pairs are (1-based position, value); a value of None is an
+    erasure, which only the position checks see. Returns a map from
     data index to value. A singular local submatrix means the code
     violates its own local MDS invariant and raises SingularSubmatrix; G off
     the support pattern at an observed position raises SupportViolation.
@@ -133,19 +134,20 @@ def local_decode(
     if len(set(positions)) != len(positions):
         raise PositionsOutsideGroup("observed positions must be distinct")
     ki = len(s.K[group - 1])
-    if len(observed) < ki:
-        raise NotEnoughSymbols(f"{len(observed)} symbols < k_{group}={ki}")
+    known = [p for p, v in observed if v is not ERASED]
+    if len(known) < ki:
+        raise NotEnoughSymbols(f"{len(known)} symbols < k_{group}={ki}")
     # An off-support entry in a column of N_i lies in a row outside K_i.
-    off = c.off_support[:, [p - 1 for p in positions]]
+    off = c.off_support[:, [p - 1 for p in known]]
     if off.any():
         i, at = np.argwhere(off)[0]
-        raise SupportViolation(f"group {group}: position {positions[at]} depends on data {i + 1}, outside K_{group}")
+        raise SupportViolation(f"group {group}: position {known[at]} depends on data {i + 1}, outside K_{group}")
     word.update(observed)
     try:
         x = solve(c.local_generators[group - 1], list(word.values()))
     except Underdetermined as exc:
         raise SingularSubmatrix(
-            f"group {group}: {len(observed)} observed columns do not determine "
+            f"group {group}: {len(known)} observed columns do not determine "
             f"the {ki} local data symbols; local MDS invariant is broken"
         ) from exc
     return dict(zip(s.K[group - 1], x))

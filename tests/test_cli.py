@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, cap_structure, load_json, load_structure, random_structure
 
 import ledc
-from ledc.cli import code_from_dict, code_to_dict, run, structure_from_dict
+from ledc.cli import _format_json, code_from_dict, code_to_dict, run, structure_from_dict
 from ledc.code import ERASED, LedcCode, encode, erasure_decode
 from ledc.construct import construct_cyclic, construct_nested, construct_random
 from ledc.errors import UnrecoverableErasurePattern
@@ -279,6 +279,96 @@ def test_construct_precondition_exit(tmp_path, capsys):
     assert run(["construct", s, "--method", "nested"]) == 3
     assert "error=PreconditionViolated" in capsys.readouterr().err
     assert run(["construct", UNEQUAL_R, "--method", "cyclic"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        ([UNEQUAL_R, "--method", "nested"], lambda: construct_nested(*load_structure("unequal_r_structure.json"))),
+        ([EQUAL_R, "--method", "cyclic"], lambda: construct_cyclic(*load_structure("equal_r_structure.json"))[0]),
+        (
+            [UNEQUAL_R, "--method", "random", "--q", "101", "--seed", "5"],
+            lambda: construct_random(load_structure("unequal_r_structure.json")[0], make_field(101), 5, 20),
+        ),
+    ],
+    ids=["nested", "cyclic", "random"],
+)
+def test_construct_writes_the_json_encoders_bytes(tmp_path, capsys, argv, build):
+    """A new file and stdout both hold json.dumps(..., indent=2) of the code, plus one newline."""
+    expected = json.dumps(code_to_dict(build()), indent=2) + "\n"
+    out = tmp_path / "new" / "code.json"
+    out.parent.mkdir()
+    assert run(["construct", *argv, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+    capsys.readouterr()
+    assert run(["construct", *argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_construct_overwrites_in_place(tmp_path, capsys):
+    """A longer old file is cut to the new bytes; its inode, a hard link to it and its mode survive."""
+    out, link = tmp_path / "code.json", tmp_path / "link.json"
+    out.write_text("x" * 100_000)
+    out.chmod(0o600)
+    os.link(out, link)
+    before = out.stat()
+    assert run(["construct", UNEQUAL_R, "--method", "nested", "--out", str(out)]) == 0
+    assert run(["construct", UNEQUAL_R, "--method", "nested"]) == 0
+    printed = capsys.readouterr().out
+    expected = printed.split("claimed_distance=4\n", 1)[1]
+    assert out.read_text(encoding="utf-8") == link.read_text(encoding="utf-8") == expected
+    after = out.stat()
+    assert (after.st_ino, after.st_nlink, after.st_mode) == (before.st_ino, 2, before.st_mode)
+
+
+def test_construct_out_to_devices_and_pipes(tmp_path, capsys):
+    """Only a regular file is truncated: /dev/null takes the bytes, and /dev/stdout on a pipe carries them."""
+    assert run(["construct", UNEQUAL_R, "--method", "nested", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == f"wrote={os.devnull}\nclaimed_distance=4\n"
+    assert run(["construct", UNEQUAL_R, "--method", "nested"]) == 0
+    payload = capsys.readouterr().out
+    result = run_cli("construct", UNEQUAL_R, "--method", "nested", "--out", "/dev/stdout")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == payload + "wrote=/dev/stdout\nclaimed_distance=4\n"
+
+
+def test_construct_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    for out, error in ((tmp_path, "IsADirectoryError"), (tmp_path / "missing" / "code.json", "FileNotFoundError")):
+        assert run(["construct", UNEQUAL_R, "--method", "nested", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error={error}: ")
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=5, max_size=5).filter(lambda v: v[0] + v[1] and v[1] + v[2]),
+    st.sampled_from(("nested", "cyclic", "random")), st.sampled_from((7, 13, 257)), st.integers(-1, 3000),
+)
+def test_construct_out_over_an_old_file_fuzz(shape, method, q, old_size):
+    """Two groups with a, t, b private, shared, private data symbols and redundancies r1, r2, over no file (-1)
+    or an old file of any length: the file ends up holding exactly what stdout shows on exit 0, and keeps its old
+    bytes on any other exit."""
+    a, t, b, r1, r2 = shape
+    groups = [{"K": list(range(1, a + t + 1)), "n": a + t + r1}, {"K": list(range(a + 1, a + t + b + 1)), "n": t + b + r2}]
+    structure = {"q": q, "groups": groups}
+    old = b"\xff" * old_size if old_size >= 0 else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "structure.json"), Path(tmp, "out.json")
+        Path(path).write_text(json.dumps(structure))
+        if old is not None:
+            out.write_bytes(old)
+        printed = StringIO()
+        with redirect_stdout(printed), redirect_stderr(StringIO()):
+            status = run(["construct", path, "--method", method])
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            assert run(["construct", path, "--method", method, "--out", str(out)]) == status
+        assert status in (0, 3)
+        if status == 0:
+            assert out.read_text(encoding="utf-8") == printed.getvalue()
+        else:
+            assert (out.read_bytes() if out.exists() else None) == old
 
 
 def test_construct_field_override(tmp_path, capsys):
@@ -662,6 +752,27 @@ def test_code_file_json_round_trip_fuzz(cf):
     assert back == cf
 
 
+JSON_TEXT = st.text() | st.text(st.sampled_from('"\\\n\t/aé€😀\x00'), max_size=6)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from((2**63, 2**64 + 1, -(2**63) - 1)) | st.floats() | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers(), max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_format_json_matches_the_encoder(v):
+    """The construct formatter writes json.dumps(v, indent=2) byte for byte, empty containers included."""
+    assert _format_json(v) == json.dumps(v, indent=2)
+
+
 def test_explicit_position_layout(tmp_path, capsys):
     payload = {
         "q": 7,
@@ -748,8 +859,12 @@ def vector_text(draw, length):
     """Comma-separated symbols, erasures and positions, or tokens that are none of these."""
     clean = st.sampled_from(("0", "1", "2", "3", "?"))
     junk = st.sampled_from(("12", "31", "-1", "", " 3", "x", "1.5"))
+    length = max(length, 0)  # declared sizes may be negative
     size = draw(st.sampled_from((length, length, draw(st.integers(0, 14)))))
     return ",".join(draw(st.lists(draw(st.sampled_from((clean, clean, junk))), min_size=size, max_size=size)))
+
+
+OUT = "out.json"  # construct's --out, placed in the test's temporary directory
 
 
 @st.composite
@@ -764,11 +879,16 @@ def cli_argvs(draw):
     n = sum(g["n"] for g in groups if isinstance(g.get("n"), int))
     options = []
     if command == "construct":
-        options = ["--method", draw(st.sampled_from(("nested", "cyclic", "random")))]
-        options += ["--max-attempts", str(draw(st.sampled_from((1, 2, 3, 0, -1))))]
-        for flag, values in (("--q", st.integers(-1, 31)), ("--omega", st.integers(-1, 31)), ("--seed", st.integers(-5, 2**64))):
+        method = draw(st.sampled_from(("nested", "cyclic", "random")))
+        options = ["--method", method]
+        if method == "random":  # each method's own flags: test_construct_refuses_options_of_other_methods pins the rest
+            options += ["--max-attempts", str(draw(st.sampled_from((1, 2, 3, 0, -1))))]
+        flags = {"nested": (), "cyclic": (("--omega", st.integers(-1, 31)),), "random": (("--seed", st.integers(-5, 2**64)),)}
+        for flag, values in (("--q", st.integers(-1, 31)), *flags[method]):
             if draw(st.booleans()):
                 options += [flag, str(draw(values))]
+        if draw(st.booleans()):
+            options += ["--out", OUT]
     elif command == "verify":
         options = ["--distance-method", draw(st.sampled_from(("auto", "exhaustive", "rank", "both")))]
     elif command != "bound":
@@ -786,5 +906,6 @@ def test_cli_contract_fuzz(case):
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload if isinstance(payload, str) else json.dumps(payload))
+        argv = [os.path.join(tmp, a) if a == OUT else a for a in argv]
         with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
             assert run([argv[0], path, *argv[1:]]) in (0, 2, 3, 4, 5)

@@ -174,6 +174,18 @@ def test_local_decode_refuses_off_support_position():
     with pytest.raises(SupportViolation, match="position 3 depends on data 1"):
         local_decode(c, 2, [(3, word[2])])
     assert local_decode(c, 2, [(4, word[3])]) == {2: 0}  # position 4 carries x_2 alone
+    assert local_decode(c, 2, [(3, ERASED), (4, word[3])]) == {2: 0}  # an erased position depends on nothing
+
+
+def test_local_decode_reads_none_as_an_erasure(cyclic_codefile):
+    """A pair (p, None) is an erasure: three known symbols of group 1 (k_1 = 4) are too few on a sound code."""
+    c = cyclic_codefile
+    x = [1, 2, 3, 4, 5, 6, 7]
+    word = encode(c, x)
+    with pytest.raises(NotEnoughSymbols, match=r"^3 symbols < k_1=4$"):
+        local_decode(c, 1, [(1, word[0]), (2, word[1]), (3, word[2]), (4, ERASED)])
+    got = local_decode(c, 1, [(5, ERASED)] + [(p, word[p - 1]) for p in (4, 1, 3, 2)])
+    assert got == {i: x[i - 1] for i in c.structure.K[0]}
 
 
 # ---------- erasure decode ----------

@@ -27,6 +27,19 @@ def test_package_has_no_assert():
     assert found == []
 
 
+def test_no_json_encoding_with_indent():
+    """`indent=` sends json.dump(s) through the pure-Python encoder; the CLI formats code files itself."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert found == []
+
+
 def entry_points():
     """[project.scripts] of pyproject.toml, name -> "module:function"; tomllib is new in Python 3.11."""
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
