@@ -47,7 +47,7 @@ from .errors import (
     UnrecoverableErasurePattern,
 )
 from .field import PrimeField, make_field
-from .linalg import make_matrix
+from .linalg import MatrixGF
 from .locality import LocalityStructure, blocks_for_sizes, dmax_witness, make_structure
 
 EXIT_OK = 0
@@ -130,14 +130,17 @@ def code_from_dict(d: dict) -> LedcCode:
     G = _member(d, "G", "code file")
     if not isinstance(G, list):
         raise ValueError(f"'G' must be a list of rows, got {G!r}")
-    for i, row in enumerate(G, start=1):  # types in one pass, then the range once
+    for i, row in enumerate(G, start=1):  # types and lengths in one pass, then the count and range once
         if not isinstance(row, list) or not set(map(type, row)) <= {int}:
             _integers(row, f"row {i} of 'G'")  # names the first entry that is not an integer
-    filled = [row for row in G if row]
-    if filled and (min(map(min, filled)) < 0 or max(map(max, filled)) >= f.q):
-        v = next(v for row in filled for v in row if not 0 <= v < f.q)
+        if len(row) != s.n:
+            raise ValueError(f"row {i} of 'G' has {len(row)} entries, expected n={s.n}")
+    if len(G) != s.k:
+        raise ValueError(f"'G' has {len(G)} rows, expected k={s.k}")
+    if min(map(min, G)) < 0 or max(map(max, G)) >= f.q:  # k, n >= 1, so no row is empty
+        v = next(v for row in G for v in row if not 0 <= v < f.q)
         raise ValueError(f"matrix entry {v} outside [0, {f.q})")
-    code = LedcCode(s, f, make_matrix(f, G))
+    code = LedcCode(s, f, MatrixGF(f, G))
     method = _member(d, "method", "code file")
     if not isinstance(method, str):
         raise ValueError(f"'method' must be a string, got {method!r}")

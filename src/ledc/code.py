@@ -33,7 +33,7 @@ from .errors import (
     UnrecoverableErasurePattern,
 )
 from .field import Felt, PrimeField
-from .linalg import MatrixGF, full_rank_subsets, nullspace, rank, row_vec_mul, solve, submatrix
+from .linalg import MatrixGF, full_rank_subsets, nullspace, rank, solve, vec_mat
 from .locality import LocalityStructure, dmax, group_masks
 
 # Erasure marker inside a received word.
@@ -81,18 +81,15 @@ class LedcCode:
     def local_generators(self) -> tuple[MatrixGF, ...]:
         """The k_i x n_i generator G[K_i, N_i] per group (index 0 = group 1), each with its own cached RREF."""
         s = self.structure
-        return tuple(submatrix(self.G, [i - 1 for i in Kg], [j - 1 for j in Ng]) for Kg, Ng in zip(s.K, s.N))
+        return tuple(
+            MatrixGF(self.field, self.G.entries[np.ix_([i - 1 for i in Kg], [j - 1 for j in Ng])])
+            for Kg, Ng in zip(s.K, s.N)
+        )
 
     @cached_property
     def off_support(self) -> np.ndarray:
-        """Read-only k x n mask of G's nonzero entries outside their data symbol's reach.
-
-        A symbol's reach is the union of its groups' blocks, so clearing each
-        group's K_g x N_g block leaves exactly the entries outside it.
-        """
-        mask = self.G.entries != 0
-        for Kg, Ng in zip(self.structure.K, self.structure.N):
-            mask[np.ix_([i - 1 for i in Kg], [j - 1 for j in Ng])] = False
+        """Read-only k x n mask of G's nonzero entries outside the structure's support pattern."""
+        mask = (self.G.entries != 0) & ~self.structure.support
         mask.flags.writeable = False
         return mask
 
@@ -106,10 +103,11 @@ class LedcCode:
 
 
 def encode(c: LedcCode, x: Sequence[Felt]) -> list[Felt]:
-    """Codeword x G; positions in N_i depend only on entries in K_i."""
+    """Codeword x G, x reduced mod q first; positions in N_i depend only on entries in K_i."""
     if len(x) != c.structure.k:
         raise DimensionMismatch(f"data length {len(x)} != k={c.structure.k}")
-    return row_vec_mul(x, c.G)
+    q = c.field.q
+    return vec_mat(q, [v % q for v in x], c.G.entries).tolist()
 
 
 def local_decode(
@@ -231,7 +229,7 @@ def check_distance_budget(n: int, d0: int) -> None:
         raise TooLarge(f"C({n},{d0 - 1}) erasure patterns exceed the budget")
 
 
-def _level(f: PrimeField, G: MatrixGF, d0: int) -> bool:
+def _level(G: MatrixGF, d0: int) -> bool:
     """Does the code generated by the k x n matrix G have d >= d0 >= 1?
 
     That is, every e = d0 - 1 erasures leave rank k; equivalently, every e
@@ -246,16 +244,16 @@ def _level(f: PrimeField, G: MatrixGF, d0: int) -> bool:
         return False
     check_distance_budget(n, d0)
     if k * (n - e) ** 2 <= (n - k) * e**2:
-        return full_rank_subsets(f, G.entries, n - e)
+        return full_rank_subsets(G.field, G.entries, n - e)
     H = nullspace(G)
     if len(H) > n - k:
         return False  # G is rank deficient
-    return full_rank_subsets(f, H, e)
+    return full_rank_subsets(G.field, H, e)
 
 
 def distance_at_least(c: LedcCode, d0: int) -> bool:
     """Certify d >= d0: every set of d0 - 1 erasures leaves rank k, on G or on H."""
-    return d0 <= 0 or _level(c.field, c.G, d0)
+    return d0 <= 0 or _level(c.G, d0)
 
 
 def _local_level(c: LedcCode, g: int, rows: tuple[int, ...], d0: int) -> bool:
@@ -267,8 +265,8 @@ def _local_level(c: LedcCode, g: int, rows: tuple[int, ...], d0: int) -> bool:
     verdict = c.local_levels.get(key)
     if verdict is None:
         G = c.local_generators[g]
-        sub = G if len(rows) == G.rows else submatrix(G, rows, range(G.cols))
-        verdict = c.local_levels[key] = _level(c.field, sub, d0)
+        sub = G if len(rows) == G.rows else MatrixGF(G.field, G.entries[list(rows)])
+        verdict = c.local_levels[key] = _level(sub, d0)
     return verdict
 
 
@@ -363,7 +361,7 @@ def min_distance_rank(c: LedcCode) -> int:
 
 
 def support_violations(c: LedcCode) -> list[tuple[int, int]]:
-    """(data index, position) pairs where G is nonzero outside the reach."""
+    """(data index, position) pairs where G is nonzero outside the support pattern."""
     rows, cols = np.nonzero(c.off_support)
     return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
 

@@ -32,15 +32,15 @@ import numpy as np
 from .code import LedcCode, check_distance_budget, min_distance_rank, verify_local_mds
 from .errors import DegenerateSystem, ExhaustedAttempts, FieldTooSmall, NotPrimitive, PreconditionViolated
 from .field import Felt, PrimeField, find_primitive, is_primitive
-from .linalg import MatrixGF, make_matrix, nullspace, vandermonde
-from .locality import LocalityStructure, dmax, reach, two_group_params
+from .linalg import MatrixGF, nullspace
+from .locality import LocalityStructure, dmax, two_group_params
 from .poly import linear_factor_product, poly_eval, poly_mul
 
 # ---------- nested Vandermonde construction ----------
 
 
 def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
-    """One Vandermonde block per group: G[K_g, N_g] = vandermonde(1..n_g, k_g).
+    """One Vandermonde block per group: G[K_g, N_g] has entry (i, j) = j^i, i < k_g, 1 <= j <= n_g.
 
     The rows of K_g are its private data symbols first, then the shared
     ones, each in index order, so the private rows generate a smaller MDS
@@ -69,7 +69,7 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
     G = np.zeros((s.k, s.n), dtype=np.int64)
     for Kg, Ng, other in zip(s.K, s.N, (set(s.K[1]), set(s.K[0]))):
         rows = sorted(Kg, key=lambda i: i in other)  # private first; the sort is stable
-        block = vandermonde(f, range(1, len(Ng) + 1), len(Kg)).entries
+        block = [[pow(p, i, f.q) for p in range(1, len(Ng) + 1)] for i in range(len(Kg))]
         G[np.ix_([i - 1 for i in rows], [j - 1 for j in Ng])] = block
     meta = {"method": "nested", "swapped": r1 > r2, "claimed_distance": min(r1, r2) + t + 1}
     return LedcCode(s, f, MatrixGF(f, G), meta)
@@ -117,7 +117,7 @@ def lemma3_solve(
         raise PreconditionViolated(f"need t - ell < T < q - ell, got T={T} with t={t}, ell={ell}, q={f.q}")
     exponents = list(range(t - ell + 1)) + list(range(T, T + ell))
     rows = [[pow(omega, j * e, f.q) for e in exponents] for j in range(r, r + t)]
-    kernel = nullspace(make_matrix(f, rows))
+    kernel = nullspace(MatrixGF(f, rows))
     if len(kernel) != 1:
         raise DegenerateSystem(f"kernel dimension {len(kernel)}, expected 1; is omega primitive?")
     vec = kernel[0].tolist()
@@ -267,7 +267,7 @@ def construct_random(
     """Sample supported entries uniformly until a code meets the bound.
 
     Entries are drawn row by row in ascending (data index, position)
-    order over the allowed support; everything off support stays zero.
+    order over the support pattern; everything off it stays zero.
     An attempt is judged as `verify --distance-method rank` judges a code:
     it is accepted when every local code is MDS (`verify_local_mds`) and
     `min_distance_rank` puts it at the structure bound. Attempts are
@@ -283,7 +283,8 @@ def construct_random(
     """
     if max_attempts < 1:
         raise PreconditionViolated(f"max_attempts must be >= 1, got {max_attempts}")
-    reaches = reach(s)
+    support = s.support
+    draws = np.count_nonzero(support)
     bound = dmax(s)
     for Kg, Ng in zip(s.K, s.N):  # the local levels every attempt runs, before any attempt
         check_distance_budget(len(Ng), len(Ng) - len(Kg) + 1)
@@ -292,12 +293,10 @@ def construct_random(
     master = _SplitMix64(seed)
     for attempt in range(max_attempts):
         stream = _SplitMix64(master.next64())  # attempt a: the (a+1)-th master output
-        rows = [
-            [stream.below(f.q) if j in allowed else 0 for j in range(1, s.n + 1)]
-            for allowed in reaches
-        ]
+        G = np.zeros(support.shape, dtype=np.int64)
+        G[support] = [stream.below(f.q) for _ in range(draws)]  # in row-major order, as documented
         meta = {"method": "random", "seed": seed, "attempt": attempt, "claimed_distance": bound}
-        code = LedcCode(s, f, make_matrix(f, rows), meta)
+        code = LedcCode(s, f, MatrixGF(f, G), meta)
         if not all(verify_local_mds(code).values()):
             continue
         achieved = min_distance_rank(code)

@@ -25,14 +25,6 @@ class Underdetermined(LedcError):
     """Linear system does not pin down every unknown."""
 
 
-class DuplicatePoint(LedcError):
-    """Evaluation points for a Vandermonde matrix must be distinct."""
-
-
-class IndexOutOfRange(LedcError):
-    """Row or column index outside the matrix."""
-
-
 class DimensionMismatch(LedcError):
     """Operand shapes are incompatible."""
 

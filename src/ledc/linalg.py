@@ -1,12 +1,14 @@
 """Dense matrices over a prime field.
 
 A matrix is an immutable value holding one read-only rows x cols int64
-array of residues. Elimination runs on such arrays: one matrix a row at a
-time, at most once per matrix and cached for `rank`, `nullspace` and
-`solve` (O(rows x (rows + cols)) memory per matrix, none per call), or
-every w-column subset of a matrix by a walk that shares each prefix of
-columns (`full_rank_subsets`). `solve` reduces only the pivots a word
-leaves unknown, in Python ints; products run on int64 without overflow.
+array of residues, made one way: MatrixGF(f, rows). Elimination runs on
+such arrays: one matrix a row at a time, at most once per matrix and
+cached for `rank`, `nullspace` and `solve` (O(rows x (rows + cols))
+memory per matrix, none per call), or every w-column subset of a matrix
+by a walk that shares each prefix of columns (`full_rank_subsets`).
+`solve` reduces only the pivots a word leaves unknown, in Python ints.
+`vec_mat`, the one vector-matrix product, serves `solve` and encoding
+and runs on int64 without overflow.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicatePoint,
-    Inconsistent,
-    IndexOutOfRange,
-    Underdetermined,
-)
+from .errors import DimensionMismatch, Inconsistent, Underdetermined
 from .field import Felt, PrimeField
 
 # ---------- type ----------
@@ -72,18 +68,6 @@ class MatrixGF:
         pivots = tuple(p for p in _rref(self.field, reduced)[1] if p < n)
         reduced.flags.writeable = False
         return reduced[:, :n], reduced[:, n:], pivots
-
-
-def make_matrix(f: PrimeField, rows: Sequence[Sequence[int]]) -> MatrixGF:
-    """Build a matrix from nested sequences; MatrixGF reduces the entries mod q."""
-    ncols = len(rows[0]) if rows else 0
-    if any(len(r) != ncols for r in rows):
-        raise DimensionMismatch("ragged rows")
-    try:
-        entries = np.array(rows, dtype=np.int64)
-    except OverflowError:  # entries past int64 are reduced one at a time
-        entries = np.array([[v % f.q for v in r] for r in rows], dtype=np.int64)
-    return MatrixGF(f, entries.reshape(len(rows), ncols))
 
 
 # ---------- elimination ----------
@@ -219,7 +203,7 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
     E = [t for t, p in enumerate(pivots) if word[p] is None]
     F = [j for j, v in enumerate(word) if v is not None and j not in P]
     R_F = R[:r, F]
-    equations = zip(R_F[E].T.tolist(), [(word[j] - v) % q for j, v in zip(F, _vec_mat(q, u, R_F).tolist())])
+    equations = zip(R_F[E].T.tolist(), [(word[j] - v) % q for j, v in zip(F, vec_mat(q, u, R_F).tolist())])
     basis: dict[int, tuple[list[int], int]] = {}  # pivot -> (row, rhs), each row zero on the others' pivots
     for row, y in equations:
         for p, (other, y_other) in basis.items():
@@ -245,42 +229,10 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
             u[t] = v
     if len(basis) < len(E) or r < k:
         raise Underdetermined(f"rank {r - len(E) + len(basis)} < {k} unknowns")
-    return _vec_mat(q, u, T).tolist()
+    return vec_mat(q, u, T).tolist()
 
 
-# ---------- builders ----------
-
-
-def vandermonde(f: PrimeField, points: Sequence[Felt], k: int) -> MatrixGF:
-    """k x n matrix with entry (i, j) = points[j]^i."""
-    pts = [p % f.q for p in points]
-    if len(set(pts)) != len(pts):
-        raise DuplicatePoint(f"evaluation points not distinct: {pts}")
-    if k > len(pts):
-        raise DimensionMismatch(f"k={k} exceeds {len(pts)} points")
-    powers = [[pow(p, i, f.q) for p in pts] for i in range(k)]
-    return MatrixGF(f, np.array(powers, dtype=np.int64).reshape(k, len(pts)))
-
-
-def submatrix(m: MatrixGF, row_idx: Sequence[int], col_idx: Sequence[int]) -> MatrixGF:
-    """Extract rows and columns by 0-based index lists, in the given order."""
-    for i in row_idx:
-        if not 0 <= i < m.rows:
-            raise IndexOutOfRange(f"row {i} outside 0..{m.rows - 1}")
-    for j in col_idx:
-        if not 0 <= j < m.cols:
-            raise IndexOutOfRange(f"column {j} outside 0..{m.cols - 1}")
-    return MatrixGF(m.field, m.entries.take(row_idx, axis=0).take(col_idx, axis=1))
-
-
-def row_vec_mul(x: Sequence[Felt], m: MatrixGF) -> list[Felt]:
-    """Row vector times matrix: (x m)_j = sum_i x_i m_ij mod q."""
-    if len(x) != m.rows:
-        raise DimensionMismatch(f"vector length {len(x)} != {m.rows} rows")
-    return _vec_mat(m.field.q, [xi % m.field.q for xi in x], m.entries).tolist()
-
-
-def _vec_mat(q: int, x: list[int], M: np.ndarray) -> np.ndarray:
+def vec_mat(q: int, x: list[int], M: np.ndarray) -> np.ndarray:
     """x M mod q for residues x: one int64 product while len(x) (q-1)^2 < 2^63, else each product reduced first."""
     if len(x) * (q - 1) ** 2 < 1 << 63:
         return np.array(x, dtype=np.int64) @ M % q

@@ -5,15 +5,18 @@ K_i feed it and which coded positions N_i it owns. The K_i may overlap;
 the N_i partition the coded positions. All indices are 1-based at this
 interface. A structure is checked once, when it is made;
 `make_structure` derives k and n as the largest index each side names.
+Its support pattern, the k x n mask of which data symbol each position
+may depend on, is built only by `LocalityStructure.support`, on first use.
 
 The largest minimum distance any code with a given structure can reach
 is
 
     dmax = 1 + min over nonempty I of (|union of R_i, i in I| - |I|)
 
-where R_i is the set of coded positions whose value may depend on data
-symbol i. Because each R_i is a union of whole position blocks, the
-minimum is attained at I_T = {i : every group containing i lies in T}
+where R_i, row i of the support pattern, is the set of coded positions
+whose value may depend on data symbol i. Because each R_i is a union of
+whole position blocks, the minimum is attained at
+I_T = {i : every group containing i lies in T}
 for some group subset T. A subset-sum (zeta) transform gives |I_T| and
 the positions owned by T's blocks for all 2^m subsets in O(m 2^m) steps.
 """
@@ -21,6 +24,7 @@ the positions owned by T's blocks for all 2^m subsets in O(m 2^m) steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +101,16 @@ class LocalityStructure:
     def n_sizes(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.N)
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """The support pattern: a read-only k x n bool mask, True at (i - 1, j - 1) when position j
+        may depend on data symbol i, i.e. on the union of the K_g x N_g blocks. Built on first use."""
+        mask = np.zeros((self.k, self.n), dtype=bool)
+        for Kg, Ng in zip(self.K, self.N):
+            mask[np.ix_([i - 1 for i in Kg], [j - 1 for j in Ng])] = True
+        mask.flags.writeable = False
+        return mask
+
 
 @dataclass(frozen=True)
 class DmaxWitness:
@@ -125,15 +139,6 @@ def make_structure(K: Sequence[Sequence[int]], N: Sequence[Sequence[int]]) -> Lo
     k = max((max(g) for g in K if g), default=0)
     n = max((max(g) for g in N if g), default=0)
     return LocalityStructure(k, n, K, N)
-
-
-def reach(s: LocalityStructure) -> tuple[frozenset[int], ...]:
-    """R_i per data symbol i (index 0 = symbol 1): the positions it may touch."""
-    out: list[set[int]] = [set() for _ in range(s.k)]
-    for Kg, Ng in zip(s.K, s.N):
-        for i in Kg:
-            out[i - 1].update(Ng)
-    return tuple(frozenset(r) for r in out)
 
 
 # ---------- the distance bound ----------

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ledc.cli import code_from_dict, structure_from_dict
+from ledc.linalg import MatrixGF
 from ledc.locality import blocks_for_sizes, make_structure
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -34,6 +35,11 @@ def cap_structure():
             break
     sizes = [len(Kg) + rng.randint(0, 2) for Kg in K]
     return make_structure(K, blocks_for_sizes(sizes))
+
+
+def vandermonde(f, points, k):
+    """The k x len(points) matrix over f with entry (i, j) = points[j]^i."""
+    return MatrixGF(f, [[pow(p, i, f.q) for p in points] for i in range(k)])
 
 
 def load_json(name):

@@ -37,6 +37,11 @@ def dmax_bruteforce(K, N):
     return 1 + best
 
 
+def support_bruteforce(k, n, K, N):
+    """Per data symbol i, per position j (1-based): does some group hold both, so j may depend on i?"""
+    return [[any(i in Kg and j in Ng for Kg, Ng in zip(K, N)) for j in range(1, n + 1)] for i in range(1, k + 1)]
+
+
 def dmax_witness_scan(K, N):
     """(dmax, blocks, data) of the lowest-numbered minimizing group subset.
 

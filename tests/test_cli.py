@@ -22,7 +22,7 @@ from ledc.code import ERASED, LedcCode, encode, erasure_decode
 from ledc.construct import construct_cyclic, construct_nested, construct_random
 from ledc.errors import UnrecoverableErasurePattern
 from ledc.field import make_field
-from ledc.linalg import make_matrix
+from ledc.linalg import MatrixGF
 from ledc.locality import LocalityStructure
 
 UNEQUAL_R = str(FIXTURES / "unequal_r_structure.json")
@@ -500,6 +500,28 @@ def test_code_file_entries_checked_types_then_range(tmp_path, capsys, edit, mess
     assert capsys.readouterr().err == f"error=ValueError: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "reshape, message",
+    [
+        (lambda G: G[:2] + [G[2][:-1]] + G[3:], "row 3 of 'G' has 9 entries, expected n=10"),
+        (lambda G: G[:4] + [G[4] + [0]], "row 5 of 'G' has 11 entries, expected n=10"),
+        (lambda G: [G[0], G[1][:4], G[2], G[3] + [1, 2], G[4]], "row 2 of 'G' has 4 entries, expected n=10"),
+        (lambda G: [row[:-1] for row in G], "row 1 of 'G' has 9 entries, expected n=10"),
+        (lambda G: [row + [0] for row in G[:4]], "row 1 of 'G' has 11 entries, expected n=10"),  # rows before count
+        (lambda G: G[:4], "'G' has 4 rows, expected k=5"),
+        (lambda G: [], "'G' has 0 rows, expected k=5"),
+    ],
+    ids=["short", "long", "ragged", "all-short", "long-and-few", "too-few", "empty"],
+)
+@pytest.mark.parametrize("command", [["verify"], ["encode", "--data", "1,2,3,4,5"]])
+def test_code_file_rows_checked_against_the_structure(tmp_path, capsys, reshape, message, command):
+    """The file's G is k rows of n entries; the first row that is not is named."""
+    payload = load_json("suboptimal_code.json")
+    payload["G"] = reshape(payload["G"])
+    assert run([command[0], write_json(tmp_path, "bad.json", payload), *command[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error=ValueError: {message}\n")
+
+
 def test_verify_past_budget_exits_3(tmp_path, capsys):
     # 101^5 > 10^7 picks the rank path, whose erasure patterns of n=30 exceed its
     # budget; forced exhaustive enumeration exceeds its q^k <= 10^9 budget too
@@ -736,7 +758,7 @@ def code_files(draw):
         "seed": draw(st.none() | st.integers(0, 2**64 - 1)),
         "claimed_distance": draw(st.integers(0, 40)),
     }
-    return LedcCode(s, f, make_matrix(f, rows), {key: v for key, v in meta.items() if v is not None})
+    return LedcCode(s, f, MatrixGF(f, rows), {key: v for key, v in meta.items() if v is not None})
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -823,17 +845,32 @@ JUNK = st.one_of(
 
 @st.composite
 def cli_files(draw, code):
-    """A structure or code file (n <= 12, q <= 31), often mutated past validity, or raw text."""
+    """A structure or code file (n <= 12, q <= 31), often mutated past validity, or raw text.
+
+    Half the structures are admissible two-group shapes, which every construction method
+    accepts: equal redundancy r, 0 <= t < min(k1, k2), t <= r + 1 and q > n. Such a structure
+    file is left unmutated, so construct gets past validation; code files are mutated alike.
+    """
     if draw(st.sampled_from((False,) * 9 + (True,))):
         return draw(st.text(max_size=30))
-    m = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 12 // m - 2))  # so that n <= 12
-    K = [draw(st.sets(st.integers(1, k), min_size=1)) for _ in range(m)]
-    for i in set(range(1, k + 1)).difference(*K):
-        K[draw(st.integers(0, m - 1))].add(i)
-    K = [sorted(Kg) for Kg in K]
-    sizes = [len(Kg) + draw(st.integers(0, 2)) for Kg in K]
-    structure = {"q": draw(st.sampled_from(PRIMES)), "groups": [{"K": Kg, "n": n} for Kg, n in zip(K, sizes)]}
+    admissible = not draw(st.booleans())
+    if admissible:
+        k1, k2, r = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+        t = draw(st.integers(0, min(k1 - 1, k2 - 1, r + 1)))
+        label = draw(st.permutations(range(1, k1 + k2 - t + 1)))
+        K = [sorted(label[:k1]), sorted(label[k1 - t :])]
+        sizes = [k1 + r, k2 + r]
+        q = draw(st.sampled_from([p for p in PRIMES if p > sum(sizes)]))
+    else:
+        m = draw(st.integers(1, 3))
+        k = draw(st.integers(1, 12 // m - 2))  # so that n <= 12
+        K = [draw(st.sets(st.integers(1, k), min_size=1)) for _ in range(m)]
+        for i in set(range(1, k + 1)).difference(*K):
+            K[draw(st.integers(0, m - 1))].add(i)
+        K = [sorted(Kg) for Kg in K]
+        sizes = [len(Kg) + draw(st.integers(0, 2)) for Kg in K]
+        q = draw(st.sampled_from(PRIMES))
+    structure = {"q": q, "groups": [{"K": Kg, "n": n} for Kg, n in zip(K, sizes)]}
     if draw(st.booleans()):
         N = draw(st.permutations(range(1, sum(sizes) + 1)))
         for g, n in zip(structure["groups"], sizes):
@@ -843,7 +880,7 @@ def cli_files(draw, code):
         k, n, q = max(max(Kg) for Kg in K), sum(sizes), structure["q"]
         G = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=k, max_size=k))
         payload = {"structure": structure, "method": "random", "G": G, "claimed_distance": draw(st.integers(0, 13))}
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(0 if admissible and not code else draw(st.integers(0, 2))):
         group = draw(st.sampled_from(structure["groups"]))
         where, key = draw(st.sampled_from([(structure, "q"), (group, "K"), (group, "n"), (group, "N"), (payload, "G")]))
         if key == "n":
@@ -859,7 +896,7 @@ def vector_text(draw, length):
     """Comma-separated symbols, erasures and positions, or tokens that are none of these."""
     clean = st.sampled_from(("0", "1", "2", "3", "?"))
     junk = st.sampled_from(("12", "31", "-1", "", " 3", "x", "1.5"))
-    length = max(length, 0)  # declared sizes may be negative
+    length = min(max(length, 0), 64)  # declared sizes may be negative, and K may name 10^9
     size = draw(st.sampled_from((length, length, draw(st.integers(0, 14)))))
     return ",".join(draw(st.lists(draw(st.sampled_from((clean, clean, junk))), min_size=size, max_size=size)))
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from conftest import vandermonde
 from oracles import det, local_subcode_bound, min_weight_bruteforce, oracle_solve
 
 import ledc.code as code_module
@@ -35,8 +36,8 @@ from ledc.errors import (
     UnrecoverableErasurePattern,
 )
 from ledc.field import make_field
-from ledc.linalg import make_matrix, nullspace, vandermonde
-from ledc.locality import blocks_for_sizes, dmax, make_structure, reach
+from ledc.linalg import MatrixGF, nullspace
+from ledc.locality import blocks_for_sizes, dmax, make_structure
 
 F7 = make_field(7)
 
@@ -45,7 +46,7 @@ def single_group_code(f, G_rows):
     k = len(G_rows)
     n = len(G_rows[0])
     s = make_structure([list(range(1, k + 1))], [list(range(1, n + 1))])
-    return LedcCode(s, f, make_matrix(f, G_rows))
+    return LedcCode(s, f, MatrixGF(f, G_rows))
 
 
 def identity_rows(n):
@@ -62,7 +63,7 @@ def random_single_group_code(f, k, n, rng):
 def test_make_code_shape_checks(suboptimal_codefile):
     s = suboptimal_codefile.structure
     with pytest.raises(DimensionMismatch):
-        LedcCode(s, F7, make_matrix(F7, identity_rows(5)))
+        LedcCode(s, F7, MatrixGF(F7, identity_rows(5)))
     with pytest.raises(DimensionMismatch):
         LedcCode(s, make_field(11), suboptimal_codefile.G)
 
@@ -95,6 +96,19 @@ def test_encode_all_ones_is_column_sums(suboptimal_codefile):
 def test_encode_length_checked(suboptimal_codefile):
     with pytest.raises(DimensionMismatch):
         encode(suboptimal_codefile, [1, 2, 3])
+
+
+def test_encode_is_exact_at_the_largest_field():
+    """Every entry q - 1 at q = 2^31 - 1: 2 (q-1)^2 < 2^63 < 3 (q-1)^2, so k = 2 sums one int64 product
+    and k = 3 must reduce each product before the sum. Data is reduced mod q first, also past int64."""
+    f = make_field(2**31 - 1)
+    q = f.q
+    for k in (2, 3):
+        rows, x = [[q - 1] * 4] * k, [q - 1] * k
+        expected = [sum(xi * row[j] for xi, row in zip(x, rows)) % q for j in range(4)]
+        c = single_group_code(f, rows)
+        assert encode(c, x) == expected, k
+        assert encode(c, [v - q for v in x]) == encode(c, [v + 2**70 * q for v in x]) == expected, k
 
 
 def test_encode_changes_stay_local(suboptimal_codefile, cyclic_codefile):
@@ -164,7 +178,7 @@ def off_support_code():
     """GF(2), K = {1, 2}, {2}, N = {1, 2}, {3, 4}: data 1 reaches position 3, outside its group."""
     f2 = make_field(2)
     s = make_structure([[1, 2], [2]], [[1, 2], [3, 4]])
-    return LedcCode(s, f2, make_matrix(f2, [[0, 0, 1, 0], [0, 0, 1, 1]]))
+    return LedcCode(s, f2, MatrixGF(f2, [[0, 0, 1, 0], [0, 0, 1, 1]]))
 
 
 def test_local_decode_refuses_off_support_position():
@@ -311,7 +325,7 @@ def test_exhaustive_distance_at_each_table_width_edge(monkeypatch):
     for q, width, k in ((127, 1, 3), (131, 2, 3), (31607, 2, 2), (32771, 4, 1), (65537, 4, 1)):
         f = make_field(q)
         # One row onto a nonzero start: every sum of two residues, wrapped or not.
-        row, start = make_matrix(f, [[1, q - 1, q - 2, rng.randrange(q)], [q - 1, q - 1, 1, rng.randrange(q)]]).entries
+        row, start = MatrixGF(f, [[1, q - 1, q - 2, rng.randrange(q)], [q - 1, q - 1, 1, rng.randrange(q)]]).entries
         table = code_module._span(q, row[None, :], start)
         assert (table.dtype.kind, table.dtype.itemsize) == ("u", width), q
         assert table.tolist() == [[(b + x * a) % q for x in range(q)] for a, b in zip(row.tolist(), start.tolist())]
@@ -409,8 +423,8 @@ def small_codes(draw, fields=(2, 3, 5, 7, 11), kinds=("support", "off support", 
     kind = draw(st.sampled_from(kinds))
     value = st.integers(0, q - 1)
     rows = [
-        [draw(value) if j in allowed or kind == "off support" else 0 for j in range(1, n + 1)]
-        for allowed in reach(s)
+        [draw(value) if allowed[j - 1] or kind == "off support" else 0 for j in range(1, n + 1)]
+        for allowed in s.support
     ]
     if kind == "deficient" and k >= 2:
         scale = draw(value)
@@ -420,7 +434,7 @@ def small_codes(draw, fields=(2, 3, 5, 7, 11), kinds=("support", "off support", 
         scale = draw(value)
         for row in rows:
             row[group[1] - 1] = scale * row[group[0] - 1] % q
-    return LedcCode(s, f, make_matrix(f, rows))
+    return LedcCode(s, f, MatrixGF(f, rows))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -477,7 +491,7 @@ def subcode_codes(draw):
     s = make_structure(K, blocks_for_sizes(sizes))
     kind = draw(st.sampled_from(("uniform", "nonzero", "dependent")))
     value = st.integers(1 if kind == "nonzero" else 0, q - 1)
-    rows = [[draw(value) if j in allowed else 0 for j in range(1, s.n + 1)] for allowed in reach(s)]
+    rows = [[draw(value) if allowed[j - 1] else 0 for j in range(1, s.n + 1)] for allowed in s.support]
     wide = [g for g in range(m) if len(s.K[g]) >= 2]
     if kind == "dependent" and wide:
         g = draw(st.sampled_from(wide))
@@ -485,7 +499,7 @@ def subcode_codes(draw):
         scale = draw(st.integers(0, q - 1))
         for j in s.N[g]:
             rows[b - 1][j - 1] = scale * rows[a - 1][j - 1] % q
-    return LedcCode(s, make_field(q), make_matrix(make_field(q), rows))
+    return LedcCode(s, make_field(q), MatrixGF(make_field(q), rows))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -512,8 +526,8 @@ def chain_code():
     s = make_structure(K, blocks_for_sizes([len(Kg) + 2 for Kg in K]))
     rng = random.Random(2020)
     f = make_field(65537)
-    rows = [[rng.randrange(1, f.q) if j in allowed else 0 for j in range(1, s.n + 1)] for allowed in reach(s)]
-    return LedcCode(s, f, make_matrix(f, rows))
+    rows = [[rng.randrange(1, f.q) if allowed[j - 1] else 0 for j in range(1, s.n + 1)] for allowed in s.support]
+    return LedcCode(s, f, MatrixGF(f, rows))
 
 
 def test_certificate_at_20_groups_no_slower_than_the_walk(monkeypatch):
@@ -536,7 +550,7 @@ def test_local_levels_are_checked_once_per_code(monkeypatch):
     """verify_local_mds and the certificate share one cache: each (group, rows, d0) level is swept once."""
     swept = []
     level = code_module._level
-    monkeypatch.setattr(code_module, "_level", lambda f, G, d0: swept.append((G.rows, G.cols, d0)) or level(f, G, d0))
+    monkeypatch.setattr(code_module, "_level", lambda G, d0: swept.append((G.rows, G.cols, d0)) or level(G, d0))
     s = make_structure([[1, 2, 3], [3, 4, 5]], blocks_for_sizes([6, 6]))
     c = construct_nested(s, make_field(13))
     report = verify_ledc(c, "rank")
@@ -674,7 +688,7 @@ def wide_codes(draw):
     n = k + draw(st.integers(0, 4))
     rng = random.Random(draw(st.integers(0, 2**32)))
     s = make_structure([list(range(1, k + 1))], [list(range(1, n + 1))])
-    return LedcCode(s, f, make_matrix(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]))
+    return LedcCode(s, f, MatrixGF(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]))
 
 
 def outcome(fn, *args):
@@ -764,7 +778,7 @@ def test_support_violations(cyclic_codefile):
     assert support_violations(c) == []
     rows = c.G.to_rows()
     rows[0][11] = 1  # data 1 may only touch group 1 positions
-    bad = LedcCode(c.structure, c.field, make_matrix(c.field, rows))
+    bad = LedcCode(c.structure, c.field, MatrixGF(c.field, rows))
     assert support_violations(bad) == [(1, 12)]
 
 

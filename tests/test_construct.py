@@ -496,10 +496,10 @@ def test_random_walks_each_global_level_once(monkeypatch):
     walked = []
     level = code_module._level
 
-    def record(f, G, d0):
+    def record(G, d0):
         if (G.rows, G.cols) == (s.k, s.n):  # the global generator; local ones are smaller
             walked.append((G.entries.tobytes(), d0))
-        return level(f, G, d0)
+        return level(G, d0)
 
     monkeypatch.setattr(code_module, "_level", record)
     with pytest.raises(ExhaustedAttempts):

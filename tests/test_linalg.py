@@ -7,29 +7,14 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import vandermonde
 from oracles import det, oracle_solve
 
 import ledc.linalg as linalg_module
 
-from ledc.errors import (
-    DimensionMismatch,
-    DuplicatePoint,
-    Inconsistent,
-    IndexOutOfRange,
-    Underdetermined,
-)
+from ledc.errors import DimensionMismatch, Inconsistent, Underdetermined
 from ledc.field import make_field
-from ledc.linalg import (
-    MatrixGF,
-    full_rank_subsets,
-    make_matrix,
-    nullspace,
-    rank,
-    row_vec_mul,
-    solve,
-    submatrix,
-    vandermonde,
-)
+from ledc.linalg import MatrixGF, full_rank_subsets, nullspace, rank, solve, vec_mat
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -37,11 +22,11 @@ F13 = make_field(13)
 
 
 def identity(f, n):
-    return make_matrix(f, [[int(i == j) for j in range(n)] for i in range(n)])
+    return MatrixGF(f, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def random_matrix(f, rows, cols, rng):
-    return make_matrix(f, [[rng.randrange(f.q) for _ in range(cols)] for _ in range(rows)])
+    return MatrixGF(f, [[rng.randrange(f.q) for _ in range(cols)] for _ in range(rows)])
 
 
 def mat_vec(m, v):
@@ -68,7 +53,7 @@ def test_rref_identity_is_fixed_point():
 
 
 def test_rref_zero_matrix():
-    m = make_matrix(F7, [[0, 0]] * 3)
+    m = MatrixGF(F7, [[0, 0]] * 3)
     reduced, rk, pivots = rref(m)
     assert reduced == m
     assert rk == 0
@@ -76,7 +61,7 @@ def test_rref_zero_matrix():
 
 
 def test_rref_proportional_rows():
-    m = make_matrix(F7, [[1, 1, 1], [2, 2, 2]])
+    m = MatrixGF(F7, [[1, 1, 1], [2, 2, 2]])
     _, rk, pivots = rref(m)
     assert rk == 1
     assert pivots == [0]
@@ -97,7 +82,7 @@ def test_rank_equals_rank_of_transpose():
     for f in (F7, F13):
         for _ in range(60):
             m = random_matrix(f, rng.randint(1, 8), rng.randint(1, 8), rng)
-            assert rank(m) == rank(make_matrix(f, list(zip(*m.to_rows()))))
+            assert rank(m) == rank(MatrixGF(f, m.entries.T))
 
 
 # ---------- numpy kernel against the pure-Python oracle ----------
@@ -150,7 +135,7 @@ def test_elimination_matches_oracle(q):
         assert full_rank_subsets(f, m.entries, m.cols) == (rk == min(m.rows, m.cols))
         assert nullspace(m).tolist() == oracle_nullspace(q, rows, cols)
         b = [rng.randrange(q) for _ in range(cols)]
-        for rhs in (b, row_vec_mul([rng.randrange(q) for _ in range(len(rows))], m)):
+        for rhs in (b, vec_mat(q, [rng.randrange(q) for _ in range(len(rows))], m.entries).tolist()):
             try:
                 x = solve(m, rhs)
             except (Inconsistent, Underdetermined) as exc:
@@ -247,7 +232,7 @@ def test_full_rank_subsets_memory_is_flat(monkeypatch):
 def test_matrix_and_its_cached_forms_are_read_only():
     """A matrix copies its entries; they and its cached RREF are read-only, and the RREF is reduced once."""
     rows = [[1, 2, 3], [2, 4, 6]]
-    m = make_matrix(F7, rows)
+    m = MatrixGF(F7, rows)
     rows[0][0] = 5
     source = np.array([[1, 0], [0, 1]], dtype=np.int64)
     copied = MatrixGF(F7, source)
@@ -267,13 +252,6 @@ def test_matrix_reduces_its_entries_mod_q():
     m = MatrixGF(F13, [[13, 0], [0, 1]])
     assert m.to_rows() == [[0, 0], [0, 1]] and rank(m) == 1
     assert MatrixGF(F13, np.array([[-1, 27]], dtype=np.int64)).to_rows() == [[12, 1]]
-
-
-def test_make_matrix_reduces_entries_past_int64():
-    """Entries int64 cannot hold are reduced one at a time, to what Python's v % q gives."""
-    rows = [[2**70, -(2**70), 2**63], [-(2**63), 2**64 + 5, 1]]
-    for q in (2, 13, 2**31 - 1):
-        assert make_matrix(make_field(q), rows).to_rows() == [[v % q for v in row] for row in rows]
 
 
 # ---------- det (test oracle) ----------
@@ -299,7 +277,7 @@ def test_det_requires_square():
 def test_det_nonzero_iff_full_rank():
     # exhaustive over all 2x2 matrices of GF(3)
     for entries in product(range(3), repeat=4):
-        m = make_matrix(F3, [list(entries[:2]), list(entries[2:])])
+        m = MatrixGF(F3, [list(entries[:2]), list(entries[2:])])
         assert (det(3, m.to_rows()) != 0) == (rank(m) == 2)
     rng = random.Random(2303)
     for f in (F7, F13):
@@ -321,13 +299,13 @@ def test_nullspace_identity_empty():
 
 
 def test_nullspace_zero_matrix_full():
-    basis = nullspace(make_matrix(F7, [[0, 0, 0]] * 2))
+    basis = nullspace(MatrixGF(F7, [[0, 0, 0]] * 2))
     assert basis.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_nullspace_rank_deficiency_one():
     # t x (t+1) of rank t leaves exactly one kernel vector
-    m = make_matrix(F7, [[1, 1, 1], [1, 2, 3]])
+    m = MatrixGF(F7, [[1, 1, 1], [1, 2, 3]])
     basis = nullspace(m)
     assert len(basis) == 1
 
@@ -358,18 +336,18 @@ def test_solve_round_trip_random_invertible():
         if det(13, a.to_rows()) == 0:
             continue
         x = [rng.randrange(13) for _ in range(size)]
-        assert solve(a, row_vec_mul(x, a)) == x
+        assert solve(a, vec_mat(13, x, a.entries).tolist()) == x
         done += 1
 
 
 def test_solve_rectangular_overdetermined():
-    a = make_matrix(F7, [[1, 1, 1, 1], [1, 2, 3, 4]])
+    a = MatrixGF(F7, [[1, 1, 1, 1], [1, 2, 3, 4]])
     x = [3, 5]
-    assert solve(a, row_vec_mul(x, a)) == x
+    assert solve(a, vec_mat(7, x, a.entries).tolist()) == x
 
 
 def test_solve_rank_deficient_square():
-    a = make_matrix(F7, [[1, 1], [2, 2]])
+    a = MatrixGF(F7, [[1, 1], [2, 2]])
     with pytest.raises(Inconsistent):
         solve(a, [1, 0])
     with pytest.raises(Underdetermined):
@@ -385,9 +363,9 @@ def test_solve_rhs_length_checked():
 
 
 def test_solve_reads_only_the_known_columns():
-    a = make_matrix(F7, [[1, 2, 3], [0, 1, 4]])
+    a = MatrixGF(F7, [[1, 2, 3], [0, 1, 4]])
     x = [3, 5]
-    word = row_vec_mul(x, a)
+    word = vec_mat(7, x, a.entries).tolist()
     for erased in range(3):
         assert solve(a, [None if j == erased else v for j, v in enumerate(word)]) == x
     with pytest.raises(Underdetermined):
@@ -395,6 +373,7 @@ def test_solve_reads_only_the_known_columns():
 
 
 # ---------- vandermonde ----------
+# conftest.vandermonde is the MDS matrix the distance tests build on; these check that premise.
 
 
 def test_vandermonde_golden():
@@ -405,7 +384,7 @@ def test_vandermonde_golden():
 def test_vandermonde_any_k_columns_invertible():
     m = vandermonde(F7, [1, 2, 3, 4, 5], 4)
     for cols in combinations(range(5), 4):
-        assert det(7, submatrix(m, [0, 1, 2, 3], list(cols)).to_rows()) != 0
+        assert det(7, m.entries[:, list(cols)].tolist()) != 0
 
 
 def test_vandermonde_square_det_is_product_of_differences():
@@ -416,56 +395,3 @@ def test_vandermonde_square_det_is_product_of_differences():
         for j in range(i + 1, 4):
             expected = expected * (pts[j] - pts[i]) % 13
     assert det(13, m.to_rows()) == expected != 0
-
-
-def test_vandermonde_rejects_duplicates():
-    with pytest.raises(DuplicatePoint):
-        vandermonde(F7, [1, 2, 8], 2)  # 8 = 1 mod 7
-
-
-def test_vandermonde_k_bounds():
-    with pytest.raises(DimensionMismatch):
-        vandermonde(F7, [1, 2], 3)
-    m = vandermonde(F7, [1, 2, 3], 0)
-    assert (m.rows, m.cols) == (0, 3)
-
-
-# ---------- submatrix ----------
-
-
-def test_submatrix_respects_index_order():
-    m = make_matrix(F7, [[1, 2], [3, 4]])
-    assert submatrix(m, [1, 0], [1, 0]).to_rows() == [[4, 3], [2, 1]]
-    assert submatrix(identity(F7, 3), [0, 1, 2], [0, 1, 2]) == identity(F7, 3)
-
-
-def test_submatrix_rejects_out_of_range():
-    m = identity(F7, 2)
-    with pytest.raises(IndexOutOfRange):
-        submatrix(m, [0, 2], [0])
-    with pytest.raises(IndexOutOfRange):
-        submatrix(m, [0], [-1])
-
-
-def test_submatrix_empty_selection_keeps_shape():
-    m = make_matrix(F7, [[1, 2, 3], [4, 5, 6]])
-    empty_rows = submatrix(m, [], [0, 1, 2])
-    assert (empty_rows.rows, empty_rows.cols) == (0, 3)
-    empty_cols = submatrix(m, [0, 1], [])
-    assert (empty_cols.rows, empty_cols.cols) == (2, 0)
-
-
-def test_row_vec_mul():
-    m = make_matrix(F7, [[1, 2, 3], [4, 5, 6]])
-    assert row_vec_mul([1, 0], m) == [1, 2, 3]
-    assert row_vec_mul([1, 1], m) == [5, 0, 2]
-    with pytest.raises(DimensionMismatch):
-        row_vec_mul([1, 2, 3], m)
-    # Every entry q - 1 at q = 2^31 - 1: 2 (q-1)^2 < 2^63 < 3 (q-1)^2, so k = 2 sums one
-    # int64 product and k = 3 must reduce each product before the sum.
-    big = make_field(2**31 - 1)
-    q = big.q
-    for k in (2, 3):
-        rows, x = [[q - 1] * 4] * k, [q - 1] * k
-        expected = [sum(xi * row[j] for xi, row in zip(x, rows)) % q for j in range(4)]
-        assert row_vec_mul(x, make_matrix(big, rows)) == expected, k

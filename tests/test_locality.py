@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cap_structure, random_structure
-from oracles import dmax_bruteforce, dmax_two_subcodes, dmax_witness_scan, structure_violation
+from oracles import dmax_bruteforce, dmax_two_subcodes, dmax_witness_scan, structure_violation, support_bruteforce
 
 from ledc.errors import (
     CoverageGap,
@@ -21,7 +21,6 @@ from ledc.locality import (
     dmax,
     dmax_witness,
     make_structure,
-    reach,
     two_group_params,
 )
 
@@ -116,21 +115,43 @@ def test_structure_checks_itself_against_invariant_oracle(fields):
     assert s.N == tuple(tuple(sorted(set(Ng))) for Ng in N)
 
 
-# ---------- constraints ----------
+# ---------- constraints: the support pattern ----------
 
 
 def test_constraints_reference_structure(unequal_r):
     s, _ = unequal_r
-    R = reach(s)
-    assert len(R) == s.k == 5
-    assert R[0] == frozenset(range(1, 5))
-    assert R[1] == frozenset(range(1, 11))
-    assert R[3] == frozenset(range(5, 11))
+    S = s.support
+    assert S.shape == (s.k, s.n) == (5, 10) and S.dtype == bool
+    assert S[0].tolist() == [True] * 4 + [False] * 6
+    assert S[1].all()
+    assert S[3].tolist() == [False] * 4 + [True] * 6
 
 
 def test_constraints_single_group():
     s = make_structure([[1, 2, 3]], [[1, 2, 3, 4, 5]])
-    assert reach(s) == (frozenset(range(1, 6)),) * 3
+    assert s.support.tolist() == [[True] * 5] * 3
+
+
+def test_support_matches_bruteforce_oracle():
+    """Random structures, each also with its positions permuted so blocks are not consecutive, and the cap one."""
+    rng = random.Random(4504)
+    cases = [cap_structure()]
+    for _ in range(60):
+        s = random_structure(rng)
+        perm = rng.sample(range(1, s.n + 1), s.n)
+        cases += [s, make_structure(s.K, [[perm[j - 1] for j in Ng] for Ng in s.N])]
+    for s in cases:
+        assert s.support.tolist() == support_bruteforce(s.k, s.n, s.K, s.N), (s.K, s.N)
+
+
+def test_support_is_built_on_first_use_once_and_read_only():
+    """The bound never builds the k x n mask, which at 10^5 positions would dwarf its own work."""
+    s = make_structure([[1], [1, 2]], blocks_for_sizes([60_000, 40_000]))
+    assert dmax_witness(s).dmax == 40_000
+    assert "support" not in vars(s)
+    assert s.support is s.support and not s.support.flags.writeable
+    with pytest.raises(ValueError):
+        s.support[0, 0] = False
 
 
 # ---------- dmax ----------

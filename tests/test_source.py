@@ -40,6 +40,18 @@ def test_no_json_encoding_with_indent():
     assert found == []
 
 
+def test_sources_parse_as_the_oldest_supported_python():
+    """Every file in src/ledc and tests parses with the grammar of the oldest Python that pyproject.toml
+    allows (3.10), through ast's feature_version. This checks grammar only, not standard-library APIs."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    oldest = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()))
+    assert oldest == (3, 10)
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(files) > 10
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest)
+
+
 def entry_points():
     """[project.scripts] of pyproject.toml, name -> "module:function"; tomllib is new in Python 3.11."""
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
