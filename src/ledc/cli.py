@@ -140,7 +140,7 @@ def code_from_dict(d: dict) -> LedcCode:
     if min(map(min, G)) < 0 or max(map(max, G)) >= f.q:  # k, n >= 1, so no row is empty
         v = next(v for row in G for v in row if not 0 <= v < f.q)
         raise ValueError(f"matrix entry {v} outside [0, {f.q})")
-    code = LedcCode(s, f, MatrixGF(f, G))
+    code = LedcCode(s, MatrixGF(f, G))
     method = _member(d, "method", "code file")
     if not isinstance(method, str):
         raise ValueError(f"'method' must be a string, got {method!r}")

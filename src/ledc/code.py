@@ -1,10 +1,10 @@
 """Codes with a locality structure: encoding, decoding, verification.
 
-A LedcCode couples a locality structure with a generator matrix. The
-constructor checks the matrix's shape and field only; whether it actually
-satisfies the support pattern and the local MDS property is the job of
-the verification functions, which report rather than raise, so defective
-matrices can be inspected.
+A LedcCode couples a locality structure with a generator matrix, whose
+field is the code's. The constructor checks the matrix's shape only;
+whether it actually satisfies the support pattern and the local MDS
+property is the job of the verification functions, which report rather
+than raise, so defective matrices can be inspected.
 
 Two independent minimum-distance algorithms are provided on purpose:
 exhaustive message enumeration and column-rank certification. They
@@ -36,9 +36,6 @@ from .field import Felt, PrimeField
 from .linalg import MatrixGF, full_rank_subsets, nullspace, rank, solve, vec_mat
 from .locality import LocalityStructure, dmax, group_masks
 
-# Erasure marker inside a received word.
-ERASED = None
-
 EXHAUSTIVE_BUDGET = 10**9
 RANK_BUDGET = 4 * 10**6
 # Suffix codewords tabulated at once by the exhaustive search: the table stays
@@ -52,16 +49,16 @@ AUTO_EXHAUSTIVE_LIMIT = 10**7
 
 @dataclass(frozen=True)
 class LedcCode:
-    """A locality structure plus a k x n generator matrix over GF(q), checked for shape and field when made.
+    """A locality structure plus a k x n generator matrix G, checked for shape when made; its field is G's.
 
     meta holds what a construction or a code file says of it: "method" and "claimed_distance",
-    plus "omega" (cyclic) or "seed" (random) where they apply, and any notes a construction adds.
+    plus "omega" (cyclic), "seed" and "attempt" (random) where they apply.
     """
 
     structure: LocalityStructure
-    field: PrimeField
     G: MatrixGF
     meta: dict = dc_field(default_factory=dict, compare=False)
+    local_levels: dict = dc_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         s, G = self.structure, self.G
@@ -69,8 +66,10 @@ class LedcCode:
             raise DimensionMismatch(
                 f"generator must be {s.k}x{s.n}, got {G.rows}x{G.cols}"
             )
-        if G.field.q != self.field.q:
-            raise DimensionMismatch(f"matrix over GF({G.field.q}), expected GF({self.field.q})")
+
+    @property
+    def field(self) -> PrimeField:
+        return self.G.field
 
     @cached_property
     def dmax(self) -> int:
@@ -92,11 +91,6 @@ class LedcCode:
         mask = (self.G.entries != 0) & ~self.structure.support
         mask.flags.writeable = False
         return mask
-
-    @cached_property
-    def local_levels(self) -> dict[tuple[int, tuple[int, ...], int], bool]:
-        """Local subcode levels checked so far: (group index, rows of its generator, d0) -> d >= d0."""
-        return {}
 
 
 # ---------- encoding and decoding ----------
@@ -124,7 +118,7 @@ def local_decode(
     s = c.structure
     if not 1 <= group <= s.m:
         raise PositionsOutsideGroup(f"no group {group} (have 1..{s.m})")
-    word = dict.fromkeys(s.N[group - 1], ERASED)  # the local word, position -> symbol in N_i's order
+    word = dict.fromkeys(s.N[group - 1], None)  # the local word, position -> symbol in N_i's order
     positions = [p for p, _ in observed]
     outside = [p for p in positions if p not in word]
     if outside:
@@ -132,7 +126,7 @@ def local_decode(
     if len(set(positions)) != len(positions):
         raise PositionsOutsideGroup("observed positions must be distinct")
     ki = len(s.K[group - 1])
-    known = [p for p, v in observed if v is not ERASED]
+    known = [p for p, v in observed if v is not None]
     if len(known) < ki:
         raise NotEnoughSymbols(f"{len(known)} symbols < k_{group}={ki}")
     # An off-support entry in a column of N_i lies in a row outside K_i.
@@ -161,7 +155,7 @@ def erasure_decode(c: LedcCode, received: Sequence[Optional[Felt]]) -> list[Felt
         return solve(c.G, received)
     except Underdetermined as exc:
         raise UnrecoverableErasurePattern(
-            f"{received.count(ERASED)} erasures leave rank below k={c.structure.k}"
+            f"{received.count(None)} erasures leave rank below k={c.structure.k}"
         ) from exc
 
 
@@ -259,7 +253,7 @@ def distance_at_least(c: LedcCode, d0: int) -> bool:
 def _local_level(c: LedcCode, g: int, rows: tuple[int, ...], d0: int) -> bool:
     """Does the code that `rows` of group g's local generator spans (index 0 = group 1) have d >= d0?
 
-    Each level is checked once per code, and TooLarge is not cached.
+    Each level is checked once per code, kept in c.local_levels under (g, rows, d0); TooLarge is not kept.
     """
     key = (g, rows, d0)
     verdict = c.local_levels.get(key)
@@ -389,12 +383,8 @@ class VerifyReport:
     method: str
 
     @property
-    def local_mds_ok(self) -> bool:
-        return all(self.local_mds)
-
-    @property
     def all_ok(self) -> bool:
-        return self.support_ok and self.local_mds_ok and self.optimal
+        return self.support_ok and all(self.local_mds) and self.optimal
 
 
 def verify_ledc(c: LedcCode, distance_method: str = "auto") -> VerifyReport:

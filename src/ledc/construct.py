@@ -44,8 +44,7 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
 
     The rows of K_g are its private data symbols first, then the shared
     ones, each in index order, so the private rows generate a smaller MDS
-    code nested inside the group's local code. meta reports whether the
-    first group has the larger redundancy ("swapped"). The resulting
+    code nested inside the group's local code. The resulting
     distance is exactly min(r1, r2) + t + 1, which equals the structure
     bound under the stated preconditions.
     """
@@ -71,8 +70,8 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
         rows = sorted(Kg, key=lambda i: i in other)  # private first; the sort is stable
         block = [[pow(p, i, f.q) for p in range(1, len(Ng) + 1)] for i in range(len(Kg))]
         G[np.ix_([i - 1 for i in rows], [j - 1 for j in Ng])] = block
-    meta = {"method": "nested", "swapped": r1 > r2, "claimed_distance": min(r1, r2) + t + 1}
-    return LedcCode(s, f, MatrixGF(f, G), meta)
+    meta = {"method": "nested", "claimed_distance": min(r1, r2) + t + 1}
+    return LedcCode(s, MatrixGF(f, G), meta)
 
 
 # ---------- cyclic polynomial construction ----------
@@ -142,7 +141,7 @@ def construct_cyclic(
     Returns the code and the polynomial ingredients. A structure with no
     shared data symbols (t = 0) is built by construct_nested once omega,
     if given, is checked; the ingredients are then None, and meta still
-    reports method "cyclic", with a "delegated" note.
+    reports method "cyclic".
     """
     n1, k1, n2, k2, t = two_group_params(s)
     r = n1 - k1
@@ -159,7 +158,7 @@ def construct_cyclic(
         raise NotPrimitive(f"{omega} does not generate the units of GF({f.q})")
     if t == 0:
         code = construct_nested(s, f)
-        code.meta.update(method="cyclic", delegated="no shared symbols, used nested construction")
+        code.meta["method"] = "cyclic"
         return code, None
     omega = find_primitive(f) if omega is None else omega % f.q
 
@@ -184,7 +183,7 @@ def construct_cyclic(
     G[np.ix_([i - 1 for i in data_order], [j - 1 for j in s.N[0] + s.N[1]])] = canonical
     meta = {"method": "cyclic", "omega": omega, "claimed_distance": r + t + 1}
     ingredients = CyclicIngredients(omega=omega, r=r, u=u, g2=g2, T=T, a=a, b=b)
-    return LedcCode(s, f, MatrixGF(f, G), meta), ingredients
+    return LedcCode(s, MatrixGF(f, G), meta), ingredients
 
 
 @dataclass(frozen=True)
@@ -296,7 +295,7 @@ def construct_random(
         G = np.zeros(support.shape, dtype=np.int64)
         G[support] = [stream.below(f.q) for _ in range(draws)]  # in row-major order, as documented
         meta = {"method": "random", "seed": seed, "attempt": attempt, "claimed_distance": bound}
-        code = LedcCode(s, f, MatrixGF(f, G), meta)
+        code = LedcCode(s, MatrixGF(f, G), meta)
         if not all(verify_local_mds(code).values()):
             continue
         achieved = min_distance_rank(code)

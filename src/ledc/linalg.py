@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, Inconsistent, Underdetermined
+from .errors import DimensionMismatch, Inconsistent, PreconditionViolated, Underdetermined
 from .field import Felt, PrimeField
 
 # ---------- type ----------
@@ -34,9 +34,16 @@ class MatrixGF:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=np.int64) % self.field.q  # a new array, whatever was passed
+        a = self.entries
+        if not isinstance(a, np.ndarray) or a.dtype.kind != "i":  # each entry's own type decides, as numpy
+            a = np.array(a, dtype=object)  # alone reads bools among ints as ints and big ints as floats
         if a.ndim != 2:
-            raise DimensionMismatch(f"a matrix needs 2-D entries, got {a.ndim}-D")
+            raise DimensionMismatch(f"a matrix needs 2-D entries in rows of equal length, got {a.ndim}-D")
+        kinds = set(map(type, a.flat)) if a.dtype.kind == "O" else ()
+        if bad := sorted(t.__name__ for t in kinds if t is bool or not issubclass(t, (int, np.integer))):
+            raise PreconditionViolated(f"matrix entries must be integers, got {', '.join(bad)}")
+        q = self.field.q  # Python ints past int64 are reduced exactly, before the cast
+        a = np.asarray(a % q if kinds else a, dtype=np.int64) % q  # a new array, whatever was passed
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 

@@ -54,8 +54,8 @@ class LocalityStructure:
     def __post_init__(self) -> None:
         if len(self.K) != len(self.N) or not self.K:
             raise CoverageGap("need matching nonempty lists of K and N groups")
-        K = tuple(tuple(sorted(set(g))) for g in self.K)
-        N = tuple(tuple(sorted(set(g))) for g in self.N)
+        K = tuple(tuple(sorted(set(g))) for g in _index_groups(self.K, "data index"))
+        N = tuple(tuple(sorted(set(g))) for g in _index_groups(self.N, "position"))
 
         covered: set[int] = set()
         for gi, g in enumerate(K, start=1):
@@ -95,12 +95,6 @@ class LocalityStructure:
     def m(self) -> int:
         return len(self.K)
 
-    def k_sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.K)
-
-    def n_sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.N)
-
     @cached_property
     def support(self) -> np.ndarray:
         """The support pattern: a read-only k x n bool mask, True at (i - 1, j - 1) when position j
@@ -134,8 +128,19 @@ def blocks_for_sizes(sizes: Sequence[int]) -> list[list[int]]:
     return out
 
 
+def _index_groups(groups: Sequence[Sequence[int]], what: str) -> Sequence[Sequence[int]]:
+    """The groups, numpy integer indices made ints; a bool, float or string index raises CoverageGap."""
+    if not {type(v) for g in groups for v in g} <= {int}:
+        for gi, g in enumerate(groups, start=1):
+            if bad := [v for v in g if isinstance(v, bool) or not isinstance(v, (int, np.integer))]:
+                raise CoverageGap(f"group {gi} has {what} {bad[0]!r}, not an integer")
+        groups = [list(map(int, g)) for g in groups]
+    return groups
+
+
 def make_structure(K: Sequence[Sequence[int]], N: Sequence[Sequence[int]]) -> LocalityStructure:
     """The structure whose k and n are the largest data index and position mentioned."""
+    K, N = _index_groups(K, "data index"), _index_groups(N, "position")
     k = max((max(g) for g in K if g), default=0)
     n = max((max(g) for g in N if g), default=0)
     return LocalityStructure(k, n, K, N)
@@ -171,8 +176,7 @@ def dmax_witness(s: LocalityStructure) -> DmaxWitness:
     for g in range(low):
         pairs = cnt.reshape(-1, 2, 1 << (g + m - low))
         pairs[:, 1] += pairs[:, 0]
-    sizes = s.n_sizes()
-    value = _owned(sizes[:low])[:, None] + _owned(sizes[low:]) - cnt
+    value = _owned(s.N[:low])[:, None] + _owned(s.N[low:]) - cnt
     value[cnt == 0] = s.n  # above every T with cnt > 0, whose value is at most n - 1
     least = value.min()
     T = int((value == least).T.argmax())  # the first minimum in T's order, so the lowest T wins ties
@@ -181,11 +185,11 @@ def dmax_witness(s: LocalityStructure) -> DmaxWitness:
     return DmaxWitness(1 + int(least), blocks, data)
 
 
-def _owned(sizes: Sequence[int]) -> np.ndarray:
-    """Positions owned by each subset T of blocks with these sizes, doubled in place a block at a time."""
-    tot = np.zeros(1 << len(sizes), dtype=np.int32)
-    for g, size in enumerate(sizes):
-        np.add(tot[: 1 << g], size, out=tot[1 << g : 2 << g])
+def _owned(blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """Positions owned by each subset T of these blocks, doubled in place a block at a time."""
+    tot = np.zeros(1 << len(blocks), dtype=np.int32)
+    for g, block in enumerate(blocks):
+        np.add(tot[: 1 << g], len(block), out=tot[1 << g : 2 << g])
     return tot
 
 
@@ -198,7 +202,6 @@ def two_group_params(s: LocalityStructure) -> tuple[int, int, int, int, int]:
     """(n1, k1, n2, k2, t) for a two-group structure."""
     if s.m != 2:
         raise PreconditionViolated(f"need exactly 2 groups, got {s.m}")
-    k1, k2 = s.k_sizes()
-    n1, n2 = s.n_sizes()
+    (k1, k2), (n1, n2) = map(len, s.K), map(len, s.N)
     t = len(set(s.K[0]) & set(s.K[1]))
     return n1, k1, n2, k2, t

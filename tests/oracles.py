@@ -89,8 +89,8 @@ def nested_canonical(q, K, N):
     group's private data, each by index; columns over its positions, then
     the other's. The array is [[U, 0], [A, B], [0, V]]: [U; A] is the first
     group's k_f x n_f Vandermonde matrix on the points 1..n_f, B the last t
-    rows of the second's and V its first k_s - t rows. Returns (rows, swapped),
-    or None when q < max(n1, n2), t >= min(k1, k2) or t exceeds the larger
+    rows of the second's and V its first k_s - t rows. Returns the rows, or
+    None when q < max(n1, n2), t >= min(k1, k2) or t exceeds the larger
     redundancy plus one.
     """
     sets = [set(Kg) for Kg in K]
@@ -112,7 +112,7 @@ def nested_canonical(q, K, N):
     for row, i in zip(canonical, data_order):
         for value, j in zip(row, columns):
             rows[i - 1][j - 1] = value
-    return rows, swapped
+    return rows
 
 
 def min_weight_bruteforce(q, rows):

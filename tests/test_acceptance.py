@@ -16,7 +16,6 @@ from oracles import dmax_bruteforce
 
 from ledc.cli import run
 from ledc.code import (
-    ERASED,
     encode,
     erasure_decode,
     local_decode,
@@ -194,11 +193,11 @@ def test_criterion_7_decoding_guarantees(suboptimal_codefile, cyclic_descending,
             word = encode(code, x)
             for size in range(d):
                 for erased in combinations(range(s.n), size):
-                    received = [ERASED if j in erased else word[j] for j in range(s.n)]
+                    received = [None if j in erased else word[j] for j in range(s.n)]
                     assert erasure_decode(code, received) == x
             failures = 0
             for erased in combinations(range(s.n), d):
-                received = [ERASED if j in erased else word[j] for j in range(s.n)]
+                received = [None if j in erased else word[j] for j in range(s.n)]
                 try:
                     erasure_decode(code, received)
                 except UnrecoverableErasurePattern:

@@ -18,7 +18,7 @@ from conftest import FIXTURES, cap_structure, load_json, load_structure, random_
 
 import ledc
 from ledc.cli import _format_json, code_from_dict, code_to_dict, run, structure_from_dict
-from ledc.code import ERASED, LedcCode, encode, erasure_decode
+from ledc.code import LedcCode, encode, erasure_decode
 from ledc.construct import construct_cyclic, construct_nested, construct_random
 from ledc.errors import UnrecoverableErasurePattern
 from ledc.field import make_field
@@ -62,7 +62,7 @@ def assert_clean_exit(result, code, error):
 def failing_erasure_pattern(code, size):
     word = encode(code, [1] * code.structure.k)
     for erased in combinations(range(code.structure.n), size):
-        received = [ERASED if j in erased else word[j] for j in range(code.structure.n)]
+        received = [None if j in erased else word[j] for j in range(code.structure.n)]
         try:
             erasure_decode(code, received)
         except UnrecoverableErasurePattern:
@@ -758,7 +758,7 @@ def code_files(draw):
         "seed": draw(st.none() | st.integers(0, 2**64 - 1)),
         "claimed_distance": draw(st.integers(0, 40)),
     }
-    return LedcCode(s, f, MatrixGF(f, rows), {key: v for key, v in meta.items() if v is not None})
+    return LedcCode(s, MatrixGF(f, rows), {key: v for key, v in meta.items() if v is not None})
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -11,7 +11,6 @@ from oracles import det, local_subcode_bound, min_weight_bruteforce, oracle_solv
 
 import ledc.code as code_module
 from ledc.code import (
-    ERASED,
     LedcCode,
     certifies_dmax,
     distance_at_least,
@@ -46,7 +45,7 @@ def single_group_code(f, G_rows):
     k = len(G_rows)
     n = len(G_rows[0])
     s = make_structure([list(range(1, k + 1))], [list(range(1, n + 1))])
-    return LedcCode(s, f, MatrixGF(f, G_rows))
+    return LedcCode(s, MatrixGF(f, G_rows))
 
 
 def identity_rows(n):
@@ -63,9 +62,7 @@ def random_single_group_code(f, k, n, rng):
 def test_make_code_shape_checks(suboptimal_codefile):
     s = suboptimal_codefile.structure
     with pytest.raises(DimensionMismatch):
-        LedcCode(s, F7, MatrixGF(F7, identity_rows(5)))
-    with pytest.raises(DimensionMismatch):
-        LedcCode(s, make_field(11), suboptimal_codefile.G)
+        LedcCode(s, MatrixGF(F7, identity_rows(5)))
 
 
 def test_local_generator(suboptimal_codefile):
@@ -178,7 +175,7 @@ def off_support_code():
     """GF(2), K = {1, 2}, {2}, N = {1, 2}, {3, 4}: data 1 reaches position 3, outside its group."""
     f2 = make_field(2)
     s = make_structure([[1, 2], [2]], [[1, 2], [3, 4]])
-    return LedcCode(s, f2, MatrixGF(f2, [[0, 0, 1, 0], [0, 0, 1, 1]]))
+    return LedcCode(s, MatrixGF(f2, [[0, 0, 1, 0], [0, 0, 1, 1]]))
 
 
 def test_local_decode_refuses_off_support_position():
@@ -188,7 +185,7 @@ def test_local_decode_refuses_off_support_position():
     with pytest.raises(SupportViolation, match="position 3 depends on data 1"):
         local_decode(c, 2, [(3, word[2])])
     assert local_decode(c, 2, [(4, word[3])]) == {2: 0}  # position 4 carries x_2 alone
-    assert local_decode(c, 2, [(3, ERASED), (4, word[3])]) == {2: 0}  # an erased position depends on nothing
+    assert local_decode(c, 2, [(3, None), (4, word[3])]) == {2: 0}  # an erased position depends on nothing
 
 
 def test_local_decode_reads_none_as_an_erasure(cyclic_codefile):
@@ -197,8 +194,8 @@ def test_local_decode_reads_none_as_an_erasure(cyclic_codefile):
     x = [1, 2, 3, 4, 5, 6, 7]
     word = encode(c, x)
     with pytest.raises(NotEnoughSymbols, match=r"^3 symbols < k_1=4$"):
-        local_decode(c, 1, [(1, word[0]), (2, word[1]), (3, word[2]), (4, ERASED)])
-    got = local_decode(c, 1, [(5, ERASED)] + [(p, word[p - 1]) for p in (4, 1, 3, 2)])
+        local_decode(c, 1, [(1, word[0]), (2, word[1]), (3, word[2]), (4, None)])
+    got = local_decode(c, 1, [(5, None)] + [(p, word[p - 1]) for p in (4, 1, 3, 2)])
     assert got == {i: x[i - 1] for i in c.structure.K[0]}
 
 
@@ -217,7 +214,7 @@ def test_erasure_decode_every_small_pattern(suboptimal_codefile):
     word = encode(c, x)
     for size in range(1, 4):  # distance is 4, all 3-erasure patterns recover
         for erased in combinations(range(10), size):
-            received = [ERASED if j in erased else word[j] for j in range(10)]
+            received = [None if j in erased else word[j] for j in range(10)]
             assert erasure_decode(c, received) == x
 
 
@@ -226,7 +223,7 @@ def test_erasure_decode_unrecoverable_pattern_exists(suboptimal_codefile):
     word = encode(c, [2, 0, 6, 1, 3])
     failures = 0
     for erased in combinations(range(10), 4):
-        received = [ERASED if j in erased else word[j] for j in range(10)]
+        received = [None if j in erased else word[j] for j in range(10)]
         try:
             erasure_decode(c, received)
         except UnrecoverableErasurePattern:
@@ -242,7 +239,7 @@ def test_erasure_decode_length_checked(suboptimal_codefile):
 def test_erasure_decode_all_erased():
     c = single_group_code(F7, [[1, 0], [0, 1]])
     with pytest.raises(UnrecoverableErasurePattern):
-        erasure_decode(c, [ERASED, ERASED])
+        erasure_decode(c, [None, None])
 
 
 # ---------- minimum distance ----------
@@ -378,7 +375,7 @@ def test_exhaustive_distance_never_ranks_a_code_of_distance_two_or_more(suboptim
 def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, cyclic_codefile, monkeypatch):
     f11 = make_field(11)
     s = make_structure([[1, 2, 3], [3, 4]], blocks_for_sizes([3, 4]))
-    dense = LedcCode(s, f11, vandermonde(f11, range(1, 8), 4))  # MDS, ignores the support
+    dense = LedcCode(s, vandermonde(f11, range(1, 8), 4))  # MDS, ignores the support
     deficient = single_group_code(F7, [[1, 2, 3], [2, 4, 6]])
     levels = []
     certify = code_module.distance_at_least
@@ -434,7 +431,7 @@ def small_codes(draw, fields=(2, 3, 5, 7, 11), kinds=("support", "off support", 
         scale = draw(value)
         for row in rows:
             row[group[1] - 1] = scale * row[group[0] - 1] % q
-    return LedcCode(s, f, MatrixGF(f, rows))
+    return LedcCode(s, MatrixGF(f, rows))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -499,7 +496,7 @@ def subcode_codes(draw):
         scale = draw(st.integers(0, q - 1))
         for j in s.N[g]:
             rows[b - 1][j - 1] = scale * rows[a - 1][j - 1] % q
-    return LedcCode(s, make_field(q), MatrixGF(make_field(q), rows))
+    return LedcCode(s, MatrixGF(make_field(q), rows))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -514,7 +511,7 @@ def test_local_certificate_against_oracles(c):
     event("certified" if lb >= c.dmax else "LB = 0" if lb == 0 else "LB below dmax")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(code_module, "certifies_dmax", lambda c: False)
-        walked = min_distance_rank(LedcCode(s, c.field, c.G))
+        walked = min_distance_rank(LedcCode(s, c.G))
     assert min_distance_rank(c) == walked == d
     if lb >= c.dmax:
         assert walked == c.dmax
@@ -527,14 +524,14 @@ def chain_code():
     rng = random.Random(2020)
     f = make_field(65537)
     rows = [[rng.randrange(1, f.q) if allowed[j - 1] else 0 for j in range(1, s.n + 1)] for allowed in s.support]
-    return LedcCode(s, f, MatrixGF(f, rows))
+    return LedcCode(s, MatrixGF(f, rows))
 
 
 def test_certificate_at_20_groups_no_slower_than_the_walk(monkeypatch):
     """Only the connected group sets whose local distances sum below dmax are searched: 20 here, not 2^20."""
     c = chain_code()
     assert c.dmax == 4 and c.structure.n == 119
-    fresh = LedcCode(c.structure, c.field, c.G)
+    fresh = LedcCode(c.structure, c.G)
     start = time.perf_counter()
     certified = verify_ledc(fresh, "rank")
     certify_s = time.perf_counter() - start
@@ -663,7 +660,7 @@ def test_decode_round_trips_fuzz(c, data):
     d = min_distance_rank(c)
     if d:
         erased = data.draw(st.sets(st.integers(0, s.n - 1), max_size=d - 1))
-        assert erasure_decode(c, [ERASED if j in erased else v for j, v in enumerate(word)]) == x
+        assert erasure_decode(c, [None if j in erased else v for j, v in enumerate(word)]) == x
     for g, mds in verify_local_mds(c).items():
         Kg = s.K[g - 1]
         survivors = data.draw(st.permutations(s.N[g - 1]))[: len(Kg)]
@@ -688,7 +685,7 @@ def wide_codes(draw):
     n = k + draw(st.integers(0, 4))
     rng = random.Random(draw(st.integers(0, 2**32)))
     s = make_structure([list(range(1, k + 1))], [list(range(1, n + 1))])
-    return LedcCode(s, f, MatrixGF(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]))
+    return LedcCode(s, MatrixGF(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(k)]))
 
 
 def outcome(fn, *args):
@@ -701,7 +698,7 @@ def outcome(fn, *args):
 
 def oracle_erasure_decode(q, rows, received):
     """erasure_decode's contract, by a pure-Python solve of x G[:, survivors] = survivors."""
-    cols = [j for j, v in enumerate(received) if v is not ERASED]
+    cols = [j for j, v in enumerate(received) if v is not None]
     got = oracle_solve(q, [[row[j] for j in cols] for row in rows], [received[j] for j in cols])
     if got == "Underdetermined":
         return "UnrecoverableErasurePattern", f"{len(received) - len(cols)} erasures leave rank below k={len(rows)}"
@@ -750,7 +747,7 @@ def test_decoders_match_oracle_fuzz(c, data):
         j = data.draw(st.integers(0, s.n - 1))
         word[j] = (word[j] + data.draw(st.integers(1, q - 1))) % q
     erased = data.draw(st.sets(st.integers(0, s.n - 1), max_size=data.draw(st.integers(0, s.n))))
-    received = [ERASED if j in erased else v for j, v in enumerate(word)]
+    received = [None if j in erased else v for j, v in enumerate(word)]
     assert outcome(erasure_decode, c, received) == oracle_erasure_decode(q, rows, received)
     group = data.draw(st.integers(1, s.m))
     Kg, Ng = s.K[group - 1], s.N[group - 1]
@@ -778,7 +775,7 @@ def test_support_violations(cyclic_codefile):
     assert support_violations(c) == []
     rows = c.G.to_rows()
     rows[0][11] = 1  # data 1 may only touch group 1 positions
-    bad = LedcCode(c.structure, c.field, MatrixGF(c.field, rows))
+    bad = LedcCode(c.structure, MatrixGF(c.field, rows))
     assert support_violations(bad) == [(1, 12)]
 
 

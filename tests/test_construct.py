@@ -61,7 +61,6 @@ def test_nested_reference_structure(unequal_r):
         [0, 0, 0, 0, 1, 1, 1, 1, 1, 1],
         [0, 0, 0, 0, 1, 2, 3, 4, 5, 6],
     ]
-    assert code.meta["swapped"] is False
     assert code.meta["claimed_distance"] == 4
     assert min_distance_exhaustive(code) == 4 == dmax(s)
     assert support_violations(code) == []
@@ -73,7 +72,6 @@ def test_nested_orders_groups_by_redundancy(unequal_r):
         [[2, 3, 4, 5], [1, 2, 3]], [[1, 2, 3, 4, 5, 6], [7, 8, 9, 10]]
     )
     code = construct_nested(flipped, f)
-    assert code.meta["swapped"] is True
     assert min_distance_exhaustive(code) == dmax(flipped) == 4
 
 
@@ -159,10 +157,8 @@ def test_nested_matches_canonical_layout(case):
         with pytest.raises((FieldTooSmall, PreconditionViolated)):
             construct_nested(s, f)
         return
-    rows, swapped = expected
     code = construct_nested(s, f)
-    assert code.G.to_rows() == rows
-    assert code.meta["swapped"] is swapped
+    assert code.G.to_rows() == expected
 
 
 # ---------- shared-row solver ----------
@@ -380,7 +376,8 @@ def test_cyclic_disjoint_groups_delegate():
     s = disjoint_structure()
     code, ing = construct_cyclic(s, F7)
     assert ing is None
-    assert "delegated" in code.meta
+    nested = construct_nested(s, F7)
+    assert code.G == nested.G and code.meta == {**nested.meta, "method": "cyclic"}
     assert verify_ledc(code).all_ok
 
 
@@ -426,7 +423,7 @@ def test_two_group_constructions_are_pinned_byte_for_byte():
                             digest.update(type(exc).__name__.encode())
                             continue
                         digest.update(json.dumps([code.G.to_rows(), code.meta], sort_keys=True).encode())
-    assert digest.hexdigest() == "91ef50886c349934b09f16affae71e2ae8b94d41158a1df65d275b9813864ee6"
+    assert digest.hexdigest() == "d12788dfba7a95b59f08867e845163f9992c180a7b8c1796ff1eb87590c7d003"
 
 
 # ---------- randomized construction ----------

@@ -12,7 +12,7 @@ from oracles import det, oracle_solve
 
 import ledc.linalg as linalg_module
 
-from ledc.errors import DimensionMismatch, Inconsistent, Underdetermined
+from ledc.errors import DimensionMismatch, Inconsistent, PreconditionViolated, Underdetermined
 from ledc.field import make_field
 from ledc.linalg import MatrixGF, full_rank_subsets, nullspace, rank, solve, vec_mat
 
@@ -252,6 +252,24 @@ def test_matrix_reduces_its_entries_mod_q():
     m = MatrixGF(F13, [[13, 0], [0, 1]])
     assert m.to_rows() == [[0, 0], [0, 1]] and rank(m) == 1
     assert MatrixGF(F13, np.array([[-1, 27]], dtype=np.int64)).to_rows() == [[12, 1]]
+
+    big = [[2**70, -(2**70)], [2**64 - 1, 2**63]]  # past int64, where numpy alone overflows or rounds
+    exact = [[v % 13 for v in row] for row in big]
+    assert MatrixGF(F13, big).to_rows() == exact
+    assert MatrixGF(F13, np.array(big, dtype=object)).to_rows() == exact
+    assert MatrixGF(F13, np.array(big[1:], dtype=np.uint64)).to_rows() == exact[1:]
+    assert MatrixGF(F13, [[np.int32(-1), np.uint8(200)], np.array([5, 14])]).to_rows() == [[12, 5], [5, 1]]
+
+
+def test_matrix_refuses_entries_that_are_not_a_2d_integer_array():
+    """Ragged or non-2-D entries are a shape error; bool, float and string entries are refused, not rounded."""
+    for entries in ([[1, 2], [3]], [(1,), np.arange(2)], [], [1, 2], [[[1]]], np.zeros(3, dtype=np.int64), 5):
+        with pytest.raises(DimensionMismatch):
+            MatrixGF(F7, entries)
+    for entries in ([[1.5, 2]], [["3", 1]], [[True, 0]], [[np.True_, 1]], [[1, [2]], [3, 4]], np.ones((1, 1)), np.eye(2) > 0):
+        with pytest.raises(PreconditionViolated, match="^matrix entries must be integers, got "):
+            MatrixGF(F7, entries)
+    assert MatrixGF(F7, [[]]).to_rows() == [[]]
 
 
 # ---------- det (test oracle) ----------

@@ -1,6 +1,8 @@
 import random
+import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,8 +35,6 @@ def test_make_structure_normalizes(unequal_r):
     assert s.k == 5 and s.n == 10 and s.m == 2
     assert s.K == ((1, 2, 3), (2, 3, 4, 5))
     assert s.N == ((1, 2, 3, 4), (5, 6, 7, 8, 9, 10))
-    assert s.k_sizes() == (3, 4)
-    assert s.n_sizes() == (4, 6)
 
 
 def test_make_structure_sorts_and_dedups():
@@ -64,6 +64,24 @@ def test_validate_position_errors():
 def test_validate_group_too_small():
     with pytest.raises(GroupTooSmall):
         make_structure([[1, 2]], [[1]])
+
+
+def test_validate_refuses_indices_that_are_not_integers():
+    """A bool, float or string index names its group and value, before any count or bound is taken."""
+    cases = [
+        ([[1, 2], [2, 3]], [[1, 2, 3.5], [4, 5, 6]], "group 1 has position 3.5,"),
+        ([[1, 2.0], [2, 3]], [[1, 2, 3], [4, 5, 6]], "group 1 has data index 2.0,"),
+        ([[1], [True, 2]], [[1], [2, 3]], "group 2 has data index True,"),
+        ([[1], [2]], [[1], [2, "3"]], "group 2 has position '3',"),
+    ]
+    for K, N, message in cases:
+        with pytest.raises(CoverageGap, match=re.escape(message)):
+            make_structure(K, N)
+    with pytest.raises(CoverageGap, match=re.escape("group 1 has position 3.5,")):
+        LocalityStructure(3, 6, *cases[0][:2])
+    s = make_structure([[np.int64(2), 1]], [np.arange(1, 4, dtype=np.int32)])
+    assert (s.K, s.N) == (((1, 2),), ((1, 2, 3),))
+    assert all(type(v) is int for g in s.K + s.N for v in g)
 
 
 def test_validate_returns_normalized():
@@ -169,7 +187,7 @@ def test_dmax_single_group_is_singleton_bound():
 
 
 def assert_witness_consistent(s, w):
-    sizes = s.n_sizes()
+    sizes = [len(Ng) for Ng in s.N]
     union = sum(sizes[g - 1] for g in w.blocks)
     assert w.dmax == 1 + union - len(w.data)
     # the data set must be exactly the symbols confined to those blocks

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -57,6 +58,29 @@ def entry_points():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     return dict(re.findall(r'^([\w.-]+)\s*=\s*"([^"]+)"\s*$', table, re.M))
+
+
+def test_imported_distributions_are_declared():
+    """Every module the tests import, the standard library, ledc and the tests' own modules aside,
+    is a distribution named in `dependencies` or in the `test` extra of pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    lists = re.findall(r'^(?:dependencies|test) = \[(.*)\]$', text, re.M)
+    assert len(lists) == 2
+    declared = {name.lower().replace("-", "_") for name in re.findall(r'"([\w.-]+)', " ".join(lists))}
+    files = sorted((ROOT / "tests").rglob("*.py"))
+    own = {path.stem for path in files} | {"ledc"}
+    imported = {
+        name.split(".")[0]
+        for path in files
+        for node in ast.walk(parse(path))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+    }
+    assert {"numpy", "pytest", "hypothesis"} <= imported
+    assert sorted(imported - set(sys.stdlib_module_names) - own - declared) == []
 
 
 def references(node):
