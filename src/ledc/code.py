@@ -170,9 +170,9 @@ def _span(q: int, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
     """
     dtype = np.uint8 if q <= 128 else np.uint16 if q <= 1 << 15 else np.uint32
     table = start.astype(dtype)[:, None]
-    for row in rows:
+    for row in rows[::-1]:  # each new digit on the outer axis, so the inner loop runs over the whole table
         mult = (row[:, None] * np.arange(q, dtype=np.int64)[None, :] % q).astype(dtype)
-        table = (table[:, :, None] + mult[:, None, :]).reshape(len(row), -1)
+        table = (mult[:, :, None] + table[:, None, :]).reshape(len(row), -1)
         np.minimum(table, table - q, out=table)
     return table
 

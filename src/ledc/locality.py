@@ -17,8 +17,11 @@ where R_i, row i of the support pattern, is the set of coded positions
 whose value may depend on data symbol i. Because each R_i is a union of
 whole position blocks, the minimum is attained at
 I_T = {i : every group containing i lies in T}
-for some group subset T. A subset-sum (zeta) transform gives |I_T| and
-the positions owned by T's blocks for all 2^m subsets in O(m 2^m) steps.
+for some group subset T. A subset-sum (zeta) transform gives |I_T| for
+all 2^m subsets in O(m 2^m) steps, on the narrowest unsigned type that
+holds k. The value n(T) - |I_T|, with n(T) the positions T's blocks own,
+lies in [0, n], as k_g <= n_g; it takes the narrowest that holds n. The
+witness is the lowest-numbered minimizing T.
 """
 
 from __future__ import annotations
@@ -160,37 +163,37 @@ def group_masks(s: LocalityStructure) -> list[int]:
 
 def dmax_witness(s: LocalityStructure) -> DmaxWitness:
     """The bound plus the lowest-numbered minimizing group subset and its data."""
-    if s.m > MAX_GROUPS:
-        raise TooManyGroups(f"{s.m} groups exceed the cap of {MAX_GROUPS}")
-    sig = group_masks(s)
-    # Zeta transform, one butterfly pass per group: cnt[T] = |I_T|. A pass over
-    # bit g adds runs of 2^g entries, so the low half of the bits is summed on
-    # a transposed copy, where they are the high ones and every run is long;
-    # T = h 2^low + l sits at [l, h] there, and the rest stays in that layout.
     m, low = s.m, s.m // 2
-    cnt = np.bincount(sig, minlength=1 << m)
+    if m > MAX_GROUPS:
+        raise TooManyGroups(f"{m} groups exceed the cap of {MAX_GROUPS}")
+    sig = group_masks(s)
+    # Zeta transform, one pass per group: cnt[T] = |I_T| <= k, in the narrowest
+    # unsigned type holding k. A pass over bit g adds runs of 2^g entries, so the
+    # low half of the bits is summed on a transposed copy, where they are the high
+    # ones and every run is long; T = h 2^low + l sits at [l, h] there, and stays.
+    cnt = np.zeros(1 << m, dtype=np.min_scalar_type(s.k))
+    for groups in sig:
+        cnt[groups] += 1
     for g in range(low, m):
         pairs = cnt.reshape(-1, 2, 1 << g)
         pairs[:, 1] += pairs[:, 0]
-    cnt = np.ascontiguousarray(cnt.reshape(-1, 1 << low).T, dtype=np.int32)
-    for g in range(low):
-        pairs = cnt.reshape(-1, 2, 1 << (g + m - low))
+    cnt = cnt.reshape(-1, 1 << low).T.copy()
+    for g in range(m - low, m):
+        pairs = cnt.reshape(-1, 2, 1 << g)
         pairs[:, 1] += pairs[:, 0]
-    value = _owned(s.N[:low])[:, None] + _owned(s.N[low:]) - cnt
+    # n(T) <= n, in the narrowest unsigned type holding n, doubled a block at a time
+    # with h's blocks first, comes flat in the [l, h] layout. |I_T| <= n(T): no wrap.
+    value = np.zeros(1 << m, dtype=np.min_scalar_type(s.n))
+    for g, block in enumerate(s.N[low:] + s.N[:low]):
+        np.add(value[: 1 << g], len(block), value[1 << g : 2 << g])
+    value = value.reshape(cnt.shape) - cnt
     value[cnt == 0] = s.n  # above every T with cnt > 0, whose value is at most n - 1
-    least = value.min()
-    T = int((value == least).T.argmax())  # the first minimum in T's order, so the lowest T wins ties
-    blocks = tuple(g + 1 for g in range(s.m) if T >> g & 1)
-    data = tuple(i + 1 for i in range(s.k) if sig[i] & ~T == 0)
-    return DmaxWitness(1 + int(least), blocks, data)
-
-
-def _owned(blocks: Sequence[Sequence[int]]) -> np.ndarray:
-    """Positions owned by each subset T of these blocks, doubled in place a block at a time."""
-    tot = np.zeros(1 << len(blocks), dtype=np.int32)
-    for g, block in enumerate(blocks):
-        np.add(tot[: 1 << g], len(block), out=tot[1 << g : 2 << g])
-    return tot
+    least = value.min(axis=0)
+    h = int(least.argmin())  # the lowest T wins ties: the first column holding the minimum, then its first row
+    T = h << low | int(value[:, h].argmin())
+    blocks = tuple(g + 1 for g in range(m) if T >> g & 1)
+    data = tuple(i for i, groups in enumerate(sig, 1) if groups | T == T)
+    return DmaxWitness(1 + int(least[h]), blocks, data)
 
 
 def dmax(s: LocalityStructure) -> int:

@@ -2,6 +2,7 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
@@ -332,6 +333,20 @@ def test_exhaustive_distance_at_each_table_width_edge(monkeypatch):
             for cap in (1, q, default_cap):
                 monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
                 assert min_distance_exhaustive(c) == expected, (q, cap, c.G.to_rows())
+
+
+def test_span_columns_count_in_base_q_first_row_most_significant():
+    """Column c is start + sum of digit_i(c) row_i, digit 0 of c in base q the most significant."""
+    rng = random.Random(1933)
+    for q, k in ((2, 4), (3, 3), (5, 3), (7, 2)):
+        rows = np.array([[rng.randrange(q) for _ in range(4)] for _ in range(k)])
+        for start in ([0] * 4, [rng.randrange(q) for _ in range(4)]):
+            table = code_module._span(q, rows, np.array(start))
+            expected = []
+            for c in range(q**k):
+                digits = [c // q ** (k - 1 - i) % q for i in range(k)]
+                expected.append([(b + sum(d * int(row[j]) for d, row in zip(digits, rows))) % q for j, b in enumerate(start)])
+            assert table.T.tolist() == expected, (q, start)
 
 
 def test_exhaustive_distance_checks_rank_only_at_a_weight_one_exit(monkeypatch):

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,48 @@ def test_dmax_witness_at_group_cap():
     assert_witness_consistent(s, w)
     # golden value from the per-subset enumeration this transform replaced
     assert (w.dmax, w.blocks, w.data) == (6, (12, 18), (6, 15))
+    # 2^20 subsets on one-byte counters: a few bytes each, not an int64 or int32 copy of them
+    tracemalloc.start()
+    try:
+        dmax_witness(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, peak
+
+
+def edge_structure(rng, k=None, n=None):
+    """Up to 6 groups with no spare positions, so tied subsets are common; a given n pads one group up to it.
+
+    Either k, the data count, or n, the position count, is fixed at the edge of an unsigned type.
+    """
+    k = k or rng.randint(2, 12)
+    m = rng.randint(1, 6)
+    while True:
+        K = [sorted(rng.sample(range(1, k + 1), rng.randint(1, k))) for _ in range(m)]
+        if set().union(*K) == set(range(1, k + 1)):
+            break
+    sizes = [len(Kg) for Kg in K]
+    if n is not None:
+        sizes[rng.randrange(m)] += n - sum(sizes)
+    return make_structure(K, blocks_for_sizes(sizes))
+
+
+def test_dmax_witness_at_counter_type_edges():
+    """k and n at 255/256 and past 65,535, where a counter one type too narrow would wrap."""
+    rng = random.Random(2560)
+    cases = [
+        make_structure([range(1, 257)], [range(1, 258)]),  # one group: |I_T| = 256 at its only subset
+        make_structure([range(1, 257)] * 2, blocks_for_sizes([256, 256])),
+        make_structure([[1, 2], [2, 3]], blocks_for_sizes([2, 65_534])),  # n = 65,536 = n(T) of the full T
+    ]
+    for k in (255, 256):
+        cases += [edge_structure(rng, k=k) for _ in range(6)]
+    for n in (255, 256, 65_535, 65_536, 65_537):
+        cases += [edge_structure(rng, n=n) for _ in range(6)]
+    for s in cases:
+        w = dmax_witness(s)
+        assert (w.dmax, w.blocks, w.data) == dmax_witness_scan(s.K, s.N), (s.k, s.n, s.K, [len(Ng) for Ng in s.N])
 
 
 def test_dmax_matches_bruteforce_oracle():
