@@ -31,6 +31,8 @@ import stat
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .code import LedcCode, encode, erasure_decode, local_decode, verify_ledc
 from .construct import construct_cyclic, construct_nested, construct_random
 from .errors import (
@@ -140,7 +142,7 @@ def code_from_dict(d: dict) -> LedcCode:
     if min(map(min, G)) < 0 or max(map(max, G)) >= f.q:  # k, n >= 1, so no row is empty
         v = next(v for row in G for v in row if not 0 <= v < f.q)
         raise ValueError(f"matrix entry {v} outside [0, {f.q})")
-    code = LedcCode(s, MatrixGF(f, G))
+    code = LedcCode(s, MatrixGF(f, np.array(G, dtype=np.int64)))
     method = _member(d, "method", "code file")
     if not isinstance(method, str):
         raise ValueError(f"'method' must be a string, got {method!r}")

@@ -33,7 +33,7 @@ from .errors import (
     UnrecoverableErasurePattern,
 )
 from .field import Felt, PrimeField
-from .linalg import MatrixGF, full_rank_subsets, nullspace, rank, solve, vec_mat
+from .linalg import MatrixGF, full_rank_subsets, integer_symbols, nullspace, rank, solve, vec_mat
 from .locality import LocalityStructure, dmax, group_masks
 
 EXHAUSTIVE_BUDGET = 10**9
@@ -97,9 +97,10 @@ class LedcCode:
 
 
 def encode(c: LedcCode, x: Sequence[Felt]) -> list[Felt]:
-    """Codeword x G, x reduced mod q first; positions in N_i depend only on entries in K_i."""
+    """Codeword x G, integer symbols x reduced mod q first; positions in N_i depend only on entries in K_i."""
     if len(x) != c.structure.k:
         raise DimensionMismatch(f"data length {len(x)} != k={c.structure.k}")
+    x = integer_symbols(x)
     q = c.field.q
     return vec_mat(q, [v % q for v in x], c.G.entries).tolist()
 
@@ -154,9 +155,8 @@ def erasure_decode(c: LedcCode, received: Sequence[Optional[Felt]]) -> list[Felt
     try:
         return solve(c.G, received)
     except Underdetermined as exc:
-        raise UnrecoverableErasurePattern(
-            f"{received.count(None)} erasures leave rank below k={c.structure.k}"
-        ) from exc
+        erased = sum(v is None for v in received)  # list.count(None) is not there on an object ndarray
+        raise UnrecoverableErasurePattern(f"{erased} erasures leave rank below k={c.structure.k}") from exc
 
 
 # ---------- minimum distance, two ways ----------

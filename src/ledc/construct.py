@@ -8,7 +8,7 @@ Three methods are provided.
   distance bound whenever the shared-symbol count t is at most the larger
   group redundancy plus one.
 
-* construct_cyclic: two groups with equal redundancy r. Rows are
+* construct_cyclic: two groups with equal redundancy r, any t. Rows are
   coefficient vectors of polynomials that all vanish at w^0..w^(r+t-1),
   the roots of u = prod_{j<r+t} (x - w^j), which forces global distance
   r + t + 1, while both local projections vanish at the roots of
@@ -85,10 +85,10 @@ class CyclicIngredients:
     paper's v and g1 are u too), g2 = prod_{j<r} (x - w^j) divides every
     a_l and b_l, and shared row l (index l-1 of T, a and b) is the
     polynomial x^(k1-t+l-1) (a_l + x^(T_l) b_l); G holds those rows.
+    With no shared data symbol (t = 0), u = g2 and T, a and b are empty.
     """
 
     omega: Felt
-    r: int
     u: tuple[int, ...]
     g2: tuple[int, ...]
     T: tuple[int, ...]
@@ -129,7 +129,7 @@ def lemma3_solve(
 
 def construct_cyclic(
     s: LocalityStructure, f: PrimeField, omega: Optional[Felt] = None
-) -> tuple[LedcCode, Optional[CyclicIngredients]]:
+) -> tuple[LedcCode, CyclicIngredients]:
     """Equal-redundancy two-group construction from shared-root polynomials.
 
     The canonical array, over group 1's positions then group 2's, holds
@@ -138,10 +138,7 @@ def construct_cyclic(
     polynomials, then group 2's private rows x^(n1+j) u; one scatter
     places it in the structure's indexing.
 
-    Returns the code and the polynomial ingredients. A structure with no
-    shared data symbols (t = 0) is built by construct_nested once omega,
-    if given, is checked; the ingredients are then None, and meta still
-    reports method "cyclic".
+    Returns the code and its ingredients; with no shared data symbol (t = 0) every row is private.
     """
     n1, k1, n2, k2, t = two_group_params(s)
     r = n1 - k1
@@ -156,10 +153,6 @@ def construct_cyclic(
         )
     if omega is not None and not is_primitive(f, omega):
         raise NotPrimitive(f"{omega} does not generate the units of GF({f.q})")
-    if t == 0:
-        code = construct_nested(s, f)
-        code.meta["method"] = "cyclic"
-        return code, None
     omega = find_primitive(f) if omega is None else omega % f.q
 
     u = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r + t)])
@@ -170,19 +163,17 @@ def construct_cyclic(
     b = tuple(poly_mul(f, g2, b_star) for _, b_star in stars)
 
     canonical = np.zeros((s.k, s.n), dtype=np.int64)
-    for i in range(k1 - t):
-        canonical[i, i : i + r + t + 1] = u
+    for row, col in [*zip(range(k1 - t), range(n1)), *zip(range(k1, s.k), range(n1, s.n))]:  # private rows
+        canonical[row, col : col + r + t + 1] = u
     for ell in range(1, t + 1):
         canonical[k1 - t + ell - 1, k1 - t + ell - 1 : n1] = a[ell - 1]
         canonical[k1 - t + ell - 1, n1 + k2 - ell :] = b[ell - 1]
-    for j in range(k2 - t):
-        canonical[k1 + j, n1 + j : n1 + j + r + t + 1] = u
     K1, K2 = set(s.K[0]), set(s.K[1])
     data_order = sorted(K1 - K2) + sorted(K1 & K2) + sorted(K2 - K1)
     G = np.zeros((s.k, s.n), dtype=np.int64)
     G[np.ix_([i - 1 for i in data_order], [j - 1 for j in s.N[0] + s.N[1]])] = canonical
     meta = {"method": "cyclic", "omega": omega, "claimed_distance": r + t + 1}
-    ingredients = CyclicIngredients(omega=omega, r=r, u=u, g2=g2, T=T, a=a, b=b)
+    ingredients = CyclicIngredients(omega=omega, u=u, g2=g2, T=T, a=a, b=b)
     return LedcCode(s, MatrixGF(f, G), meta), ingredients
 
 
@@ -210,8 +201,7 @@ def verify_cyclic_conditions(ing: CyclicIngredients, s: LocalityStructure, f: Pr
     rank. w is primitive and r + t <= n1 < q - 1, so the roots are
     distinct and nonzero. c_halves checks that each polynomial fills its
     slot exactly (u: r+t+1 coefficients, a_l: r+t-l+1, b_l: r+l), so no
-    row spills into another's columns, and that r and T are the
-    structure's.
+    row spills into another's columns, and that T is the structure's.
     """
     n1, k1, _, k2, t = two_group_params(s)
     q, r = f.q, n1 - k1
@@ -227,7 +217,7 @@ def verify_cyclic_conditions(ing: CyclicIngredients, s: LocalityStructure, f: Pr
             for a, b, Tl in zip(ing.a, ing.b, T)
             for z in roots
         ),
-        c_halves=(ing.r, ing.T) == (r, T)
+        c_halves=ing.T == T
         and [len(p) for p in (ing.u, *halves)] == [r + t + 1, *range(r + t, r, -1), *range(r + 1, r + t + 1)],
     )
 

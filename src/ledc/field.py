@@ -53,13 +53,8 @@ def _prime_factors(n: int) -> list[int]:
 
 def is_primitive(f: PrimeField, w: Felt) -> bool:
     """True iff w has multiplicative order exactly q - 1."""
-    w %= f.q
-    if w == 0:
-        return False
-    if f.q == 2:
-        return w == 1
-    group = f.q - 1
-    return all(pow(w, group // p, f.q) != 1 for p in _prime_factors(group))
+    w %= f.q  # 0 is no unit; at q = 2 the group order 1 has no prime factor, so only 1 passes
+    return w != 0 and all(pow(w, (f.q - 1) // p, f.q) != 1 for p in _prime_factors(f.q - 1))
 
 
 def find_primitive(f: PrimeField) -> Felt:

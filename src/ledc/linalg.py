@@ -191,7 +191,7 @@ def nullspace(m: MatrixGF) -> np.ndarray:
 
 
 def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
-    """Solve x a = word on the columns where the word is known (not None), through a's cached RREF.
+    """Solve x a = word on the columns where the word is known (an integer, not None), through a's cached RREF.
 
     With u = x T^-1 the system is u R = word there, and only R's first
     r = rank(a) rows are nonzero, with R[:r, P] = I on the pivot columns P.
@@ -203,6 +203,7 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
     """
     if len(word) != a.cols:
         raise DimensionMismatch(f"word length {len(word)} != {a.cols} columns")
+    word = integer_symbols(word, erasable=True)
     q, k = a.field.q, a.rows
     R, T, pivots = a.echelon
     r, P = len(pivots), set(pivots)
@@ -237,6 +238,17 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
     if len(basis) < len(E) or r < k:
         raise Underdetermined(f"rank {r - len(E) + len(basis)} < {k} unknowns")
     return vec_mat(q, u, T).tolist()
+
+
+def integer_symbols(word: Sequence, erasable: bool = False) -> Sequence:
+    """The word, numpy integers made ints; a bool, float or string symbol (None unless `erasable`) raises."""
+    allowed = {int, type(None) if erasable else int}
+    if set(map(type, word)) <= allowed:  # plain ints: one pass over the types
+        return word
+    kinds = set(map(type, word)) - allowed
+    if bad := sorted(t.__name__ for t in kinds if t is bool or not issubclass(t, (int, np.integer))):
+        raise PreconditionViolated(f"symbols must be integers, got {', '.join(bad)}")
+    return [v if v is None else int(v) for v in word]  # numpy scalar arithmetic would wrap
 
 
 def vec_mat(q: int, x: list[int], M: np.ndarray) -> np.ndarray:

@@ -225,14 +225,12 @@ def test_construct_cyclic_matches_fixture(tmp_path, capsys):
 
 
 def test_construct_cyclic_records_omega_from_the_code(tmp_path, capsys):
-    """No shared symbols: cyclic writes the nested G and no omega; a chosen omega is written."""
+    """Cyclic writes the omega it built with, also with no shared symbols, and a chosen omega; never a seed."""
     s = write_json(tmp_path, "t0.json", {"q": 13, "groups": [{"K": [1, 2], "n": 4}, {"K": [3, 4, 5], "n": 5}]})
     assert run(["construct", s, "--method", "cyclic"]) == 0
     written = json.loads(capsys.readouterr().out)
-    assert written["method"] == "cyclic"
-    assert "omega" not in written and "seed" not in written
-    assert run(["construct", s, "--method", "nested"]) == 0
-    assert written["G"] == json.loads(capsys.readouterr().out)["G"]
+    assert (written["method"], written["omega"]) == ("cyclic", 2)
+    assert "seed" not in written
     assert run(["construct", EQUAL_R, "--method", "cyclic", "--omega", "6"]) == 0
     written = json.loads(capsys.readouterr().out)
     assert written["omega"] == 6
@@ -250,16 +248,17 @@ def test_construct_cyclic_writes_omega_as_its_residue(tmp_path, capsys):
     assert json.loads(written[0])["omega"] == 11
 
 
-def test_construct_cyclic_without_shared_symbols_writes_the_nested_code(tmp_path, capsys):
+def test_construct_cyclic_without_shared_symbols_writes_the_cyclic_layout(tmp_path, capsys):
+    """t = 0: the private rows x^i u with u = x - w^0, and omega is written as for t >= 1."""
     assert run(["construct", write_json(tmp_path, "t0.json", T0), "--method", "cyclic"]) == 0
     structure = {"q": 7, "groups": [{"K": [1, 2], "n": 3, "N": [1, 2, 3]}, {"K": [3], "n": 2, "N": [4, 5]}]}
-    G = [[1, 1, 1, 0, 0], [1, 2, 3, 0, 0], [0, 0, 0, 1, 1]]
-    expected = {"structure": structure, "method": "cyclic", "G": G, "claimed_distance": 2}
+    G = [[6, 1, 0, 0, 0], [0, 6, 1, 0, 0], [0, 0, 0, 6, 1]]
+    expected = {"structure": structure, "method": "cyclic", "G": G, "claimed_distance": 2, "omega": 3}
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
-def test_construct_cyclic_checks_omega_before_handing_off(tmp_path, capsys):
-    """t = 0 is built by the nested construction, but --omega is checked first, as for t >= 1."""
+def test_construct_cyclic_checks_omega_without_shared_symbols(tmp_path, capsys):
+    """t = 0 takes --omega as t >= 1 does: 2 is GF(13)'s smallest generator, so it changes nothing."""
     s = write_json(tmp_path, "t0.json", {"q": 13, "groups": [{"K": [1, 2, 3], "n": 5}, {"K": [4, 5, 6], "n": 5}]})
     for omega in ("4", "0"):
         assert run(["construct", s, "--method", "cyclic", "--omega", omega]) == 3
@@ -725,7 +724,7 @@ def test_code_file_method_must_be_a_string(tmp_path, capsys, method):
     [
         (lambda: construct_nested(*load_structure("unequal_r_structure.json")), "nested", ()),
         (lambda: construct_cyclic(*load_structure("equal_r_structure.json"))[0], "cyclic", ("omega",)),
-        (lambda: construct_cyclic(*structure_from_dict(T0))[0], "cyclic", ()),
+        (lambda: construct_cyclic(*structure_from_dict(T0))[0], "cyclic", ("omega",)),
         (
             lambda: construct_random(load_structure("unequal_r_structure.json")[0], make_field(101), 5, 20),
             "random",

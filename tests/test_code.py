@@ -30,6 +30,7 @@ from ledc.errors import (
     DistanceDisagreement,
     NotEnoughSymbols,
     PositionsOutsideGroup,
+    PreconditionViolated,
     SingularSubmatrix,
     SupportViolation,
     TooLarge,
@@ -200,6 +201,42 @@ def test_local_decode_reads_none_as_an_erasure(cyclic_codefile):
     assert got == {i: x[i - 1] for i in c.structure.K[0]}
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, True, "1", None, np.float64(1.0), np.bool_(True)],
+    ids=["float", "bool", "str", "None", "np-float", "np-bool"],
+)
+def test_encode_refuses_symbols_that_are_not_integers(cyclic_codefile, bad):
+    """A float or bool equal to an integer is refused as a string is; None marks erasures only in decode words."""
+    with pytest.raises(PreconditionViolated, match=f"^symbols must be integers, got {type(bad).__name__}$"):
+        encode(cyclic_codefile, [bad, 2, 3, 4, 5, 6, 7])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int8, np.uint64])
+def test_symbols_may_be_numpy_integers(cyclic_codefile, dtype):
+    """Numpy integers are read as the ints they hold: narrow ones must not wrap in the decoders' arithmetic."""
+    c = cyclic_codefile
+    x = [1, 2, 3, 4, 5, 6, 7]
+    word = encode(c, x)
+    assert encode(c, [dtype(v) for v in x]) == encode(c, np.array(x, dtype=dtype)) == word
+    received = [None if j in (0, 3, 5) else dtype(v) for j, v in enumerate(word)]
+    assert erasure_decode(c, received) == x
+    assert local_decode(c, 1, [(p, dtype(word[p - 1])) for p in (2, 3, 4, 5)]) == dict(zip(range(1, 5), x))
+
+
+@pytest.mark.parametrize("bad", [0.5, "1"], ids=["fraction", "string"])
+def test_decoders_refuse_symbols_that_are_not_integers(cyclic_codefile, bad):
+    """A codeword with positions 1 and 4 erased and position 2 raised by 0.5 is not decoded to the data
+    it came from, and a string symbol is named rather than failing inside the arithmetic."""
+    c = cyclic_codefile
+    word = encode(c, [1, 2, 3, 4, 5, 6, 7])
+    received = [None, word[1] + bad if bad == 0.5 else bad, word[2], None, *word[4:]]
+    with pytest.raises(PreconditionViolated, match=f"^symbols must be integers, got {type(bad).__name__}$"):
+        erasure_decode(c, received)
+    with pytest.raises(PreconditionViolated, match="^symbols must be integers"):
+        local_decode(c, 1, [(1, word[0]), (2, received[1]), (3, word[2]), (4, word[3])])
+
+
 # ---------- erasure decode ----------
 
 
@@ -235,6 +272,21 @@ def test_erasure_decode_unrecoverable_pattern_exists(suboptimal_codefile):
 def test_erasure_decode_length_checked(suboptimal_codefile):
     with pytest.raises(DimensionMismatch):
         erasure_decode(suboptimal_codefile, [0] * 9)
+
+
+def test_erasure_decode_counts_the_erasures_of_an_ndarray_word(cyclic_codefile):
+    """An object ndarray word is decoded like a list, and its refusal counts its erasures too."""
+    c = cyclic_codefile
+    received = np.array(encode(c, [1, 2, 3, 4, 5, 6, 7]), dtype=object)
+    received[[0, 3]] = None
+    assert erasure_decode(c, received) == [1, 2, 3, 4, 5, 6, 7]
+    received[6:] = None
+    with pytest.raises(UnrecoverableErasurePattern, match="^8 erasures leave rank below k=7$"):
+        erasure_decode(c, received)
+    received[:] = np.array(encode(c, [1, 2, 3, 4, 5, 6, 7]), dtype=object)
+    received[:6] = None
+    with pytest.raises(UnrecoverableErasurePattern, match="^6 erasures leave rank below k=7$"):
+        erasure_decode(c, received)
 
 
 def test_erasure_decode_all_erased():

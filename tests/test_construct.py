@@ -237,7 +237,7 @@ def test_cyclic_reference_code(equal_r, cyclic_descending, cyclic_codefile):
     assert code.G.to_rows() == cyclic_codefile.G.to_rows()
     descending_rows = {tuple(row) for row in cyclic_descending.G.to_rows()}
     assert {tuple(row) for row in code.G.to_rows()} == descending_rows
-    assert [field.name for field in dataclasses.fields(ing)] == ["omega", "r", "u", "g2", "T", "a", "b"]
+    assert [field.name for field in dataclasses.fields(ing)] == ["omega", "u", "g2", "T", "a", "b"]
     assert ing.u == (12, 10, 5, 11, 1)
     assert ing.g2 == (12, 1)
     assert ing.T == (9, 7, 5)
@@ -372,23 +372,56 @@ def test_cyclic_reduces_omega_to_its_residue(equal_r):
         construct_cyclic(s, f, omega=-10)  # -10 = 3, as rejected above
 
 
-def test_cyclic_disjoint_groups_delegate():
+def test_cyclic_disjoint_groups_use_the_cyclic_layout():
+    """t = 0: only private rows x^i u, with u = g2 = prod_{j<r} (x - w^j), and the claim r + 1 = dmax."""
     s = disjoint_structure()
     code, ing = construct_cyclic(s, F7)
-    assert ing is None
-    nested = construct_nested(s, F7)
-    assert code.G == nested.G and code.meta == {**nested.meta, "method": "cyclic"}
-    assert verify_ledc(code).all_ok
+    assert (ing.omega, ing.u, ing.T, ing.a, ing.b) == (3, ing.g2, (), (), ())
+    assert code.G.to_rows() == [[6, 1, 0, 0, 0, 0], [0, 6, 1, 0, 0, 0], [0, 0, 0, 6, 1, 0], [0, 0, 0, 0, 6, 1]]
+    assert code.meta == {"method": "cyclic", "omega": 3, "claimed_distance": 2}
+    assert verify_cyclic_conditions(ing, s, F7).all_ok
+    assert verify_ledc(code, "both").all_ok
 
 
-def test_cyclic_checks_omega_before_delegating():
+def test_cyclic_checks_omega_at_every_shared_count():
     s = disjoint_structure()
     for omega in (2, 0):  # 2 has order 3 in GF(7)
         with pytest.raises(NotPrimitive):
             construct_cyclic(s, F7, omega=omega)
-    code, ing = construct_cyclic(s, F7, omega=3)
-    assert ing is None
-    assert code.G.to_rows() == construct_cyclic(s, F7)[0].G.to_rows()
+    code, ing = construct_cyclic(s, F7, omega=5)
+    assert code.meta["omega"] == ing.omega == 5
+    assert code.G.to_rows() == construct_cyclic(s, F7)[0].G.to_rows()  # r = 1: u = x - w^0 for every w
+
+
+def test_cyclic_without_shared_symbols_meets_the_bound():
+    """Every equal-redundancy t = 0 shape with n1, n2 <= 6 over GF(7), GF(11), GF(13) and GF(17),
+    contiguous and with data indices and positions reversed.
+
+    A shape is refused, with PreconditionViolated, exactly when n1 + n2 > q - 1. Every other one builds a
+    code that verifies at its claim r + 1 = dmax (enumeration and rank agreeing where q^k <= 10^7) and
+    whose ingredients meet the paper's conditions.
+    """
+    built = 0
+    for q, n1, n2 in product((7, 11, 13, 17), range(1, 7), range(1, 7)):
+        f = make_field(q)
+        for k1 in range(max(1, n1 - n2 + 1), n1 + 1):
+            k2 = n2 - n1 + k1
+            k, n = k1 + k2, n1 + n2
+            K, N = [range(1, k1 + 1), range(k1 + 1, k + 1)], blocks_for_sizes([n1, n2])
+            reversed_ = [[k + 1 - i for i in Kg] for Kg in K], [[n + 1 - j for j in Ng] for Ng in N]
+            for s in (make_structure(K, N), make_structure(*reversed_)):
+                shape = (q, n1, k1, n2, k2, s.K)
+                if n1 + n2 > q - 1:
+                    with pytest.raises(PreconditionViolated, match="n1 \\+ n2"):
+                        construct_cyclic(s, f)
+                    continue
+                code, ing = construct_cyclic(s, f)
+                assert code.meta["claimed_distance"] == dmax(s) == n1 - k1 + 1, shape
+                assert code.meta["omega"] == ing.omega, shape
+                assert verify_ledc(code, "both" if q**k <= 10**7 else "rank").all_ok, shape
+                assert verify_cyclic_conditions(ing, s, f).all_ok, shape
+                built += 1
+    assert built == 558
 
 
 def test_cyclic_rejects_identical_groups():
@@ -404,8 +437,8 @@ def test_two_group_constructions_are_pinned_byte_for_byte():
     """One SHA-256 over G and meta of every two-group shape with n1, n2 <= 5 over GF(13) and GF(17).
 
     Each shape is built contiguously and with data indices and positions
-    reversed, by construct_nested and by construct_cyclic (t = 0 hands off
-    to nested); a refused shape contributes its error type.
+    reversed, by construct_nested and by construct_cyclic; a refused shape
+    contributes its error type.
     """
     digest = hashlib.sha256()
     for q, n1, n2 in product((13, 17), range(1, 6), range(1, 6)):
@@ -423,7 +456,7 @@ def test_two_group_constructions_are_pinned_byte_for_byte():
                             digest.update(type(exc).__name__.encode())
                             continue
                         digest.update(json.dumps([code.G.to_rows(), code.meta], sort_keys=True).encode())
-    assert digest.hexdigest() == "d12788dfba7a95b59f08867e845163f9992c180a7b8c1796ff1eb87590c7d003"
+    assert digest.hexdigest() == "d49f3f6d05d2b80d26f5438341f6b28753c77b587178aa295e7fc618da2f6914"
 
 
 # ---------- randomized construction ----------

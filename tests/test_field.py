@@ -47,3 +47,12 @@ def test_primitive_generates_whole_group_small_primes():
             x = x * w % q
             order += 1
         assert order == q - 1, f"q={q}: {w} has order {order}"
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_is_primitive_matches_the_multiplicative_order(q):
+    """w is primitive exactly when its powers w, w^2, .. first reach 1 at w^(q-1); 0 never does."""
+    f = make_field(q)
+    for w in range(q):
+        powers = [pow(w, e, q) for e in range(1, q)]
+        assert is_primitive(f, w) == (w != 0 and powers.index(1) == q - 2), (q, w)
