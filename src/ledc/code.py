@@ -110,8 +110,8 @@ def local_decode(
 ) -> dict[int, Felt]:
     """Recover the data symbols K_i from >= k_i symbols inside N_i.
 
-    `observed` pairs are (1-based position, value); a value of None is an
-    erasure, which only the position checks see. Returns a map from
+    `observed` pairs are (1-based integer position, value); a value of None
+    is an erasure, which only the position checks see. Returns a map from
     data index to value. A singular local submatrix means the code
     violates its own local MDS invariant and raises SingularSubmatrix; G off
     the support pattern at an observed position raises SupportViolation.
@@ -121,6 +121,9 @@ def local_decode(
         raise PositionsOutsideGroup(f"no group {group} (have 1..{s.m})")
     word = dict.fromkeys(s.N[group - 1], None)  # the local word, position -> symbol in N_i's order
     positions = [p for p, _ in observed]
+    if not set(map(type, positions)) <= {int}:  # plain ints: one pass over the types
+        if bad := [p for p in positions if isinstance(p, bool) or not isinstance(p, (int, np.integer))]:
+            raise PositionsOutsideGroup(f"position {bad[0]!r} is a {type(bad[0]).__name__}, not an integer")
     outside = [p for p in positions if p not in word]
     if outside:
         raise PositionsOutsideGroup(f"positions {outside} not in group {group}")
@@ -250,17 +253,38 @@ def distance_at_least(c: LedcCode, d0: int) -> bool:
     return d0 <= 0 or _level(c.G, d0)
 
 
+def roots_certify(c: LedcCode, M: np.ndarray, delta: int) -> bool:
+    """Does the BCH bound prove that the rows of the residue array M are independent and span distance >= delta?
+
+    Row i is read as the polynomial sum_j M[i, j] x^j. With w = c.meta["omega"] it does when the n = M.shape[1]
+    points w^0..w^(n-1) are distinct, every row vanishes at w^0..w^(delta-2), and the rows' lowest nonzero terms
+    sit in distinct columns. Then every codeword vanishes there too, and any delta - 1 columns of those parity
+    checks, (w^j)^i for i < delta - 1, form a Vandermonde matrix on distinct points. No pattern is enumerated.
+    w is only a hint: G itself is checked, so a missing or wrong w gives False.
+    """
+    omega, (k, n), q = c.meta.get("omega"), M.shape, c.field.q
+    if omega is None:
+        return False
+    points = [pow(omega, j, q) for j in range(n)]
+    lead = (M != 0).argmax(axis=1)
+    if len(set(points)) < n or len(set(lead.tolist())) < k or not M[np.arange(k), lead].all():
+        return False
+    V = np.array([[pow(z, i, q) for i in range(delta - 1)] for z in points], dtype=np.int64)
+    return not vec_mat(q, M, V).any()
+
+
 def _local_level(c: LedcCode, g: int, rows: tuple[int, ...], d0: int) -> bool:
     """Does the code that `rows` of group g's local generator spans (index 0 = group 1) have d >= d0?
 
-    Each level is checked once per code, kept in c.local_levels under (g, rows, d0); TooLarge is not kept.
+    The root certificate is tried first, on the columns in N_g's order; otherwise the level is swept. Each
+    level is checked once per code, kept in c.local_levels under (g, rows, d0); TooLarge is not kept.
     """
     key = (g, rows, d0)
     verdict = c.local_levels.get(key)
     if verdict is None:
         G = c.local_generators[g]
         sub = G if len(rows) == G.rows else MatrixGF(G.field, G.entries[list(rows)])
-        verdict = c.local_levels[key] = _level(sub, d0)
+        verdict = c.local_levels[key] = roots_certify(c, sub.entries, d0) or _level(sub, d0)
     return verdict
 
 
@@ -322,8 +346,10 @@ def certifies_dmax(c: LedcCode) -> bool:
 def min_distance_rank(c: LedcCode) -> int:
     """Largest d such that every (n - d + 1)-column submatrix has rank k.
 
-    A code on its support pattern that `certifies_dmax` has d = dmax by the
-    paper's bound, with no global enumeration. Otherwise the search starts
+    A code on its support pattern has d = dmax by the paper's bound, with no
+    global enumeration, when `roots_certify` proves d >= dmax on G's columns
+    group by group, each group ascending (the cyclic layout), or else when
+    `certifies_dmax` does. Otherwise the search starts
     at dmax, which never exceeds n - k + 1, and walks up or down. The
     result rests on two facts: every (d - 1)-erasure pattern leaves rank
     k, and no larger d holds. The second is the paper's bound d <= dmax
@@ -334,11 +360,11 @@ def min_distance_rank(c: LedcCode) -> int:
     Returns 0 when G itself is rank deficient (some nonzero message maps
     to the zero codeword, so no distance is defined in the usual sense).
     """
-    d = c.dmax
+    d, s = c.dmax, c.structure
     on_support = not support_violations(c)
-    if on_support and certifies_dmax(c):
+    if on_support and (roots_certify(c, c.G.entries[:, [j - 1 for Ng in s.N for j in Ng]], d) or certifies_dmax(c)):
         return d
-    if rank(c.G) < c.structure.k:
+    if rank(c.G) < s.k:
         return 0
     if distance_at_least(c, d):
         if on_support:
@@ -364,8 +390,9 @@ def verify_local_mds(c: LedcCode) -> dict[int, bool]:
     """Group -> does G[K_i, N_i] generate an [n_i, k_i] MDS code.
 
     A local code is MDS exactly when it has distance n_i - k_i + 1, so each
-    group is that distance level of its local generator: on the generator
-    when k_i <= n_i - k_i, on its local parity-check matrix otherwise.
+    group is that distance level of its local generator: by its roots when
+    `roots_certify` holds, else swept on the generator when k_i <= n_i - k_i,
+    on its local parity-check matrix otherwise.
     """
     return {
         g + 1: _local_level(c, g, tuple(range(G.rows)), G.cols - G.rows + 1)

@@ -7,8 +7,8 @@ cached for `rank`, `nullspace` and `solve` (O(rows x (rows + cols))
 memory per matrix, none per call), or every w-column subset of a matrix
 by a walk that shares each prefix of columns (`full_rank_subsets`).
 `solve` reduces only the pivots a word leaves unknown, in Python ints.
-`vec_mat`, the one vector-matrix product, serves `solve` and encoding
-and runs on int64 without overflow.
+`vec_mat`, the one product, serves `solve`, encoding and the root
+certificate's evaluations and runs on int64 without overflow.
 """
 
 from __future__ import annotations
@@ -251,8 +251,10 @@ def integer_symbols(word: Sequence, erasable: bool = False) -> Sequence:
     return [v if v is None else int(v) for v in word]  # numpy scalar arithmetic would wrap
 
 
-def vec_mat(q: int, x: list[int], M: np.ndarray) -> np.ndarray:
-    """x M mod q for residues x: one int64 product while len(x) (q-1)^2 < 2^63, else each product reduced first."""
-    if len(x) * (q - 1) ** 2 < 1 << 63:
-        return np.array(x, dtype=np.int64) @ M % q
-    return (np.array(x, dtype=np.int64)[:, None] * M % q).sum(axis=0) % q
+def vec_mat(q: int, x: Sequence | np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x M mod q for residues x, a vector or matrix of rows of length l: one int64 product while
+    l (q-1)^2 < 2^63, else each product reduced first."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.shape[-1] * (q - 1) ** 2 < 1 << 63:
+        return x @ M % q
+    return (x[..., None] * M % q).sum(axis=-2) % q

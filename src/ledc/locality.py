@@ -55,10 +55,10 @@ class LocalityStructure:
     N: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.K) != len(self.N) or not self.K:
-            raise CoverageGap("need matching nonempty lists of K and N groups")
         K = tuple(tuple(sorted(set(g))) for g in _index_groups(self.K, "data index"))
         N = tuple(tuple(sorted(set(g))) for g in _index_groups(self.N, "position"))
+        if len(K) != len(N) or not K:
+            raise CoverageGap("need matching nonempty lists of K and N groups")
 
         covered: set[int] = set()
         for gi, g in enumerate(K, start=1):
@@ -142,10 +142,14 @@ def _index_groups(groups: Sequence[Sequence[int]], what: str) -> Sequence[Sequen
 
 
 def make_structure(K: Sequence[Sequence[int]], N: Sequence[Sequence[int]]) -> LocalityStructure:
-    """The structure whose k and n are the largest data index and position mentioned."""
-    K, N = _index_groups(K, "data index"), _index_groups(N, "position")
-    k = max((max(g) for g in K if g), default=0)
-    n = max((max(g) for g in N if g), default=0)
+    """The structure whose k and n are the largest data index and position mentioned.
+
+    The structure checks every index, once: one that is not an integer is named there, whatever k or n it gave.
+    """
+    try:
+        k, n = (int(max((max(g) for g in groups if len(g)), default=0)) for groups in (K, N))
+    except (TypeError, ValueError, OverflowError):  # an index no int can stand for
+        k = n = 0
     return LocalityStructure(k, n, K, N)
 
 
@@ -186,8 +190,11 @@ def dmax_witness(s: LocalityStructure) -> DmaxWitness:
     value = np.zeros(1 << m, dtype=np.min_scalar_type(s.n))
     for g, block in enumerate(s.N[low:] + s.N[:low]):
         np.add(value[: 1 << g], len(block), value[1 << g : 2 << g])
-    value = value.reshape(cnt.shape) - cnt
-    value[cnt == 0] = s.n  # above every T with cnt > 0, whose value is at most n - 1
+    value = value.reshape(cnt.shape)
+    value -= cnt
+    empty = np.equal(cnt, 0, out=np.empty_like(value))
+    empty *= s.n  # n where I_T is empty, above every T with cnt > 0, whose value is at most n - 1
+    np.maximum(value, empty, out=value)
     least = value.min(axis=0)
     h = int(least.argmin())  # the lowest T wins ties: the first column holding the minimum, then its first row
     T = h << low | int(value[:, h].argmin())

@@ -63,6 +63,33 @@ def dmax_witness_scan(K, N):
     return 1 + value, tuple(g + 1 for g in range(m) if T >> g & 1), tuple(members)
 
 
+def dmax_witness_by_data(K, N):
+    """(dmax, blocks, data) by minimizing over the nonempty data subsets I, not the group subsets.
+
+    The groups of I's symbols form a group set T(I), and I's value |union of R_i| - |I| is at
+    least that of T(I)'s whole data set, with equality when I is that data set. So the minimizing
+    group sets are the T(I) of the minimizing I, and the witness is the lowest of them. Costs
+    2^k steps, whatever the number of groups.
+    """
+    k = max(max(Kg) for Kg in K)
+    groups, reach = [0] * k, [0] * k
+    for g, (Kg, Ng) in enumerate(zip(K, N)):
+        for i in Kg:
+            groups[i - 1] |= 1 << g
+            reach[i - 1] |= sum(1 << j for j in Ng)
+    union_groups, union_reach = [0] * (1 << k), [0] * (1 << k)
+    best, T = None, None
+    for I in range(1, 1 << k):
+        low = (I & -I).bit_length() - 1
+        union_groups[I] = union_groups[I & (I - 1)] | groups[low]
+        union_reach[I] = union_reach[I & (I - 1)] | reach[low]
+        value = union_reach[I].bit_count() - I.bit_count()
+        if best is None or (value, union_groups[I]) < (best, T):
+            best, T = value, union_groups[I]
+    data = tuple(i + 1 for i in range(k) if groups[i] | T == T)
+    return 1 + best, tuple(g + 1 for g in range(len(K)) if T >> g & 1), data
+
+
 def dmax_two_subcodes(K, N):
     """Closed-form bound 1 + t + min(n1-k1, n2-k2) for two groups.
 

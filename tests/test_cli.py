@@ -537,6 +537,24 @@ def test_verify_past_budget_exits_3(tmp_path, capsys):
         assert captured.err.startswith("error=TooLarge: ")
 
 
+@pytest.mark.parametrize("q, n_g, k_g, t, d", [(101, 30, 24, 3, 10), (101, 30, 20, 8, 19), (257, 50, 40, 5, 16)])
+def test_verify_size_ceiling_cyclic_codes_by_their_roots(tmp_path, capsys, q, n_g, k_g, t, d):
+    """Codes whose distance levels, C(60,9), C(60,18) and C(100,15) patterns, are past the rank budget: their roots
+    prove d = dmax and local MDS, each within 1 s of process wall time."""
+    K = [list(range(1, k_g + 1)), list(range(k_g - t + 1, 2 * k_g - t + 1))]
+    structure = write_json(tmp_path, "s.json", {"q": q, "groups": [{"K": Kg, "n": n_g} for Kg in K]})
+    code = str(tmp_path / "code.json")
+    assert run(["construct", structure, "--method", "cyclic", "--out", code]) == 0
+    assert capsys.readouterr().out == f"wrote={code}\nclaimed_distance={d}\n"
+    start = time.perf_counter()
+    result = run_cli("verify", code)
+    wall = time.perf_counter() - start
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = ["support=ok", "local_mds_1=ok", "local_mds_2=ok", f"distance={d}", f"claimed={d}", f"dmax={d}", "optimal=true"]
+    assert result.stdout.splitlines() == lines
+    assert wall < 1.0, wall
+
+
 def test_verify_past_group_cap_exits_2(tmp_path):
     many = write_json(tmp_path, "many.json", {
         "structure": {"q": 7, "groups": [{"K": [i], "n": 1} for i in range(1, 22)]},

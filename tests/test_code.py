@@ -20,6 +20,7 @@ from ledc.code import (
     local_decode,
     min_distance_exhaustive,
     min_distance_rank,
+    roots_certify,
     support_violations,
     verify_ledc,
     verify_local_mds,
@@ -39,6 +40,7 @@ from ledc.errors import (
 from ledc.field import make_field
 from ledc.linalg import MatrixGF, nullspace
 from ledc.locality import blocks_for_sizes, dmax, make_structure
+from ledc.poly import linear_factor_product, poly_mul
 
 F7 = make_field(7)
 
@@ -165,6 +167,10 @@ def test_local_decode_input_errors(suboptimal_codefile):
         local_decode(c, 3, [(1, 0)])
     with pytest.raises(PositionsOutsideGroup):
         local_decode(c, 1, [(1, word[0]), (1, word[0]), (2, word[1]), (3, word[2])])
+    # True would be read as position 1 and 1.0 would index G: each is named with its type
+    for p, kind in ((True, "bool"), (1.0, "float")):
+        with pytest.raises(PositionsOutsideGroup, match=rf"^position {p!r} is a {kind}, not an integer$"):
+            local_decode(c, 1, [(p, word[0]), (2, word[1]), (3, word[2]), (4, word[3])])
 
 
 def test_local_decode_singular_submatrix_is_invariant_breach():
@@ -448,7 +454,8 @@ def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, cyclic_c
     certify = code_module.distance_at_least
     monkeypatch.setattr(code_module, "distance_at_least", lambda c, d0: levels.append(d0) or certify(c, d0))
     cases = (
-        (cyclic_codefile, 5, [5]),  # d >= dmax = 5 and the support holds: the bound is the upper side
+        (cyclic_codefile, 5, []),  # its roots prove d >= dmax = 5 on the support: no level is searched
+        (LedcCode(cyclic_codefile.structure, cyclic_codefile.G), 5, [5]),  # no omega: d >= dmax, the bound above
         (suboptimal_codefile, 4, [5, 4]),  # dmax = 5: walks down
         (dense, 4, [2, 3, 4, 5]),  # dmax = 2: walks up to n - k + 1
         (deficient, 0, []),
@@ -582,6 +589,86 @@ def test_local_certificate_against_oracles(c):
     assert min_distance_rank(c) == walked == d
     if lb >= c.dmax:
         assert walked == c.dmax
+
+
+@st.composite
+def root_codes(draw):
+    """(code, delta) over GF(2..13), n <= 9, k <= 4, delta up to one past the Singleton bound.
+
+    Row i is x^(s_i) g h_i with g = prod_{j < delta - 1} (x - w^j) for any residue w, of any order,
+    distinct shifts s_i and h_i(0) != 0; rows that find no shift left stay zero. Sometimes one entry
+    is changed, and sometimes the code's omega is another integer than w.
+    """
+    q = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    f = make_field(q)
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(4, n)))
+    delta = draw(st.integers(1, n - k + 2))
+    w = draw(st.integers(0, q - 1))
+    g = linear_factor_product(f, [pow(w, j, q) for j in range(delta - 1)])
+    room = n - len(g) + 1  # shifts at which a multiple of g fits
+    rows = [[0] * n for _ in range(k)]
+    for row, shift in zip(rows, draw(st.permutations(range(max(room, 0))))):
+        h = [draw(st.integers(1, q - 1)), *draw(st.lists(st.integers(0, q - 1), max_size=room - shift - 1))]
+        row[shift : shift + len(g) + len(h) - 1] = poly_mul(f, g, h)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = (rows[i][j] + draw(st.integers(1, q - 1))) % q
+    omega = draw(st.sampled_from((w, draw(st.integers(-q, 2 * q)))))
+    s = make_structure([range(1, k + 1)], [range(1, n + 1)])
+    return LedcCode(s, MatrixGF(f, rows), {"omega": omega}), delta
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(root_codes())
+def test_root_certificate_never_exceeds_the_enumerated_distance(case):
+    """Whenever the roots certify delta, enumeration finds no nonzero codeword of weight below delta."""
+    c, delta = case
+    certified = roots_certify(c, c.G.entries, delta)
+    event("certified" if certified else "not certified")
+    if certified:
+        assert min_distance_exhaustive(c) >= delta
+
+
+def test_root_certificate_falls_back_when_one_entry_changes(cyclic_codefile, monkeypatch):
+    """Any one entry of the cyclic fixture changed on its support: its row no longer vanishes at the roots, so the
+    global check and its group's local-MDS check fall back to the walks, which agree with the code without omega
+    and with enumeration."""
+    c0 = cyclic_codefile
+    checked = []
+    roots = code_module.roots_certify
+
+    def spy(c, M, delta):
+        checked.append((M.shape, delta, roots(c, M, delta)))
+        return checked[-1][2]
+
+    monkeypatch.setattr(code_module, "roots_certify", spy)
+    distances = set()
+    for i, j in zip(*np.nonzero(c0.structure.support)):
+        rows = c0.G.to_rows()
+        rows[i][j] = (rows[i][j] + 1) % 13
+        c = LedcCode(c0.structure, MatrixGF(c0.field, rows), c0.meta)
+        bare = LedcCode(c.structure, c.G)
+        checked.clear()
+        assert verify_local_mds(c) == verify_local_mds(bare)
+        d = min_distance_rank(c)
+        assert d == min_distance_rank(bare) == min_distance_exhaustive(c)
+        k_g, n_g = c.local_generators[0 if j + 1 in c.structure.N[0] else 1].entries.shape
+        for shape, delta in (((7, 12), 5), ((k_g, n_g), n_g - k_g + 1)):  # the global check, then the group's
+            assert (shape, delta, False) in checked and (shape, delta, True) not in checked
+        distances.add(d)
+    assert distances == {4, 5}
+
+
+def test_root_certificate_is_exact_at_the_largest_field(monkeypatch):
+    """At q = 2^31 - 1 every evaluation takes vec_mat's reduce-first product; the roots alone still prove the code."""
+    q = 2**31 - 1
+    s = make_structure([[1, 2, 3, 4], [2, 3, 4, 5, 6, 7]], blocks_for_sizes([5, 7]))
+    # 7^1000003 is primitive (1000003 is prime to q - 1), and its powers spread over GF(q), so one int64 product wraps
+    c, _ = construct_cyclic(s, make_field(q), pow(7, 1_000_003, q))
+    monkeypatch.setattr(code_module, "_level", lambda *args: pytest.fail("swept a level"))
+    assert verify_local_mds(c) == {1: True, 2: True}
+    assert min_distance_rank(c) == c.dmax == 5
 
 
 def chain_code():

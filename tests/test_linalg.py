@@ -394,6 +394,16 @@ def test_solve_reads_only_the_known_columns():
 # conftest.vandermonde is the MDS matrix the distance tests build on; these check that premise.
 
 
+def test_vec_mat_matrix_rows_match_python_ints():
+    """A matrix left operand gives one product per row, exact on both sides of the int64 overflow rule."""
+    rng = random.Random(2531)
+    for q in (13, 2**31 - 1):
+        X = [[rng.randrange(q) for _ in range(12)] for _ in range(3)] + [[q - 1] * 12]
+        M = np.array([[rng.randrange(q) for _ in range(4)] for _ in range(11)] + [[q - 1] * 4], dtype=np.int64)
+        want = [[sum(x * int(M[i, j]) for i, x in enumerate(row)) % q for j in range(4)] for row in X]
+        assert vec_mat(q, X, M).tolist() == want == [vec_mat(q, row, M).tolist() for row in X]
+
+
 def test_vandermonde_golden():
     m = vandermonde(F7, [1, 2, 3], 2)
     assert m.to_rows() == [[1, 1, 1], [1, 2, 3]]

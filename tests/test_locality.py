@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cap_structure, random_structure
-from oracles import dmax_bruteforce, dmax_two_subcodes, dmax_witness_scan, structure_violation, support_bruteforce
+from oracles import (
+    dmax_bruteforce,
+    dmax_two_subcodes,
+    dmax_witness_by_data,
+    dmax_witness_scan,
+    structure_violation,
+    support_bruteforce,
+)
 
 from ledc.errors import (
     CoverageGap,
@@ -251,6 +258,23 @@ def test_dmax_witness_at_group_cap():
     finally:
         tracemalloc.stop()
     assert peak <= 4 << 20, peak
+
+
+def test_dmax_witness_at_20_groups_against_data_subsets():
+    """Each symbol in 4-6 of 20 groups, so most group sets hold no symbol whole and take the empty-I_T value;
+    the lowest-T tie rule still holds, against a minimization over the 2^k data subsets."""
+    rng = random.Random(2520)
+    for _ in range(20):
+        k = rng.randint(10, 14)
+        K = [()]
+        while not all(K):
+            K = [set() for _ in range(20)]
+            for i in range(1, k + 1):
+                for g in rng.sample(range(20), rng.randint(4, 6)):
+                    K[g].add(i)
+        s = make_structure(K, blocks_for_sizes([len(Kg) + rng.randint(0, 2) for Kg in K]))
+        w = dmax_witness(s)
+        assert (w.dmax, w.blocks, w.data) == dmax_witness_by_data(s.K, s.N), (s.K, s.N)
 
 
 def edge_structure(rng, k=None, n=None):
