@@ -49,7 +49,7 @@ from .errors import (
     UnrecoverableErasurePattern,
 )
 from .field import PrimeField, make_field
-from .linalg import MatrixGF
+from .linalg import MatrixGF, non_integers
 from .locality import LocalityStructure, blocks_for_sizes, dmax_witness, make_structure
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def code_from_dict(d: dict) -> LedcCode:
     if not isinstance(G, list):
         raise ValueError(f"'G' must be a list of rows, got {G!r}")
     for i, row in enumerate(G, start=1):  # types and lengths in one pass, then the count and range once
-        if not isinstance(row, list) or not set(map(type, row)) <= {int}:
+        if not isinstance(row, list) or non_integers(row):
             _integers(row, f"row {i} of 'G'")  # names the first entry that is not an integer
         if len(row) != s.n:
             raise ValueError(f"row {i} of 'G' has {len(row)} entries, expected n={s.n}")

@@ -33,7 +33,7 @@ from .errors import (
     UnrecoverableErasurePattern,
 )
 from .field import Felt, PrimeField
-from .linalg import MatrixGF, full_rank_subsets, integer_symbols, nullspace, rank, solve, vec_mat
+from .linalg import MatrixGF, full_rank_subsets, integer_symbols, non_integers, nullspace, rank, solve, vec_mat
 from .locality import LocalityStructure, dmax, group_masks
 
 EXHAUSTIVE_BUDGET = 10**9
@@ -121,9 +121,8 @@ def local_decode(
         raise PositionsOutsideGroup(f"no group {group} (have 1..{s.m})")
     word = dict.fromkeys(s.N[group - 1], None)  # the local word, position -> symbol in N_i's order
     positions = [p for p, _ in observed]
-    if not set(map(type, positions)) <= {int}:  # plain ints: one pass over the types
-        if bad := [p for p in positions if isinstance(p, bool) or not isinstance(p, (int, np.integer))]:
-            raise PositionsOutsideGroup(f"position {bad[0]!r} is a {type(bad[0]).__name__}, not an integer")
+    if bad := non_integers(positions):
+        raise PositionsOutsideGroup(f"position {bad[0]!r} is a {type(bad[0]).__name__}, not an integer")
     outside = [p for p in positions if p not in word]
     if outside:
         raise PositionsOutsideGroup(f"positions {outside} not in group {group}")
@@ -259,18 +258,21 @@ def roots_certify(c: LedcCode, M: np.ndarray, delta: int) -> bool:
     Row i is read as the polynomial sum_j M[i, j] x^j. With w = c.meta["omega"] it does when the n = M.shape[1]
     points w^0..w^(n-1) are distinct, every row vanishes at w^0..w^(delta-2), and the rows' lowest nonzero terms
     sit in distinct columns. Then every codeword vanishes there too, and any delta - 1 columns of those parity
-    checks, (w^j)^i for i < delta - 1, form a Vandermonde matrix on distinct points. No pattern is enumerated.
-    w is only a hint: G itself is checked, so a missing or wrong w gives False.
-    """
+    checks, (w^j)^i for i < delta - 1, form a Vandermonde matrix on distinct points. The roots go one at a time,
+    in O(k n) memory. w is only a hint: a missing or wrong w, or more than RANK_BUDGET products, gives False."""
     omega, (k, n), q = c.meta.get("omega"), M.shape, c.field.q
-    if omega is None:
+    if omega is None or k * n * (delta - 1) > RANK_BUDGET:
         return False
-    points = [pow(omega, j, q) for j in range(n)]
+    points = np.array([pow(omega, j, q) for j in range(n)], dtype=np.int64)
     lead = (M != 0).argmax(axis=1)
-    if len(set(points)) < n or len(set(lead.tolist())) < k or not M[np.arange(k), lead].all():
+    if len(set(points.tolist())) < n or len(set(lead.tolist())) < k or not M[np.arange(k), lead].all():
         return False
-    V = np.array([[pow(z, i, q) for i in range(delta - 1)] for z in points], dtype=np.int64)
-    return not vec_mat(q, M, V).any()
+    z = np.ones((n, 1), dtype=np.int64)  # z[j] = (w^j)^i at root i
+    for _ in range(delta - 1):
+        if vec_mat(q, M, z).any():
+            return False
+        z = z * points[:, None] % q
+    return True
 
 
 def _local_level(c: LedcCode, g: int, rows: tuple[int, ...], d0: int) -> bool:

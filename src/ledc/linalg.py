@@ -240,14 +240,19 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
     return vec_mat(q, u, T).tolist()
 
 
+def non_integers(values: Sequence) -> list:
+    """The values, in order, that are neither ints nor numpy integers (nor bools); all ints cost one pass."""
+    if set(map(type, values)) <= {int}:
+        return []
+    return [v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+
+
 def integer_symbols(word: Sequence, erasable: bool = False) -> Sequence:
     """The word, numpy integers made ints; a bool, float or string symbol (None unless `erasable`) raises."""
-    allowed = {int, type(None) if erasable else int}
-    if set(map(type, word)) <= allowed:  # plain ints: one pass over the types
+    if set(map(type, word)) <= {int, type(None) if erasable else int}:  # plain ints: one pass over the types
         return word
-    kinds = set(map(type, word)) - allowed
-    if bad := sorted(t.__name__ for t in kinds if t is bool or not issubclass(t, (int, np.integer))):
-        raise PreconditionViolated(f"symbols must be integers, got {', '.join(bad)}")
+    if bad := {type(v).__name__ for v in non_integers([v for v in word if v is not None or not erasable])}:
+        raise PreconditionViolated(f"symbols must be integers, got {', '.join(sorted(bad))}")
     return [v if v is None else int(v) for v in word]  # numpy scalar arithmetic would wrap
 
 

@@ -39,6 +39,7 @@ from .errors import (
     PreconditionViolated,
     TooManyGroups,
 )
+from .linalg import non_integers
 
 MAX_GROUPS = 20
 
@@ -47,16 +48,19 @@ MAX_GROUPS = 20
 
 @dataclass(frozen=True)
 class LocalityStructure:
-    """Data groups K and coded-position groups N, checked when made and stored as sorted tuples."""
+    """Data groups K and coded-position groups N, checked when made and stored as sorted tuples;
+    a k or n of None becomes the largest index on that side."""
 
-    k: int
-    n: int
+    k: int | None
+    n: int | None
     K: tuple[tuple[int, ...], ...]
     N: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        K = tuple(tuple(sorted(set(g))) for g in _index_groups(self.K, "data index"))
-        N = tuple(tuple(sorted(set(g))) for g in _index_groups(self.N, "position"))
+        K, N = _index_groups(self.K, "data index"), _index_groups(self.N, "position")
+        for name, groups in (("k", K), ("n", N)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, max((g[-1] for g in groups if g), default=0))
         if len(K) != len(N) or not K:
             raise CoverageGap("need matching nonempty lists of K and N groups")
 
@@ -131,26 +135,19 @@ def blocks_for_sizes(sizes: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def _index_groups(groups: Sequence[Sequence[int]], what: str) -> Sequence[Sequence[int]]:
-    """The groups, numpy integer indices made ints; a bool, float or string index raises CoverageGap."""
-    if not {type(v) for g in groups for v in g} <= {int}:
+def _index_groups(groups: Sequence[Sequence[int]], what: str) -> tuple[tuple[int, ...], ...]:
+    """The groups as sorted tuples of distinct ints; a bool, float or string index raises CoverageGap."""
+    if not {type(v) for g in groups for v in g} <= {int}:  # plain ints: one pass over the types
         for gi, g in enumerate(groups, start=1):
-            if bad := [v for v in g if isinstance(v, bool) or not isinstance(v, (int, np.integer))]:
+            if bad := non_integers(g):
                 raise CoverageGap(f"group {gi} has {what} {bad[0]!r}, not an integer")
         groups = [list(map(int, g)) for g in groups]
-    return groups
+    return tuple(tuple(sorted(set(g))) for g in groups)
 
 
 def make_structure(K: Sequence[Sequence[int]], N: Sequence[Sequence[int]]) -> LocalityStructure:
-    """The structure whose k and n are the largest data index and position mentioned.
-
-    The structure checks every index, once: one that is not an integer is named there, whatever k or n it gave.
-    """
-    try:
-        k, n = (int(max((max(g) for g in groups if len(g)), default=0)) for groups in (K, N))
-    except (TypeError, ValueError, OverflowError):  # an index no int can stand for
-        k = n = 0
-    return LocalityStructure(k, n, K, N)
+    """The structure whose k and n are the largest data index and position mentioned."""
+    return LocalityStructure(None, None, K, N)
 
 
 # ---------- the distance bound ----------

@@ -555,6 +555,25 @@ def test_verify_size_ceiling_cyclic_codes_by_their_roots(tmp_path, capsys, q, n_
     assert wall < 1.0, wall
 
 
+def test_verify_wide_code_with_omega_past_budget_exits_3(tmp_path):
+    """An omega does not lift the budgets: the roots of a wide group, 2 x 20,000 over GF(65537) with
+    delta - 1 = 19,998, would take past RANK_BUDGET products, so the local walk refuses it at once, as without
+    omega."""
+    n = 20_000
+    wide = write_json(tmp_path, "wide.json", {
+        "structure": {"q": 65537, "groups": [{"K": [1, 2], "n": n}]},
+        "method": "cyclic",
+        "omega": 3,
+        "G": [[1 + j % 7 for j in range(n)], [1 + 3 * j % 11 for j in range(n)]],
+        "claimed_distance": n - 1,
+    })
+    start = time.perf_counter()
+    result = run_cli("verify", wide)
+    assert time.perf_counter() - start < 10
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == "error=TooLarge: C(20000,19998) erasure patterns exceed the budget\n"
+
+
 def test_verify_past_group_cap_exits_2(tmp_path):
     many = write_json(tmp_path, "many.json", {
         "structure": {"q": 7, "groups": [{"K": [i], "n": 1} for i in range(1, 22)]},

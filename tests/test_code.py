@@ -38,7 +38,7 @@ from ledc.errors import (
     UnrecoverableErasurePattern,
 )
 from ledc.field import make_field
-from ledc.linalg import MatrixGF, nullspace
+from ledc.linalg import MatrixGF, nullspace, vec_mat
 from ledc.locality import blocks_for_sizes, dmax, make_structure
 from ledc.poly import linear_factor_product, poly_mul
 
@@ -658,6 +658,23 @@ def test_root_certificate_falls_back_when_one_entry_changes(cyclic_codefile, mon
             assert (shape, delta, False) in checked and (shape, delta, True) not in checked
         distances.add(d)
     assert distances == {4, 5}
+
+
+def test_root_certificate_is_bounded_in_work(cyclic_codefile, monkeypatch):
+    """More than RANK_BUDGET products give False before any evaluation; a row that misses the first root ends the
+    check there, one product whatever delta asks."""
+    c = cyclic_codefile
+    products = []
+    monkeypatch.setattr(code_module, "vec_mat", lambda *args: products.append(args) or vec_mat(*args))
+    assert roots_certify(c, c.G.entries, 5) and len(products) == 4
+    rows = c.G.to_rows()
+    rows[0][1] += 1  # the row's sum, its value at w^0, is no longer 0
+    wrong = LedcCode(c.structure, MatrixGF(c.field, rows), c.meta)
+    products.clear()
+    assert not roots_certify(wrong, wrong.G.entries, 5) and len(products) == 1
+    monkeypatch.setattr(code_module, "RANK_BUDGET", 7 * 12 * 4 - 1)
+    products.clear()
+    assert not roots_certify(c, c.G.entries, 5) and not products
 
 
 def test_root_certificate_is_exact_at_the_largest_field(monkeypatch):
