@@ -275,18 +275,35 @@ def roots_certify(c: LedcCode, M: np.ndarray, delta: int) -> bool:
     return True
 
 
+def vandermonde_certify(c: LedcCode, M: np.ndarray, delta: int) -> bool:
+    """Does a Vandermonde block prove that the s rows of the residue array M span distance >= delta?
+
+    Only a "nested" c.meta["method"] is tried, column j read at the point j + 1 (construct_nested's layout). It does
+    when the n = M.shape[1] points are distinct (n <= q), the rows are p^0..p^(s-1) in some order and
+    delta <= n - s + 1, so any s columns form a Vandermonde matrix on distinct points. Past RANK_BUDGET entries, no."""
+    (s, n), q = M.shape, c.field.q
+    if c.meta.get("method") != "nested" or n > q or s * n > RANK_BUDGET or delta > n - s + 1:
+        return False
+    points, power, exponent = np.arange(1, n + 1, dtype=np.int64) % q, np.ones(n, dtype=np.int64), {}
+    for i in range(s):  # the power rows by their bytes
+        exponent[power.tobytes()] = i
+        power = power * points % q
+    return sorted(exponent.get(row.tobytes(), -1) for row in M.astype(np.int64)) == list(range(s))
+
+
 def _local_level(c: LedcCode, g: int, rows: tuple[int, ...], d0: int) -> bool:
     """Does the code that `rows` of group g's local generator spans (index 0 = group 1) have d >= d0?
 
-    The root certificate is tried first, on the columns in N_g's order; otherwise the level is swept. Each
-    level is checked once per code, kept in c.local_levels under (g, rows, d0); TooLarge is not kept.
+    The root certificate, then the Vandermonde one, is tried on the columns in N_g's order, else the level is swept.
+    Each level is checked once per code, kept in c.local_levels under (g, rows, d0); TooLarge is not kept.
     """
     key = (g, rows, d0)
     verdict = c.local_levels.get(key)
     if verdict is None:
         G = c.local_generators[g]
         sub = G if len(rows) == G.rows else MatrixGF(G.field, G.entries[list(rows)])
-        verdict = c.local_levels[key] = roots_certify(c, sub.entries, d0) or _level(sub, d0)
+        certified = roots_certify(c, sub.entries, d0) or vandermonde_certify(c, sub.entries, d0)
+        verdict = c.local_levels[key] = certified or _level(sub, d0)
     return verdict
 
 
@@ -313,9 +330,9 @@ def certifies_dmax(c: LedcCode) -> bool:
     d >= min LB(A). Two facts keep the search small. LB adds up over the
     parts of an A that no symbol of I_A spans, so only connected A are
     searched: unions of symbols' group sets, each meeting the union so far.
-    And a subcode's distance is at least its group's, d_g, so an A with
-    sum d_g >= dmax, and every A grown from it, passes unseen. Each (group,
-    rows) level is checked once per code; one past the budget gives False.
+    And a subcode's distance is at least its group's, d_g, so an A with sum d_g >= dmax, and every A grown from it,
+    passes unseen. Each (group, rows) level is checked once per code, by _local_level's certificates first (every
+    level of a nested code passes them); one past the budget gives False.
     """
     s, bound = c.structure, c.dmax
     sig = group_masks(s)
@@ -392,9 +409,9 @@ def verify_local_mds(c: LedcCode) -> dict[int, bool]:
     """Group -> does G[K_i, N_i] generate an [n_i, k_i] MDS code.
 
     A local code is MDS exactly when it has distance n_i - k_i + 1, so each
-    group is that distance level of its local generator: by its roots when
-    `roots_certify` holds, else swept on the generator when k_i <= n_i - k_i,
-    on its local parity-check matrix otherwise.
+    group is that distance level of its local generator: proved by its roots or its Vandermonde block when
+    `roots_certify` or `vandermonde_certify` holds, else swept on the generator when k_i <= n_i - k_i, on its
+    local parity-check matrix otherwise.
     """
     return {
         g + 1: _local_level(c, g, tuple(range(G.rows)), G.cols - G.rows + 1)

@@ -32,7 +32,7 @@ import numpy as np
 from .code import LedcCode, check_distance_budget, min_distance_rank, verify_local_mds
 from .errors import DegenerateSystem, ExhaustedAttempts, FieldTooSmall, NotPrimitive, PreconditionViolated
 from .field import Felt, PrimeField, find_primitive, is_primitive
-from .linalg import MatrixGF, nullspace
+from .linalg import MatrixGF, non_integers, nullspace
 from .locality import LocalityStructure, dmax, two_group_params
 from .poly import linear_factor_product, poly_eval, poly_mul
 
@@ -151,9 +151,11 @@ def construct_cyclic(
             "both groups use the same data symbols (t = k); encode a plain "
             "MDS code instead of an overlapping structure"
         )
-    if omega is not None and not is_primitive(f, omega):
+    if omega is not None and non_integers([omega]):
+        raise PreconditionViolated(f"omega must be an integer, got {type(omega).__name__}")
+    if omega is not None and not is_primitive(f, int(omega)):
         raise NotPrimitive(f"{omega} does not generate the units of GF({f.q})")
-    omega = find_primitive(f) if omega is None else omega % f.q
+    omega = find_primitive(f) if omega is None else int(omega) % f.q
 
     u = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r + t)])
     g2 = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r)])

@@ -11,9 +11,12 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 
+import pytest
+
 from conftest import FIXTURES, random_structure
 from oracles import dmax_bruteforce
 
+import ledc.code as code_module
 from ledc.cli import run
 from ledc.code import (
     encode,
@@ -22,6 +25,7 @@ from ledc.code import (
     min_distance_exhaustive,
     min_distance_rank,
     support_violations,
+    verify_ledc,
     verify_local_mds,
 )
 from ledc.construct import (
@@ -128,29 +132,44 @@ def test_criterion_4_bound_matches_brute_force(capsys):
         assert time.perf_counter() - start < 10.0
 
 
+def nested_shapes():
+    """(n1, k1, n2, k2, t, q) for every admissible nested shape of criterion 5, q the least prime >= max(n1, n2, 2)
+    with q^k <= 10^7."""
+    for n1 in range(1, 12):
+        for n2 in range(1, 13 - n1):
+            for k1 in range(1, n1 + 1):
+                for k2 in range(1, n2 + 1):
+                    r1, r2 = n1 - k1, n2 - k2
+                    for t in range(0, min(k1, k2)):
+                        if t > max(r1, r2) + 1:
+                            continue
+                        q = next_prime(max(n1, n2, 2))
+                        if q ** (k1 + k2 - t) <= 10**7:
+                            yield n1, k1, n2, k2, t, q
+
+
 def test_criterion_5_nested_sweep_optimal(capsys):
     with criterion(capsys, 5, "nested construction optimal on every admissible shape"):
         count = 0
-        for n1 in range(1, 12):
-            for n2 in range(1, 13 - n1):
-                for k1 in range(1, n1 + 1):
-                    for k2 in range(1, n2 + 1):
-                        r1, r2 = n1 - k1, n2 - k2
-                        for t in range(0, min(k1, k2)):
-                            if t > max(r1, r2) + 1:
-                                continue
-                            q = next_prime(max(n1, n2, 2))
-                            if q ** (k1 + k2 - t) > 10**7:
-                                continue
-                            s = two_group_structure(n1, k1, n2, k2, t)
-                            code = construct_nested(s, make_field(q))
-                            d = min_distance_exhaustive(code)
-                            params = (n1, k1, n2, k2, t, q)
-                            assert d == min(r1, r2) + t + 1 == dmax(s), params
-                            assert all(verify_local_mds(code).values()), params
-                            assert support_violations(code) == [], params
-                            count += 1
+        for params in nested_shapes():
+            n1, k1, n2, k2, t, q = params
+            s = two_group_structure(n1, k1, n2, k2, t)
+            code = construct_nested(s, make_field(q))
+            d = min_distance_exhaustive(code)
+            assert d == min(n1 - k1, n2 - k2) + t + 1 == dmax(s), params
+            assert all(verify_local_mds(code).values()), params
+            assert support_violations(code) == [], params
+            count += 1
         assert count == 1313
+
+
+def test_nested_codes_are_proved_by_their_vandermonde_blocks(monkeypatch):
+    """On every shape of criterion 5, local MDS and d = dmax on the rank path need no level swept."""
+    monkeypatch.setattr(code_module, "_level", lambda *args: pytest.fail(f"swept a level of {params}"))
+    for params in nested_shapes():
+        code = construct_nested(two_group_structure(*params[:5]), make_field(params[5]))
+        assert verify_local_mds(code) == {1: True, 2: True}, params
+        assert verify_ledc(code, "rank").all_ok, params
 
 
 def test_criterion_6_cyclic_sweep_optimal(capsys):

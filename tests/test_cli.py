@@ -555,6 +555,24 @@ def test_verify_size_ceiling_cyclic_codes_by_their_roots(tmp_path, capsys, q, n_
     assert wall < 1.0, wall
 
 
+@pytest.mark.parametrize("q, n_g, k_g, t, d", [(41, 40, 25, 5, 21), (61, 60, 40, 8, 29)])
+def test_verify_size_ceiling_nested_codes_by_their_vandermonde_blocks(tmp_path, capsys, q, n_g, k_g, t, d):
+    """Nested codes whose local MDS levels, C(40,15) and C(60,20) patterns, are past the rank budget: their
+    Vandermonde blocks prove local MDS and d = dmax, each within 1 s of process wall time."""
+    K = [list(range(1, k_g + 1)), list(range(k_g - t + 1, 2 * k_g - t + 1))]
+    structure = write_json(tmp_path, "s.json", {"q": q, "groups": [{"K": Kg, "n": n_g} for Kg in K]})
+    code = str(tmp_path / "code.json")
+    assert run(["construct", structure, "--method", "nested", "--out", code]) == 0
+    assert capsys.readouterr().out == f"wrote={code}\nclaimed_distance={d}\n"
+    start = time.perf_counter()
+    result = run_cli("verify", code)
+    wall = time.perf_counter() - start
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = ["support=ok", "local_mds_1=ok", "local_mds_2=ok", f"distance={d}", f"claimed={d}", f"dmax={d}", "optimal=true"]
+    assert result.stdout.splitlines() == lines
+    assert wall < 1.0, wall
+
+
 def test_verify_wide_code_with_omega_past_budget_exits_3(tmp_path):
     """An omega does not lift the budgets: the roots of a wide group, 2 x 20,000 over GF(65537) with
     delta - 1 = 19,998, would take past RANK_BUDGET products, so the local walk refuses it at once, as without

@@ -22,6 +22,7 @@ from ledc.code import (
     min_distance_rank,
     roots_certify,
     support_violations,
+    vandermonde_certify,
     verify_ledc,
     verify_local_mds,
 )
@@ -715,18 +716,102 @@ def test_certificate_at_20_groups_no_slower_than_the_walk(monkeypatch):
 
 
 def test_local_levels_are_checked_once_per_code(monkeypatch):
-    """verify_local_mds and the certificate share one cache: each (group, rows, d0) level is swept once."""
+    """verify_local_mds and the certificate share one cache: each (group, rows, d0) level is swept once. The nested
+    code's Vandermonde blocks prove every level with no sweep; its G under another method sweeps each level once."""
     swept = []
     level = code_module._level
     monkeypatch.setattr(code_module, "_level", lambda G, d0: swept.append((G.rows, G.cols, d0)) or level(G, d0))
     s = make_structure([[1, 2, 3], [3, 4, 5]], blocks_for_sizes([6, 6]))
-    c = construct_nested(s, make_field(13))
-    report = verify_ledc(c, "rank")
-    assert report.all_ok and report.distance == report.dmax == 5
+    nested = construct_nested(s, make_field(13))
+    report = verify_ledc(nested, "rank")
+    assert report.all_ok and report.distance == report.dmax == 5 and swept == []
+    c = LedcCode(s, nested.G, {**nested.meta, "method": "random"})
+    assert verify_ledc(c, "rank") == report
     # local MDS at 4 per group, then each private subcode (2 rows) at 5; no global level
     assert swept == [(3, 6, 4), (3, 6, 4), (2, 6, 5), (2, 6, 5)]
     swept.clear()
     assert min_distance_rank(c) == 5 and swept == []
+
+
+def power_rows(q, n, s):
+    """p^0..p^(s-1) at the points p = 1..n, reduced mod q."""
+    return [[pow(p, i, q) for p in range(1, n + 1)] for i in range(s)]
+
+
+@st.composite
+def vandermonde_codes(draw):
+    """(code, kind, group): two groups whose blocks hold p^i at the points p = 1..n_g, private rows first, as
+    construct_nested lays them out, with n_g <= 6 and k = k_1 + k_2 - t.
+
+    kind "built" leaves the code as laid out over GF(7..13); "perturbed" changes one entry of group `group`'s block
+    and "permuted" permutes that block's columns; "wide" lays it out over GF(2) or GF(3) with n_g > q, so two points
+    coincide; "unnamed" drops the "nested" method.
+    """
+    kind = draw(st.sampled_from(("built", "perturbed", "permuted", "wide", "unnamed")))
+    sizes = [draw(st.integers(4 if kind == "wide" else 1, 6)) for _ in range(2)]
+    q = draw(st.sampled_from((2, 3) if kind == "wide" else (7, 11, 13)))
+    k1, k2 = (draw(st.integers(1, n)) for n in sizes)
+    t = draw(st.integers(0, min(k1, k2) - 1))
+    K = [list(range(1, k1 + 1)), list(range(k1 - t + 1, k1 - t + k2 + 1))]
+    s = make_structure(K, blocks_for_sizes(sizes))
+    G = np.zeros((s.k, s.n), dtype=np.int64)
+    for Kg, Ng, other in zip(s.K, s.N, (set(s.K[1]), set(s.K[0]))):
+        rows = sorted(Kg, key=lambda i: i in other)
+        G[np.ix_([i - 1 for i in rows], [j - 1 for j in Ng])] = power_rows(q, len(Ng), len(Kg))
+    group = draw(st.integers(0, 1))
+    Kg, Ng = s.K[group], s.N[group]
+    if kind == "perturbed":
+        i, j = draw(st.sampled_from(Kg)), draw(st.sampled_from(Ng))
+        G[i - 1, j - 1] = (G[i - 1, j - 1] + draw(st.integers(1, q - 1))) % q
+    if kind == "permuted":
+        order = draw(st.permutations(Ng))
+        assume(order != Ng)
+        G[:, [j - 1 for j in Ng]] = G[:, [j - 1 for j in order]]
+    meta = {} if kind == "unnamed" else {"method": "nested"}
+    return LedcCode(s, MatrixGF(make_field(q), G), meta), kind, group
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(vandermonde_codes())
+def test_vandermonde_certificate_is_sound(case):
+    """At every level of every group's block and private rows: the certificate holds exactly when the rows are the
+    power rows at distinct points and delta is within the Singleton level, and then the sweep agrees. A perturbed
+    block, coinciding points or a missing method answer no, and verify_ledc returns what the walks alone give."""
+    c, kind, touched = case
+    s, q = c.structure, c.field.q
+    shared = set(s.K[0]) & set(s.K[1])
+    for g, G in enumerate(c.local_generators):
+        private = tuple(j for j, i in enumerate(s.K[g]) if i not in shared)
+        for rows in {tuple(range(G.rows)), private} - {()}:
+            M = G.entries[list(rows)]
+            powers = sorted(power_rows(q, G.cols, len(rows))) == sorted(M.tolist())
+            for d0 in range(1, G.cols - len(rows) + 3):
+                certified = vandermonde_certify(c, M, d0)
+                expected = kind != "unnamed" and G.cols <= q and d0 <= G.cols - len(rows) + 1 and powers
+                assert certified == expected
+                if certified:
+                    assert code_module._level(MatrixGF(c.field, M), d0)
+                if kind in ("wide", "unnamed") or (kind == "perturbed" and g == touched and len(rows) == G.rows):
+                    assert not certified
+                event(f"{kind}: {'certified' if certified else 'not certified'}")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_module, "vandermonde_certify", lambda *args: False)
+        walked = verify_ledc(LedcCode(s, c.G, c.meta), "rank")
+    assert verify_ledc(c, "rank") == walked
+
+
+def test_vandermonde_certificate_is_bounded_in_work(monkeypatch):
+    """A block of more than RANK_BUDGET entries answers no; past the Singleton level, or with two columns swapped,
+    a block within it does too."""
+    s = make_structure([[1, 2, 3], [3, 4, 5]], blocks_for_sizes([6, 6]))
+    c = construct_nested(s, make_field(13))
+    M = c.local_generators[0].entries
+    assert vandermonde_certify(c, M, 4) and not vandermonde_certify(c, M, 5)
+    assert not vandermonde_certify(c, M[:, [1, 0, 2, 3, 4, 5]], 4)
+    monkeypatch.setattr(code_module, "RANK_BUDGET", 3 * 6)
+    assert vandermonde_certify(c, M, 4)
+    monkeypatch.setattr(code_module, "RANK_BUDGET", 3 * 6 - 1)
+    assert not vandermonde_certify(c, M, 4)
 
 
 def test_distance_level_side_follows_the_shape_rule(cyclic_codefile, monkeypatch):

@@ -4,6 +4,7 @@ import json
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from ledc.construct import (
     verify_cyclic_conditions,
 )
 from ledc.errors import (
+    DegenerateSystem,
     ExhaustedAttempts,
     FieldTooSmall,
     LedcError,
@@ -226,6 +228,16 @@ def test_lemma3_accepts_zero_local_redundancy():
         assert (poly_eval(F13, a_star, wj) + pow(wj, 6, 13) * poly_eval(F13, b_star, wj)) % 13 == 0
 
 
+def test_lemma3_refuses_a_degenerate_kernel(monkeypatch):
+    """A kernel of two vectors, or one vector with a zero coordinate, has no a_star(0) = 1 normal form."""
+    monkeypatch.setattr(construct_module, "nullspace", lambda M: np.array([[1, 2, 3, 4], [0, 1, 0, 1]]))
+    with pytest.raises(DegenerateSystem, match="^kernel dimension 2, expected 1"):
+        lemma3_solve(F13, 2, ell=1, t=3, r=1, T=9)
+    monkeypatch.setattr(construct_module, "nullspace", lambda M: np.array([[1, 2, 0, 4]]))
+    with pytest.raises(DegenerateSystem, match="^kernel vector has a zero coordinate$"):
+        lemma3_solve(F13, 2, ell=1, t=3, r=1, T=9)
+
+
 # ---------- cyclic construction ----------
 
 
@@ -370,6 +382,22 @@ def test_cyclic_reduces_omega_to_its_residue(equal_r):
         assert ing == canonical_ing and ing.omega == 11
     with pytest.raises(NotPrimitive, match="^-10 does not generate"):
         construct_cyclic(s, f, omega=-10)  # -10 = 3, as rejected above
+
+
+def test_cyclic_reads_omega_as_an_integer(equal_r):
+    """A numpy integer omega builds the same code as the int, and meta and ingredients hold a plain int; a bool,
+    float or string omega is refused before any arithmetic."""
+    s, f = equal_r
+    canonical, canonical_ing = construct_cyclic(s, f, omega=11)
+    for omega in (np.int64(11), np.uint8(24), np.int32(-2)):
+        code, ing = construct_cyclic(s, f, omega=omega)
+        assert code.G.to_rows() == canonical.G.to_rows() and ing == canonical_ing
+        assert code.meta == canonical.meta and type(code.meta["omega"]) is int and type(ing.omega) is int
+    with pytest.raises(NotPrimitive, match="^3 does not generate"):
+        construct_cyclic(s, f, omega=np.int64(3))
+    for omega, name in ((True, "bool"), (11.0, "float"), ("11", "str")):
+        with pytest.raises(PreconditionViolated, match=f"^omega must be an integer, got {name}$"):
+            construct_cyclic(s, f, omega=omega)
 
 
 def test_cyclic_disjoint_groups_use_the_cyclic_layout():
