@@ -48,8 +48,8 @@ from .errors import (
     TooLarge,
     UnrecoverableErasurePattern,
 )
-from .field import PrimeField, make_field
-from .linalg import MatrixGF, non_integers
+from .field import PrimeField, make_field, non_integers
+from .linalg import MatrixGF
 from .locality import LocalityStructure, blocks_for_sizes, dmax_witness, make_structure
 
 EXIT_OK = 0

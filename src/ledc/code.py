@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import accumulate, count, pairwise
 from math import comb
 from typing import Optional, Sequence
 
@@ -32,8 +33,8 @@ from .errors import (
     Underdetermined,
     UnrecoverableErasurePattern,
 )
-from .field import Felt, PrimeField
-from .linalg import MatrixGF, full_rank_subsets, integer_symbols, non_integers, nullspace, rank, solve, vec_mat
+from .field import Felt, PrimeField, non_integers
+from .linalg import MatrixGF, full_rank_subsets, integer_symbols, nullspace, rank, solve, vec_mat
 from .locality import LocalityStructure, dmax, group_masks
 
 EXHAUSTIVE_BUDGET = 10**9
@@ -117,6 +118,8 @@ def local_decode(
     the support pattern at an observed position raises SupportViolation.
     """
     s = c.structure
+    if non_integers([group]):
+        raise PositionsOutsideGroup(f"group {group!r} is a {type(group).__name__}, not an integer")
     if not 1 <= group <= s.m:
         raise PositionsOutsideGroup(f"no group {group} (have 1..{s.m})")
     word = dict.fromkeys(s.N[group - 1], None)  # the local word, position -> symbol in N_i's order
@@ -172,51 +175,72 @@ def _span(q: int, rows: np.ndarray, start: np.ndarray) -> np.ndarray:
     """
     dtype = np.uint8 if q <= 128 else np.uint16 if q <= 1 << 15 else np.uint32
     table = start.astype(dtype)[:, None]
-    for row in rows[::-1]:  # each new digit on the outer axis, so the inner loop runs over the whole table
-        mult = (row[:, None] * np.arange(q, dtype=np.int64)[None, :] % q).astype(dtype)
-        table = (mult[:, :, None] + table[:, None, :]).reshape(len(row), -1)
+    for mult in (rows[::-1, :, None] * np.arange(q, dtype=np.int64) % q).astype(dtype):  # each row's multiples
+        table = (mult[:, :, None] + table[:, None, :]).reshape(len(start), -1)  # the new digit on the outer axis
         np.minimum(table, table - q, out=table)
     return table
 
 
-def min_distance_exhaustive(c: LedcCode) -> int:
-    """Minimum weight over the nonzero messages, one per scalar class.
+def _fit(q: int, rows: Sequence) -> Sequence:
+    """The last of `rows` whose span, q^j codewords, fits in one table of max(SUFFIX_CAP, q) columns."""
+    return rows[len(rows) - min(len(rows), next(j for j in count(1) if q**j > max(SUFFIX_CAP, q)) - 1) :]
 
-    x and λx have the same weight, so only the (q^k - 1)/(q - 1) messages whose first
-    nonzero entry is 1 are enumerated. The last rows span a suffix table, one column per
-    codeword; each prefix (a leading 1, then any later prefix entries) is one vectorized
-    scan of it. Within the budget, the suffix table and each leading position's prefix
-    table hold at most max(SUFFIX_CAP, q) codewords. The split only partitions the work,
-    never changes the result. A rank-deficient G gives 0, as some message maps to the zero
-    word; only a scan that stops early at weight 1 computes the rank.
+
+def min_distance_exhaustive(c: LedcCode) -> int:
+    """Minimum weight over the nonzero messages, one per scalar class, group by group.
+
+    A symbol is private to group g when its row of G is nonzero in block N_g alone (G decides, so the result is
+    exact for any G; a zero row gives 0 at once). Each group's last private rows that _fit span its own suffix
+    table on N_g; the other rows form the prefix. Weight adds up over the blocks, so for a prefix word -t each
+    group picks its best suffix word alone: the least weight is n minus the sum over g of the most positions of
+    N_g where a word of g's table equals t. Only prefixes whose first nonzero entry is 1 are enumerated, one
+    leading position at a time, in batches of at most max(SUFFIX_CAP, q); a zero prefix leaves one group's nonzero
+    suffix words. A lone group's table is G's last rows. Only a scan that stops early at weight 1 computes rank.
     """
     q, k, n = c.field.q, c.structure.k, c.structure.n
     if q**k > EXHAUSTIVE_BUDGET:
         raise TooLarge(f"q^k = {q}^{k} exceeds the enumeration budget")
-    k_suf = 0
-    while k_suf < k and q ** (k_suf + 1) <= max(SUFFIX_CAP, q):
-        k_suf += 1
-    k_pre = k - k_suf
-
-    S = _span(q, c.G.entries[k_pre:], np.zeros(n, dtype=np.int64))
-    best = n - _most_matches(S[:, 1:], np.zeros(n, dtype=S.dtype))
-    neg = (q - c.G.entries[:k_pre]) % q
-    for lead in range(k_pre):
+    G = c.G.entries[:, [j - 1 for Ng in c.structure.N for j in Ng]]  # block by block: N_g is columns a:z
+    blocks = list(pairwise([0, *accumulate(map(len, c.structure.N))]))
+    reach = np.logical_or.reduceat(G != 0, [a for a, _ in blocks], axis=1).tolist()  # per row, the blocks it reaches
+    if not all(map(any, reach)):
+        return 0
+    owner = [row.index(True) if sum(row) == 1 else -1 for row in reach]  # a private row's group, else -1
+    kept = [_fit(q, [i for i, h in enumerate(owner) if h == g]) for g in range(len(blocks))]
+    tables = [_span(q, G[rows, a:z], np.zeros(z - a, dtype=np.int64)) for rows, (a, z) in zip(kept, blocks)]
+    best = min([n] + [int((S[:, 1:] != 0).sum(axis=0).min()) for S in tables if S.shape[1] > 1])
+    neg = (q - G[sorted(set(range(k)).difference(*kept))]) % q
+    j = len(_fit(q, neg[1:]))
+    inner = _span(q, neg[len(neg) - j :], np.zeros(n, dtype=np.int64))  # the last j prefix rows, for every lead
+    for lead in range(len(neg)):
         if best <= 1:
             break
-        for target in _span(q, neg[lead + 1 :], neg[lead]).T:
-            best = min(best, n - _most_matches(S, target))
+        outer, tail = neg[lead + 1 : len(neg) - j], inner[:, : q ** min(j, len(neg) - lead - 1)]
+        for s in _span(q, outer, neg[lead]).T if len(outer) else [neg[lead]]:
+            T = tail + s.astype(tail.dtype)[:, None]  # a batch of targets, s + x @ (the later rows)
+            np.minimum(T, T - q, out=T)
+            matched = sum(_most_matches(S, T[a:z]).astype(np.int64) for (a, z), S in zip(blocks, tables))
+            best = min(best, n - int(matched.max()))
             if best <= 1:
                 break
     return 0 if best == 1 and rank(c.G) < k else best
 
 
-def _most_matches(S: np.ndarray, target: np.ndarray) -> int:
-    """Most positions at which a codeword (column) of the n x R table S equals target.
+def _most_matches(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """For each column of T, the most positions at which a codeword (column) of the table S equals it.
 
-    The matches, viewed as bytes, add up a position at a time into one counter per codeword; its dtype holds n.
+    Each step pairs all of the wider of the two with a chunk of the other, at most 4 SUFFIX_CAP pairs, inner loops
+    along the wider. The matches, viewed as bytes, add up a position at a time into a counter per pair; it holds len(S).
     """
-    return int(np.add.reduce((S == target[:, None]).view(np.uint8), axis=0, dtype=np.min_scalar_type(len(S))).max())
+    short, wide = (T, S) if S.shape[1] >= T.shape[1] else (S, T)
+    step, counter = max(1, 4 * SUFFIX_CAP // wide.shape[1]), np.min_scalar_type(len(S))
+    most = [
+        np.add.reduce((short[:, i : i + step, None] == wide[:, None, :]).view(np.uint8), axis=0, dtype=counter)
+        for i in range(0, short.shape[1], step)
+    ]
+    if short is T:
+        return np.concatenate([m.max(axis=1) for m in most])
+    return np.maximum.reduce([m.max(axis=0) for m in most])
 
 
 def check_distance_budget(n: int, d0: int) -> None:

@@ -31,8 +31,8 @@ import numpy as np
 
 from .code import LedcCode, check_distance_budget, min_distance_rank, verify_local_mds
 from .errors import DegenerateSystem, ExhaustedAttempts, FieldTooSmall, NotPrimitive, PreconditionViolated
-from .field import Felt, PrimeField, find_primitive, is_primitive
-from .linalg import MatrixGF, non_integers, nullspace
+from .field import Felt, PrimeField, find_primitive, is_primitive, non_integers
+from .linalg import MatrixGF, nullspace
 from .locality import LocalityStructure, dmax, two_group_params
 from .poly import linear_factor_product, poly_eval, poly_mul
 

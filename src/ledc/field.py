@@ -10,6 +10,9 @@ equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import NotPrime
 
@@ -19,13 +22,23 @@ Felt = int
 MAX_Q = 2**31 - 1
 
 
+def non_integers(values: Sequence) -> list:
+    """The values, in order, that are neither ints nor numpy integers (nor bools); all ints cost one pass."""
+    if set(map(type, values)) <= {int}:
+        return []
+    return [v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+
+
 @dataclass(frozen=True)
 class PrimeField:
-    """Arithmetic context for GF(q), q prime."""
+    """Arithmetic context for GF(q), q prime; a numpy integer q is kept as a Python int."""
 
     q: int
 
     def __post_init__(self) -> None:
+        if non_integers([self.q]):
+            raise NotPrime(f"field order must be an integer, got {type(self.q).__name__}")
+        object.__setattr__(self, "q", int(self.q))  # numpy scalar arithmetic would wrap
         if not (2 <= self.q <= MAX_Q):
             raise NotPrime(f"field order must be in [2, 2^31-1], got {self.q}")
         if _prime_factors(self.q) != [self.q]:
@@ -33,7 +46,7 @@ class PrimeField:
 
 
 def make_field(q: int) -> PrimeField:
-    """Return the GF(q) context; raises NotPrime for composite q."""
+    """Return the GF(q) context; raises NotPrime for a q that is composite or not an integer."""
     return PrimeField(q)
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, Inconsistent, PreconditionViolated, Underdetermined
-from .field import Felt, PrimeField
+from .field import Felt, PrimeField, non_integers
 
 # ---------- type ----------
 
@@ -238,13 +238,6 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
     if len(basis) < len(E) or r < k:
         raise Underdetermined(f"rank {r - len(E) + len(basis)} < {k} unknowns")
     return vec_mat(q, u, T).tolist()
-
-
-def non_integers(values: Sequence) -> list:
-    """The values, in order, that are neither ints nor numpy integers (nor bools); all ints cost one pass."""
-    if set(map(type, values)) <= {int}:
-        return []
-    return [v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
 
 
 def integer_symbols(word: Sequence, erasable: bool = False) -> Sequence:

@@ -39,7 +39,7 @@ from .errors import (
     PreconditionViolated,
     TooManyGroups,
 )
-from .linalg import non_integers
+from .field import non_integers
 
 MAX_GROUPS = 20
 

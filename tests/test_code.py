@@ -172,6 +172,12 @@ def test_local_decode_input_errors(suboptimal_codefile):
     for p, kind in ((True, "bool"), (1.0, "float")):
         with pytest.raises(PositionsOutsideGroup, match=rf"^position {p!r} is a {kind}, not an integer$"):
             local_decode(c, 1, [(p, word[0]), (2, word[1]), (3, word[2]), (4, word[3])])
+    # so is the group: True would decode group 1, and 1.0 would index the groups
+    observed = [(p, word[p - 1]) for p in c.structure.N[0]]
+    for group, kind in ((True, "bool"), (1.0, "float"), ("1", "str"), (None, "NoneType")):
+        with pytest.raises(PositionsOutsideGroup, match=rf"^group {group!r} is a {kind}, not an integer$"):
+            local_decode(c, group, observed)
+    assert local_decode(c, np.int64(1), observed) == local_decode(c, 1, observed)
 
 
 def test_local_decode_singular_submatrix_is_invariant_breach():
@@ -444,6 +450,87 @@ def test_exhaustive_distance_never_ranks_a_code_of_distance_two_or_more(suboptim
         for cap in (1, c.field.q, default_cap):
             monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
             assert min_distance_exhaustive(c) == d, (c.field.q, cap)
+
+
+def grouped_code(rng, m, kind):
+    """A code over GF(2..7) on m groups whose data symbols are each private to one group or shared by two or more.
+
+    With m > 1 group 1 has no private symbol. G is drawn on the support pattern, or with entries off it, or on it
+    with one row zero; a shared row that happens to vanish on a block is private by G's own pattern.
+    """
+    while True:
+        q = rng.choice((2, 3, 5, 7))
+        private = [0 if g == 0 and m > 1 else rng.randint(0, 3) for g in range(m)]
+        shared = [rng.sample(range(m), rng.randint(2, m)) for _ in range(rng.randint(1, 2) if m > 1 else 0)]
+        k = sum(private) + len(shared)
+        if k and q**k <= 4000:
+            break
+    K = [set() for _ in range(m)]
+    symbols = iter(range(1, k + 1))
+    for g, count in enumerate(private):
+        K[g].update(next(symbols) for _ in range(count))
+    for groups in shared:
+        i = next(symbols)
+        for g in groups:
+            K[g].add(i)
+    for g in range(m):  # a group that no symbol reached takes a shared one
+        if not K[g]:
+            K[g].add(rng.randint(1, k))
+    s = make_structure(K, blocks_for_sizes([len(Kg) + rng.randint(0, 2) for Kg in K]))
+    rows = [[rng.randrange(q) if ok or kind == "off support" and rng.random() < 0.3 else 0 for ok in row] for row in s.support]
+    if kind == "zero row":
+        rows[rng.randrange(k)] = [0] * s.n
+    return LedcCode(s, MatrixGF(make_field(q), rows))
+
+
+def test_exhaustive_distance_by_groups_agrees_with_the_oracles(monkeypatch):
+    """Per-group suffix tables against brute force and the rank path, on 1..4 groups and under caps 1, q and the
+    default; caps 1 and q put some private symbols of a group with two or more in the prefix. A zero row builds no
+    table; otherwise the first m tables a code on m >= 2 groups builds each span one block."""
+    default_cap = code_module.SUFFIX_CAP
+    rng = random.Random(2704)
+    span, widths = code_module._span, []
+    monkeypatch.setattr(code_module, "_span", lambda q, rows, start: widths.append(len(start)) or span(q, rows, start))
+    seen = set()
+    for m in range(1, 5):
+        for trial in range(45):
+            kind = ("support", "off support", "zero row")[trial % 3]
+            c = grouped_code(rng, m, kind)
+            q, rows, N = c.field.q, c.G.to_rows(), c.structure.N
+            expected = min_weight_bruteforce(q, rows)
+            assert min_distance_rank(c) == expected, rows
+            for cap in (1, q, default_cap):
+                monkeypatch.setattr(code_module, "SUFFIX_CAP", cap)
+                widths.clear()
+                assert min_distance_exhaustive(c) == expected, (q, cap, c.structure, rows)
+                if not all(map(any, rows)):
+                    assert widths == []  # a zero row is a weight-0 message: no table is built
+                elif m > 1:
+                    assert widths[:m] == [len(Ng) for Ng in N]
+            monkeypatch.setattr(code_module, "SUFFIX_CAP", default_cap)
+            reach = [[any(row[j - 1] for j in Ng) for Ng in N] for row in rows]
+            private = [sum(r == [h == g for h in range(m)] for r in reach) for g in range(m)]
+            seen |= {(m, kind), f"distance {expected}"}
+            if m > 1 and 0 in private:
+                seen.add("no private symbol")
+            if max(private) >= 2:
+                seen.add("a prefix of private symbols")
+    assert {(m, kind) for m in range(1, 5) for kind in ("support", "off support", "zero row")} <= seen
+    assert {"no private symbol", "a prefix of private symbols", "distance 0", "distance 1", "distance 3"} <= seen
+
+
+def test_exhaustive_distance_overflows_the_default_cap():
+    """GF(2), 16 symbols private to group 1, whose block is the [18, 17] parity code on them and shared symbol 17: its
+    table holds the last 15 (2^15 = SUFFIX_CAP), and the first joins the prefix with symbol 17. Symbol 18 is private
+    to group 2. A single private symbol of group 1 has weight 2, the least; the rank path agrees."""
+    s = make_structure([list(range(1, 18)), [17, 18]], blocks_for_sizes([18, 3]))
+    rows = [[int(j in (i, 18)) for j in range(1, 19)] + [0, 0, 0] for i in range(1, 18)]
+    rows[16][18:] = [1, 0, 1]
+    rows.append([0] * 19 + [1, 1])
+    c = LedcCode(s, MatrixGF(make_field(2), rows))
+    assert not support_violations(c)
+    assert len(code_module._fit(2, list(range(16)))) == 15 == code_module.SUFFIX_CAP.bit_length() - 1
+    assert min_distance_exhaustive(c) == min_distance_rank(c) == 2
 
 
 def test_distance_rank_search_walks_from_the_bound(suboptimal_codefile, cyclic_codefile, monkeypatch):
@@ -840,6 +927,15 @@ def test_exhaustive_distance_counts_past_255_positions():
     f2 = make_field(2)
     assert min_distance_exhaustive(single_group_code(f2, [[1] * 300, [1] * 44 + [0] * 256])) == 44
     assert min_distance_exhaustive(single_group_code(f2, [[1] * 300])) == 300
+
+
+def test_exhaustive_distance_sums_groups_past_255_positions():
+    """Each group's counter holds its 200 positions; their sum, 370 matches for the prefix word of symbol 3, does not
+    wrap at 256: x_1 + x_2 + x_3 has weight 400 - 370 = 30."""
+    f2 = make_field(2)
+    s = make_structure([[1, 3], [2, 3]], blocks_for_sizes([200, 200]))
+    rows = [[1] * 190 + [0] * 210, [0] * 200 + [1] * 180 + [0] * 20, [1] * 400]
+    assert min_distance_exhaustive(LedcCode(s, MatrixGF(f2, rows))) == 30
 
 
 def test_distance_budgets():

@@ -400,6 +400,15 @@ def test_cyclic_reads_omega_as_an_integer(equal_r):
             construct_cyclic(s, f, omega=omega)
 
 
+def test_constructions_read_a_numpy_field_order_as_an_int(equal_r):
+    """A field made from a numpy q builds the same codes as one made from the int: the field keeps q as an int."""
+    s, _ = equal_r
+    for q in (13, 257):
+        f, f_np = make_field(q), make_field(np.int64(q))
+        assert construct_cyclic(s, f_np)[0].G.to_rows() == construct_cyclic(s, f)[0].G.to_rows()
+    assert construct_random(s, f_np, 3, 50).G.to_rows() == construct_random(s, f, 3, 50).G.to_rows()
+
+
 def test_cyclic_disjoint_groups_use_the_cyclic_layout():
     """t = 0: only private rows x^i u, with u = g2 = prod_{j<r} (x - w^j), and the claim r + 1 = dmax."""
     s = disjoint_structure()

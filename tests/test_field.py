@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from ledc.errors import NotPrime
-from ledc.field import find_primitive, is_primitive, make_field
+from ledc.field import PrimeField, find_primitive, is_primitive, make_field
 
 F7 = make_field(7)
 F13 = make_field(13)
@@ -17,6 +18,23 @@ def test_make_field_accepts_primes():
 def test_make_field_rejects_non_primes(q):
     with pytest.raises(NotPrime):
         make_field(q)
+
+
+@pytest.mark.parametrize("q, kind", [(13.5, "float"), (13.0, "float"), ("13", "str"), (True, "bool"), (None, "NoneType")])
+def test_make_field_rejects_a_q_that_is_not_an_integer(q, kind):
+    """The integer rule of symbols and indices: nothing is rounded or parsed, and the type is named."""
+    for build in (make_field, PrimeField):
+        with pytest.raises(NotPrime, match=rf"^field order must be an integer, got {kind}$"):
+            build(q)
+
+
+def test_make_field_reads_a_numpy_integer_as_an_int():
+    """A numpy q is kept as the int it holds, so pow and products on it cannot wrap or refuse a numpy scalar."""
+    for q in (np.int64(13), np.uint8(251), np.int32(2**31 - 1)):
+        f = make_field(q)
+        assert type(f.q) is int and f == make_field(int(q))
+    with pytest.raises(NotPrime):
+        make_field(np.int64(15))
 
 
 def test_find_primitive_golden_values():
