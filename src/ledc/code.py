@@ -208,7 +208,8 @@ def min_distance_exhaustive(c: LedcCode) -> int:
     owner = [row.index(True) if sum(row) == 1 else -1 for row in reach]  # a private row's group, else -1
     kept = [_fit(q, [i for i, h in enumerate(owner) if h == g]) for g in range(len(blocks))]
     tables = [_span(q, G[rows, a:z], np.zeros(z - a, dtype=np.int64)) for rows, (a, z) in zip(kept, blocks)]
-    best = min([n] + [int((S[:, 1:] != 0).sum(axis=0).min()) for S in tables if S.shape[1] > 1])
+    zeros = [np.add.reduce((S[:, 1:] == 0).view(np.uint8), axis=0, dtype=np.min_scalar_type(len(S))) for S in tables]
+    best = min([n] + [len(S) - int(z.max()) for S, z in zip(tables, zeros) if z.size])
     neg = (q - G[sorted(set(range(k)).difference(*kept))]) % q
     j = len(_fit(q, neg[1:]))
     inner = _span(q, neg[len(neg) - j :], np.zeros(n, dtype=np.int64))  # the last j prefix rows, for every lead

@@ -25,6 +25,7 @@ Three methods are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .code import LedcCode, check_distance_budget, min_distance_rank, verify_local_mds
 from .errors import DegenerateSystem, ExhaustedAttempts, FieldTooSmall, NotPrimitive, PreconditionViolated
 from .field import Felt, PrimeField, find_primitive, is_primitive, non_integers
-from .linalg import MatrixGF, nullspace
+from .linalg import MatrixGF
 from .locality import LocalityStructure, dmax, two_group_params
 from .poly import linear_factor_product, poly_eval, poly_mul
 
@@ -102,11 +103,16 @@ def lemma3_solve(
     """Solve for a_star (degree <= t - ell) and b_star (degree <= ell - 1)
     with a_star(w^j) + w^(jT) b_star(w^j) = 0 for j = r .. r + t - 1.
 
-    The t x (t+1) system matrix has rows (w^j)^e over the t + 1 distinct
-    exponents e in {0..t-ell} + {T..T+ell-1}, so its kernel is spanned by
-    a single vector with every coordinate nonzero; anything else raises
-    DegenerateSystem. The kernel vector is normalized so a_star(0) = 1.
-    r = 0 is accepted (the distinct-exponent argument is unchanged).
+    The t x (t+1) system has entry (j, e) = y_e^j over the nodes y_e = w^e,
+    e in {0..t-ell} + {T..T+ell-1}. With the t + 1 nodes distinct its kernel
+    is spanned by c_e = y_e^(-r) / prod_{e' != e} (y_e - y_e'): for deg p < t,
+    sum_e p(y_e) / prod_{e' != e} (y_e - y_e') is the x^t coefficient of p's
+    interpolant through the nodes, 0. Any t columns form a scaled Vandermonde
+    matrix, so c, with every coordinate nonzero, is the only kernel vector; it
+    is normalized so a_star(0) = 1. Otherwise, with D distinct nodes of nonzero
+    column, the kernel has dimension t + 1 - min(t, D); DegenerateSystem is
+    raised unless that is 1 and the vector, the difference of two equal
+    columns, has no zero coordinate (t = 1). r = 0 is accepted.
     """
     if not 1 <= ell <= t:
         raise PreconditionViolated(f"need 1 <= ell <= t, got ell={ell}, t={t}")
@@ -114,17 +120,19 @@ def lemma3_solve(
         raise PreconditionViolated(f"need r >= 0, got r={r}")
     if not t - ell < T < f.q - ell:
         raise PreconditionViolated(f"need t - ell < T < q - ell, got T={T} with t={t}, ell={ell}, q={f.q}")
-    exponents = list(range(t - ell + 1)) + list(range(T, T + ell))
-    rows = [[pow(omega, j * e, f.q) for e in exponents] for j in range(r, r + t)]
-    kernel = nullspace(MatrixGF(f, rows))
-    if len(kernel) != 1:
-        raise DegenerateSystem(f"kernel dimension {len(kernel)}, expected 1; is omega primitive?")
-    vec = kernel[0].tolist()
-    if any(x == 0 for x in vec):
-        raise DegenerateSystem("kernel vector has a zero coordinate")
-    scale = pow(vec[0], -1, f.q)
-    vec = tuple(x * scale % f.q for x in vec)
-    return vec[: t - ell + 1], vec[t - ell + 1 :]
+    q, exponents = f.q, [*range(t - ell + 1), *range(T, T + ell)]
+    nodes = [pow(omega, e, q) for e in exponents]
+    scales = [pow(omega, e * r, q) for e in exponents]  # y_e^r; 0 marks a zero column
+    distinct = len({y for y, s in zip(nodes, scales) if s})
+    if distinct < t:
+        raise DegenerateSystem(f"kernel dimension {t + 1 - distinct}, expected 1; is omega primitive?")
+    if distinct == t:  # the kernel is a zero column alone or two equal columns' difference
+        if t > 1 or 0 in scales:
+            raise DegenerateSystem("kernel vector has a zero coordinate")
+        return (1,), (q - 1,)
+    weights = [s * prod(y - z for z in nodes if z != y) % q for y, s in zip(nodes, scales)]
+    vec = [weights[0] * pow(w, -1, q) % q for w in weights]  # 1 / weight_e, scaled so vec[0] = 1
+    return tuple(vec[: t - ell + 1]), tuple(vec[t - ell + 1 :])
 
 
 def construct_cyclic(

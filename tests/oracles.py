@@ -232,6 +232,27 @@ def oracle_solve(q, rows, b):
     return [reduced[r][len(rows)] for r in range(len(rows))]
 
 
+def lemma3_eliminate(q, omega, ell, t, r, T):
+    """Lemma 3's (a_star, b_star) from the rref of its system, or the DegenerateSystem message for it.
+
+    The t x (t+1) system has rows (w^j)^e for j = r..r+t-1 over the exponents e in {0..t-ell} + {T..T+ell-1}.
+    Only a one-dimensional kernel whose vector has no zero coordinate is a solution; it is scaled so a_star(0) = 1.
+    """
+    exponents = list(range(t - ell + 1)) + list(range(T, T + ell))
+    reduced, _, pivots = rref(q, [[pow(omega, j * e, q) for e in exponents] for j in range(r, r + t)])
+    free = [c for c in range(t + 1) if c not in pivots]
+    if len(free) != 1:
+        return f"kernel dimension {len(free)}, expected 1; is omega primitive?"
+    vec = [1 if c == free[0] else 0 for c in range(t + 1)]
+    for row, c in zip(reduced, pivots):
+        vec[c] = -row[free[0]] % q
+    if 0 in vec:
+        return "kernel vector has a zero coordinate"
+    scale = pow(vec[0], q - 2, q)
+    vec = [v * scale % q for v in vec]
+    return tuple(vec[: t - ell + 1]), tuple(vec[t - ell + 1 :])
+
+
 def det(q, rows):
     """Determinant over GF(q) by elimination with swap-sign tracking."""
     size = len(rows)

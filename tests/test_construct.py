@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cap_structure
-from oracles import nested_canonical
+from oracles import lemma3_eliminate, nested_canonical
 
 import ledc.code as code_module
 import ledc.construct as construct_module
@@ -228,14 +228,37 @@ def test_lemma3_accepts_zero_local_redundancy():
         assert (poly_eval(F13, a_star, wj) + pow(wj, 6, 13) * poly_eval(F13, b_star, wj)) % 13 == 0
 
 
-def test_lemma3_refuses_a_degenerate_kernel(monkeypatch):
-    """A kernel of two vectors, or one vector with a zero coordinate, has no a_star(0) = 1 normal form."""
-    monkeypatch.setattr(construct_module, "nullspace", lambda M: np.array([[1, 2, 3, 4], [0, 1, 0, 1]]))
+def test_lemma3_refuses_a_degenerate_kernel():
+    """A kernel of two vectors, or one vector with a zero coordinate, has no a_star(0) = 1 normal form.
+
+    w = 12 = -1 gives the nodes 1, -1, 1, -1 (two distinct, a 2-dimensional kernel); w = 3 has order 3 and gives
+    1, 3, 9, 1, whose kernel is the difference of the two equal columns.
+    """
     with pytest.raises(DegenerateSystem, match="^kernel dimension 2, expected 1"):
-        lemma3_solve(F13, 2, ell=1, t=3, r=1, T=9)
-    monkeypatch.setattr(construct_module, "nullspace", lambda M: np.array([[1, 2, 0, 4]]))
+        lemma3_solve(F13, 12, ell=1, t=3, r=1, T=9)
     with pytest.raises(DegenerateSystem, match="^kernel vector has a zero coordinate$"):
-        lemma3_solve(F13, 2, ell=1, t=3, r=1, T=9)
+        lemma3_solve(F13, 3, ell=1, t=3, r=1, T=9)
+
+
+def test_lemma3_matches_elimination_on_a_seeded_grid():
+    """The closed form gives elimination's vector, or its DegenerateSystem message, for any w, primitive or not."""
+    rng = random.Random(2801)
+    cases = degenerate = 0
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 31, 257):
+        f = make_field(q)
+        for t, r in product(range(1, 7), range(5)):
+            for ell in range(1, t + 1):
+                for T in rng.sample(range(t - ell + 1, q - ell), min(3, max(0, q - t - 1))):
+                    omega = rng.randrange(q)
+                    expected = lemma3_eliminate(q, omega, ell, t, r, T)
+                    try:
+                        got = lemma3_solve(f, omega, ell, t, r, T)
+                    except DegenerateSystem as exc:
+                        got = str(exc)
+                    assert got == expected, (q, omega, ell, t, r, T)
+                    cases += 1
+                    degenerate += isinstance(expected, str)
+    assert cases > 2000 and 400 < degenerate < cases - 1000
 
 
 # ---------- cyclic construction ----------
