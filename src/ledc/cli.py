@@ -72,17 +72,17 @@ EXIT_CODES = (
 # ---------- file formats ----------
 
 
-def _integer(v) -> int:
-    """A JSON integer; floats (even integral ones), booleans and strings are input errors."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
-
-
 def _integers(vs, where: str) -> list[int]:
+    """A JSON list of integers; floats (even integral ones), booleans and strings are input errors."""
     if not isinstance(vs, list):
         raise ValueError(f"{where} must be a list of integers, got {vs!r}")
-    return [_integer(v) for v in vs]
+    if bad := non_integers(vs):  # one pass over the types; the error names the first entry that is not one
+        raise ValueError(f"expected an integer, got {bad[0]!r}")
+    return vs
+
+
+def _integer(v) -> int:
+    return _integers([v], "a value")[0]
 
 
 def _member(obj, key: str, where: str):

@@ -165,8 +165,9 @@ def construct_cyclic(
         raise NotPrimitive(f"{omega} does not generate the units of GF({f.q})")
     omega = find_primitive(f) if omega is None else int(omega) % f.q
 
-    u = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r + t)])
-    g2 = linear_factor_product(f, [pow(omega, j, f.q) for j in range(r)])
+    roots = [pow(omega, j, f.q) for j in range(r + t)]
+    g2 = linear_factor_product(f, roots[:r])
+    u = poly_mul(f, g2, linear_factor_product(f, roots[r:]))  # g2 times the t roots past it
     T = tuple((n1 + k2 - ell) - (k1 - t + ell - 1) for ell in range(1, t + 1))
     stars = [lemma3_solve(f, omega, ell, t, r, T[ell - 1]) for ell in range(1, t + 1)]
     a = tuple(poly_mul(f, g2, a_star) for a_star, _ in stars)

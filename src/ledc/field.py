@@ -31,7 +31,7 @@ def non_integers(values: Sequence) -> list:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Arithmetic context for GF(q), q prime; a numpy integer q is kept as a Python int."""
+    """Arithmetic context for GF(q); a composite or non-integer q raises NotPrime, a numpy integer q becomes an int."""
 
     q: int
 
@@ -45,9 +45,7 @@ class PrimeField:
             raise NotPrime(f"{self.q} is not prime")
 
 
-def make_field(q: int) -> PrimeField:
-    """Return the GF(q) context; raises NotPrime for a q that is composite or not an integer."""
-    return PrimeField(q)
+make_field = PrimeField
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -39,11 +39,11 @@ class MatrixGF:
             a = np.array(a, dtype=object)  # alone reads bools among ints as ints and big ints as floats
         if a.ndim != 2:
             raise DimensionMismatch(f"a matrix needs 2-D entries in rows of equal length, got {a.ndim}-D")
-        kinds = set(map(type, a.flat)) if a.dtype.kind == "O" else ()
-        if bad := sorted(t.__name__ for t in kinds if t is bool or not issubclass(t, (int, np.integer))):
+        boxed = a.dtype.kind == "O"
+        if boxed and (bad := sorted({type(v).__name__ for v in non_integers(a.ravel())})):
             raise PreconditionViolated(f"matrix entries must be integers, got {', '.join(bad)}")
         q = self.field.q  # Python ints past int64 are reduced exactly, before the cast
-        a = np.asarray(a % q if kinds else a, dtype=np.int64) % q  # a new array, whatever was passed
+        a = np.asarray(a % q if boxed else a, dtype=np.int64) % q  # a new array, whatever was passed
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 

@@ -3,8 +3,8 @@
 A locality structure lists, for each of m groups, which data symbols
 K_i feed it and which coded positions N_i it owns. The K_i may overlap;
 the N_i partition the coded positions. All indices are 1-based at this
-interface. A structure is checked once, when it is made;
-`make_structure` derives k and n as the largest index each side names.
+interface. A structure is its K and N, checked once, when it is made;
+k and n are derived, as the largest index each side names.
 Its support pattern, the k x n mask of which data symbol each position
 may depend on, is built only by `LocalityStructure.support`, on first use.
 
@@ -26,7 +26,7 @@ witness is the lowest-numbered minimizing T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -49,18 +49,17 @@ MAX_GROUPS = 20
 @dataclass(frozen=True)
 class LocalityStructure:
     """Data groups K and coded-position groups N, checked when made and stored as sorted tuples;
-    a k or n of None becomes the largest index on that side."""
+    k and n are the largest data index and position mentioned."""
 
-    k: int | None
-    n: int | None
+    k: int = field(init=False)
+    n: int = field(init=False)
     K: tuple[tuple[int, ...], ...]
     N: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         K, N = _index_groups(self.K, "data index"), _index_groups(self.N, "position")
         for name, groups in (("k", K), ("n", N)):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, max((g[-1] for g in groups if g), default=0))
+            object.__setattr__(self, name, max((g[-1] for g in groups if g), default=0))
         if len(K) != len(N) or not K:
             raise CoverageGap("need matching nonempty lists of K and N groups")
 
@@ -68,7 +67,7 @@ class LocalityStructure:
         for gi, g in enumerate(K, start=1):
             if not g:
                 raise CoverageGap(f"group {gi} has an empty data set")
-            if g[0] < 1 or g[-1] > self.k:
+            if g[0] < 1:
                 raise CoverageGap(f"group {gi} mentions data index outside 1..{self.k}")
             covered.update(g)
         # Indices are in range, so counting settles coverage; the lowest gap is at most len + 1.
@@ -80,7 +79,7 @@ class LocalityStructure:
         for gi, g in enumerate(N, start=1):
             if not g:
                 raise CoverageGap(f"group {gi} has an empty position set")
-            if g[0] < 1 or g[-1] > self.n:
+            if g[0] < 1:
                 raise CoverageGap(f"group {gi} mentions position outside 1..{self.n}")
             overlap = seen.intersection(g)
             if overlap:
@@ -145,9 +144,7 @@ def _index_groups(groups: Sequence[Sequence[int]], what: str) -> tuple[tuple[int
     return tuple(tuple(sorted(set(g))) for g in groups)
 
 
-def make_structure(K: Sequence[Sequence[int]], N: Sequence[Sequence[int]]) -> LocalityStructure:
-    """The structure whose k and n are the largest data index and position mentioned."""
-    return LocalityStructure(None, None, K, N)
+make_structure = LocalityStructure
 
 
 # ---------- the distance bound ----------

@@ -139,10 +139,13 @@ def test_structure_file_input_gaps_exit_2(tmp_path, text):
         ("bound", [1, 2], "structure"),
         ("verify", "code", "code file"),
         ("bound", "structure", "structure"),
+        ("bound", {"q": 13, "groups": []}, "'groups'"),
+        ("bound", {"q": 13, "groups": {"K": [1], "n": 2}}, "'groups'"),
     ],
     ids=[
         "G-int", "G-row-int", "structure-int", "bound-structure-int", "group-int", "group-without-K",
         "no-structure", "top-list", "bound-top-list", "top-string", "bound-top-string",
+        "groups-empty", "groups-object",
     ],
 )
 def test_malformed_files_exit_2_naming_the_field(tmp_path, command, payload, field):

@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 import time
@@ -51,13 +52,23 @@ def test_make_structure_sorts_and_dedups():
     assert s.N == ((1, 2, 3),)
 
 
+def test_structure_is_its_groups():
+    """The constructor takes K and N alone; k and n are the largest index on each side."""
+    assert list(inspect.signature(LocalityStructure).parameters) == ["K", "N"]
+    assert make_structure is LocalityStructure
+    s = LocalityStructure(K=[[4, 1], [2, 3]], N=[[5, 1, 2], [3, 4]])
+    assert (s.k, s.n) == (4, 5)
+    with pytest.raises(TypeError):
+        LocalityStructure(4, 5, [[1, 2, 3, 4]], [[1, 2, 3, 4, 5]])
+
+
 def test_validate_coverage_gap():
     with pytest.raises(CoverageGap):
-        LocalityStructure(2, 2, [[1]], [[1, 2]])
-    with pytest.raises(CoverageGap):
         make_structure([[1], []], [[1], [2]])
-    with pytest.raises(CoverageGap):
-        LocalityStructure(2, 2, [[1, 3]], [[1, 2]])  # index outside 1..k
+    with pytest.raises(CoverageGap, match="1 data indices covered by no group, the lowest 2"):
+        LocalityStructure([[1, 3]], [[1, 2]])
+    with pytest.raises(CoverageGap, match=re.escape("group 1 mentions data index outside 1..2")):
+        LocalityStructure([[0, 2]], [[1, 2]])
 
 
 def test_validate_position_errors():
@@ -85,8 +96,6 @@ def test_validate_refuses_indices_that_are_not_integers():
     for K, N, message in cases:
         with pytest.raises(CoverageGap, match=re.escape(message)):
             make_structure(K, N)
-    with pytest.raises(CoverageGap, match=re.escape("group 1 has position 3.5,")):
-        LocalityStructure(3, 6, *cases[0][:2])
     s = make_structure([[np.int64(2), 1]], [np.arange(1, 4, dtype=np.int32)])
     assert (s.K, s.N) == (((1, 2),), ((1, 2, 3),))
     assert all(type(v) is int for g in s.K + s.N for v in g)
@@ -99,7 +108,7 @@ def test_validate_returns_normalized():
 
 @st.composite
 def structure_fields(draw):
-    """(k, n, K, N), often invalid: groups from a random labelling of 1..k and 1..n, shuffled,
+    """(K, N), often invalid: groups from a random labelling of 1..k and 1..n, shuffled,
     with repeated or stray indices, sometimes one out of range, one dropped or all dropped, and
     sometimes one group more."""
     rarely = st.sampled_from((False,) * 9 + (True,))
@@ -122,16 +131,18 @@ def structure_fields(draw):
             out.append(draw(st.lists(st.integers(1, size + 1), max_size=3)))
         return [draw(st.permutations(g)) for g in out]
 
-    return k, n, groups(k), groups(n)
+    return groups(k), groups(n)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(structure_fields())
 def test_structure_checks_itself_against_invariant_oracle(fields):
-    k, n, K, N = fields
+    """Checked against the invariants over 1..k and 1..n, with k and n the largest index each side names."""
+    K, N = fields
+    k, n = (max((v for g in groups for v in g), default=0) for groups in (K, N))
     expected = structure_violation(k, n, K, N)
     try:
-        s = LocalityStructure(k, n, K, N)
+        s = LocalityStructure(K, N)
     except (CoverageGap, OverlapN, GroupTooSmall) as exc:
         assert type(exc).__name__ == expected, fields
         return
