@@ -17,11 +17,12 @@ where R_i, row i of the support pattern, is the set of coded positions
 whose value may depend on data symbol i. Because each R_i is a union of
 whole position blocks, the minimum is attained at
 I_T = {i : every group containing i lies in T}
-for some group subset T. A subset-sum (zeta) transform gives |I_T| for
-all 2^m subsets in O(m 2^m) steps, on the narrowest unsigned type that
-holds k. The value n(T) - |I_T|, with n(T) the positions T's blocks own,
-lies in [0, n], as k_g <= n_g; it takes the narrowest that holds n. The
-witness is the lowest-numbered minimizing T.
+for some group subset T. A subset-sum (zeta) transform gives |I_T| for all 2^m
+subsets, in the narrowest unsigned type holding k, with T = h 2^low + l at [h, l]
+and low = min(m, 8): over the low bits, row h is the count of symbols per low part
+times a subset table, so only the high bits take passes. The value n(T) - |I_T|,
+with n(T) the positions T's blocks own, lies in [0, n], as k_g <= n_g, and takes
+the narrowest type holding n. The witness is the lowest-numbered minimizing T.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .errors import (
 from .field import non_integers
 
 MAX_GROUPS = 20
+_LOW_BITS = 8  # T's low group bits, summed through _SUBSET_OF; the rest take butterfly passes
+_SUBSET_OF = np.fromfunction(lambda a, l: (a & l) == a, (1 << _LOW_BITS,) * 2, dtype=np.uint8)  # a in l: 64 KB
 
 # ---------- types ----------
 
@@ -68,7 +71,7 @@ class LocalityStructure:
             if not g:
                 raise CoverageGap(f"group {gi} has an empty data set")
             if g[0] < 1:
-                raise CoverageGap(f"group {gi} mentions data index outside 1..{self.k}")
+                raise CoverageGap(f"group {gi} has data index {g[0]}, below 1")
             covered.update(g)
         # Indices are in range, so counting settles coverage; the lowest gap is at most len + 1.
         if len(covered) < self.k:
@@ -80,7 +83,7 @@ class LocalityStructure:
             if not g:
                 raise CoverageGap(f"group {gi} has an empty position set")
             if g[0] < 1:
-                raise CoverageGap(f"group {gi} mentions position outside 1..{self.n}")
+                raise CoverageGap(f"group {gi} has position {g[0]}, below 1")
             overlap = seen.intersection(g)
             if overlap:
                 raise OverlapN(f"positions claimed by two groups: {sorted(overlap)}")
@@ -161,40 +164,37 @@ def group_masks(s: LocalityStructure) -> list[int]:
 
 def dmax_witness(s: LocalityStructure) -> DmaxWitness:
     """The bound plus the lowest-numbered minimizing group subset and its data."""
-    m, low = s.m, s.m // 2
+    m, low = s.m, min(s.m, _LOW_BITS)
     if m > MAX_GROUPS:
         raise TooManyGroups(f"{m} groups exceed the cap of {MAX_GROUPS}")
     sig = group_masks(s)
-    # Zeta transform, one pass per group: cnt[T] = |I_T| <= k, in the narrowest
-    # unsigned type holding k. A pass over bit g adds runs of 2^g entries, so the
-    # low half of the bits is summed on a transposed copy, where they are the high
-    # ones and every run is long; T = h 2^low + l sits at [l, h] there, and stays.
-    cnt = np.zeros(1 << m, dtype=np.min_scalar_type(s.k))
-    for groups in sig:
-        cnt[groups] += 1
+    # Zeta transform: cnt[T] = |I_T| <= k, in the narrowest unsigned type holding k, with T = h 2^low + l
+    # at [h, l], row-major. Over the low bits row h is sum_a c[h, a] [a in l], c[h, a] the count of symbols
+    # of high part h and low part a: one float64 product (exact, on BLAS) with _SUBSET_OF's rows, all for
+    # the one row below 9 groups, else those in use: at most min(k, 2^(m - low)) x min(k, 2^low) x 2^low terms.
+    masks = np.array(sig)
+    cnt = np.zeros((1 << m - low, 1 << low), dtype=np.min_scalar_type(s.k))
+    if m == low:
+        cnt[0] = np.bincount(masks, minlength=1 << m) @ _SUBSET_OF[: 1 << m, : 1 << m].astype(float)
+    else:
+        hi, lo = masks >> low, masks & (1 << low) - 1
+        high, used = np.flatnonzero(np.bincount(hi)), np.flatnonzero(np.bincount(lo))
+        pair = np.searchsorted(high, hi) * len(used) + np.searchsorted(used, lo)
+        counts = np.bincount(pair, minlength=len(high) * len(used)).reshape(len(high), -1)
+        cnt[high] = counts @ _SUBSET_OF[used].astype(float)
     for g in range(low, m):
         pairs = cnt.reshape(-1, 2, 1 << g)
         pairs[:, 1] += pairs[:, 0]
-    cnt = cnt.reshape(-1, 1 << low).T.copy()
-    for g in range(m - low, m):
-        pairs = cnt.reshape(-1, 2, 1 << g)
-        pairs[:, 1] += pairs[:, 0]
-    # n(T) <= n, in the narrowest unsigned type holding n, doubled a block at a time
-    # with h's blocks first, comes flat in the [l, h] layout. |I_T| <= n(T): no wrap.
+    # n(T) <= n, in the narrowest unsigned type holding n, doubled a block at a time. |I_T| <= n(T): no wrap.
     value = np.zeros(1 << m, dtype=np.min_scalar_type(s.n))
-    for g, block in enumerate(s.N[low:] + s.N[:low]):
+    for g, block in enumerate(s.N):
         np.add(value[: 1 << g], len(block), value[1 << g : 2 << g])
-    value = value.reshape(cnt.shape)
-    value -= cnt
-    empty = np.equal(cnt, 0, out=np.empty_like(value))
-    empty *= s.n  # n where I_T is empty, above every T with cnt > 0, whose value is at most n - 1
-    np.maximum(value, empty, out=value)
-    least = value.min(axis=0)
-    h = int(least.argmin())  # the lowest T wins ties: the first column holding the minimum, then its first row
-    T = h << low | int(value[:, h].argmin())
+    value -= cnt.reshape(-1)  # row-major [h, l] is T's own order
+    np.copyto(value, value.dtype.type(s.n), where=cnt.reshape(-1) == 0)  # empty I_T: n, above every other value
+    T = int(value.argmin())  # the first minimum is the lowest T
     blocks = tuple(g + 1 for g in range(m) if T >> g & 1)
     data = tuple(i for i, groups in enumerate(sig, 1) if groups | T == T)
-    return DmaxWitness(1 + int(least[h]), blocks, data)
+    return DmaxWitness(1 + int(value[T]), blocks, data)
 
 
 def dmax(s: LocalityStructure) -> int:

@@ -172,6 +172,12 @@ def test_huge_indices_exit_2_fast(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith("error=CoverageGap: 999999999 ")
 
 
+def test_index_below_1_exits_2_naming_it(tmp_path, capsys):
+    path = write_json(tmp_path, "zero.json", {"q": 13, "groups": [{"K": [0], "n": 1}]})
+    assert run(["bound", path]) == 2
+    assert capsys.readouterr().err == "error=CoverageGap: group 1 has data index 0, below 1\n"
+
+
 def test_each_command_checks_its_structure_once(tmp_path, monkeypatch, capsys):
     calls = []
     check = LocalityStructure.__post_init__

@@ -19,6 +19,7 @@ from oracles import (
     support_bruteforce,
 )
 
+from ledc.cli import MAX_POSITIONS
 from ledc.errors import (
     CoverageGap,
     GroupTooSmall,
@@ -67,8 +68,16 @@ def test_validate_coverage_gap():
         make_structure([[1], []], [[1], [2]])
     with pytest.raises(CoverageGap, match="1 data indices covered by no group, the lowest 2"):
         LocalityStructure([[1, 3]], [[1, 2]])
-    with pytest.raises(CoverageGap, match=re.escape("group 1 mentions data index outside 1..2")):
-        LocalityStructure([[0, 2]], [[1, 2]])
+    # an index below 1 is named itself, not as outside a range built from a k or n it may have set
+    below = [
+        ([[0, 2]], [[1, 2]], "group 1 has data index 0, below 1"),
+        ([[-1]], [[1]], "group 1 has data index -1, below 1"),
+        ([[1]], [[-2]], "group 1 has position -2, below 1"),
+        ([[1], [2]], [[1], [0, 2]], "group 2 has position 0, below 1"),
+    ]
+    for K, N, message in below:
+        with pytest.raises(CoverageGap, match=f"^{re.escape(message)}$"):
+            LocalityStructure(K, N)
 
 
 def test_validate_position_errors():
@@ -230,8 +239,8 @@ def test_dmax_witness_takes_lowest_minimizing_subset():
 
 
 @st.composite
-def structures(draw, max_k=14, max_m=10):
-    """Valid structures with up to 10 groups and 0..3 spare positions per group.
+def structures(draw, max_k=14, max_m=12):
+    """Valid structures with up to 12 groups and 0..3 spare positions per group.
 
     Hypothesis leans towards 0 spare positions, where tied subsets are common.
     """
@@ -288,13 +297,13 @@ def test_dmax_witness_at_20_groups_against_data_subsets():
         assert (w.dmax, w.blocks, w.data) == dmax_witness_by_data(s.K, s.N), (s.K, s.N)
 
 
-def edge_structure(rng, k=None, n=None):
-    """Up to 6 groups with no spare positions, so tied subsets are common; a given n pads one group up to it.
+def edge_structure(rng, k=None, n=None, m=None):
+    """Up to 6 groups, or m, with no spare positions, so tied subsets are common; a given n pads one group up to it.
 
     Either k, the data count, or n, the position count, is fixed at the edge of an unsigned type.
     """
     k = k or rng.randint(2, 12)
-    m = rng.randint(1, 6)
+    m = m or rng.randint(1, 6)
     while True:
         K = [sorted(rng.sample(range(1, k + 1), rng.randint(1, k))) for _ in range(m)]
         if set().union(*K) == set(range(1, k + 1)):
@@ -306,7 +315,7 @@ def edge_structure(rng, k=None, n=None):
 
 
 def test_dmax_witness_at_counter_type_edges():
-    """k and n at 255/256 and past 65,535, where a counter one type too narrow would wrap."""
+    """k and n at 255/256 and past 65,535, where a counter one type too narrow would wrap, up to 12 groups."""
     rng = random.Random(2560)
     cases = [
         make_structure([range(1, 257)], [range(1, 258)]),  # one group: |I_T| = 256 at its only subset
@@ -317,9 +326,50 @@ def test_dmax_witness_at_counter_type_edges():
         cases += [edge_structure(rng, k=k) for _ in range(6)]
     for n in (255, 256, 65_535, 65_536, 65_537):
         cases += [edge_structure(rng, n=n) for _ in range(6)]
+    # past 8 groups the high group bits take rows of their own, each with the counts of the low parts in use
+    for m in range(9, 13):
+        cases += [edge_structure(rng, k=k, m=m) for k in (255, 256)]
+        cases += [edge_structure(rng, n=n, m=m) for n in (255, 256)]
     for s in cases:
         w = dmax_witness(s)
         assert (w.dmax, w.blocks, w.data) == dmax_witness_scan(s.K, s.N), (s.k, s.n, s.K, [len(Ng) for Ng in s.N])
+
+
+def position_cap_structure(m):
+    """m groups and MAX_POSITIONS positions: the low min(m, 8) groups hold one-group symbols, group g (from 0)
+    with 8 - g spare positions; past 8 groups, one symbol per subset S of the high groups, the empty one in group 0.
+
+    A one-group symbol adds nothing to n(T) - |I_T|, and S adds |S & T| - [S <= T], which some S makes positive
+    for every T meeting the high groups. So the least value, 1, is at group 8 alone: the bound is 2.
+    """
+    low, high = min(m, 8), m - min(m, 8)
+    K = [[] for _ in range(m)]
+    for S in range(1 << high):
+        for g in [low + b for b in range(high) if S >> b & 1] or [0]:
+            K[g].append(S + 1)
+    spare = [8 - g for g in range(low)] + [0] * high
+    first = (1 << high) + 1
+    for i in range(first, first + MAX_POSITIONS - sum(map(len, K)) - sum(spare)):
+        K[i % low].append(i)
+    return make_structure(K, blocks_for_sizes([len(Kg) + r for Kg, r in zip(K, spare)]))
+
+
+@pytest.mark.parametrize("m", [8, 16, 20])
+def test_dmax_witness_cost_is_linear_in_k_and_2_to_the_m(m):
+    """Up to 100,000 data symbols at the CLI's position cap: time and memory grow with k plus 2^m, not k 2^low."""
+    s = position_cap_structure(m)
+    assert s.n == MAX_POSITIONS and s.k > 75_000
+    start = time.perf_counter()
+    w = dmax_witness(s)
+    assert time.perf_counter() - start < 0.5
+    assert (w.dmax, w.blocks, w.data) == (2, (8,), tuple(s.K[7]))
+    tracemalloc.start()
+    try:
+        dmax_witness(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * s.k + (32 << m), peak
 
 
 def test_dmax_matches_bruteforce_oracle():
