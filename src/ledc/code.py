@@ -1,24 +1,21 @@
 """Codes with a locality structure: encoding, decoding, verification.
 
-A LedcCode couples a locality structure with a generator matrix, whose
-field is the code's. The constructor checks the matrix's shape only;
-whether it actually satisfies the support pattern and the local MDS
-property is the job of the verification functions, which report rather
-than raise, so defective matrices can be inspected.
+A LedcCode couples a locality structure with a generator matrix, whose field is the code's. The constructor checks
+the matrix's shape only; whether it actually satisfies the support pattern and the local MDS property is the job of
+the verification functions, which report rather than raise, so defective matrices can be inspected.
 
-Two independent minimum-distance algorithms are provided on purpose:
-exhaustive message enumeration and column-rank certification. They
-share only the rank-deficiency verdict (distance 0). Golden values in
-the test suite never rest on a single implementation.
+Two independent minimum-distance algorithms are provided on purpose: exhaustive message enumeration and column-rank
+certification. They share only the rank-deficiency verdict (distance 0). Golden values in the test suite never rest
+on a single implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
-from itertools import accumulate, count, pairwise
+from functools import cached_property, lru_cache
+from itertools import accumulate, count, islice, pairwise, repeat
 from math import comb
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +41,9 @@ RANK_BUDGET = 4 * 10**6
 SUFFIX_CAP = 1 << 15
 # Verification enumerates messages by default while q^k stays within this.
 AUTO_EXHAUSTIVE_LIMIT = 10**7
+# A parity certificate of at most this many products reads P from one of 64 tables kept across calls (8 MB at
+# most): design and sweep check the same shapes over and over. A larger one makes its columns one at a time.
+PARITY_TABLE_CAP = 1 << 14
 
 # ---------- type ----------
 
@@ -52,8 +52,8 @@ AUTO_EXHAUSTIVE_LIMIT = 10**7
 class LedcCode:
     """A locality structure plus a k x n generator matrix G, checked for shape when made; its field is G's.
 
-    meta holds what a construction or a code file says of it: "method" and "claimed_distance",
-    plus "omega" (cyclic), "seed" and "attempt" (random) where they apply.
+    meta holds what a construction or a code file says of it: "method" and "claimed_distance", plus "omega"
+    (cyclic; parity_certify's hint, checked against G), "seed" and "attempt" (random) where they apply.
     """
 
     structure: LocalityStructure
@@ -64,9 +64,7 @@ class LedcCode:
     def __post_init__(self) -> None:
         s, G = self.structure, self.G
         if G.rows != s.k or G.cols != s.n:
-            raise DimensionMismatch(
-                f"generator must be {s.k}x{s.n}, got {G.rows}x{G.cols}"
-            )
+            raise DimensionMismatch(f"generator must be {s.k}x{s.n}, got {G.rows}x{G.cols}")
 
     @property
     def field(self) -> PrimeField:
@@ -101,21 +99,17 @@ def encode(c: LedcCode, x: Sequence[Felt]) -> list[Felt]:
     """Codeword x G, integer symbols x reduced mod q first; positions in N_i depend only on entries in K_i."""
     if len(x) != c.structure.k:
         raise DimensionMismatch(f"data length {len(x)} != k={c.structure.k}")
-    x = integer_symbols(x)
     q = c.field.q
-    return vec_mat(q, [v % q for v in x], c.G.entries).tolist()
+    return vec_mat(q, [v % q for v in integer_symbols(x)], c.G.entries).tolist()
 
 
-def local_decode(
-    c: LedcCode, group: int, observed: Sequence[tuple[int, Felt]]
-) -> dict[int, Felt]:
+def local_decode(c: LedcCode, group: int, observed: Sequence[tuple[int, Felt]]) -> dict[int, Felt]:
     """Recover the data symbols K_i from >= k_i symbols inside N_i.
 
-    `observed` pairs are (1-based integer position, value); a value of None
-    is an erasure, which only the position checks see. Returns a map from
-    data index to value. A singular local submatrix means the code
-    violates its own local MDS invariant and raises SingularSubmatrix; G off
-    the support pattern at an observed position raises SupportViolation.
+    `observed` pairs are (1-based integer position, value); a value of None is an erasure, which only the position
+    checks see. Returns a map from data index to value. A singular local submatrix means the code violates its own
+    local MDS invariant and raises SingularSubmatrix; G off the support pattern at an observed position raises
+    SupportViolation.
     """
     s = c.structure
     if non_integers([group]):
@@ -126,8 +120,7 @@ def local_decode(
     positions = [p for p, _ in observed]
     if bad := non_integers(positions):
         raise PositionsOutsideGroup(f"position {bad[0]!r} is a {type(bad[0]).__name__}, not an integer")
-    outside = [p for p in positions if p not in word]
-    if outside:
+    if outside := [p for p in positions if p not in word]:
         raise PositionsOutsideGroup(f"positions {outside} not in group {group}")
     if len(set(positions)) != len(positions):
         raise PositionsOutsideGroup("observed positions must be distinct")
@@ -136,8 +129,7 @@ def local_decode(
     if len(known) < ki:
         raise NotEnoughSymbols(f"{len(known)} symbols < k_{group}={ki}")
     # An off-support entry in a column of N_i lies in a row outside K_i.
-    off = c.off_support[:, [p - 1 for p in known]]
-    if off.any():
+    if (off := c.off_support[:, [p - 1 for p in known]]).any():
         i, at = np.argwhere(off)[0]
         raise SupportViolation(f"group {group}: position {known[at]} depends on data {i + 1}, outside K_{group}")
     word.update(observed)
@@ -145,8 +137,8 @@ def local_decode(
         x = solve(c.local_generators[group - 1], list(word.values()))
     except Underdetermined as exc:
         raise SingularSubmatrix(
-            f"group {group}: {len(known)} observed columns do not determine "
-            f"the {ki} local data symbols; local MDS invariant is broken"
+            f"group {group}: {len(known)} observed columns do not determine the {ki} local data symbols; "
+            "local MDS invariant is broken"
         ) from exc
     return dict(zip(s.K[group - 1], x))
 
@@ -154,8 +146,7 @@ def local_decode(
 def erasure_decode(c: LedcCode, received: Sequence[Optional[Felt]]) -> list[Felt]:
     """Recover the full data vector from a length-n word with erased positions.
 
-    Succeeds exactly when the surviving columns of G have rank k; in
-    particular always for at most d-1 erasures.
+    Succeeds exactly when the surviving columns of G have rank k; in particular always for at most d-1 erasures.
     """
     try:
         return solve(c.G, received)
@@ -253,14 +244,11 @@ def check_distance_budget(n: int, d0: int) -> None:
 def _level(G: MatrixGF, d0: int) -> bool:
     """Does the code generated by the k x n matrix G have d >= d0 >= 1?
 
-    That is, every e = d0 - 1 erasures leave rank k; equivalently, every e
-    columns of the parity-check matrix H = nullspace(G) are independent.
-    The budget is checked before any work. The level then runs on whichever
-    side sweeps less: G's k x (n - e) submatrices or H's (n - k) x e ones,
-    compared by rows times columns squared.
+    That is, every e = d0 - 1 erasures leave rank k; equivalently, every e columns of the parity-check matrix
+    H = nullspace(G) are independent. The budget is checked before any work. The level then runs on whichever side
+    sweeps less: G's k x (n - e) submatrices or H's (n - k) x e ones, compared by rows times columns squared.
     """
-    k, n = G.rows, G.cols
-    e = d0 - 1
+    k, n, e = G.rows, G.cols, d0 - 1
     if e > n - k:
         return False
     check_distance_budget(n, d0)
@@ -277,67 +265,91 @@ def distance_at_least(c: LedcCode, d0: int) -> bool:
     return d0 <= 0 or _level(c.G, d0)
 
 
-def roots_certify(c: LedcCode, M: np.ndarray, delta: int) -> bool:
-    """Does the BCH bound prove that the rows of the residue array M are independent and span distance >= delta?
+def _parity_hint(q: int, n: int, omega: Optional[int]) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The n points a_j and weights w_j of a parity hint over GF(q), as int64 arrays; None when the points repeat.
 
-    Row i is read as the polynomial sum_j M[i, j] x^j. With w = c.meta["omega"] it does when the n = M.shape[1]
-    points w^0..w^(n-1) are distinct, every row vanishes at w^0..w^(delta-2), and the rows' lowest nonzero terms
-    sit in distinct columns. Then every codeword vanishes there too, and any delta - 1 columns of those parity
-    checks, (w^j)^i for i < delta - 1, form a Vandermonde matrix on distinct points. The roots go one at a time,
-    in O(k n) memory. w is only a hint: a missing or wrong w, or more than RANK_BUDGET products, gives False."""
-    omega, (k, n), q = c.meta.get("omega"), M.shape, c.field.q
-    if omega is None or k * n * (delta - 1) > RANK_BUDGET:
+    With omega, a_j = omega^j and w_j = 1: the BCH roots. Without, a_j = j for j = 1..n and w_j = (-1)^(n-j) C(n-1, j-1)
+    = (n-1)! / prod_{l != j} (j - l): the GRS code with these weights is the dual of the Reed-Solomon code on 1..n, and
+    the common factor (n-1)!, nonzero as n <= q, leaves M P = 0 as it is.
+    """
+    points = [pow(omega, j, q) for j in range(n)] if omega is not None else [j % q for j in range(1, n + 1)]
+    if len(set(points)) < n:
+        return None
+    weights = [1] * n if omega is not None else accumulate(  # C(n-1, j) = C(n-1, j-1) (n-j) / j
+        range(1, n), lambda w, j: -w * (n - j) * pow(j, -1, q) % q, initial=(-1) ** (n - 1) % q
+    )
+    return np.array(points, dtype=np.int64), np.fromiter(weights, dtype=np.int64, count=n)
+
+
+@lru_cache(maxsize=64)
+def _parity_table(q: int, n: int, omega: Optional[int], width: int) -> Optional[np.ndarray]:
+    """The read-only n x width matrix P = diag(w) [a_j^i], i < width, of a parity hint; None when its points repeat."""
+    if (hint := _parity_hint(q, n, omega)) is None:
+        return None
+    P = np.array(list(islice(_scaled_powers(q, hint[1], hint[0]), width))).T
+    P.flags.writeable = False
+    return P
+
+
+def _scaled_powers(q: int, X: np.ndarray, points: np.ndarray) -> Iterator[np.ndarray]:
+    """X diag(a)^i for i = 0, 1, ...: each entry of X's last axis times its point's powers, one X at a time."""
+    return accumulate(repeat(points), lambda Y, a: Y * a % q, initial=X)
+
+
+def _distinct_leads(A: np.ndarray) -> bool:
+    """Are the rows of A independent because their first nonzero entries sit in distinct columns?"""
+    lead = (A != 0).argmax(axis=1)
+    return len(set(lead.tolist())) == len(A) and bool(A[np.arange(len(A)), lead].all())
+
+
+def parity_certify(M: MatrixGF, delta: int, omega: Optional[int] = None) -> bool:
+    """Do parity checks prove that the s rows of M, column j at the point a_j, are independent and span d >= delta?
+
+    They do when M P = 0 for P = diag(w) [a_j^i], i < delta - 1 (see _parity_hint), at distinct points with nonzero
+    weights: any delta - 1 rows of P form a scaled Vandermonde matrix, so no nonzero codeword has fewer than delta
+    nonzeros. Rank s follows from distinct leading columns of M, else of M times the next s columns of P (a power
+    block's is anti-triangular), else from rank(M). A wrong hint answers no, as does delta past the Singleton bound
+    and, before any point is built, more than RANK_BUDGET products. Up to PARITY_TABLE_CAP products M P is one
+    product with a kept P; past it its columns come one at a time, in O(s n) memory, each row sum below 2^63 as
+    q < 2^31, and the first nonzero one ends the work.
+    """
+    (s, n), q, X = M.entries.shape, M.field.q, M.entries
+    if (products := s * n * (width := delta - 1 + s)) > RANK_BUDGET:
         return False
-    points = np.array([pow(omega, j, q) for j in range(n)], dtype=np.int64)
-    lead = (M != 0).argmax(axis=1)
-    if len(set(points.tolist())) < n or len(set(lead.tolist())) < k or not M[np.arange(k), lead].all():
-        return False
-    z = np.ones((n, 1), dtype=np.int64)  # z[j] = (w^j)^i at root i
-    for _ in range(delta - 1):
-        if vec_mat(q, M, z).any():
+    if products <= PARITY_TABLE_CAP:
+        P = _parity_table(q, n, omega, width)
+        if P is None or np.count_nonzero((checks := vec_mat(q, X, P))[:, : delta - 1]):
             return False
-        z = z * points[:, None] % q
-    return True
-
-
-def vandermonde_certify(c: LedcCode, M: np.ndarray, delta: int) -> bool:
-    """Does a Vandermonde block prove that the s rows of the residue array M span distance >= delta?
-
-    Only a "nested" c.meta["method"] is tried, column j read at the point j + 1 (construct_nested's layout). It does
-    when the n = M.shape[1] points are distinct (n <= q), the rows are p^0..p^(s-1) in some order and
-    delta <= n - s + 1, so any s columns form a Vandermonde matrix on distinct points. Past RANK_BUDGET entries, no."""
-    (s, n), q = M.shape, c.field.q
-    if c.meta.get("method") != "nested" or n > q or s * n > RANK_BUDGET or delta > n - s + 1:
+        tail = checks[:, delta - 1 :]
+    elif (hint := _parity_hint(q, n, omega)) is None:
         return False
-    points, power, exponent = np.arange(1, n + 1, dtype=np.int64) % q, np.ones(n, dtype=np.int64), {}
-    for i in range(s):  # the power rows by their bytes
-        exponent[power.tobytes()] = i
-        power = power * points % q
-    return sorted(exponent.get(row.tobytes(), -1) for row in M.astype(np.int64)) == list(range(s))
+    else:
+        columns = (np.add.reduce(Y, axis=1) % q for Y in _scaled_powers(q, X * hint[1] % q, hint[0]))
+        if any(next(columns).any() for _ in range(delta - 1)):
+            return False
+        tail = np.array([next(columns) for _ in range(s)]).T
+    return _distinct_leads(X) or _distinct_leads(tail) or rank(M) == s
 
 
 def _local_level(c: LedcCode, g: int, rows: tuple[int, ...], d0: int) -> bool:
     """Does the code that `rows` of group g's local generator spans (index 0 = group 1) have d >= d0?
 
-    The root certificate, then the Vandermonde one, is tried on the columns in N_g's order, else the level is swept.
-    Each level is checked once per code, kept in c.local_levels under (g, rows, d0); TooLarge is not kept.
+    parity_certify is tried on the columns in N_g's order, at the roots of c.meta["omega"] if it is there, then at the
+    points 1..n_g; else the level is swept. Each level is checked once per code, kept in c.local_levels under
+    (g, rows, d0); TooLarge is not kept.
     """
-    key = (g, rows, d0)
-    verdict = c.local_levels.get(key)
+    verdict = c.local_levels.get(key := (g, rows, d0))
     if verdict is None:
-        G = c.local_generators[g]
+        G, omega = c.local_generators[g], c.meta.get("omega")
         sub = G if len(rows) == G.rows else MatrixGF(G.field, G.entries[list(rows)])
-        certified = roots_certify(c, sub.entries, d0) or vandermonde_certify(c, sub.entries, d0)
+        certified = omega is not None and parity_certify(sub, d0, omega) or parity_certify(sub, d0)
         verdict = c.local_levels[key] = certified or _level(sub, d0)
     return verdict
 
 
 def _subcode_distance(c: LedcCode, g: int, rows: tuple[int, ...]) -> int:
-    """Exact distance of the code that `rows` of group g's local generator spans; 0 when they are dependent.
-
-    Walks down from the Singleton level n_g - len(rows) + 1; level 1 fails
-    only on dependent rows.
-    """
+    """Exact distance of the code that `rows` of group g's local generator spans, walked down from the Singleton
+    level n_g - len(rows) + 1; 0 when they are dependent, as only then does level 1 fail."""
     d = c.local_generators[g].cols - len(rows) + 1
     while d and not _local_level(c, g, rows, d):
         d -= 1
@@ -347,21 +359,17 @@ def _subcode_distance(c: LedcCode, g: int, rows: tuple[int, ...]) -> int:
 def certifies_dmax(c: LedcCode) -> bool:
     """Do the local subcodes alone prove d >= dmax? No global pattern is enumerated.
 
-    Valid for a G on its support pattern, where block N_g of xG is x_{K_g} G_g.
-    For a nonzero message x let A be the groups with x_{K_g} != 0. Then supp(x)
-    lies in I_A = {i : every group holding i is in A}, and each block of A is a
-    nonzero word of the subcode that the rows K_g & I_A of G_g span, so
-    wt(xG) >= LB(A), the sum over g in A of those subcodes' distances, and
-    d >= min LB(A). Two facts keep the search small. LB adds up over the
-    parts of an A that no symbol of I_A spans, so only connected A are
-    searched: unions of symbols' group sets, each meeting the union so far.
+    Valid for a G on its support pattern, where block N_g of xG is x_{K_g} G_g. For a nonzero message x let A be the
+    groups with x_{K_g} != 0. Then supp(x) lies in I_A = {i : every group holding i is in A}, and each block of A is a
+    nonzero word of the subcode that the rows K_g & I_A of G_g span, so wt(xG) >= LB(A), the sum over g in A of those
+    subcodes' distances, and d >= min LB(A). Two facts keep the search small. LB adds up over the parts of an A that no
+    symbol of I_A spans, so only connected A are searched: unions of symbols' group sets, each meeting the union so far.
     And a subcode's distance is at least its group's, d_g, so an A with sum d_g >= dmax, and every A grown from it,
-    passes unseen. Each (group, rows) level is checked once per code, by _local_level's certificates first (every
-    level of a nested code passes them); one past the budget gives False.
+    passes unseen. Each (group, rows) level is checked once per code, by _local_level's parity certificate first (every
+    level of a nested or cyclic code passes it); one past the budget gives False.
     """
     s, bound = c.structure, c.dmax
-    sig = group_masks(s)
-    edges = set(sig)
+    edges = set(sig := group_masks(s))
     try:
         floor = [_subcode_distance(c, g, tuple(range(len(Kg)))) for g, Kg in enumerate(s.K)]
         todo, seen = list(edges), set(edges)
@@ -390,23 +398,18 @@ def certifies_dmax(c: LedcCode) -> bool:
 def min_distance_rank(c: LedcCode) -> int:
     """Largest d such that every (n - d + 1)-column submatrix has rank k.
 
-    A code on its support pattern has d = dmax by the paper's bound, with no
-    global enumeration, when `roots_certify` proves d >= dmax on G's columns
-    group by group, each group ascending (the cyclic layout), or else when
-    `certifies_dmax` does. Otherwise the search starts
-    at dmax, which never exceeds n - k + 1, and walks up or down. The
-    result rests on two facts: every (d - 1)-erasure pattern leaves rank
-    k, and no larger d holds. The second is the paper's bound d <= dmax
-    when G respects the support pattern and d = dmax; otherwise some
-    d-erasure pattern leaves rank below k, or d = n - k + 1. Only the
-    levels searched are enumerated, each within RANK_BUDGET.
-
-    Returns 0 when G itself is rank deficient (some nonzero message maps
-    to the zero codeword, so no distance is defined in the usual sense).
+    A code on its support pattern has d = dmax by the paper's bound, with no global enumeration, when `parity_certify`
+    proves d >= dmax at the roots of c.meta["omega"] on G's columns group by group, each group ascending (the cyclic
+    layout), or else when `certifies_dmax` does. Otherwise the search starts at dmax, which never exceeds n - k + 1, and
+    walks up or down. The result rests on two facts: every (d - 1)-erasure pattern leaves rank k, and no larger d holds.
+    The second is the paper's bound d <= dmax when G respects the support pattern and d = dmax; otherwise some d-erasure
+    pattern leaves rank below k, or d = n - k + 1. Only the levels searched are enumerated, each within RANK_BUDGET.
+    Returns 0 when G itself is rank deficient (some nonzero message maps to the zero codeword, so no distance is defined
+    in the usual sense).
     """
-    d, s = c.dmax, c.structure
-    on_support = not support_violations(c)
-    if on_support and (roots_certify(c, c.G.entries[:, [j - 1 for Ng in s.N for j in Ng]], d) or certifies_dmax(c)):
+    d, s, omega, on_support = c.dmax, c.structure, c.meta.get("omega"), not support_violations(c)
+    blocks = on_support and omega is not None and MatrixGF(c.field, c.G.entries[:, [j - 1 for Ng in s.N for j in Ng]])
+    if on_support and (blocks and parity_certify(blocks, d, omega) or certifies_dmax(c)):
         return d
     if rank(c.G) < s.k:
         return 0
@@ -433,9 +436,8 @@ def support_violations(c: LedcCode) -> list[tuple[int, int]]:
 def verify_local_mds(c: LedcCode) -> dict[int, bool]:
     """Group -> does G[K_i, N_i] generate an [n_i, k_i] MDS code.
 
-    A local code is MDS exactly when it has distance n_i - k_i + 1, so each
-    group is that distance level of its local generator: proved by its roots or its Vandermonde block when
-    `roots_certify` or `vandermonde_certify` holds, else swept on the generator when k_i <= n_i - k_i, on its
+    A local code is MDS exactly when it has distance n_i - k_i + 1, so each group is that distance level of its local
+    generator: proved by `parity_certify` when it holds, else swept on the generator when k_i <= n_i - k_i, on its
     local parity-check matrix otherwise.
     """
     return {
@@ -461,12 +463,10 @@ class VerifyReport:
 def verify_ledc(c: LedcCode, distance_method: str = "auto") -> VerifyReport:
     """Aggregate check: support pattern, local MDS, distance, optimality.
 
-    distance_method is one of auto, exhaustive, rank, both; auto uses
-    exhaustive enumeration within its budget and rank certification
-    beyond it. Under `both` a disagreement raises DistanceDisagreement.
+    distance_method is one of auto, exhaustive, rank, both; auto uses exhaustive enumeration within its budget and
+    rank certification beyond it. Under `both` a disagreement raises DistanceDisagreement.
     """
-    q, k = c.field.q, c.structure.k
-    method = distance_method
+    q, k, method = c.field.q, c.structure.k, distance_method
     if method == "auto":
         method = "exhaustive" if q**k <= AUTO_EXHAUSTIVE_LIMIT else "rank"
     if method not in ("exhaustive", "rank", "both"):
@@ -475,9 +475,7 @@ def verify_ledc(c: LedcCode, distance_method: str = "auto") -> VerifyReport:
     mds = verify_local_mds(c)
     distance = min_distance_rank(c) if method == "rank" else min_distance_exhaustive(c)
     if method == "both" and distance != (by_rank := min_distance_rank(c)):
-        raise DistanceDisagreement(
-            f"distance algorithms disagree: enumeration {distance}, rank {by_rank}"
-        )
+        raise DistanceDisagreement(f"distance algorithms disagree: enumeration {distance}, rank {by_rank}")
     return VerifyReport(
         support_ok=not support_violations(c),
         local_mds=tuple(mds[g] for g in sorted(mds)),

@@ -7,8 +7,8 @@ cached for `rank`, `nullspace` and `solve` (O(rows x (rows + cols))
 memory per matrix, none per call), or every w-column subset of a matrix
 by a walk that shares each prefix of columns (`full_rank_subsets`).
 `solve` reduces only the pivots a word leaves unknown, in Python ints.
-`vec_mat`, the one product, serves `solve`, encoding and the root
-certificate's evaluations and runs on int64 without overflow.
+`vec_mat`, the one product, serves `solve`, encoding and the parity
+certificate and runs on int64 without overflow.
 """
 
 from __future__ import annotations

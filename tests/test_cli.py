@@ -546,15 +546,30 @@ def test_verify_past_budget_exits_3(tmp_path, capsys):
         assert captured.err.startswith("error=TooLarge: ")
 
 
-@pytest.mark.parametrize("q, n_g, k_g, t, d", [(101, 30, 24, 3, 10), (101, 30, 20, 8, 19), (257, 50, 40, 5, 16)])
-def test_verify_size_ceiling_cyclic_codes_by_their_roots(tmp_path, capsys, q, n_g, k_g, t, d):
-    """Codes whose distance levels, C(60,9), C(60,18) and C(100,15) patterns, are past the rank budget: their roots
-    prove d = dmax and local MDS, each within 1 s of process wall time."""
+def in_three_bases(shapes):
+    """Each (q, n_g, k_g, t, d) as built, with row 1 scaled by 2, and with row k_g += 3 row 1, where R_1 = N_1 lies
+    in R_(k_g), since k_g is shared; the code as built keeps the shape's own id."""
+    return [
+        pytest.param(*shape, basis, id="-".join(map(str, shape)) + ("" if basis == "built" else f"-{basis}"))
+        for shape in shapes
+        for basis in ("built", "scaled", "added")
+    ]
+
+
+def verify_size_ceiling(tmp_path, capsys, method, q, n_g, k_g, t, d, basis):
+    """Construct the two-group code, rewrite its basis, and check that `ledc verify` proves it optimal within 1 s."""
     K = [list(range(1, k_g + 1)), list(range(k_g - t + 1, 2 * k_g - t + 1))]
     structure = write_json(tmp_path, "s.json", {"q": q, "groups": [{"K": Kg, "n": n_g} for Kg in K]})
     code = str(tmp_path / "code.json")
-    assert run(["construct", structure, "--method", "cyclic", "--out", code]) == 0
+    assert run(["construct", structure, "--method", method, "--out", code]) == 0
     assert capsys.readouterr().out == f"wrote={code}\nclaimed_distance={d}\n"
+    payload = json.loads(Path(code).read_text())
+    G = payload["G"]
+    if basis == "scaled":
+        G[0] = [2 * v % q for v in G[0]]
+    if basis == "added":
+        G[k_g - 1] = [(v + 3 * u) % q for u, v in zip(G[0], G[k_g - 1])]
+    code = write_json(tmp_path, "rewritten.json", payload)
     start = time.perf_counter()
     result = run_cli("verify", code)
     wall = time.perf_counter() - start
@@ -564,41 +579,36 @@ def test_verify_size_ceiling_cyclic_codes_by_their_roots(tmp_path, capsys, q, n_
     assert wall < 1.0, wall
 
 
-@pytest.mark.parametrize("q, n_g, k_g, t, d", [(41, 40, 25, 5, 21), (61, 60, 40, 8, 29)])
-def test_verify_size_ceiling_nested_codes_by_their_vandermonde_blocks(tmp_path, capsys, q, n_g, k_g, t, d):
-    """Nested codes whose local MDS levels, C(40,15) and C(60,20) patterns, are past the rank budget: their
-    Vandermonde blocks prove local MDS and d = dmax, each within 1 s of process wall time."""
-    K = [list(range(1, k_g + 1)), list(range(k_g - t + 1, 2 * k_g - t + 1))]
-    structure = write_json(tmp_path, "s.json", {"q": q, "groups": [{"K": Kg, "n": n_g} for Kg in K]})
-    code = str(tmp_path / "code.json")
-    assert run(["construct", structure, "--method", "nested", "--out", code]) == 0
-    assert capsys.readouterr().out == f"wrote={code}\nclaimed_distance={d}\n"
-    start = time.perf_counter()
-    result = run_cli("verify", code)
-    wall = time.perf_counter() - start
-    assert (result.returncode, result.stderr) == (0, "")
-    lines = ["support=ok", "local_mds_1=ok", "local_mds_2=ok", f"distance={d}", f"claimed={d}", f"dmax={d}", "optimal=true"]
-    assert result.stdout.splitlines() == lines
-    assert wall < 1.0, wall
+@pytest.mark.parametrize(
+    "q, n_g, k_g, t, d, basis", in_three_bases([(101, 30, 24, 3, 10), (101, 30, 20, 8, 19), (257, 50, 40, 5, 16)])
+)
+def test_verify_size_ceiling_cyclic_codes_by_their_roots(tmp_path, capsys, q, n_g, k_g, t, d, basis):
+    """Codes whose distance levels, C(60,9), C(60,18) and C(100,15) patterns, are past the rank budget: the parity
+    checks at their roots prove d = dmax and local MDS in each basis."""
+    verify_size_ceiling(tmp_path, capsys, "cyclic", q, n_g, k_g, t, d, basis)
+
+
+@pytest.mark.parametrize("q, n_g, k_g, t, d, basis", in_three_bases([(41, 40, 25, 5, 21), (61, 60, 40, 8, 29)]))
+def test_verify_size_ceiling_nested_codes_by_their_vandermonde_blocks(tmp_path, capsys, q, n_g, k_g, t, d, basis):
+    """Nested codes whose local MDS levels, C(40,15) and C(60,20) patterns, are past the rank budget: the parity
+    checks at the points 1..n_g prove local MDS and d = dmax in each basis."""
+    verify_size_ceiling(tmp_path, capsys, "nested", q, n_g, k_g, t, d, basis)
 
 
 def test_verify_wide_code_with_omega_past_budget_exits_3(tmp_path):
-    """An omega does not lift the budgets: the roots of a wide group, 2 x 20,000 over GF(65537) with
-    delta - 1 = 19,998, would take past RANK_BUDGET products, so the local walk refuses it at once, as without
-    omega."""
+    """A hint does not lift the budgets: the parity checks of a wide group, 2 x 20,000 over GF(65537) with
+    delta - 1 = 19,998, would take past RANK_BUDGET products at the roots of its omega, or at the points 1..n of its
+    twin without one, so the local walk refuses both at once, as with no hint."""
     n = 20_000
-    wide = write_json(tmp_path, "wide.json", {
-        "structure": {"q": 65537, "groups": [{"K": [1, 2], "n": n}]},
-        "method": "cyclic",
-        "omega": 3,
-        "G": [[1 + j % 7 for j in range(n)], [1 + 3 * j % 11 for j in range(n)]],
-        "claimed_distance": n - 1,
-    })
-    start = time.perf_counter()
-    result = run_cli("verify", wide)
-    assert time.perf_counter() - start < 10
-    assert (result.returncode, result.stdout) == (3, "")
-    assert result.stderr == "error=TooLarge: C(20000,19998) erasure patterns exceed the budget\n"
+    G = [[1 + j % 7 for j in range(n)], [1 + 3 * j % 11 for j in range(n)]]
+    structure = {"q": 65537, "groups": [{"K": [1, 2], "n": n}]}
+    for name, hint in (("wide.json", {"method": "cyclic", "omega": 3}), ("twin.json", {"method": "nested"})):
+        wide = write_json(tmp_path, name, {"structure": structure, **hint, "G": G, "claimed_distance": n - 1})
+        start = time.perf_counter()
+        result = run_cli("verify", wide)
+        assert time.perf_counter() - start < 10
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == "error=TooLarge: C(20000,19998) erasure patterns exceed the budget\n"
 
 
 def test_verify_past_group_cap_exits_2(tmp_path):

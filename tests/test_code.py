@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -20,9 +21,8 @@ from ledc.code import (
     local_decode,
     min_distance_exhaustive,
     min_distance_rank,
-    roots_certify,
+    parity_certify,
     support_violations,
-    vandermonde_certify,
     verify_ledc,
     verify_local_mds,
 )
@@ -38,8 +38,8 @@ from ledc.errors import (
     TooLarge,
     UnrecoverableErasurePattern,
 )
-from ledc.field import make_field
-from ledc.linalg import MatrixGF, nullspace, vec_mat
+from ledc.field import find_primitive, make_field
+from ledc.linalg import MatrixGF, nullspace, rank, vec_mat
 from ledc.locality import blocks_for_sizes, dmax, make_structure
 from ledc.poly import linear_factor_product, poly_mul
 
@@ -680,42 +680,116 @@ def test_local_certificate_against_oracles(c):
 
 
 @st.composite
-def root_codes(draw):
-    """(code, delta) over GF(2..13), n <= 9, k <= 4, delta up to one past the Singleton bound.
+def parity_codes(draw, roots):
+    """(code, delta, omega, kind, right): one group of k <= 4 rows on n <= 9 columns over GF(2..13), checked at delta.
 
-    Row i is x^(s_i) g h_i with g = prod_{j < delta - 1} (x - w^j) for any residue w, of any order,
-    distinct shifts s_i and h_i(0) != 0; rows that find no shift left stay zero. Sometimes one entry
-    is changed, and sometimes the code's omega is another integer than w.
+    With `roots` the rows are g h_i with g = prod_{j < delta - 1} (x - w^j) for a primitive w or any residue, at
+    distinct shifts s_i with h_i(0) != 0 (rows that find no shift left stay zero), checked at omega = w or at another
+    integer; n >= q makes the points w^j repeat. Without it they are the power rows p^i, i < k, at the points
+    p = 1..n in any order, each scaled, also with n > q, checked without omega. `right` says the hint is the one the
+    rows were built for. Then kind "built" leaves the rows as they are, "basis" adds a multiple of one row to another,
+    "dependent" sets one row to a multiple of another, so every parity product still vanishes, "perturbed" changes
+    one entry and "permuted" permutes the columns.
     """
     q = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
     f = make_field(q)
     n = draw(st.integers(1, 9))
     k = draw(st.integers(1, min(4, n)))
     delta = draw(st.integers(1, n - k + 2))
-    w = draw(st.integers(0, q - 1))
-    g = linear_factor_product(f, [pow(w, j, q) for j in range(delta - 1)])
-    room = n - len(g) + 1  # shifts at which a multiple of g fits
-    rows = [[0] * n for _ in range(k)]
-    for row, shift in zip(rows, draw(st.permutations(range(max(room, 0))))):
-        h = [draw(st.integers(1, q - 1)), *draw(st.lists(st.integers(0, q - 1), max_size=room - shift - 1))]
-        row[shift : shift + len(g) + len(h) - 1] = poly_mul(f, g, h)
-    if draw(st.booleans()):
+    if roots:
+        w = draw(st.sampled_from((find_primitive(f), draw(st.integers(0, q - 1)))))
+        g = linear_factor_product(f, [pow(w, j, q) for j in range(delta - 1)])
+        room = n - len(g) + 1  # shifts at which a multiple of g fits
+        rows = [[0] * n for _ in range(k)]
+        for row, shift in zip(rows, draw(st.permutations(range(max(room, 0))))):
+            h = [draw(st.integers(1, q - 1)), *draw(st.lists(st.integers(0, q - 1), max_size=room - shift - 1))]
+            row[shift : shift + len(g) + len(h) - 1] = poly_mul(f, g, h)
+        omega = draw(st.sampled_from((w, draw(st.integers(-q, 2 * q)))))
+        right = omega % q == w
+    else:
+        scales = draw(st.lists(st.integers(1, q - 1), min_size=k, max_size=k))
+        exponents = draw(st.permutations(range(k)))
+        rows = [[a * pow(p, i, q) % q for p in range(1, n + 1)] for a, i in zip(scales, exponents)]
+        omega, right = None, True
+    kind = draw(st.sampled_from(("built", "perturbed", "permuted") + (("basis", "dependent") if k >= 2 else ())))
+    if kind in ("basis", "dependent"):
+        a, b = draw(st.permutations(range(k)))[:2]
+        scale = draw(st.integers(1, q - 1))
+        rows[b] = [(scale * u + (v if kind == "basis" else 0)) % q for u, v in zip(rows[a], rows[b])]
+    if kind == "perturbed":
         i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
         rows[i][j] = (rows[i][j] + draw(st.integers(1, q - 1))) % q
-    omega = draw(st.sampled_from((w, draw(st.integers(-q, 2 * q)))))
+    if kind == "permuted":
+        order = draw(st.permutations(range(n)))
+        rows = [[row[j] for j in order] for row in rows]
     s = make_structure([range(1, k + 1)], [range(1, n + 1)])
-    return LedcCode(s, MatrixGF(f, rows), {"omega": omega}), delta
+    return LedcCode(s, MatrixGF(f, rows), {} if omega is None else {"omega": omega}), delta, omega, kind, right
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(root_codes())
+@given(parity_codes(roots=True))
 def test_root_certificate_never_exceeds_the_enumerated_distance(case):
-    """Whenever the roots certify delta, enumeration finds no nonzero codeword of weight below delta."""
-    c, delta = case
-    certified = roots_certify(c, c.G.entries, delta)
-    event("certified" if certified else "not certified")
+    """parity_certify on multiples of the root polynomial, at the right omega or another one."""
+    check_parity_certificate(case)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(parity_codes(roots=False))
+def test_vandermonde_certificate_is_sound(case):
+    """parity_certify on scaled power rows at the points 1..n in any order, also with n > q."""
+    check_parity_certificate(case)
+
+
+def check_parity_certificate(case):
+    """Whenever the certificate holds, the rows are independent and enumeration finds no nonzero codeword of weight
+    below delta. At the right hint, built rows and rows in another basis are proved exactly when the points are
+    distinct and delta is within the Singleton level; dependent rows and, past delta = 1, a changed entry never are.
+    verify_ledc returns what the walks alone give."""
+    c, delta, omega, kind, right = case
+    (k, n), q = c.G.entries.shape, c.field.q
+    certified = parity_certify(c.G, delta, omega)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_module, "PARITY_TABLE_CAP", 0)  # the columns one at a time, as past the cap
+        assert parity_certify(c.G, delta, omega) == certified
+    hint = ("omega" if omega is not None else "points 1..n") + ("" if right else " (wrong)")
+    event(f"{kind}, {hint}: {'certified' if certified else 'not certified'}")
     if certified:
-        assert min_distance_exhaustive(c) >= delta
+        assert rank(c.G) == k and min_distance_exhaustive(c) >= delta
+    if kind == "dependent" or kind == "perturbed" and delta >= 2:
+        assert not certified
+    if right and kind in ("built", "basis"):
+        points = [pow(omega, j, q) for j in range(n)] if omega is not None else [p % q for p in range(1, n + 1)]
+        assert certified == (len(set(points)) == n and delta <= n - k + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_module, "parity_certify", lambda *args: False)
+        walked = verify_ledc(LedcCode(c.structure, c.G, c.meta), "rank")
+    assert verify_ledc(c, "rank") == walked
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.deferred(lambda: two_group_codes()), st.data())
+def test_parity_certificate_on_built_and_damaged_codes(c, data):
+    """Nested and cyclic codes as built: every local level and the distance are proved with no level swept and no
+    rank. With one entry changed on the support, or two columns of a block swapped, verify_ledc gives what the walks
+    alone give."""
+    s, q = c.structure, c.field.q
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_module, "_level", lambda *args: pytest.fail("swept a level"))
+        mp.setattr(code_module, "rank", lambda *args: pytest.fail("computed a rank"))
+        report = verify_ledc(LedcCode(s, c.G, c.meta), "rank")
+    assert report.all_ok and report.distance == report.dmax == c.meta["claimed_distance"]
+    G = c.G.entries.copy()
+    Ng = data.draw(st.sampled_from(s.N))
+    if len(Ng) >= 2 and data.draw(st.booleans()):
+        a, b = (j - 1 for j in data.draw(st.permutations(Ng))[:2])
+        G[:, [a, b]] = G[:, [b, a]]
+    else:
+        i, j = data.draw(st.sampled_from(np.argwhere(s.support).tolist()))
+        G[i, j] = (G[i, j] + data.draw(st.integers(1, q - 1))) % q
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_module, "parity_certify", lambda *args: False)
+        walked = verify_ledc(LedcCode(s, MatrixGF(c.field, G), c.meta), "rank")
+    assert verify_ledc(LedcCode(s, MatrixGF(c.field, G), c.meta), "rank") == walked
 
 
 def test_root_certificate_falls_back_when_one_entry_changes(cyclic_codefile, monkeypatch):
@@ -724,13 +798,13 @@ def test_root_certificate_falls_back_when_one_entry_changes(cyclic_codefile, mon
     and with enumeration."""
     c0 = cyclic_codefile
     checked = []
-    roots = code_module.roots_certify
+    certify = code_module.parity_certify
 
-    def spy(c, M, delta):
-        checked.append((M.shape, delta, roots(c, M, delta)))
+    def spy(M, delta, omega=None):
+        checked.append((M.entries.shape, delta, certify(M, delta, omega)))
         return checked[-1][2]
 
-    monkeypatch.setattr(code_module, "roots_certify", spy)
+    monkeypatch.setattr(code_module, "parity_certify", spy)
     distances = set()
     for i, j in zip(*np.nonzero(c0.structure.support)):
         rows = c0.G.to_rows()
@@ -749,20 +823,48 @@ def test_root_certificate_falls_back_when_one_entry_changes(cyclic_codefile, mon
 
 
 def test_root_certificate_is_bounded_in_work(cyclic_codefile, monkeypatch):
-    """More than RANK_BUDGET products give False before any evaluation; a row that misses the first root ends the
-    check there, one product whatever delta asks."""
+    """More than RANK_BUDGET products, k n (delta - 1 + k), give False before any point is built; otherwise one product
+    decides, also for a row that misses the first root."""
     c = cyclic_codefile
     products = []
     monkeypatch.setattr(code_module, "vec_mat", lambda *args: products.append(args) or vec_mat(*args))
-    assert roots_certify(c, c.G.entries, 5) and len(products) == 4
+    code_module._parity_table.cache_clear()
+    assert parity_certify(c.G, 5, 2) and len(products) == 1
     rows = c.G.to_rows()
     rows[0][1] += 1  # the row's sum, its value at w^0, is no longer 0
-    wrong = LedcCode(c.structure, MatrixGF(c.field, rows), c.meta)
     products.clear()
-    assert not roots_certify(wrong, wrong.G.entries, 5) and len(products) == 1
-    monkeypatch.setattr(code_module, "RANK_BUDGET", 7 * 12 * 4 - 1)
+    assert not parity_certify(MatrixGF(c.field, rows), 5, 2) and len(products) == 1
+    hint, kept = code_module._parity_hint, code_module._parity_table
+    monkeypatch.setattr(code_module, "_parity_hint", lambda *args: pytest.fail("built the points past the budget"))
+    monkeypatch.setattr(code_module, "_parity_table", lambda *args: pytest.fail("built the points past the budget"))
+    monkeypatch.setattr(code_module, "RANK_BUDGET", 7 * 12 * 11 - 1)
     products.clear()
-    assert not roots_certify(c, c.G.entries, 5) and not products
+    assert not parity_certify(c.G, 5, 2) and not products
+    monkeypatch.setattr(code_module, "_parity_hint", hint)
+    monkeypatch.setattr(code_module, "_parity_table", kept)
+    monkeypatch.setattr(code_module, "RANK_BUDGET", 7 * 12 * 11)
+    assert parity_certify(c.G, 5, 2)
+
+
+def test_parity_certificate_past_the_table_cap_goes_column_by_column(cyclic_codefile, monkeypatch):
+    """Past PARITY_TABLE_CAP products no table is built and the columns of M P come one at a time: the cyclic fixture
+    takes its delta - 1 + k = 11, and a row that misses the first root only the first."""
+    c = cyclic_codefile
+    columns, powers = [], code_module._scaled_powers
+
+    def spy(*args):
+        for X in powers(*args):
+            columns.append(X)
+            yield X
+
+    monkeypatch.setattr(code_module, "_scaled_powers", spy)
+    monkeypatch.setattr(code_module, "_parity_table", lambda *args: pytest.fail("built a table past the cap"))
+    monkeypatch.setattr(code_module, "PARITY_TABLE_CAP", 7 * 12 * 11 - 1)
+    rows = c.G.to_rows()
+    rows[0][1] += 1
+    for M, proved, made in ((c.G, True, 11), (MatrixGF(c.field, rows), False, 1)):
+        columns.clear()
+        assert parity_certify(M, 5, 2) == proved and len(columns) == made
 
 
 def test_root_certificate_is_exact_at_the_largest_field(monkeypatch):
@@ -774,6 +876,23 @@ def test_root_certificate_is_exact_at_the_largest_field(monkeypatch):
     monkeypatch.setattr(code_module, "_level", lambda *args: pytest.fail("swept a level"))
     assert verify_local_mds(c) == {1: True, 2: True}
     assert min_distance_rank(c) == c.dmax == 5
+
+
+@pytest.mark.parametrize("q", [2003, 2**31 - 1])
+def test_parity_certificate_memory_is_linear_in_the_block(q):
+    """A 1 x 2000 block at its local-MDS level, delta = 2000, uses the whole budget of 4 * 10^6 products. The all-ones
+    row, dual to the GRS code on the points 1..2000, is proved through every column of M P; a random row stops at the
+    first. Either way the columns come one at a time: the traced peak stays within 1 MiB, where an n x delta matrix
+    of int64 checks would take 32 MB."""
+    f = make_field(q)
+    for row, proved in (([1] * 2000, True), (random.Random(q).choices(range(1, q), k=2000), False)):
+        tracemalloc.start()
+        try:
+            assert parity_certify(MatrixGF(f, [row]), 2000) == proved
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 def chain_code():
@@ -803,8 +922,8 @@ def test_certificate_at_20_groups_no_slower_than_the_walk(monkeypatch):
 
 
 def test_local_levels_are_checked_once_per_code(monkeypatch):
-    """verify_local_mds and the certificate share one cache: each (group, rows, d0) level is swept once. The nested
-    code's Vandermonde blocks prove every level with no sweep; its G under another method sweeps each level once."""
+    """verify_local_mds and the certificate share one cache: each (group, rows, d0) level is checked once. The nested
+    code's power blocks prove every level with no sweep, under any method; a level they do not prove is swept once."""
     swept = []
     level = code_module._level
     monkeypatch.setattr(code_module, "_level", lambda G, d0: swept.append((G.rows, G.cols, d0)) or level(G, d0))
@@ -812,93 +931,27 @@ def test_local_levels_are_checked_once_per_code(monkeypatch):
     nested = construct_nested(s, make_field(13))
     report = verify_ledc(nested, "rank")
     assert report.all_ok and report.distance == report.dmax == 5 and swept == []
-    c = LedcCode(s, nested.G, {**nested.meta, "method": "random"})
-    assert verify_ledc(c, "rank") == report
+    assert verify_ledc(LedcCode(s, nested.G, {**nested.meta, "method": "random"}), "rank") == report and swept == []
+    c = LedcCode(s, MatrixGF(nested.field, nested.G.entries[:, [1, 0, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11]]))
+    assert verify_ledc(c, "rank") == report  # two columns swapped in each block: the points 1..n no longer fit
     # local MDS at 4 per group, then each private subcode (2 rows) at 5; no global level
     assert swept == [(3, 6, 4), (3, 6, 4), (2, 6, 5), (2, 6, 5)]
     swept.clear()
     assert min_distance_rank(c) == 5 and swept == []
 
 
-def power_rows(q, n, s):
-    """p^0..p^(s-1) at the points p = 1..n, reduced mod q."""
-    return [[pow(p, i, q) for p in range(1, n + 1)] for i in range(s)]
-
-
-@st.composite
-def vandermonde_codes(draw):
-    """(code, kind, group): two groups whose blocks hold p^i at the points p = 1..n_g, private rows first, as
-    construct_nested lays them out, with n_g <= 6 and k = k_1 + k_2 - t.
-
-    kind "built" leaves the code as laid out over GF(7..13); "perturbed" changes one entry of group `group`'s block
-    and "permuted" permutes that block's columns; "wide" lays it out over GF(2) or GF(3) with n_g > q, so two points
-    coincide; "unnamed" drops the "nested" method.
-    """
-    kind = draw(st.sampled_from(("built", "perturbed", "permuted", "wide", "unnamed")))
-    sizes = [draw(st.integers(4 if kind == "wide" else 1, 6)) for _ in range(2)]
-    q = draw(st.sampled_from((2, 3) if kind == "wide" else (7, 11, 13)))
-    k1, k2 = (draw(st.integers(1, n)) for n in sizes)
-    t = draw(st.integers(0, min(k1, k2) - 1))
-    K = [list(range(1, k1 + 1)), list(range(k1 - t + 1, k1 - t + k2 + 1))]
-    s = make_structure(K, blocks_for_sizes(sizes))
-    G = np.zeros((s.k, s.n), dtype=np.int64)
-    for Kg, Ng, other in zip(s.K, s.N, (set(s.K[1]), set(s.K[0]))):
-        rows = sorted(Kg, key=lambda i: i in other)
-        G[np.ix_([i - 1 for i in rows], [j - 1 for j in Ng])] = power_rows(q, len(Ng), len(Kg))
-    group = draw(st.integers(0, 1))
-    Kg, Ng = s.K[group], s.N[group]
-    if kind == "perturbed":
-        i, j = draw(st.sampled_from(Kg)), draw(st.sampled_from(Ng))
-        G[i - 1, j - 1] = (G[i - 1, j - 1] + draw(st.integers(1, q - 1))) % q
-    if kind == "permuted":
-        order = draw(st.permutations(Ng))
-        assume(order != Ng)
-        G[:, [j - 1 for j in Ng]] = G[:, [j - 1 for j in order]]
-    meta = {} if kind == "unnamed" else {"method": "nested"}
-    return LedcCode(s, MatrixGF(make_field(q), G), meta), kind, group
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(vandermonde_codes())
-def test_vandermonde_certificate_is_sound(case):
-    """At every level of every group's block and private rows: the certificate holds exactly when the rows are the
-    power rows at distinct points and delta is within the Singleton level, and then the sweep agrees. A perturbed
-    block, coinciding points or a missing method answer no, and verify_ledc returns what the walks alone give."""
-    c, kind, touched = case
-    s, q = c.structure, c.field.q
-    shared = set(s.K[0]) & set(s.K[1])
-    for g, G in enumerate(c.local_generators):
-        private = tuple(j for j, i in enumerate(s.K[g]) if i not in shared)
-        for rows in {tuple(range(G.rows)), private} - {()}:
-            M = G.entries[list(rows)]
-            powers = sorted(power_rows(q, G.cols, len(rows))) == sorted(M.tolist())
-            for d0 in range(1, G.cols - len(rows) + 3):
-                certified = vandermonde_certify(c, M, d0)
-                expected = kind != "unnamed" and G.cols <= q and d0 <= G.cols - len(rows) + 1 and powers
-                assert certified == expected
-                if certified:
-                    assert code_module._level(MatrixGF(c.field, M), d0)
-                if kind in ("wide", "unnamed") or (kind == "perturbed" and g == touched and len(rows) == G.rows):
-                    assert not certified
-                event(f"{kind}: {'certified' if certified else 'not certified'}")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(code_module, "vandermonde_certify", lambda *args: False)
-        walked = verify_ledc(LedcCode(s, c.G, c.meta), "rank")
-    assert verify_ledc(c, "rank") == walked
-
-
 def test_vandermonde_certificate_is_bounded_in_work(monkeypatch):
-    """A block of more than RANK_BUDGET entries answers no; past the Singleton level, or with two columns swapped,
-    a block within it does too."""
+    """A power block of more than RANK_BUDGET products, s n (delta - 1 + s), answers no; past the Singleton level, or
+    with two columns swapped, a block within it does too."""
     s = make_structure([[1, 2, 3], [3, 4, 5]], blocks_for_sizes([6, 6]))
     c = construct_nested(s, make_field(13))
-    M = c.local_generators[0].entries
-    assert vandermonde_certify(c, M, 4) and not vandermonde_certify(c, M, 5)
-    assert not vandermonde_certify(c, M[:, [1, 0, 2, 3, 4, 5]], 4)
-    monkeypatch.setattr(code_module, "RANK_BUDGET", 3 * 6)
-    assert vandermonde_certify(c, M, 4)
-    monkeypatch.setattr(code_module, "RANK_BUDGET", 3 * 6 - 1)
-    assert not vandermonde_certify(c, M, 4)
+    M = c.local_generators[0]
+    assert parity_certify(M, 4) and not parity_certify(M, 5)
+    assert not parity_certify(MatrixGF(c.field, M.entries[:, [1, 0, 2, 3, 4, 5]]), 4)
+    monkeypatch.setattr(code_module, "RANK_BUDGET", 3 * 6 * 6)
+    assert parity_certify(M, 4)
+    monkeypatch.setattr(code_module, "RANK_BUDGET", 3 * 6 * 6 - 1)
+    assert not parity_certify(M, 4)
 
 
 def test_distance_level_side_follows_the_shape_rule(cyclic_codefile, monkeypatch):
