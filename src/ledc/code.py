@@ -42,7 +42,7 @@ SUFFIX_CAP = 1 << 15
 # Verification enumerates messages by default while q^k stays within this.
 AUTO_EXHAUSTIVE_LIMIT = 10**7
 # A parity certificate of at most this many products reads P from one of 64 tables kept across calls (8 MB at
-# most): design and sweep check the same shapes over and over. A larger one makes its columns one at a time.
+# most): design and sweep check the same shapes over and over. A larger one makes P in blocks of about this many.
 PARITY_TABLE_CAP = 1 << 14
 
 # ---------- type ----------
@@ -91,6 +91,11 @@ class LedcCode:
         mask.flags.writeable = False
         return mask
 
+    @cached_property
+    def off_columns(self) -> tuple[bool, ...]:
+        """Per position (index 0 = position 1): is G's column nonzero off the support pattern, outside its group's K?"""
+        return tuple(self.off_support.any(axis=0).tolist())
+
 
 # ---------- encoding and decoding ----------
 
@@ -128,9 +133,8 @@ def local_decode(c: LedcCode, group: int, observed: Sequence[tuple[int, Felt]]) 
     known = [p for p, v in observed if v is not None]
     if len(known) < ki:
         raise NotEnoughSymbols(f"{len(known)} symbols < k_{group}={ki}")
-    # An off-support entry in a column of N_i lies in a row outside K_i.
-    if (off := c.off_support[:, [p - 1 for p in known]]).any():
-        i, at = np.argwhere(off)[0]
+    if any(c.off_columns[p - 1] for p in known):
+        i, at = np.argwhere(c.off_support[:, [p - 1 for p in known]])[0]
         raise SupportViolation(f"group {group}: position {known[at]} depends on data {i + 1}, outside K_{group}")
     word.update(observed)
     try:
@@ -309,9 +313,8 @@ def parity_certify(M: MatrixGF, delta: int, omega: Optional[int] = None) -> bool
     weights: any delta - 1 rows of P form a scaled Vandermonde matrix, so no nonzero codeword has fewer than delta
     nonzeros. Rank s follows from distinct leading columns of M, else of M times the next s columns of P (a power
     block's is anti-triangular), else from rank(M). A wrong hint answers no, as does delta past the Singleton bound
-    and, before any point is built, more than RANK_BUDGET products. Up to PARITY_TABLE_CAP products M P is one
-    product with a kept P; past it its columns come one at a time, in O(s n) memory, each row sum below 2^63 as
-    q < 2^31, and the first nonzero one ends the work.
+    and, before any point is built, more than RANK_BUDGET products. M P is one product with a kept P up to
+    PARITY_TABLE_CAP products, else one per block of about that many, up to the first block with a nonzero check.
     """
     (s, n), q, X = M.entries.shape, M.field.q, M.entries
     if (products := s * n * (width := delta - 1 + s)) > RANK_BUDGET:
@@ -324,10 +327,12 @@ def parity_certify(M: MatrixGF, delta: int, omega: Optional[int] = None) -> bool
     elif (hint := _parity_hint(q, n, omega)) is None:
         return False
     else:
-        columns = (np.add.reduce(Y, axis=1) % q for Y in _scaled_powers(q, X * hint[1] % q, hint[0]))
-        if any(next(columns).any() for _ in range(delta - 1)):
-            return False
-        tail = np.array([next(columns) for _ in range(s)]).T
+        columns, step, blocks = _scaled_powers(q, hint[1], hint[0]), max(1, PARITY_TABLE_CAP // (s * n)), []
+        for start in range(0, width, step):  # P's columns, step at a time: one product each
+            blocks.append(vec_mat(q, X, np.array(list(islice(columns, min(step, width - start)))).T))
+            if np.count_nonzero(blocks[-1][:, : max(0, delta - 1 - start)]):
+                return False
+        tail = np.hstack(blocks)[:, delta - 1 :]
     return _distinct_leads(X) or _distinct_leads(tail) or rank(M) == s
 
 

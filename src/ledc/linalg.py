@@ -1,14 +1,11 @@
 """Dense matrices over a prime field.
 
-A matrix is an immutable value holding one read-only rows x cols int64
-array of residues, made one way: MatrixGF(f, rows). Elimination runs on
-such arrays: one matrix a row at a time, at most once per matrix and
-cached for `rank`, `nullspace` and `solve` (O(rows x (rows + cols))
-memory per matrix, none per call), or every w-column subset of a matrix
-by a walk that shares each prefix of columns (`full_rank_subsets`).
-`solve` reduces only the pivots a word leaves unknown, in Python ints.
-`vec_mat`, the one product, serves `solve`, encoding and the parity
-certificate and runs on int64 without overflow.
+A matrix is an immutable value holding one read-only rows x cols int64 array of residues, made one way:
+MatrixGF(f, rows). Elimination runs on such arrays: one matrix a row at a time, at most once per matrix and cached
+for `rank`, `nullspace` and `solve` (O(rows x (rows + cols)) memory per matrix, none per call), or every w-column
+subset of a matrix by a walk that shares each prefix of columns (`full_rank_subsets`). `solve` reduces only the
+pivots a word leaves unknown, in Python ints, and ends with one `vec_mat` product with the cached [R | T];
+`vec_mat` also serves encoding and the parity certificate and runs on int64 without overflow.
 """
 
 from __future__ import annotations
@@ -63,18 +60,18 @@ class MatrixGF:
         return self.entries.tolist()
 
     @cached_property
-    def echelon(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """(R, T, P) from the RREF [R | T] of [M | I_rows], reduced once per matrix.
+    def echelon(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """(RT, P): RT = [R | T], the RREF of [M | I_rows] in one read-only array, reduced once per matrix.
 
-        R is M's RREF, T M = R and P its pivot columns. With full row rank P is an
-        information set: R[:, P] = I and T = M[:, P]^-1. R and T are read-only.
+        R = RT[:, :cols] is M's RREF, T = RT[:, cols:] has T M = R, and P are R's pivot columns. With full row rank
+        P is an information set: R[:, P] = I and T = M[:, P]^-1.
         """
         k, n = self.entries.shape
         reduced = np.eye(k, n + k, n, dtype=np.int64)
         reduced[:, :n] = self.entries
         pivots = tuple(p for p in _rref(self.field, reduced)[1] if p < n)
         reduced.flags.writeable = False
-        return reduced[:, :n], reduced[:, n:], pivots
+        return reduced, pivots
 
 
 # ---------- elimination ----------
@@ -173,7 +170,7 @@ def _rref(f: PrimeField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: MatrixGF) -> int:
-    return len(m.echelon[2])
+    return len(m.echelon[1])
 
 
 def nullspace(m: MatrixGF) -> np.ndarray:
@@ -182,62 +179,60 @@ def nullspace(m: MatrixGF) -> np.ndarray:
     One basis vector per free column, in increasing column order, with
     the free variable set to 1.
     """
-    R, _, pivots = m.echelon
+    RT, pivots = m.echelon
     free = [j for j in range(m.cols) if j not in pivots]
     H = np.zeros((len(free), m.cols), dtype=np.int64)
     H[:, free] = np.eye(len(free), dtype=np.int64)
-    H[:, list(pivots)] = -R[: len(pivots), free].T % m.field.q
+    H[:, list(pivots)] = -RT[: len(pivots), free].T % m.field.q
     return H
 
 
 def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
     """Solve x a = word on the columns where the word is known (an integer, not None), through a's cached RREF.
 
-    With u = x T^-1 the system is u R = word there, and only R's first
-    r = rank(a) rows are nonzero, with R[:r, P] = I on the pivot columns P.
-    Each known pivot column gives its u_t; the unknown pivots E solve
-    u_E R[E, F] = word_F - u R[:r, F] over the known columns F outside P (u still
-    zero on E), reduced in Python ints until |E| equations are independent and the
-    rest checked by substitution; then x = u T. That small system has the solutions of
-    the whole one, so Inconsistent is checked first and Underdetermined follows.
+    With u = x T^-1 the system is u R = word there, and only R's first r = rank(a) rows are nonzero, with
+    R[:r, P] = I on the pivot columns P. Each known pivot column gives its u_t. The unknown pivots E, if any, solve
+    u_E R[E, F] = word_F - u R[:r, F] on the known columns F outside P (u zero on E) by forward elimination in Python
+    ints, an equation per column, until |E| are independent; a dependent one needs a zero right-hand side. Then one
+    product u [R | T][:r] re-encodes the word, to match every known column, and gives x = u T. The small system has
+    the solutions of the whole one, so Inconsistent is checked first and Underdetermined follows.
     """
     if len(word) != a.cols:
         raise DimensionMismatch(f"word length {len(word)} != {a.cols} columns")
     word = integer_symbols(word, erasable=True)
-    q, k = a.field.q, a.rows
-    R, T, pivots = a.echelon
-    r, P = len(pivots), set(pivots)
+    (RT, pivots), q, k = a.echelon, a.field.q, a.rows
+    r = len(pivots)
     u = [0 if word[p] is None else word[p] % q for p in pivots]
-    E = [t for t, p in enumerate(pivots) if word[p] is None]
-    F = [j for j, v in enumerate(word) if v is not None and j not in P]
-    R_F = R[:r, F]
-    equations = zip(R_F[E].T.tolist(), [(word[j] - v) % q for j, v in zip(F, vec_mat(q, u, R_F).tolist())])
-    basis: dict[int, tuple[list[int], int]] = {}  # pivot -> (row, rhs), each row zero on the others' pivots
-    for row, y in equations:
-        for p, (other, y_other) in basis.items():
-            if c := row[p]:
-                row, y = [(v - c * w) % q for v, w in zip(row, other)], (y - c * y_other) % q
-        if (p := next((i for i, v in enumerate(row) if v), None)) is None:
-            if y:
-                raise Inconsistent("no x satisfies x a = b")
-            continue
-        inv = pow(row[p], -1, q)
-        row, y = [v * inv % q for v in row], y * inv % q
-        for p_other, (other, y_other) in basis.items():
-            if c := other[p]:
-                basis[p_other] = [(v - c * w) % q for v, w in zip(other, row)], (y_other - c * y) % q
-        basis[p] = row, y
-        if len(basis) == len(E):
-            break
-    if len(basis) == len(E):  # u_E is unique; the equations left must agree with it
-        u_E = [basis[i][1] for i in range(len(E))]
-        if any(sum(map(mul, row, u_E)) % q != y for row, y in equations):
-            raise Inconsistent("no x satisfies x a = b")
-        for t, v in zip(E, u_E):
-            u[t] = v
-    if len(basis) < len(E) or r < k:
-        raise Underdetermined(f"rank {r - len(E) + len(basis)} < {k} unknowns")
-    return vec_mat(q, u, T).tolist()
+    if E := [t for t, p in enumerate(pivots) if word[p] is None]:
+        P = set(pivots)
+        F = [j for j, v in enumerate(word) if v is not None and j not in P]
+        R_F = RT[:r, F]
+        basis: list = [None] * len(E)  # basis[p]: an equation [row | rhs], its row 1 at p and 0 before it
+        for j, eq, v in zip(F, R_F[E].T.tolist(), vec_mat(q, u, R_F).tolist()):
+            eq.append((word[j] - v) % q)
+            for p, pivot in enumerate(basis):  # reduce by the earlier pivots up to its first nonzero that has none
+                if c := eq[p]:
+                    if pivot is None:
+                        break
+                    eq = [(e - c * b) % q for e, b in zip(eq, pivot)]
+            else:
+                if eq[-1]:
+                    raise Inconsistent("no x satisfies x a = b")
+                continue
+            inv = pow(c, -1, q)
+            basis[p] = [e * inv % q for e in eq]
+            if None not in basis:
+                break
+        else:
+            raise Underdetermined(f"rank {r - basis.count(None)} < {k} unknowns")
+        for p in reversed(range(len(E))):  # back substitution
+            u[E[p]] = (basis[p][-1] - sum(map(mul, basis[p][p + 1 : -1], [u[t] for t in E[p + 1 :]]))) % q
+    encoded = vec_mat(q, u, RT[:r]).tolist()
+    if any(v is not None and v % q != w for v, w in zip(word, encoded)):
+        raise Inconsistent("no x satisfies x a = b")
+    if r < k:
+        raise Underdetermined(f"rank {r} < {k} unknowns")
+    return encoded[a.cols :]
 
 
 def integer_symbols(word: Sequence, erasable: bool = False) -> Sequence:

@@ -203,6 +203,36 @@ def test_local_decode_refuses_off_support_position():
     assert local_decode(c, 2, [(3, None), (4, word[3])]) == {2: 0}  # an erased position depends on nothing
 
 
+def test_local_decode_reads_the_support_verdict_per_code():
+    """The off-support verdict is one bool per position, built once per code: position 3 of off_support_code() is
+    flagged and still named with data 1, while an on-support G of the same structure flags nothing and decodes
+    position 3 alone."""
+    c = off_support_code()
+    assert c.off_columns == (False, False, True, False) and c.off_columns is c.off_columns
+    with pytest.raises(SupportViolation, match=r"^group 2: position 3 depends on data 1, outside K_2$"):
+        local_decode(c, 2, [(4, 1), (3, 1)])
+    sound = LedcCode(c.structure, MatrixGF(c.field, [[1, 1, 0, 0], [0, 1, 1, 1]]))
+    assert sound.off_columns == (False,) * 4
+    assert local_decode(sound, 2, [(3, 1)]) == {2: 1}
+
+
+def test_local_decode_checks_in_order():
+    """Each input breaks every check from one on, and the first of them answers: group, positions, distinct,
+    NotEnoughSymbols, SupportViolation, SingularSubmatrix. Position 3 depends on data 1, outside K_2 = {2}, and
+    group 2's local generator G[{2}, {3, 4}] is zero."""
+    c = LedcCode(make_structure([[1, 2], [2]], [[1, 2], [3, 4]]), MatrixGF(F7, [[1, 0, 1, 0], [0, 1, 0, 0]]))
+    for group, observed, error, message in (
+        (3, [(1, 1), (1, 1)], PositionsOutsideGroup, r"^no group 3 \(have 1..2\)$"),
+        (2, [(1, 1), (3, 1), (3, 1)], PositionsOutsideGroup, r"^positions \[1\] not in group 2$"),
+        (2, [(3, 1), (3, 1), (4, None)], PositionsOutsideGroup, r"^observed positions must be distinct$"),
+        (2, [(3, None), (4, None)], NotEnoughSymbols, r"^0 symbols < k_2=1$"),
+        (2, [(4, 0), (3, 1)], SupportViolation, r"^group 2: position 3 depends on data 1, outside K_2$"),
+        (2, [(3, None), (4, 0)], SingularSubmatrix, r"^group 2: 1 observed columns do not determine the 1 local"),
+    ):
+        with pytest.raises(error, match=message):
+            local_decode(c, group, observed)
+
+
 def test_local_decode_reads_none_as_an_erasure(cyclic_codefile):
     """A pair (p, None) is an erasure: three known symbols of group 1 (k_1 = 4) are too few on a sound code."""
     c = cyclic_codefile
@@ -846,11 +876,13 @@ def test_root_certificate_is_bounded_in_work(cyclic_codefile, monkeypatch):
     assert parity_certify(c.G, 5, 2)
 
 
-def test_parity_certificate_past_the_table_cap_goes_column_by_column(cyclic_codefile, monkeypatch):
-    """Past PARITY_TABLE_CAP products no table is built and the columns of M P come one at a time: the cyclic fixture
-    takes its delta - 1 + k = 11, and a row that misses the first root only the first."""
+def test_parity_certificate_past_the_table_cap_goes_block_by_block(cyclic_codefile, monkeypatch):
+    """Past PARITY_TABLE_CAP products no table is built and P's columns come in blocks of PARITY_TABLE_CAP // (k n),
+    one product each: below a cap of k n (delta - 1 + k), 7 x 12 x 11, the cyclic fixture takes its 11 columns in blocks
+    of 10 and 1, and a row that misses the first root stops after the first block. A cap under k n makes one column
+    per block."""
     c = cyclic_codefile
-    columns, powers = [], code_module._scaled_powers
+    columns, powers, products = [], code_module._scaled_powers, []
 
     def spy(*args):
         for X in powers(*args):
@@ -858,13 +890,22 @@ def test_parity_certificate_past_the_table_cap_goes_column_by_column(cyclic_code
             yield X
 
     monkeypatch.setattr(code_module, "_scaled_powers", spy)
+    monkeypatch.setattr(code_module, "vec_mat", lambda *args: products.append(args[2].shape) or vec_mat(*args))
     monkeypatch.setattr(code_module, "_parity_table", lambda *args: pytest.fail("built a table past the cap"))
-    monkeypatch.setattr(code_module, "PARITY_TABLE_CAP", 7 * 12 * 11 - 1)
     rows = c.G.to_rows()
     rows[0][1] += 1
-    for M, proved, made in ((c.G, True, 11), (MatrixGF(c.field, rows), False, 1)):
+    damaged = MatrixGF(c.field, rows)
+    for cap, M, proved, blocks in (
+        (7 * 12 * 11 - 1, c.G, True, [10, 1]),
+        (7 * 12 * 11 - 1, damaged, False, [10]),
+        (7 * 12 - 1, c.G, True, [1] * 11),
+        (7 * 12 - 1, damaged, False, [1]),
+    ):
+        monkeypatch.setattr(code_module, "PARITY_TABLE_CAP", cap)
         columns.clear()
-        assert parity_certify(M, 5, 2) == proved and len(columns) == made
+        products.clear()
+        assert parity_certify(M, 5, 2) == proved
+        assert products == [(12, b) for b in blocks] and len(columns) == sum(blocks)
 
 
 def test_root_certificate_is_exact_at_the_largest_field(monkeypatch):
@@ -882,8 +923,8 @@ def test_root_certificate_is_exact_at_the_largest_field(monkeypatch):
 def test_parity_certificate_memory_is_linear_in_the_block(q):
     """A 1 x 2000 block at its local-MDS level, delta = 2000, uses the whole budget of 4 * 10^6 products. The all-ones
     row, dual to the GRS code on the points 1..2000, is proved through every column of M P; a random row stops at the
-    first. Either way the columns come one at a time: the traced peak stays within 1 MiB, where an n x delta matrix
-    of int64 checks would take 32 MB."""
+    first. Either way the columns come in blocks of PARITY_TABLE_CAP // n = 8: the traced peak stays within 1 MiB,
+    where an n x delta matrix of int64 checks would take 32 MB."""
     f = make_field(q)
     for row, proved in (([1] * 2000, True), (random.Random(q).choices(range(1, q), k=2000), False)):
         tracemalloc.start()
@@ -1161,6 +1202,45 @@ def test_decoders_match_oracle_fuzz(c, data):
         positions.append(data.draw(st.integers(1, s.n).filter(lambda p: p not in positions)))
     observed = [(p, word[p - 1]) for p in positions]
     assert outcome(local_decode, c, group, observed) == oracle_local_decode(q, rows, Kg, Ng, group, observed)
+
+
+def storage_codes():
+    """The three codes of the storage benchmark: cyclic [12,7] over GF(13), cyclic [20,11] and nested [36,20] over
+    GF(257), each of two groups."""
+
+    def two_group(n1, k1, n2, k2, t):
+        K = [list(range(1, k1 + 1)), list(range(k1 - t + 1, k1 - t + k2 + 1))]
+        return make_structure(K, blocks_for_sizes([n1, n2]))
+
+    f13, f257 = make_field(13), make_field(257)
+    return (
+        construct_cyclic(two_group(5, 4, 7, 6, 3), f13)[0],
+        construct_cyclic(two_group(10, 7, 10, 7, 3), f257)[0],
+        construct_nested(two_group(18, 11, 18, 11, 2), f257),
+    )
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_decoders_match_oracle_on_the_storage_codes(index):
+    """Seeded words on the storage codes, with 0..n - k + 1 erasures (so with and without erased pivots, up to past
+    d - 1) and one corrupted symbol in a third of them: both decoders give the pure-Python solve's value or its
+    exception and message."""
+    c = storage_codes()[index]
+    s, q, rows = c.structure, c.field.q, c.G.to_rows()
+    rng = random.Random(2012 + index)
+    for _ in range(150):
+        x = [rng.randrange(q) for _ in range(s.k)]
+        word = encode(c, x)
+        if rng.random() < 1 / 3:
+            j = rng.randrange(s.n)
+            word[j] = (word[j] + rng.randrange(1, q)) % q
+        erased = set(rng.sample(range(s.n), rng.randint(0, s.n - s.k + 1)))
+        received = [None if j in erased else v for j, v in enumerate(word)]
+        assert outcome(erasure_decode, c, received) == oracle_erasure_decode(q, rows, received)
+        group = rng.randint(1, s.m)
+        Kg, Ng = s.K[group - 1], s.N[group - 1]
+        observed = [(p, word[p - 1]) for p in rng.sample(Ng, rng.randint(len(Kg), len(Ng)))]
+        assert outcome(local_decode, c, group, observed) == oracle_local_decode(q, rows, Kg, Ng, group, observed)
 
 
 def test_code_caches_are_built_once_and_read_only(cyclic_codefile):

@@ -128,7 +128,8 @@ def test_elimination_matches_oracle(q):
         got, got_rk, got_pivots = rref(m)
         assert (got.to_rows(), got_rk, got_pivots) == (reduced, rk, pivots), rows
         assert rank(m) == rk
-        R, T, P = m.echelon
+        RT, P = m.echelon
+        R, T = RT[:, :cols], RT[:, cols:]
         assert (R.tolist(), list(P)) == (reduced, pivots), rows
         # T M = R, computed on Python ints: the cached row operation really produces R.
         assert [[sum(t * r[j] for t, r in zip(trow, rows)) % q for j in range(cols)] for trow in T.tolist()] == reduced
@@ -146,7 +147,7 @@ def test_elimination_matches_oracle(q):
             words = [word]
             if rhs is not b and picked:
                 # consistent but for the last known entry: solve reads the word in column order, so
-                # the mismatch lies past the first independent equations, where it checks by substitution
+                # the mismatch lies past the first independent equations, where the re-encode product checks it
                 last = max(picked)
                 words.append(word[:last] + [(word[last] + 1) % q] + word[last + 1 :])
             for word in words:
@@ -239,8 +240,8 @@ def test_matrix_and_its_cached_forms_are_read_only():
     source[0, 0] = 3
     assert m.to_rows() == [[1, 2, 3], [2, 4, 6]] and copied.to_rows() == [[1, 0], [0, 1]]
     assert m.echelon is m.echelon
-    R, T, _ = m.echelon
-    for a in (m.entries, copied.entries, R, T):
+    RT, _ = m.echelon
+    for a in (m.entries, copied.entries, RT, RT[:, :3], RT[:, 3:]):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
@@ -388,6 +389,83 @@ def test_solve_reads_only_the_known_columns():
         assert solve(a, [None if j == erased else v for j, v in enumerate(word)]) == x
     with pytest.raises(Underdetermined):
         solve(a, [None, None, word[2]])
+
+
+def outcome(a, word):
+    """solve's value, or the name of the exception it raised."""
+    try:
+        return solve(a, word)
+    except (Inconsistent, Underdetermined) as exc:
+        return type(exc).__name__
+
+
+def known_part(a, word):
+    """The rows and the word on the known columns, as oracle_solve takes them."""
+    known = [j for j, v in enumerate(word) if v is not None]
+    return [[row[j] for j in known] for row in a.to_rows()], [word[j] for j in known]
+
+
+def test_solve_with_every_pivot_known_is_one_product(monkeypatch):
+    """No erased pivot: the re-encode product alone decides. A corrupted non-pivot column raises Inconsistent, an
+    erased one does not matter, and nothing is reduced on the way: vec_mat runs once, on the whole of [R | T][:r]."""
+    a = MatrixGF(F13, [[1, 0, 0, 3, 5, 7], [0, 1, 0, 2, 4, 6], [0, 0, 1, 9, 8, 1]])
+    x = [4, 11, 2]
+    word = vec_mat(13, x, a.entries).tolist()
+    products = []
+    monkeypatch.setattr(linalg_module, "vec_mat", lambda q, u, M: products.append(M.shape) or vec_mat(q, u, M))
+    for j in (3, 4, 5):
+        corrupted = word[:j] + [(word[j] + 1) % 13] + word[j + 1 :]
+        products.clear()
+        assert outcome(a, corrupted) == "Inconsistent" == oracle_solve(13, a.to_rows(), corrupted)
+        assert products == [(3, 9)]
+        products.clear()
+        assert outcome(a, corrupted[:j] + [None] + corrupted[j + 1 :]) == x and products == [(3, 9)]
+
+
+def test_solve_inconsistent_before_underdetermined_on_a_rank_deficient_matrix(monkeypatch):
+    """Row 3 = row 1 + row 2, so rank 2 < 3 unknowns. With its pivots erased the equations still fix u_E, and a
+    corrupted known column must raise Inconsistent before rank raises Underdetermined, whether a dependent equation
+    read before u_E is fixed finds the mismatch (one product, u R[:r, F]) or only the re-encode product does (two).
+    Row 1 is 0 at column 3, so with column 1 erased the first equation read is such a dependent one."""
+    rows = [[1, 0, 0, 4, 5, 6, 2], [0, 1, 5, 2, 2, 7, 3]]
+    rows.append([(u + v) % 13 for u, v in zip(*rows)])
+    a = MatrixGF(F13, rows)
+    _, pivots = a.echelon
+    assert pivots == (0, 1)
+    word = vec_mat(13, [3, 8, 0], a.entries).tolist()
+    products = []
+    monkeypatch.setattr(linalg_module, "vec_mat", lambda *args: products.append(1) or vec_mat(*args))
+    found_by = set()
+    for erased in ({0}, {1}, {0, 1}, {0, 1, 2, 3}, {0, 1, 2, 5}):
+        received = [None if j in erased else v for j, v in enumerate(word)]
+        assert outcome(a, received) == "Underdetermined" == oracle_solve(13, *known_part(a, received))
+        for j in set(range(7)) - erased:
+            corrupted = received[:j] + [(received[j] + 5) % 13] + received[j + 1 :]
+            products.clear()
+            assert outcome(a, corrupted) == "Inconsistent" == oracle_solve(13, *known_part(a, corrupted)), (erased, j)
+            found_by.add(len(products))
+    assert found_by == {1, 2}
+    with pytest.raises(Underdetermined, match=r"^rank 1 < 3 unknowns$"):
+        solve(a, [None, None, None, None, None, None, word[6]])
+
+
+def test_solve_reencodes_exactly_at_the_largest_field():
+    """At q = 2^31 - 1 the product u [R | T][:r] sums r >= 3 terms near 2^62, so vec_mat reduces each term first;
+    random words with erased pivots and single corruptions match the pure-Python solve."""
+    q = 2**31 - 1
+    f = make_field(q)
+    rng = random.Random(2147)
+    for _ in range(30):
+        k, n = rng.randint(3, 20), rng.randint(20, 26)
+        a = MatrixGF(f, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+        assert rank(a) * (q - 1) ** 2 >= 1 << 63 and a.echelon[0].shape == (k, n + k)
+        word = vec_mat(q, [rng.randrange(q) for _ in range(k)], a.entries).tolist()
+        for _ in range(5):
+            received = [None if rng.random() < 0.3 else v for v in word]
+            if rng.random() < 0.5:
+                j = rng.randrange(n)
+                received[j] = None if received[j] is None else (received[j] + rng.randrange(1, q)) % q
+            assert outcome(a, received) == oracle_solve(q, *known_part(a, received))
 
 
 # ---------- vandermonde ----------
