@@ -41,8 +41,8 @@ RANK_BUDGET = 4 * 10**6
 SUFFIX_CAP = 1 << 15
 # Verification enumerates messages by default while q^k stays within this.
 AUTO_EXHAUSTIVE_LIMIT = 10**7
-# A parity certificate of at most this many products reads P from one of 64 tables kept across calls (8 MB at
-# most): design and sweep check the same shapes over and over. A larger one makes P in blocks of about this many.
+# A parity certificate makes P in blocks of about this many products, the first kept across calls in one of 64
+# tables: design and sweep check the same shapes over and over, each within one block.
 PARITY_TABLE_CAP = 1 << 14
 
 # ---------- type ----------
@@ -269,8 +269,10 @@ def distance_at_least(c: LedcCode, d0: int) -> bool:
     return d0 <= 0 or _level(c.G, d0)
 
 
-def _parity_hint(q: int, n: int, omega: Optional[int]) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The n points a_j and weights w_j of a parity hint over GF(q), as int64 arrays; None when the points repeat.
+@lru_cache(maxsize=64)
+def _parity_table(q: int, n: int, omega: Optional[int], width: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The n points a_j of a parity hint over GF(q) and the read-only n x width matrix P = diag(w) [a_j^i], i < width,
+    as int64 arrays; None when the points repeat.
 
     With omega, a_j = omega^j and w_j = 1: the BCH roots. Without, a_j = j for j = 1..n and w_j = (-1)^(n-j) C(n-1, j-1)
     = (n-1)! / prod_{l != j} (j - l): the GRS code with these weights is the dual of the Reed-Solomon code on 1..n, and
@@ -282,17 +284,10 @@ def _parity_hint(q: int, n: int, omega: Optional[int]) -> Optional[tuple[np.ndar
     weights = [1] * n if omega is not None else accumulate(  # C(n-1, j) = C(n-1, j-1) (n-j) / j
         range(1, n), lambda w, j: -w * (n - j) * pow(j, -1, q) % q, initial=(-1) ** (n - 1) % q
     )
-    return np.array(points, dtype=np.int64), np.fromiter(weights, dtype=np.int64, count=n)
-
-
-@lru_cache(maxsize=64)
-def _parity_table(q: int, n: int, omega: Optional[int], width: int) -> Optional[np.ndarray]:
-    """The read-only n x width matrix P = diag(w) [a_j^i], i < width, of a parity hint; None when its points repeat."""
-    if (hint := _parity_hint(q, n, omega)) is None:
-        return None
-    P = np.array(list(islice(_scaled_powers(q, hint[1], hint[0]), width))).T
-    P.flags.writeable = False
-    return P
+    a = np.array(points, dtype=np.int64)
+    P = np.array(list(islice(_scaled_powers(q, np.fromiter(weights, dtype=np.int64, count=n), a), width))).T
+    a.flags.writeable = P.flags.writeable = False
+    return a, P
 
 
 def _scaled_powers(q: int, X: np.ndarray, points: np.ndarray) -> Iterator[np.ndarray]:
@@ -309,31 +304,29 @@ def _distinct_leads(A: np.ndarray) -> bool:
 def parity_certify(M: MatrixGF, delta: int, omega: Optional[int] = None) -> bool:
     """Do parity checks prove that the s rows of M, column j at the point a_j, are independent and span d >= delta?
 
-    They do when M P = 0 for P = diag(w) [a_j^i], i < delta - 1 (see _parity_hint), at distinct points with nonzero
+    They do when M P = 0 for P = diag(w) [a_j^i], i < delta - 1 (see _parity_table), at distinct points with nonzero
     weights: any delta - 1 rows of P form a scaled Vandermonde matrix, so no nonzero codeword has fewer than delta
     nonzeros. Rank s follows from distinct leading columns of M, else of M times the next s columns of P (a power
     block's is anti-triangular), else from rank(M). A wrong hint answers no, as does delta past the Singleton bound
-    and, before any point is built, more than RANK_BUDGET products. M P is one product with a kept P up to
-    PARITY_TABLE_CAP products, else one per block of about that many, up to the first block with a nonzero check.
+    and, before any point is built, more than RANK_BUDGET products. M P is one product per block of
+    PARITY_TABLE_CAP // (s n) columns (at least one), up to the first block with a nonzero check: the first block is
+    kept across calls, so a check within PARITY_TABLE_CAP products is one product with a kept P.
     """
     (s, n), q, X = M.entries.shape, M.field.q, M.entries
-    if (products := s * n * (width := delta - 1 + s)) > RANK_BUDGET:
+    if s * n * (width := delta - 1 + s) > RANK_BUDGET:
         return False
-    if products <= PARITY_TABLE_CAP:
-        P = _parity_table(q, n, omega, width)
-        if P is None or np.count_nonzero((checks := vec_mat(q, X, P))[:, : delta - 1]):
+    step = max(1, PARITY_TABLE_CAP // (s * n))
+    if (table := _parity_table(q, n, omega, min(width, step))) is None:
+        return False
+    points, P = table
+    blocks = []
+    for start in range(0, width, step):  # P's columns, step at a time: one product each
+        if start:  # the next block goes on from the last column of the one before
+            P = np.array(list(islice(_scaled_powers(q, P[:, -1], points), 1, 1 + min(step, width - start)))).T
+        blocks.append(vec_mat(q, X, P))
+        if np.count_nonzero(blocks[-1][:, : max(0, delta - 1 - start)]):
             return False
-        tail = checks[:, delta - 1 :]
-    elif (hint := _parity_hint(q, n, omega)) is None:
-        return False
-    else:
-        columns, step, blocks = _scaled_powers(q, hint[1], hint[0]), max(1, PARITY_TABLE_CAP // (s * n)), []
-        for start in range(0, width, step):  # P's columns, step at a time: one product each
-            blocks.append(vec_mat(q, X, np.array(list(islice(columns, min(step, width - start)))).T))
-            if np.count_nonzero(blocks[-1][:, : max(0, delta - 1 - start)]):
-                return False
-        tail = np.hstack(blocks)[:, delta - 1 :]
-    return _distinct_leads(X) or _distinct_leads(tail) or rank(M) == s
+    return _distinct_leads(X) or _distinct_leads(np.concatenate(blocks, axis=1)[:, delta - 1 :]) or rank(M) == s
 
 
 def _local_level(c: LedcCode, g: int, rows: tuple[int, ...], d0: int) -> bool:

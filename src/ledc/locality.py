@@ -61,36 +61,26 @@ class LocalityStructure:
 
     def __post_init__(self) -> None:
         K, N = _index_groups(self.K, "data index"), _index_groups(self.N, "position")
-        for name, groups in (("k", K), ("n", N)):
-            object.__setattr__(self, name, max((g[-1] for g in groups if g), default=0))
         if len(K) != len(N) or not K:
             raise CoverageGap("need matching nonempty lists of K and N groups")
-
-        covered: set[int] = set()
-        for gi, g in enumerate(K, start=1):
-            if not g:
-                raise CoverageGap(f"group {gi} has an empty data set")
-            if g[0] < 1:
-                raise CoverageGap(f"group {gi} has data index {g[0]}, below 1")
-            covered.update(g)
-        # Indices are in range, so counting settles coverage; the lowest gap is at most len + 1.
-        if len(covered) < self.k:
-            lowest = next(i for i in range(1, self.k + 1) if i not in covered)
-            raise CoverageGap(f"{self.k - len(covered)} data indices covered by no group, the lowest {lowest}")
-
-        seen: set[int] = set()
-        for gi, g in enumerate(N, start=1):
-            if not g:
-                raise CoverageGap(f"group {gi} has an empty position set")
-            if g[0] < 1:
-                raise CoverageGap(f"group {gi} has position {g[0]}, below 1")
-            overlap = seen.intersection(g)
-            if overlap:
-                raise OverlapN(f"positions claimed by two groups: {sorted(overlap)}")
-            seen.update(g)
-        if len(seen) < self.n:
-            lowest = next(j for j in range(1, self.n + 1) if j not in seen)
-            raise CoverageGap(f"{self.n - len(seen)} positions owned by no group, the lowest {lowest}")
+        for name, groups, kind, what, unowned in (
+            ("k", K, "data set", "data index", "data indices covered by"),
+            ("n", N, "position set", "position", "positions owned by"),
+        ):
+            object.__setattr__(self, name, size := max((g[-1] for g in groups if g), default=0))
+            seen: set[int] = set()
+            for gi, g in enumerate(groups, start=1):
+                if not g:
+                    raise CoverageGap(f"group {gi} has an empty {kind}")
+                if g[0] < 1:
+                    raise CoverageGap(f"group {gi} has {what} {g[0]}, below 1")
+                if groups is N and (overlap := seen.intersection(g)):
+                    raise OverlapN(f"positions claimed by two groups: {sorted(overlap)}")
+                seen.update(g)
+            # Indices are in range, so counting settles coverage; the lowest gap is at most len + 1.
+            if len(seen) < size:
+                lowest = next(i for i in range(1, size + 1) if i not in seen)
+                raise CoverageGap(f"{size - len(seen)} {unowned} no group, the lowest {lowest}")
 
         for gi, (kg, ng) in enumerate(zip(K, N), start=1):
             if len(ng) < len(kg):

@@ -864,37 +864,40 @@ def test_root_certificate_is_bounded_in_work(cyclic_codefile, monkeypatch):
     rows[0][1] += 1  # the row's sum, its value at w^0, is no longer 0
     products.clear()
     assert not parity_certify(MatrixGF(c.field, rows), 5, 2) and len(products) == 1
-    hint, kept = code_module._parity_hint, code_module._parity_table
-    monkeypatch.setattr(code_module, "_parity_hint", lambda *args: pytest.fail("built the points past the budget"))
+    kept, powers = code_module._parity_table, code_module._scaled_powers
     monkeypatch.setattr(code_module, "_parity_table", lambda *args: pytest.fail("built the points past the budget"))
+    monkeypatch.setattr(code_module, "_scaled_powers", lambda *args: pytest.fail("built a column past the budget"))
     monkeypatch.setattr(code_module, "RANK_BUDGET", 7 * 12 * 11 - 1)
     products.clear()
     assert not parity_certify(c.G, 5, 2) and not products
-    monkeypatch.setattr(code_module, "_parity_hint", hint)
     monkeypatch.setattr(code_module, "_parity_table", kept)
+    monkeypatch.setattr(code_module, "_scaled_powers", powers)
     monkeypatch.setattr(code_module, "RANK_BUDGET", 7 * 12 * 11)
     assert parity_certify(c.G, 5, 2)
 
 
 def test_parity_certificate_past_the_table_cap_goes_block_by_block(cyclic_codefile, monkeypatch):
-    """Past PARITY_TABLE_CAP products no table is built and P's columns come in blocks of PARITY_TABLE_CAP // (k n),
-    one product each: below a cap of k n (delta - 1 + k), 7 x 12 x 11, the cyclic fixture takes its 11 columns in blocks
-    of 10 and 1, and a row that misses the first root stops after the first block. A cap under k n makes one column
-    per block."""
+    """P's columns come in blocks of PARITY_TABLE_CAP // (k n), one product each: below a cap of k n (delta - 1 + k),
+    7 x 12 x 11, the cyclic fixture takes its 11 columns in blocks of 10 and 1, and a row that misses the first root
+    stops after the first block. A cap under k n makes one column per block. The first block is the kept table, made
+    by one call of the builder; each later block goes on from the last column of the one before, so no column is
+    made twice or past the first block with a nonzero check."""
     c = cyclic_codefile
-    columns, powers, products = [], code_module._scaled_powers, []
+    kept, powers = code_module._parity_table, code_module._scaled_powers
+    tables, columns, products = [], [], []
 
     def spy(*args):
         for X in powers(*args):
             columns.append(X)
             yield X
 
+    monkeypatch.setattr(code_module, "_parity_table", lambda *args: tables.append(args) or kept(*args))
     monkeypatch.setattr(code_module, "_scaled_powers", spy)
-    monkeypatch.setattr(code_module, "vec_mat", lambda *args: products.append(args[2].shape) or vec_mat(*args))
-    monkeypatch.setattr(code_module, "_parity_table", lambda *args: pytest.fail("built a table past the cap"))
+    monkeypatch.setattr(code_module, "vec_mat", lambda *args: products.append(args[2]) or vec_mat(*args))
     rows = c.G.to_rows()
     rows[0][1] += 1
     damaged = MatrixGF(c.field, rows)
+    whole = kept(13, 12, 2, 11)[1]
     for cap, M, proved, blocks in (
         (7 * 12 * 11 - 1, c.G, True, [10, 1]),
         (7 * 12 * 11 - 1, damaged, False, [10]),
@@ -902,10 +905,33 @@ def test_parity_certificate_past_the_table_cap_goes_block_by_block(cyclic_codefi
         (7 * 12 - 1, damaged, False, [1]),
     ):
         monkeypatch.setattr(code_module, "PARITY_TABLE_CAP", cap)
+        kept.cache_clear()
+        tables.clear()
         columns.clear()
         products.clear()
         assert parity_certify(M, 5, 2) == proved
-        assert products == [(12, b) for b in blocks] and len(columns) == sum(blocks)
+        assert [P.shape for P in products] == [(12, b) for b in blocks]
+        assert (np.hstack(products) == whole[:, : sum(blocks)]).all()
+        assert tables == [(13, 12, 2, blocks[0])] and kept.cache_info().currsize == 1
+        # each block's columns, and each later block's start: the last column of the one before
+        assert len(columns) == sum(blocks) + len(blocks) - 1
+
+
+def test_parity_certificate_at_the_table_cap(monkeypatch):
+    """At k n (delta - 1 + k) = PARITY_TABLE_CAP products a check is one product with the kept table; one product more
+    makes two, the first from the kept table and the next going on from its last column. Either way the check adds
+    one kept table, of at most PARITY_TABLE_CAP // k cells. Power rows p^i, i < k, at the points 1..n are proved."""
+    f, cap = make_field(2003), code_module.PARITY_TABLE_CAP
+    kept, products = code_module._parity_table, []
+    monkeypatch.setattr(code_module, "vec_mat", lambda *args: products.append(args[2].shape) or vec_mat(*args))
+    for k, n, delta, blocks in ((4, 128, 29, [32]), (5, 113, 25, [28, 1])):
+        assert k * n * (delta - 1 + k) == cap + len(blocks) - 1
+        kept.cache_clear()
+        products.clear()
+        assert parity_certify(vandermonde(f, range(1, n + 1), k), delta)
+        assert products == [(n, b) for b in blocks]
+        first = kept(2003, n, None, blocks[0])[1]  # a hit: the entry the check added
+        assert kept.cache_info().currsize == 1 and first.size <= cap // k
 
 
 def test_root_certificate_is_exact_at_the_largest_field(monkeypatch):

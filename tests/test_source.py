@@ -130,6 +130,32 @@ def test_every_function_is_used():
     assert unused == []
 
 
+def loads(node):
+    """How often each name and attribute is read under one AST node."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def test_every_constant_is_used():
+    """Each module-level UPPER_CASE name in src/ledc is read by package code outside its own assignment, so a
+    constant that only tests read fails here, as a function that only tests call fails above."""
+    modules = [parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    constants = {
+        target.id: node
+        for module in modules
+        for node in module.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+    }
+    assert len(constants) >= 19
+    reads = sum(map(loads, modules), Counter())
+    assert sorted(name for name, node in constants.items() if reads[name] == loads(node)[name]) == []
+
+
 def test_every_import_is_used():
     """Each name a src/ledc module imports is referenced in that module; __init__.py re-exports, so it is aside."""
     unused = []
