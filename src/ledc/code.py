@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from itertools import accumulate, count, islice, pairwise, repeat
 from math import comb
+from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -96,6 +97,11 @@ class LedcCode:
         """Per position (index 0 = position 1): is G's column nonzero off the support pattern, outside its group's K?"""
         return tuple(self.off_support.any(axis=0).tolist())
 
+    @cached_property
+    def local_index(self) -> tuple[MappingProxyType, ...]:
+        """Per group (index 0 = group 1), a read-only map from each position of N_i to its index in N_i."""
+        return tuple(MappingProxyType({p: i for i, p in enumerate(Ng)}) for Ng in self.structure.N)
+
 
 # ---------- encoding and decoding ----------
 
@@ -121,14 +127,17 @@ def local_decode(c: LedcCode, group: int, observed: Sequence[tuple[int, Felt]]) 
         raise PositionsOutsideGroup(f"group {group!r} is a {type(group).__name__}, not an integer")
     if not 1 <= group <= s.m:
         raise PositionsOutsideGroup(f"no group {group} (have 1..{s.m})")
-    word = dict.fromkeys(s.N[group - 1], None)  # the local word, position -> symbol in N_i's order
     positions = [p for p, _ in observed]
     if bad := non_integers(positions):
         raise PositionsOutsideGroup(f"position {bad[0]!r} is a {type(bad[0]).__name__}, not an integer")
-    if outside := [p for p in positions if p not in word]:
-        raise PositionsOutsideGroup(f"positions {outside} not in group {group}")
-    if len(set(positions)) != len(positions):
+    index = c.local_index[group - 1]
+    if not index.keys() >= (seen := set(positions)):
+        raise PositionsOutsideGroup(f"positions {[p for p in positions if p not in index]} not in group {group}")
+    if len(seen) != len(positions):
         raise PositionsOutsideGroup("observed positions must be distinct")
+    word: list = [None] * len(index)  # the local word, in N_i's order
+    for p, v in observed:
+        word[index[p]] = v
     ki = len(s.K[group - 1])
     known = [p for p, v in observed if v is not None]
     if len(known) < ki:
@@ -136,9 +145,8 @@ def local_decode(c: LedcCode, group: int, observed: Sequence[tuple[int, Felt]]) 
     if any(c.off_columns[p - 1] for p in known):
         i, at = np.argwhere(c.off_support[:, [p - 1 for p in known]])[0]
         raise SupportViolation(f"group {group}: position {known[at]} depends on data {i + 1}, outside K_{group}")
-    word.update(observed)
     try:
-        x = solve(c.local_generators[group - 1], list(word.values()))
+        x = solve(c.local_generators[group - 1], word)
     except Underdetermined as exc:
         raise SingularSubmatrix(
             f"group {group}: {len(known)} observed columns do not determine the {ki} local data symbols; "

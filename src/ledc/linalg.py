@@ -1,11 +1,10 @@
 """Dense matrices over a prime field.
 
 A matrix is an immutable value holding one read-only rows x cols int64 array of residues, made one way:
-MatrixGF(f, rows). Elimination runs on such arrays: one matrix a row at a time, at most once per matrix and cached
-for `rank`, `nullspace` and `solve` (O(rows x (rows + cols)) memory per matrix, none per call), or every w-column
-subset of a matrix by a walk that shares each prefix of columns (`full_rank_subsets`). `solve` reduces only the
-pivots a word leaves unknown, in Python ints, and ends with one `vec_mat` product with the cached [R | T];
-`vec_mat` also serves encoding and the parity certificate and runs on int64 without overflow.
+MatrixGF(f, rows). Elimination runs on such arrays: one matrix a row at a time, once per matrix and cached for
+`rank`, `nullspace` and `solve`, or every w-column subset by a walk that shares each prefix (`full_rank_subsets`).
+The first `solve` also caches a decode plan, R's non-pivot columns in Python ints (about the echelon's bytes again
+at q <= 257, up to 5 times them past 2^30); a call reads the word once and re-encodes in two `vec_mat` products.
 """
 
 from __future__ import annotations
@@ -72,6 +71,14 @@ class MatrixGF:
         pivots = tuple(p for p in _rref(self.field, reduced)[1] if p < n)
         reduced.flags.writeable = False
         return reduced, pivots
+
+    @cached_property
+    def decode_plan(self) -> tuple[tuple[Optional[int], ...], tuple[Optional[list[int]], ...], np.ndarray]:
+        """Built by the first `solve`: per column j its pivot index, else R[:r, j] in Python ints; and [R | T][:r]."""
+        RT, pivots = self.echelon
+        at = tuple(map({p: t for t, p in enumerate(pivots)}.get, range(self.cols)))
+        R = RT[: len(pivots), : self.cols].T.tolist()
+        return at, tuple(None if t is not None else c for t, c in zip(at, R)), RT[: len(pivots)]
 
 
 # ---------- elimination ----------
@@ -188,28 +195,35 @@ def nullspace(m: MatrixGF) -> np.ndarray:
 
 
 def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
-    """Solve x a = word on the columns where the word is known (an integer, not None), through a's cached RREF.
+    """Solve x a = word on the columns where the word is known (an integer, not None), through a's decode plan.
 
-    With u = x T^-1 the system is u R = word there, and only R's first r = rank(a) rows are nonzero, with
-    R[:r, P] = I on the pivot columns P. Each known pivot column gives its u_t. The unknown pivots E, if any, solve
-    u_E R[E, F] = word_F - u R[:r, F] on the known columns F outside P (u zero on E) by forward elimination in Python
-    ints, an equation per column, until |E| are independent; a dependent one needs a zero right-hand side. Then one
-    product u [R | T][:r] re-encodes the word, to match every known column, and gives x = u T. The small system has
-    the solutions of the whole one, so Inconsistent is checked first and Underdetermined follows.
+    With u = x T^-1 the system is u R = word there, R[:r, P] = I on the pivot columns P. One pass over the word gives
+    u at the known pivots (0 at the erased ones E) and the known columns F outside P. One product u [R | T][:r] gives
+    the right-hand sides of u_E R[E, F] and the base of the re-encode; forward elimination on the cached columns, in
+    column order, stops at |E| independent equations, and a dependent one needs a zero right-hand side. Back
+    substitution gives u_E, and a product on the rows [R | T][E] completes the re-encode, which must match the word on
+    F (pivots match by construction); its last k entries are x. Inconsistent is checked first, then Underdetermined.
     """
     if len(word) != a.cols:
         raise DimensionMismatch(f"word length {len(word)} != {a.cols} columns")
     word = integer_symbols(word, erasable=True)
-    (RT, pivots), q, k = a.echelon, a.field.q, a.rows
-    r = len(pivots)
-    u = [0 if word[p] is None else word[p] % q for p in pivots]
-    if E := [t for t, p in enumerate(pivots) if word[p] is None]:
-        P = set(pivots)
-        F = [j for j, v in enumerate(word) if v is not None and j not in P]
-        R_F = RT[:r, F]
+    (at, columns, RT), q, k = a.decode_plan, a.field.q, a.rows
+    r = len(RT)
+    u, E, F = [0] * r, [], []
+    for j, v, t in zip(range(a.cols), word, at):
+        if v is None:
+            if t is not None:
+                E.append(t)
+        elif t is None:
+            F.append(j)
+        else:
+            u[t] = v % q
+    encoded = vec_mat(q, u, RT)
+    if E:
+        base = encoded.tolist()
         basis: list = [None] * len(E)  # basis[p]: an equation [row | rhs], its row 1 at p and 0 before it
-        for j, eq, v in zip(F, R_F[E].T.tolist(), vec_mat(q, u, R_F).tolist()):
-            eq.append((word[j] - v) % q)
+        for j in F:
+            eq = [*map(columns[j].__getitem__, E), (word[j] - base[j]) % q]
             for p, pivot in enumerate(basis):  # reduce by the earlier pivots up to its first nonzero that has none
                 if c := eq[p]:
                     if pivot is None:
@@ -225,10 +239,12 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
                 break
         else:
             raise Underdetermined(f"rank {r - basis.count(None)} < {k} unknowns")
-        for p in reversed(range(len(E))):  # back substitution
-            u[E[p]] = (basis[p][-1] - sum(map(mul, basis[p][p + 1 : -1], [u[t] for t in E[p + 1 :]]))) % q
-    encoded = vec_mat(q, u, RT[:r]).tolist()
-    if any(v is not None and v % q != w for v, w in zip(word, encoded)):
+        u_E = [0] * len(E)
+        for p in reversed(range(len(E))):  # back substitution; u_E[: p + 1] is still 0, basis[p] has 0 before p
+            u_E[p] = (basis[p][-1] - sum(map(mul, basis[p], u_E))) % q
+        encoded = (encoded + vec_mat(q, u_E, RT.take(E, axis=0))) % q
+    encoded = encoded.tolist()
+    if any(word[j] % q != encoded[j] for j in F):
         raise Inconsistent("no x satisfies x a = b")
     if r < k:
         raise Underdetermined(f"rank {r} < {k} unknowns")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, pairwise
 from typing import Sequence
 
 import numpy as np
@@ -119,12 +120,7 @@ class DmaxWitness:
 
 def blocks_for_sizes(sizes: Sequence[int]) -> list[list[int]]:
     """Consecutive 1-based position blocks of the given sizes."""
-    out = []
-    start = 1
-    for s in sizes:
-        out.append(list(range(start, start + s)))
-        start += s
-    return out
+    return [list(range(a + 1, z + 1)) for a, z in pairwise([0, *accumulate(sizes)])]
 
 
 def _index_groups(groups: Sequence[Sequence[int]], what: str) -> tuple[tuple[int, ...], ...]:

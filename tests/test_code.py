@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import vandermonde
+from conftest import load_code, vandermonde
 from oracles import det, local_subcode_bound, min_weight_bruteforce, oracle_solve
 
 import ledc.code as code_module
@@ -1276,6 +1276,26 @@ def test_code_caches_are_built_once_and_read_only(cyclic_codefile):
     assert [g.to_rows() for g in c.local_generators] == [
         [[c.G.to_rows()[i - 1][j - 1] for j in Ng] for i in Kg] for Kg, Ng in zip(c.structure.K, c.structure.N)
     ]
+    assert c.local_index is c.local_index
+    assert [dict(index) for index in c.local_index] == [{p: i for i, p in enumerate(Ng)} for Ng in c.structure.N]
+    for index in c.local_index:
+        with pytest.raises(TypeError):
+            index[1] = 0
+
+
+def test_only_decoding_builds_decode_plans():
+    """Verification, rank and nullspace build no decode plan; a local repair builds its group's alone, a degraded
+    read G's."""
+    c = load_code("cyclic_code.json")
+    matrices = (c.G, *c.local_generators)
+    verify_ledc(c, distance_method="both")
+    assert [(rank(m), len(nullspace(m))) for m in matrices] == [(7, 5), (4, 1), (6, 1)]
+    assert not any("decode_plan" in vars(m) for m in matrices)
+    word = encode(c, [1, 2, 3, 4, 5, 6, 7])
+    assert local_decode(c, 2, [(p, word[p - 1]) for p in c.structure.N[1]]) == {i: i for i in c.structure.K[1]}
+    assert ["decode_plan" in vars(m) for m in matrices] == [False, False, True]
+    assert erasure_decode(c, [None] + word[1:]) == [1, 2, 3, 4, 5, 6, 7]
+    assert ["decode_plan" in vars(m) for m in matrices] == [True, False, True]
 
 
 # ---------- verification ----------

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from itertools import combinations, product
@@ -12,6 +13,7 @@ from oracles import det, oracle_solve
 
 import ledc.linalg as linalg_module
 
+from ledc.cli import code_from_dict, run
 from ledc.errors import DimensionMismatch, Inconsistent, PreconditionViolated, Underdetermined
 from ledc.field import make_field
 from ledc.linalg import MatrixGF, full_rank_subsets, nullspace, rank, solve, vec_mat
@@ -98,8 +100,9 @@ def oracle_cases(q, rng):
         for _ in range(6):
             m = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
             cases.append((m, cols))
-            # rank deficient: repeat a combination of the first rows
-            combo = [sum(rng.randrange(q) * row[j] for row in m[:-1]) % q for j in range(cols)]
+            # rank deficient: repeat a combination of the first rows, one coefficient per row
+            coefficients = [rng.randrange(q) for _ in m[:-1]]
+            combo = [sum(c * row[j] for c, row in zip(coefficients, m[:-1])) % q for j in range(cols)]
             cases.append((m[:-1] + [combo], cols))
     for _ in range(6):
         cases.append(([[rng.choice([0, 0, 0, 1, q - 1]) for _ in range(5)] for _ in range(4)], 5))
@@ -420,6 +423,114 @@ def test_solve_with_every_pivot_known_is_one_product(monkeypatch):
         assert products == [(3, 9)]
         products.clear()
         assert outcome(a, corrupted[:j] + [None] + corrupted[j + 1 :]) == x and products == [(3, 9)]
+
+
+def test_solve_with_erased_pivots_is_two_products(monkeypatch):
+    """Erased pivots E: vec_mat runs on [R | T][:r], which gives the right-hand sides and the base of the re-encode,
+    then on the |E| rows [R | T][E], which completes it; no product is taken on the known columns F alone. A
+    corrupted column left unread once u_E is fixed is caught by the comparison on F after the second product."""
+    a = MatrixGF(F13, [[1, 0, 0, 3, 5, 7], [0, 1, 0, 2, 4, 6], [0, 0, 1, 9, 8, 1]])
+    RT, _ = a.echelon
+    x = [4, 11, 2]
+    word = vec_mat(13, x, a.entries).tolist()
+    products = []
+    monkeypatch.setattr(linalg_module, "vec_mat", lambda q, u, M: products.append(M.tolist()) or vec_mat(q, u, M))
+    for E in ([0], [2], [0, 2], [0, 1, 2]):
+        products.clear()
+        assert solve(a, [None if j in E else v for j, v in enumerate(word)]) == x
+        assert products == [RT.tolist(), RT[E].tolist()]
+    products.clear()
+    corrupted = [None] + word[1:5] + [(word[5] + 1) % 13]
+    assert outcome(a, corrupted) == "Inconsistent" == oracle_solve(13, *known_part(a, corrupted))
+    assert products == [RT.tolist(), RT[[0]].tolist()]
+
+
+@pytest.mark.parametrize("q", ORACLE_FIELDS)
+def test_solve_outcomes_match_oracle_fuzz(q):
+    """Seeded words on full-rank and rank-deficient matrices, with 0..n erasures and 0-2 corrupted symbols: solve
+    gives the pure-Python solve's value or exception type, and Underdetermined names the rank of the known columns."""
+    f = make_field(q)
+    rng = random.Random(q)
+    for case in range(200):
+        k = rng.randint(1, 6)
+        n = rng.randint(k, 9) if case % 2 else rng.randint(1, 9)
+        while True:
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+            if case % 2 == 0:  # rank deficient: the last row a combination of the others
+                coefficients = [rng.randrange(q) for _ in rows[:-1]]
+                rows[-1] = [sum(c * row[j] for c, row in zip(coefficients, rows[:-1])) % q for j in range(n)]
+            if (oracles.rref(q, rows)[1] == k) == (case % 2 == 1):
+                break
+        a = MatrixGF(f, rows)
+        for _ in range(8):
+            word = vec_mat(q, [rng.randrange(q) for _ in range(k)], a.entries).tolist()
+            for j in rng.sample(range(n), min(n, rng.randint(0, 2))):
+                word[j] = (word[j] + rng.randrange(1, q)) % q
+            erased = rng.sample(range(n), rng.randint(0, n))
+            received = [None if j in erased else v for j, v in enumerate(word)]
+            known_rows, known_word = known_part(a, received)
+            try:
+                got = solve(a, received)
+            except Inconsistent:
+                got = "Inconsistent"
+            except Underdetermined as exc:
+                got = "Underdetermined"
+                assert str(exc) == f"rank {oracles.rref(q, known_rows)[1]} < {k} unknowns", (rows, received)
+            assert got == oracle_solve(q, known_rows, known_word), (rows, received)
+
+
+def test_decode_plan_is_built_on_the_first_solve_only():
+    """rank, nullspace and echelon never build the decode plan; the first solve does, once. It holds each column's
+    index among the pivots, R's other columns in Python ints and [R | T][:r] itself, read-only and not copied."""
+    a = MatrixGF(F13, [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 4, 9, 3]])
+    assert rank(a) == 2 and len(nullspace(a)) == 3
+    RT, pivots = a.echelon
+    assert "decode_plan" not in vars(a)
+    word = vec_mat(13, [1, 0, 5], a.entries).tolist()
+    assert outcome(a, word) == "Underdetermined"
+    plan = a.decode_plan
+    assert outcome(a, [None] + word[1:]) == "Underdetermined" and a.decode_plan is plan
+    at, columns, RT_r = plan
+    assert pivots == (0, 1) and at == (0, 1, None, None, None)
+    assert columns == (None, None, *RT[:2, 2:5].T.tolist())
+    assert all(type(v) is int for c in columns[2:] for v in c)
+    assert np.shares_memory(RT_r, RT) and RT_r.shape == (2, 8) and not RT_r.flags.writeable
+    with pytest.raises(ValueError):
+        RT_r[0, 0] = 1
+
+
+@pytest.mark.parametrize("q, ratio", [(257, 1.25), (2**31 - 1, 5.25)])
+def test_decode_plan_memory_against_the_echelon(q, ratio, tmp_path, capsys):
+    """The plan of a 64 x 2000 matrix, against the 8 bytes an entry of RT costs. At q = 257 every residue is one of
+    CPython's shared small ints, so a column of R costs a pointer per entry: the traced peak is 1.25 times RT's bytes
+    at most. Past 2^30 each entry is its own 32-byte int as well: 5.25 times at most. CLI decode on the matrix as a
+    code file peaks at most that many RT's bytes above the peak of loading the file and reducing G."""
+
+    def traced_peak(work):
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rng = random.Random(q)
+    rows = [[rng.randrange(q) for _ in range(2000)] for _ in range(64)]
+    a = MatrixGF(make_field(q), rows)
+    echelon_bytes = a.echelon[0].nbytes
+    assert traced_peak(lambda: a.decode_plan) <= ratio * echelon_bytes
+
+    path = tmp_path / "code.json"
+    structure = {"q": q, "groups": [{"K": list(range(1, 65)), "n": 2000}]}
+    path.write_text(json.dumps({"structure": structure, "method": "random", "G": rows, "claimed_distance": 1}))
+    x = [rng.randrange(q) for _ in range(64)]
+    word = vec_mat(q, x, a.entries).tolist()
+    received = ",".join("?" if j % 50 < 2 else str(v) for j, v in enumerate(word))  # 80 erasures
+    del a
+    loaded = traced_peak(lambda: code_from_dict(json.loads(path.read_text())).G.echelon)
+    decoded = traced_peak(lambda: run(["decode", str(path), "--received", received]))
+    assert capsys.readouterr().out == f"data={','.join(map(str, x))}\n"
+    assert decoded <= loaded + ratio * echelon_bytes
 
 
 def test_solve_inconsistent_before_underdetermined_on_a_rank_deficient_matrix(monkeypatch):
