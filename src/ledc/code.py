@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
-from itertools import accumulate, count, islice, pairwise, repeat
+from itertools import accumulate, count, islice, pairwise
 from math import comb
 from types import MappingProxyType
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     UnrecoverableErasurePattern,
 )
 from .field import Felt, PrimeField, non_integers
-from .linalg import MatrixGF, full_rank_subsets, integer_symbols, nullspace, rank, solve, vec_mat
+from .linalg import MatrixGF, full_rank_subsets, integer_symbols, nullspace, rank, scaled_powers, solve, vec_mat
 from .locality import LocalityStructure, dmax, group_masks
 
 EXHAUSTIVE_BUDGET = 10**9
@@ -293,14 +293,9 @@ def _parity_table(q: int, n: int, omega: Optional[int], width: int) -> Optional[
         range(1, n), lambda w, j: -w * (n - j) * pow(j, -1, q) % q, initial=(-1) ** (n - 1) % q
     )
     a = np.array(points, dtype=np.int64)
-    P = np.array(list(islice(_scaled_powers(q, np.fromiter(weights, dtype=np.int64, count=n), a), width))).T
+    P = np.array(list(islice(scaled_powers(q, np.fromiter(weights, dtype=np.int64, count=n), a), width))).T
     a.flags.writeable = P.flags.writeable = False
     return a, P
-
-
-def _scaled_powers(q: int, X: np.ndarray, points: np.ndarray) -> Iterator[np.ndarray]:
-    """X diag(a)^i for i = 0, 1, ...: each entry of X's last axis times its point's powers, one X at a time."""
-    return accumulate(repeat(points), lambda Y, a: Y * a % q, initial=X)
 
 
 def _distinct_leads(A: np.ndarray) -> bool:
@@ -330,7 +325,7 @@ def parity_certify(M: MatrixGF, delta: int, omega: Optional[int] = None) -> bool
     blocks = []
     for start in range(0, width, step):  # P's columns, step at a time: one product each
         if start:  # the next block goes on from the last column of the one before
-            P = np.array(list(islice(_scaled_powers(q, P[:, -1], points), 1, 1 + min(step, width - start)))).T
+            P = np.array(list(islice(scaled_powers(q, P[:, -1], points), 1, 1 + min(step, width - start)))).T
         blocks.append(vec_mat(q, X, P))
         if np.count_nonzero(blocks[-1][:, : max(0, delta - 1 - start)]):
             return False

@@ -8,12 +8,16 @@ Three methods are provided.
   distance bound whenever the shared-symbol count t is at most the larger
   group redundancy plus one.
 
-* construct_cyclic: two groups with equal redundancy r, any t. Rows are
-  coefficient vectors of polynomials that all vanish at w^0..w^(r+t-1),
-  the roots of u = prod_{j<r+t} (x - w^j), which forces global distance
-  r + t + 1, while both local projections vanish at the roots of
-  g2 = prod_{j<r} (x - w^j) and hence are MDS. The polynomials are
-  coefficient tuples (see ledc.poly). Works whenever n1 + n2 <= q - 1.
+* construct_cyclic: two groups with equal redundancy r, any t, and
+  n1 + n2 <= q - 1. Every row, a polynomial as a coefficient tuple (see
+  ledc.poly), vanishes at w^0..w^(r+t-1), the roots of
+  u = prod_{j<r+t} (x - w^j), which forces global distance r + t + 1;
+  both local projections vanish at the roots of g2 = prod_{j<r} (x - w^j)
+  and hence are MDS. Shared row l is g2 times Lemma 3's vector over the
+  exponents {0..t-l} + {T_l..T_l+l-1}, T_l = r + k2 + t - 2l + 1. They
+  are distinct, as t - l < T_l (k2 >= t >= l), and below q - 1, as
+  T_l + l - 1 <= n2 + t - 1 < n1 + n2, so with w primitive the nodes w^e
+  are distinct units and the closed form needs no check.
 
 * construct_random: any structure. Samples the free entries uniformly
   and keeps the first attempt whose local codes are MDS and whose
@@ -25,15 +29,16 @@ Three methods are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import prod
 from typing import Optional
 
 import numpy as np
 
 from .code import LedcCode, check_distance_budget, min_distance_rank, verify_local_mds
-from .errors import DegenerateSystem, ExhaustedAttempts, FieldTooSmall, NotPrimitive, PreconditionViolated
+from .errors import ExhaustedAttempts, FieldTooSmall, NotPrimitive, PreconditionViolated
 from .field import Felt, PrimeField, find_primitive, is_primitive, non_integers
-from .linalg import MatrixGF
+from .linalg import MatrixGF, scaled_powers
 from .locality import LocalityStructure, dmax, two_group_params
 from .poly import linear_factor_product, poly_eval, poly_mul
 
@@ -69,7 +74,8 @@ def construct_nested(s: LocalityStructure, f: PrimeField) -> LedcCode:
     G = np.zeros((s.k, s.n), dtype=np.int64)
     for Kg, Ng, other in zip(s.K, s.N, (set(s.K[1]), set(s.K[0]))):
         rows = sorted(Kg, key=lambda i: i in other)  # private first; the sort is stable
-        block = [[pow(p, i, f.q) for p in range(1, len(Ng) + 1)] for i in range(len(Kg))]
+        points = np.arange(1, len(Ng) + 1, dtype=np.int64)
+        block = list(islice(scaled_powers(f.q, np.ones_like(points), points), len(Kg)))  # row i: j^i mod q
         G[np.ix_([i - 1 for i in rows], [j - 1 for j in Ng])] = block
     meta = {"method": "nested", "claimed_distance": min(r1, r2) + t + 1}
     return LedcCode(s, MatrixGF(f, G), meta)
@@ -97,42 +103,16 @@ class CyclicIngredients:
     b: tuple[tuple[int, ...], ...]
 
 
-def lemma3_solve(
-    f: PrimeField, omega: Felt, ell: int, t: int, r: int, T: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Solve for a_star (degree <= t - ell) and b_star (degree <= ell - 1)
-    with a_star(w^j) + w^(jT) b_star(w^j) = 0 for j = r .. r + t - 1.
+def _lemma3(f: PrimeField, omega: Felt, exponents: list[int], r: int) -> list[int]:
+    """Lemma 3's vector over t + 1 exponents, distinct and below q - 1 as construct_cyclic's are (see the module
+    docstring), so that the nodes y_e = w^e are distinct units: c_e = y_e^(-r) / prod_{e' != e} (y_e - y_e'), c_0 = 1.
 
-    The t x (t+1) system has entry (j, e) = y_e^j over the nodes y_e = w^e,
-    e in {0..t-ell} + {T..T+ell-1}. With the t + 1 nodes distinct its kernel
-    is spanned by c_e = y_e^(-r) / prod_{e' != e} (y_e - y_e'): for deg p < t,
-    sum_e p(y_e) / prod_{e' != e} (y_e - y_e') is the x^t coefficient of p's
-    interpolant through the nodes, 0. Any t columns form a scaled Vandermonde
-    matrix, so c, with every coordinate nonzero, is the only kernel vector; it
-    is normalized so a_star(0) = 1. Otherwise, with D distinct nodes of nonzero
-    column, the kernel has dimension t + 1 - min(t, D); DegenerateSystem is
-    raised unless that is 1 and the vector, the difference of two equal
-    columns, has no zero coordinate (t = 1). r = 0 is accepted.
+    c spans the kernel of (y_e^j), j = r .. r + t - 1: for deg p < t, sum_e p(y_e) / prod_{e' != e} (y_e - y_e') is
+    the x^t coefficient of p's interpolant through the nodes, 0, and any t columns form a scaled Vandermonde matrix.
     """
-    if not 1 <= ell <= t:
-        raise PreconditionViolated(f"need 1 <= ell <= t, got ell={ell}, t={t}")
-    if r < 0:
-        raise PreconditionViolated(f"need r >= 0, got r={r}")
-    if not t - ell < T < f.q - ell:
-        raise PreconditionViolated(f"need t - ell < T < q - ell, got T={T} with t={t}, ell={ell}, q={f.q}")
-    q, exponents = f.q, [*range(t - ell + 1), *range(T, T + ell)]
-    nodes = [pow(omega, e, q) for e in exponents]
-    scales = [pow(omega, e * r, q) for e in exponents]  # y_e^r; 0 marks a zero column
-    distinct = len({y for y, s in zip(nodes, scales) if s})
-    if distinct < t:
-        raise DegenerateSystem(f"kernel dimension {t + 1 - distinct}, expected 1; is omega primitive?")
-    if distinct == t:  # the kernel is a zero column alone or two equal columns' difference
-        if t > 1 or 0 in scales:
-            raise DegenerateSystem("kernel vector has a zero coordinate")
-        return (1,), (q - 1,)
-    weights = [s * prod(y - z for z in nodes if z != y) % q for y, s in zip(nodes, scales)]
-    vec = [weights[0] * pow(w, -1, q) % q for w in weights]  # 1 / weight_e, scaled so vec[0] = 1
-    return tuple(vec[: t - ell + 1]), tuple(vec[t - ell + 1 :])
+    nodes = [pow(omega, e, f.q) for e in exponents]
+    weights = [pow(y, r, f.q) * prod(y - z for z in nodes if z != y) % f.q for y in nodes]
+    return [weights[0] * pow(w, -1, f.q) % f.q for w in weights]  # 1 / weight_e, scaled so c_0 = 1
 
 
 def construct_cyclic(
@@ -169,9 +149,9 @@ def construct_cyclic(
     g2 = linear_factor_product(f, roots[:r])
     u = poly_mul(f, g2, linear_factor_product(f, roots[r:]))  # g2 times the t roots past it
     T = tuple((n1 + k2 - ell) - (k1 - t + ell - 1) for ell in range(1, t + 1))
-    stars = [lemma3_solve(f, omega, ell, t, r, T[ell - 1]) for ell in range(1, t + 1)]
-    a = tuple(poly_mul(f, g2, a_star) for a_star, _ in stars)
-    b = tuple(poly_mul(f, g2, b_star) for _, b_star in stars)
+    c = [_lemma3(f, omega, [*range(t - ell + 1), *range(Tl, Tl + ell)], r) for ell, Tl in enumerate(T, 1)]
+    a = tuple(poly_mul(f, g2, c_l[: t - ell + 1]) for ell, c_l in enumerate(c, 1))
+    b = tuple(poly_mul(f, g2, c_l[t - ell + 1 :]) for ell, c_l in enumerate(c, 1))
 
     canonical = np.zeros((s.k, s.n), dtype=np.int64)
     for row, col in [*zip(range(k1 - t), range(n1)), *zip(range(k1, s.k), range(n1, s.n))]:  # private rows

@@ -95,14 +95,6 @@ class NotPrimitive(LedcError):
     """Supplied element does not generate the multiplicative group."""
 
 
-class DegenerateSystem(LedcError):
-    """Solution space of an internal linear system has unexpected shape.
-
-    Signals a broken invariant: the system is guaranteed to have a
-    one-dimensional solution space with all coordinates nonzero.
-    """
-
-
 class ExhaustedAttempts(LedcError):
     """Random search gave up; carries the best locally MDS code, if any."""
 

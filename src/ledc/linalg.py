@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -261,9 +262,18 @@ def integer_symbols(word: Sequence, erasable: bool = False) -> Sequence:
 
 
 def vec_mat(q: int, x: Sequence | np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x M mod q for residues x, a vector or matrix of rows of length l: one int64 product while
-    l (q-1)^2 < 2^63, else each product reduced first."""
+    """x M mod q for residues x, a vector or matrix of rows of length l: one int64 product while l (q-1)^2 < 2^63,
+    else Horner over b-bit limbs of x, acc = (acc 2^b + limb M) mod q, b the widest with (l+1) 2^b (q-1) < 2^63."""
     x = np.asarray(x, dtype=np.int64)
     if x.shape[-1] * (q - 1) ** 2 < 1 << 63:
         return x @ M % q
-    return (x[..., None] * M % q).sum(axis=-2) % q
+    b = (((1 << 63) - 1) // ((x.shape[-1] + 1) * (q - 1))).bit_length() - 1
+    acc = 0
+    for shift in reversed(range(0, (q - 1).bit_length(), b)):
+        acc = (acc * (1 << b) + (x >> shift & (1 << b) - 1) @ M) % q
+    return acc
+
+
+def scaled_powers(q: int, X: np.ndarray, points: np.ndarray) -> Iterator[np.ndarray]:
+    """X diag(a)^i for i = 0, 1, ...: each entry of X's last axis times its point's powers, one X at a time."""
+    return accumulate(repeat(points), lambda Y, a: Y * a % q, initial=X)

@@ -233,7 +233,7 @@ def oracle_solve(q, rows, b):
 
 
 def lemma3_eliminate(q, omega, ell, t, r, T):
-    """Lemma 3's (a_star, b_star) from the rref of its system, or the DegenerateSystem message for it.
+    """Lemma 3's (a_star, b_star) from the rref of its system, or a message naming how its kernel degenerates.
 
     The t x (t+1) system has rows (w^j)^e for j = r..r+t-1 over the exponents e in {0..t-ell} + {T..T+ell-1}.
     Only a one-dimensional kernel whose vector has no zero coordinate is a solution; it is scaled so a_star(0) = 1.

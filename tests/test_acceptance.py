@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 
 from conftest import FIXTURES, random_structure
-from oracles import dmax_bruteforce
+from oracles import dmax_bruteforce, lemma3_eliminate
 
 import ledc.code as code_module
 from ledc.cli import run
@@ -35,8 +35,9 @@ from ledc.construct import (
     verify_cyclic_conditions,
 )
 from ledc.errors import ExhaustedAttempts, UnrecoverableErasurePattern
-from ledc.field import make_field
+from ledc.field import find_primitive, is_primitive, make_field
 from ledc.locality import blocks_for_sizes, dmax, make_structure
+from ledc.poly import poly_mul
 
 
 @contextmanager
@@ -172,35 +173,59 @@ def test_nested_codes_are_proved_by_their_vandermonde_blocks(monkeypatch):
         assert verify_ledc(code, "rank").all_ok, params
 
 
+def cyclic_shapes():
+    """(q, n1, k1, n2, k2, t) for every admissible cyclic shape of criterion 6: equal redundancy, n1 + n2 <= q - 1,
+    1 <= t < k and q^k <= 10^7."""
+    for q in (13, 17, 19):
+        for n1 in range(1, 14):
+            for n2 in range(1, 15 - n1):
+                if n1 + n2 > q - 1:
+                    continue
+                for k1 in range(1, n1 + 1):
+                    k2 = n2 - (n1 - k1)
+                    if not 1 <= k2 <= n2:
+                        continue
+                    for t in range(1, min(k1, k2) + 1):
+                        if t == k1 == k2:
+                            continue
+                        if q ** (k1 + k2 - t) > 10**7:
+                            continue
+                        yield q, n1, k1, n2, k2, t
+
+
 def test_criterion_6_cyclic_sweep_optimal(capsys):
     with criterion(capsys, 6, "cyclic construction optimal on every admissible shape"):
         count = 0
-        for q in (13, 17, 19):
-            f = make_field(q)
-            for n1 in range(1, 14):
-                for n2 in range(1, 15 - n1):
-                    if n1 + n2 > q - 1:
-                        continue
-                    for k1 in range(1, n1 + 1):
-                        k2 = n2 - (n1 - k1)
-                        if not 1 <= k2 <= n2:
-                            continue
-                        r = n1 - k1
-                        for t in range(1, min(k1, k2) + 1):
-                            if t == k1 == k2:
-                                continue
-                            if q ** (k1 + k2 - t) > 10**7:
-                                continue
-                            s = two_group_structure(n1, k1, n2, k2, t)
-                            code, ing = construct_cyclic(s, f)
-                            d = min_distance_exhaustive(code)
-                            params = (q, n1, k1, n2, k2, t)
-                            assert d == r + t + 1 == dmax(s), params
-                            assert verify_cyclic_conditions(ing, s, f).all_ok, params
-                            assert all(verify_local_mds(code).values()), params
-                            assert support_violations(code) == [], params
-                            count += 1
+        for params in cyclic_shapes():
+            q, n1, k1, n2, k2, t = params
+            f, r = make_field(q), n1 - k1
+            s = two_group_structure(n1, k1, n2, k2, t)
+            code, ing = construct_cyclic(s, f)
+            d = min_distance_exhaustive(code)
+            assert d == r + t + 1 == dmax(s), params
+            assert verify_cyclic_conditions(ing, s, f).all_ok, params
+            assert all(verify_local_mds(code).values()), params
+            assert support_violations(code) == [], params
+            count += 1
         assert count == 445
+
+
+def test_cyclic_shared_rows_match_elimination_at_other_primitive_elements():
+    """On every shape of criterion 6, built at a primitive w other than the smallest (each shape takes the next one
+    in turn), shared row l's halves a_l and b_l are g2 times Lemma 3's pair found by elimination."""
+    count = 0
+    for index, params in enumerate(cyclic_shapes()):
+        q, n1, k1, n2, k2, t = params
+        f = make_field(q)
+        others = [w for w in range(find_primitive(f) + 1, q) if is_primitive(f, w)]
+        omega = others[index % len(others)]
+        _, ing = construct_cyclic(two_group_structure(n1, k1, n2, k2, t), f, omega)
+        assert ing.omega == omega
+        pairs = [lemma3_eliminate(q, omega, ell, t, n1 - k1, T) for ell, T in enumerate(ing.T, 1)]
+        assert ing.a == tuple(poly_mul(f, ing.g2, a_star) for a_star, _ in pairs), params
+        assert ing.b == tuple(poly_mul(f, ing.g2, b_star) for _, b_star in pairs), params
+        count += 1
+    assert count == 445
 
 
 def test_criterion_7_decoding_guarantees(suboptimal_codefile, cyclic_descending, cyclic_codefile, capsys):

@@ -864,14 +864,14 @@ def test_root_certificate_is_bounded_in_work(cyclic_codefile, monkeypatch):
     rows[0][1] += 1  # the row's sum, its value at w^0, is no longer 0
     products.clear()
     assert not parity_certify(MatrixGF(c.field, rows), 5, 2) and len(products) == 1
-    kept, powers = code_module._parity_table, code_module._scaled_powers
+    kept, powers = code_module._parity_table, code_module.scaled_powers
     monkeypatch.setattr(code_module, "_parity_table", lambda *args: pytest.fail("built the points past the budget"))
-    monkeypatch.setattr(code_module, "_scaled_powers", lambda *args: pytest.fail("built a column past the budget"))
+    monkeypatch.setattr(code_module, "scaled_powers", lambda *args: pytest.fail("built a column past the budget"))
     monkeypatch.setattr(code_module, "RANK_BUDGET", 7 * 12 * 11 - 1)
     products.clear()
     assert not parity_certify(c.G, 5, 2) and not products
     monkeypatch.setattr(code_module, "_parity_table", kept)
-    monkeypatch.setattr(code_module, "_scaled_powers", powers)
+    monkeypatch.setattr(code_module, "scaled_powers", powers)
     monkeypatch.setattr(code_module, "RANK_BUDGET", 7 * 12 * 11)
     assert parity_certify(c.G, 5, 2)
 
@@ -883,7 +883,7 @@ def test_parity_certificate_past_the_table_cap_goes_block_by_block(cyclic_codefi
     by one call of the builder; each later block goes on from the last column of the one before, so no column is
     made twice or past the first block with a nonzero check."""
     c = cyclic_codefile
-    kept, powers = code_module._parity_table, code_module._scaled_powers
+    kept, powers = code_module._parity_table, code_module.scaled_powers
     tables, columns, products = [], [], []
 
     def spy(*args):
@@ -892,7 +892,7 @@ def test_parity_certificate_past_the_table_cap_goes_block_by_block(cyclic_codefi
             yield X
 
     monkeypatch.setattr(code_module, "_parity_table", lambda *args: tables.append(args) or kept(*args))
-    monkeypatch.setattr(code_module, "_scaled_powers", spy)
+    monkeypatch.setattr(code_module, "scaled_powers", spy)
     monkeypatch.setattr(code_module, "vec_mat", lambda *args: products.append(args[2]) or vec_mat(*args))
     rows = c.G.to_rows()
     rows[0][1] += 1
@@ -935,7 +935,7 @@ def test_parity_certificate_at_the_table_cap(monkeypatch):
 
 
 def test_root_certificate_is_exact_at_the_largest_field(monkeypatch):
-    """At q = 2^31 - 1 every evaluation takes vec_mat's reduce-first product; the roots alone still prove the code."""
+    """At q = 2^31 - 1 every evaluation takes vec_mat's product by limbs; the roots alone still prove the code."""
     q = 2**31 - 1
     s = make_structure([[1, 2, 3, 4], [2, 3, 4, 5, 6, 7]], blocks_for_sizes([5, 7]))
     # 7^1000003 is primitive (1000003 is prime to q - 1), and its powers spread over GF(q), so one int64 product wraps

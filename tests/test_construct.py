@@ -26,11 +26,9 @@ from ledc.construct import (
     construct_cyclic,
     construct_nested,
     construct_random,
-    lemma3_solve,
     verify_cyclic_conditions,
 )
 from ledc.errors import (
-    DegenerateSystem,
     ExhaustedAttempts,
     FieldTooSmall,
     LedcError,
@@ -38,7 +36,7 @@ from ledc.errors import (
     PreconditionViolated,
     TooLarge,
 )
-from ledc.field import find_primitive, make_field
+from ledc.field import find_primitive, is_primitive, make_field
 from ledc.locality import blocks_for_sizes, dmax, make_structure
 from ledc.poly import poly_eval, poly_mul
 
@@ -163,20 +161,40 @@ def test_nested_matches_canonical_layout(case):
     assert code.G.to_rows() == expected
 
 
+def test_nested_power_table_at_size():
+    """Two groups of 1,000 positions over GF(1009): at seeded entries, group g's i-th row in private-first order
+    holds j^i mod q at the group's j-th position, and each private row is zero on the other group's positions."""
+    s = make_structure([range(1, 501), range(499, 999)], blocks_for_sizes([1000, 1000]))
+    q, rng = 1009, random.Random(3607)
+    G = construct_nested(s, make_field(q)).G.entries
+    orders = ([*range(1, 501)], [*range(501, 999), 499, 500])
+    for rows, Ng in zip(orders, s.N):
+        for _ in range(500):
+            i, j = rng.randrange(len(rows)), rng.randrange(1, 1001)
+            assert G[rows[i] - 1, Ng[j - 1] - 1] == pow(j, i, q), (rows[i], Ng[j - 1])
+    assert not G[:498, 1000:].any() and not G[500:, :1000].any()
+
+
 # ---------- shared-row solver ----------
+
+
+def lemma3(f, omega, ell, t, r, T):
+    """Lemma 3's (a_star, b_star) for shared row ell: the kernel vector over {0..t-ell} + {T..T+ell-1}, split."""
+    c = construct_module._lemma3(f, omega, [*range(t - ell + 1), *range(T, T + ell)], r)
+    return tuple(c[: t - ell + 1]), tuple(c[t - ell + 1 :])
 
 
 def test_lemma3_reference_solutions():
     g2 = (12, 1)
-    a_star, b_star = lemma3_solve(F13, 2, ell=1, t=3, r=1, T=9)
+    a_star, b_star = lemma3(F13, 2, ell=1, t=3, r=1, T=9)
     assert poly_mul(F13, g2, a_star) == (12, 2, 5, 7)
-    a_star, b_star = lemma3_solve(F13, 2, ell=3, t=3, r=1, T=5)
+    a_star, b_star = lemma3(F13, 2, ell=3, t=3, r=1, T=5)
     assert poly_mul(F13, g2, b_star) == (10, 12, 3, 1)
 
 
 def test_lemma3_single_shared_row_closed_form():
     omega, r, T = 2, 1, 5
-    a_star, b_star = lemma3_solve(F13, omega, ell=1, t=1, r=r, T=T)
+    a_star, b_star = lemma3(F13, omega, ell=1, t=1, r=r, T=T)
     assert a_star == (1,)
     expected = (13 - pow(omega, -r * T, 13)) % 13
     assert b_star == (expected,)
@@ -193,7 +211,7 @@ def test_lemma3_defining_equation_sweep():
             ell = rng.randint(1, t)
             r = rng.randint(0, 3)
             T = rng.randint(t - ell + 1, q - ell - 1)
-            a_star, b_star = lemma3_solve(f, omega, ell, t, r, T)
+            a_star, b_star = lemma3(f, omega, ell, t, r, T)
             assert len(a_star) == t - ell + 1
             assert len(b_star) == ell
             assert all(0 < c < q for c in a_star + b_star)
@@ -206,59 +224,30 @@ def test_lemma3_defining_equation_sweep():
     assert checked == 180
 
 
-@pytest.mark.parametrize(
-    "ell,t,r,T",
-    [
-        (0, 3, 1, 9),
-        (4, 3, 1, 9),
-        (1, 3, -1, 9),
-        (1, 3, 1, 2),  # T = t - ell
-        (1, 3, 1, 12),  # T = q - ell
-    ],
-)
-def test_lemma3_rejects_bad_parameters(ell, t, r, T):
-    with pytest.raises(PreconditionViolated):
-        lemma3_solve(F13, 2, ell, t, r, T)
-
-
 def test_lemma3_accepts_zero_local_redundancy():
-    a_star, b_star = lemma3_solve(F13, 2, ell=1, t=2, r=0, T=6)
+    a_star, b_star = lemma3(F13, 2, ell=1, t=2, r=0, T=6)
     for j in range(2):
         wj = pow(2, j, 13)
         assert (poly_eval(F13, a_star, wj) + pow(wj, 6, 13) * poly_eval(F13, b_star, wj)) % 13 == 0
 
 
-def test_lemma3_refuses_a_degenerate_kernel():
-    """A kernel of two vectors, or one vector with a zero coordinate, has no a_star(0) = 1 normal form.
-
-    w = 12 = -1 gives the nodes 1, -1, 1, -1 (two distinct, a 2-dimensional kernel); w = 3 has order 3 and gives
-    1, 3, 9, 1, whose kernel is the difference of the two equal columns.
-    """
-    with pytest.raises(DegenerateSystem, match="^kernel dimension 2, expected 1"):
-        lemma3_solve(F13, 12, ell=1, t=3, r=1, T=9)
-    with pytest.raises(DegenerateSystem, match="^kernel vector has a zero coordinate$"):
-        lemma3_solve(F13, 3, ell=1, t=3, r=1, T=9)
-
-
 def test_lemma3_matches_elimination_on_a_seeded_grid():
-    """The closed form gives elimination's vector, or its DegenerateSystem message, for any w, primitive or not."""
+    """For every primitive w of each q and exponents below q - 1, as construct_cyclic's are, the closed form gives
+    elimination's vector, and elimination always finds a one-dimensional kernel with no zero coordinate."""
     rng = random.Random(2801)
-    cases = degenerate = 0
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 31, 257):
+    cases = 0
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 31, 257):
         f = make_field(q)
-        for t, r in product(range(1, 7), range(5)):
-            for ell in range(1, t + 1):
-                for T in rng.sample(range(t - ell + 1, q - ell), min(3, max(0, q - t - 1))):
-                    omega = rng.randrange(q)
-                    expected = lemma3_eliminate(q, omega, ell, t, r, T)
-                    try:
-                        got = lemma3_solve(f, omega, ell, t, r, T)
-                    except DegenerateSystem as exc:
-                        got = str(exc)
-                    assert got == expected, (q, omega, ell, t, r, T)
-                    cases += 1
-                    degenerate += isinstance(expected, str)
-    assert cases > 2000 and 400 < degenerate < cases - 1000
+        for omega in filter(lambda w: is_primitive(f, w), range(1, q)):
+            for _ in range(15):
+                t = rng.randint(1, min(6, q - 2))
+                ell, r = rng.randint(1, t), rng.randint(0, 4)
+                T = rng.randint(t - ell + 1, q - ell - 1)  # the last exponent, T + ell - 1, is below q - 1
+                expected = lemma3_eliminate(q, omega, ell, t, r, T)
+                assert not isinstance(expected, str), (q, omega, ell, t, r, T)
+                assert lemma3(f, omega, ell, t, r, T) == expected, (q, omega, ell, t, r, T)
+                cases += 1
+    assert cases == 15 * 173  # 173 primitive elements over the ten fields
 
 
 # ---------- cyclic construction ----------

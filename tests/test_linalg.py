@@ -561,7 +561,7 @@ def test_solve_inconsistent_before_underdetermined_on_a_rank_deficient_matrix(mo
 
 
 def test_solve_reencodes_exactly_at_the_largest_field():
-    """At q = 2^31 - 1 the product u [R | T][:r] sums r >= 3 terms near 2^62, so vec_mat reduces each term first;
+    """At q = 2^31 - 1 the product u [R | T][:r] sums r >= 3 terms near 2^62, so vec_mat goes by limbs of u;
     random words with erased pivots and single corruptions match the pure-Python solve."""
     q = 2**31 - 1
     f = make_field(q)
@@ -578,6 +578,45 @@ def test_solve_reencodes_exactly_at_the_largest_field():
                 received[j] = None if received[j] is None else (received[j] + rng.randrange(1, q)) % q
             assert outcome(a, received) == oracle_solve(q, *known_part(a, received))
 
+
+@st.composite
+def vec_mat_cases(draw):
+    """(q, x, M) at primes on each side of vec_mat's int64 rule l (q-1)^2 < 2^63: 1518500213 and 1518500279 are the
+    primes around its edge at l = 4, 10^9 + 7 crosses it between l = 9 and 10, 2^31 - 1 between l = 2 and 3."""
+    q = draw(st.sampled_from([1518500213, 1518500279, 10**9 + 7, 2**31 - 1]))
+    l, cols = draw(st.integers(1, 24)), draw(st.integers(1, 5))
+    residues = st.just(q - 1) | st.integers(0, q - 1)  # all q - 1 gives the largest sums
+    vector = st.lists(residues, min_size=l, max_size=l)
+    x = draw(st.lists(vector, min_size=1, max_size=3) | vector)
+    M = draw(st.lists(st.lists(residues, min_size=cols, max_size=cols), min_size=l, max_size=l))
+    return q, x, M
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(vec_mat_cases())
+def test_vec_mat_matches_python_ints_around_the_int64_rule(case):
+    q, x, M = case
+    rows = x if isinstance(x[0], list) else [x]
+    want = [[sum(v * M[i][j] for i, v in enumerate(row)) % q for j in range(len(M[0]))] for row in rows]
+    got = vec_mat(q, x, np.array(M, dtype=np.int64)).tolist()
+    assert (got if rows is x else [got]) == want
+
+
+@pytest.mark.parametrize("rows", [None, 8])
+def test_vec_mat_past_int64_keeps_its_temporaries_near_the_output(rows):
+    """At q = 2^31 - 1 a vector, or an 8-row matrix, of 64 residues times a 64 x 2000 matrix peaks within 5 times the
+    output's bytes; a temporary of every term, l x 2000 per row, would be 64 times it."""
+    q, rng = 2**31 - 1, np.random.default_rng(64)
+    x = rng.integers(q, size=64 if rows is None else (rows, 64), dtype=np.int64)
+    M = rng.integers(q, size=(64, 2000), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        out = vec_mat(q, x, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * out.nbytes
+    assert out.tolist() == (np.array(x.tolist(), dtype=object) @ np.array(M.tolist(), dtype=object) % q).tolist()
 
 # ---------- vandermonde ----------
 # conftest.vandermonde is the MDS matrix the distance tests build on; these check that premise.
