@@ -42,8 +42,8 @@ RANK_BUDGET = 4 * 10**6
 SUFFIX_CAP = 1 << 15
 # Verification enumerates messages by default while q^k stays within this.
 AUTO_EXHAUSTIVE_LIMIT = 10**7
-# A parity certificate makes P in blocks of about this many products, the first kept across calls in one of 64
-# tables: design and sweep check the same shapes over and over, each within one block.
+# A parity certificate makes P in blocks of about this many products, the first kept across calls in one of 64 tables
+# when it has no more entries: design and sweep check the same shapes over and over, each within one block.
 PARITY_TABLE_CAP = 1 << 14
 
 # ---------- type ----------
@@ -313,13 +313,15 @@ def parity_certify(M: MatrixGF, delta: int, omega: Optional[int] = None) -> bool
     block's is anti-triangular), else from rank(M). A wrong hint answers no, as does delta past the Singleton bound
     and, before any point is built, more than RANK_BUDGET products. M P is one product per block of
     PARITY_TABLE_CAP // (s n) columns (at least one), up to the first block with a nonzero check: the first block is
-    kept across calls, so a check within PARITY_TABLE_CAP products is one product with a kept P.
+    kept across calls while its entries fit in PARITY_TABLE_CAP, so a check within PARITY_TABLE_CAP products is one
+    product with a kept P.
     """
     (s, n), q, X = M.entries.shape, M.field.q, M.entries
     if s * n * (width := delta - 1 + s) > RANK_BUDGET:
         return False
     step = max(1, PARITY_TABLE_CAP // (s * n))
-    if (table := _parity_table(q, n, omega, min(width, step))) is None:
+    build = _parity_table if n * min(width, step) <= PARITY_TABLE_CAP else _parity_table.__wrapped__
+    if (table := build(q, n, omega, min(width, step))) is None:
         return False
     points, P = table
     blocks = []

@@ -4,7 +4,8 @@ A matrix is an immutable value holding one read-only rows x cols int64 array of 
 MatrixGF(f, rows). Elimination runs on such arrays: one matrix a row at a time, once per matrix and cached for
 `rank`, `nullspace` and `solve`, or every w-column subset by a walk that shares each prefix (`full_rank_subsets`).
 The first `solve` also caches a decode plan, R's non-pivot columns in Python ints (about the echelon's bytes again
-at q <= 257, up to 5 times them past 2^30); a call reads the word once and re-encodes in two `vec_mat` products.
+at q <= 257, up to 5 times them past 2^30) and their supports; a call reads the word once, then only the equations
+that can add rank, and re-encodes in one `vec_mat` product.
 """
 
 from __future__ import annotations
@@ -74,12 +75,14 @@ class MatrixGF:
         return reduced, pivots
 
     @cached_property
-    def decode_plan(self) -> tuple[tuple[Optional[int], ...], tuple[Optional[list[int]], ...], np.ndarray]:
-        """Built by the first `solve`: per column j its pivot index, else R[:r, j] in Python ints; and [R | T][:r]."""
+    def decode_plan(self) -> tuple[tuple[Optional[int], ...], tuple, tuple[int, ...], np.ndarray]:
+        """Built by the first `solve`: per column j its pivot index, else R[:r, j] in Python ints; per column the bits t
+        with R[t, j] != 0; and [R | T][:r]."""
         RT, pivots = self.echelon
         at = tuple(map({p: t for t, p in enumerate(pivots)}.get, range(self.cols)))
         R = RT[: len(pivots), : self.cols].T.tolist()
-        return at, tuple(None if t is not None else c for t, c in zip(at, R)), RT[: len(pivots)]
+        support = tuple(sum(1 << t for t, v in enumerate(c) if v) for c in R)
+        return at, tuple(None if t is not None else c for t, c in zip(at, R)), support, RT[: len(pivots)]
 
 
 # ---------- elimination ----------
@@ -199,16 +202,18 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
     """Solve x a = word on the columns where the word is known (an integer, not None), through a's decode plan.
 
     With u = x T^-1 the system is u R = word there, R[:r, P] = I on the pivot columns P. One pass over the word gives
-    u at the known pivots (0 at the erased ones E) and the known columns F outside P. One product u [R | T][:r] gives
-    the right-hand sides of u_E R[E, F] and the base of the re-encode; forward elimination on the cached columns, in
-    column order, stops at |E| independent equations, and a dependent one needs a zero right-hand side. Back
-    substitution gives u_E, and a product on the rows [R | T][E] completes the re-encode, which must match the word on
-    F (pivots match by construction); its last k entries are x. Inconsistent is checked first, then Underdetermined.
+    u at the known pivots (0 at the erased ones E) and the known columns F outside P. Forward elimination reads F in
+    column order, each column an equation u_E R[E, j] = word[j] - u R[:r, j], until |E| independent ones: it skips a
+    column while the pivot rows so far span every row supported where the equations read reach, and the column's
+    support lies there, and a dependent equation read needs a zero right-hand side. Back substitution writes u_E into
+    u; one product u [R | T][:r] re-encodes, which must match the word on F (pivots match by construction), and its
+    last k entries are x. If F runs out first, the skipped equations are reduced too. Inconsistent is checked first,
+    then Underdetermined.
     """
     if len(word) != a.cols:
         raise DimensionMismatch(f"word length {len(word)} != {a.cols} columns")
     word = integer_symbols(word, erasable=True)
-    (at, columns, RT), q, k = a.decode_plan, a.field.q, a.rows
+    (at, columns, support, RT), q, k = a.decode_plan, a.field.q, a.rows
     r = len(RT)
     u, E, F = [0] * r, [], []
     for j, v, t in zip(range(a.cols), word, at):
@@ -219,32 +224,43 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
             F.append(j)
         else:
             u[t] = v % q
-    encoded = vec_mat(q, u, RT)
     if E:
-        base = encoded.tolist()
-        basis: list = [None] * len(E)  # basis[p]: an equation [row | rhs], its row 1 at p and 0 before it
-        for j in F:
-            eq = [*map(columns[j].__getitem__, E), (word[j] - base[j]) % q]
-            for p, pivot in enumerate(basis):  # reduce by the earlier pivots up to its first nonzero that has none
+        basis: list = [None] * len(E)  # basis[p]: an equation [row | rhs], 0 before p; inverse[p]: 1 / its entry at p
+        inverse = basis.copy()
+
+        def reduced(j: int) -> tuple[list[int], int]:
+            """Column j's equation and its first nonzero with no pivot row (len(E) when none), reduced up to there."""
+            column = columns[j]
+            eq = [*map(column.__getitem__, E), (word[j] - sum(map(mul, u, column))) % q]
+            for p, pivot in enumerate(basis):
                 if c := eq[p]:
                     if pivot is None:
-                        break
+                        return eq, p
+                    c = c * inverse[p] % q
                     eq = [(e - c * b) % q for e, b in zip(eq, pivot)]
-            else:
-                if eq[-1]:
-                    raise Inconsistent("no x satisfies x a = b")
+            if eq[-1]:
+                raise Inconsistent("no x satisfies x a = b")
+            return eq, len(E)
+
+        erased = sum(1 << t for t in E)
+        reach, have, skipped = 0, 0, []  # bits t of E: the supports of the equations read, the pivot rows found
+        for j in F:
+            if not (s := support[j] & erased) & ~have and reach == have:  # a combination of the pivot rows
+                skipped.append(j)
                 continue
-            inv = pow(c, -1, q)
-            basis[p] = [e * inv % q for e in eq]
-            if None not in basis:
-                break
+            reach |= s
+            eq, p = reduced(j)
+            if p < len(E):
+                basis[p], inverse[p] = eq, pow(eq[p], -1, q)
+                if (have := have | 1 << E[p]) == erased:
+                    break
         else:
+            for j in skipped:
+                reduced(j)
             raise Underdetermined(f"rank {r - basis.count(None)} < {k} unknowns")
-        u_E = [0] * len(E)
-        for p in reversed(range(len(E))):  # back substitution; u_E[: p + 1] is still 0, basis[p] has 0 before p
-            u_E[p] = (basis[p][-1] - sum(map(mul, basis[p], u_E))) % q
-        encoded = (encoded + vec_mat(q, u_E, RT.take(E, axis=0))) % q
-    encoded = encoded.tolist()
+        for p in reversed(range(len(E))):  # back substitution; u is still 0 at E[: p + 1], basis[p] 0 before p
+            u[E[p]] = (basis[p][-1] - sum(map(mul, basis[p], map(u.__getitem__, E)))) * inverse[p] % q
+    encoded = vec_mat(q, u, RT).tolist()
     if any(word[j] % q != encoded[j] for j in F):
         raise Inconsistent("no x satisfies x a = b")
     if r < k:

@@ -42,6 +42,25 @@ def vandermonde(f, points, k):
     return MatrixGF(f, [[pow(p, i, f.q) for p in points] for i in range(k)])
 
 
+class LoggedReads:
+    """Stands for one of a decode plan's per-column tuples and logs each read as (name, column)."""
+
+    def __init__(self, name, items, log):
+        self.name, self.items, self.log = name, items, log
+
+    def __getitem__(self, j):
+        self.log.append((self.name, j))
+        return self.items[j]
+
+
+def log_plan_reads(m):
+    """Build m's decode plan with its columns and supports logging each read into the list returned."""
+    log = []
+    at, columns, support, RT = m.decode_plan
+    vars(m)["decode_plan"] = (at, LoggedReads("column", columns, log), LoggedReads("support", support, log), RT)
+    return log
+
+
 def load_json(name):
     with open(FIXTURES / name, encoding="utf-8") as fh:
         return json.load(fh)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_code, vandermonde
+from conftest import load_code, log_plan_reads, vandermonde
 from oracles import det, local_subcode_bound, min_weight_bruteforce, oracle_solve
 
 import ledc.code as code_module
+import ledc.linalg as linalg_module
 from ledc.code import (
     LedcCode,
     certifies_dmax,
@@ -934,6 +935,24 @@ def test_parity_certificate_at_the_table_cap(monkeypatch):
         assert kept.cache_info().currsize == 1 and first.size <= cap // k
 
 
+def test_parity_tables_past_the_cap_are_not_kept():
+    """A first block of more than PARITY_TABLE_CAP entries is built for its check alone. Distinct 1 x 20,000 checks at
+    delta = 3, each one column of n entries beside the n points, retain less than one such table of 2 n int64s once
+    they return, and the cache stays empty (64 kept tables would hold 20 MB). Eight are traced: under tracemalloc a
+    check's 20,000 modular inverses take a quarter of a second. The ones row is the Reed-Solomon codeword of the
+    constant, of weight n, so each is proved."""
+    f, kept = make_field(65537), code_module._parity_table
+    kept.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(20_000, 20_008):
+            assert n > code_module.PARITY_TABLE_CAP and parity_certify(MatrixGF(f, np.ones((1, n), dtype=np.int64)), 3)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 20_000 and kept.cache_info().currsize == 0
+
+
 def test_root_certificate_is_exact_at_the_largest_field(monkeypatch):
     """At q = 2^31 - 1 every evaluation takes vec_mat's product by limbs; the roots alone still prove the code."""
     q = 2**31 - 1
@@ -1267,6 +1286,29 @@ def test_decoders_match_oracle_on_the_storage_codes(index):
         Kg, Ng = s.K[group - 1], s.N[group - 1]
         observed = [(p, word[p - 1]) for p in rng.sample(Ng, rng.randint(len(Kg), len(Ng)))]
         assert outcome(local_decode, c, group, observed) == oracle_local_decode(q, rows, Kg, Ng, group, observed)
+
+
+def test_degraded_reads_of_the_nested_storage_code_read_one_equation_per_erased_pivot(monkeypatch):
+    """On the nested [36,20] storage code over GF(257), two groups of 18 positions with 11 data symbols each and 2
+    shared, seeded reads at d - 1 = 9 erasures read exactly one known non-pivot column per erased pivot: every
+    equation that cannot add rank is skipped. vec_mat runs once a read, for the re-encode."""
+    c = storage_codes()[2]
+    q, (k, n) = c.field.q, c.G.entries.shape
+    assert (k, n, c.meta["claimed_distance"]) == (20, 36, 10)
+    log = log_plan_reads(c.G)
+    at = c.G.decode_plan[0]
+    products = []
+    monkeypatch.setattr(linalg_module, "vec_mat", lambda *args: products.append(1) or vec_mat(*args))
+    rng = random.Random(36)
+    for _ in range(200):
+        x = [rng.randrange(q) for _ in range(k)]
+        word = vec_mat(q, x, c.G.entries).tolist()
+        erased = rng.sample(range(n), 9)
+        log.clear()
+        products.clear()
+        assert erasure_decode(c, [None if j in erased else v for j, v in enumerate(word)]) == x
+        assert [name for name, _ in log].count("column") == sum(at[j] is not None for j in erased)
+        assert len(products) == 1
 
 
 def test_code_caches_are_built_once_and_read_only(cyclic_codefile):

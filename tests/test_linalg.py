@@ -8,7 +8,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import vandermonde
+from conftest import log_plan_reads, vandermonde
 from oracles import det, oracle_solve
 
 import ledc.linalg as linalg_module
@@ -425,50 +425,80 @@ def test_solve_with_every_pivot_known_is_one_product(monkeypatch):
         assert outcome(a, corrupted[:j] + [None] + corrupted[j + 1 :]) == x and products == [(3, 9)]
 
 
-def test_solve_with_erased_pivots_is_two_products(monkeypatch):
-    """Erased pivots E: vec_mat runs on [R | T][:r], which gives the right-hand sides and the base of the re-encode,
-    then on the |E| rows [R | T][E], which completes it; no product is taken on the known columns F alone. A
-    corrupted column left unread once u_E is fixed is caught by the comparison on F after the second product."""
+def test_solve_with_erased_pivots_is_one_product(monkeypatch):
+    """Erased pivots E: the right-hand sides come from the plan's columns, back substitution writes u_E into u, and
+    vec_mat runs once, on [R | T][:r] with every entry of u filled in; no product is taken on the rows [R | T][E] or
+    the known columns F alone. A corrupted column left unread once u_E is fixed is caught by the comparison on F."""
     a = MatrixGF(F13, [[1, 0, 0, 3, 5, 7], [0, 1, 0, 2, 4, 6], [0, 0, 1, 9, 8, 1]])
     RT, _ = a.echelon
     x = [4, 11, 2]
     word = vec_mat(13, x, a.entries).tolist()
     products = []
-    monkeypatch.setattr(linalg_module, "vec_mat", lambda q, u, M: products.append(M.tolist()) or vec_mat(q, u, M))
+    monkeypatch.setattr(
+        linalg_module, "vec_mat", lambda q, u, M: products.append((list(u), M.tolist())) or vec_mat(q, u, M)
+    )
     for E in ([0], [2], [0, 2], [0, 1, 2]):
         products.clear()
         assert solve(a, [None if j in E else v for j, v in enumerate(word)]) == x
-        assert products == [RT.tolist(), RT[E].tolist()]
+        assert products == [(x, RT.tolist())]  # a[:, P] = I here, so u = x a[:, P] = x
     products.clear()
     corrupted = [None] + word[1:5] + [(word[5] + 1) % 13]
     assert outcome(a, corrupted) == "Inconsistent" == oracle_solve(13, *known_part(a, corrupted))
-    assert products == [RT.tolist(), RT[[0]].tolist()]
+    assert products == [(x, RT.tolist())]
+
+
+def locality_rows(q, rng):
+    """Rows on two column blocks, like a two-group G: each on the first block, the second or both, and in about half
+    the matrices the last row a multiple of an earlier one."""
+    n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
+    blocks = (range(n1), range(n1, n1 + n2), range(n1 + n2))
+    rows = []
+    for _ in range(rng.randint(2, 6)):
+        on = rng.choices(blocks, weights=(4, 4, 1))[0]
+        rows.append([rng.randrange(q) if j in on else 0 for j in range(n1 + n2)])
+    if rng.random() < 0.5:
+        rows[-1] = [rng.randrange(q) * v % q for v in rng.choice(rows[:-1])]
+    return rows
 
 
 @pytest.mark.parametrize("q", ORACLE_FIELDS)
-def test_solve_outcomes_match_oracle_fuzz(q):
-    """Seeded words on full-rank and rank-deficient matrices, with 0..n erasures and 0-2 corrupted symbols: solve
-    gives the pure-Python solve's value or exception type, and Underdetermined names the rank of the known columns."""
+def test_solve_outcomes_match_oracle_fuzz(q, monkeypatch):
+    """Seeded words on full-rank and rank-deficient dense matrices, then on locality-shaped ones, with 0..n erasures
+    and 0-2 corrupted symbols: solve gives the pure-Python solve's value or exception type, and Underdetermined names
+    the rank of the known columns. On locality-shaped matrices the elimination skips equations, and a corrupted
+    skipped column raises Inconsistent both ways: at the comparison on F after the one product, and when F runs out
+    and the skipped equations are reduced before Underdetermined."""
     f = make_field(q)
     rng = random.Random(q)
-    for case in range(200):
-        k = rng.randint(1, 6)
-        n = rng.randint(k, 9) if case % 2 else rng.randint(1, 9)
-        while True:
-            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-            if case % 2 == 0:  # rank deficient: the last row a combination of the others
-                coefficients = [rng.randrange(q) for _ in rows[:-1]]
-                rows[-1] = [sum(c * row[j] for c, row in zip(coefficients, rows[:-1])) % q for j in range(n)]
-            if (oracles.rref(q, rows)[1] == k) == (case % 2 == 1):
-                break
+    products = []
+    monkeypatch.setattr(linalg_module, "vec_mat", lambda *args: products.append(1) or vec_mat(*args))
+    caught = set()
+    for case in range(300):
+        if case >= 200:
+            rows = locality_rows(q, rng)
+            k, n = len(rows), len(rows[0])
+        else:
+            k = rng.randint(1, 6)
+            n = rng.randint(k, 9) if case % 2 else rng.randint(1, 9)
+            while True:
+                rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+                if case % 2 == 0:  # rank deficient: the last row a combination of the others
+                    coefficients = [rng.randrange(q) for _ in rows[:-1]]
+                    rows[-1] = [sum(c * row[j] for c, row in zip(coefficients, rows[:-1])) % q for j in range(n)]
+                if (oracles.rref(q, rows)[1] == k) == (case % 2 == 1):
+                    break
         a = MatrixGF(f, rows)
+        log = log_plan_reads(a)
         for _ in range(8):
             word = vec_mat(q, [rng.randrange(q) for _ in range(k)], a.entries).tolist()
-            for j in rng.sample(range(n), min(n, rng.randint(0, 2))):
+            corrupted = rng.sample(range(n), min(n, rng.randint(0, 2)))
+            for j in corrupted:
                 word[j] = (word[j] + rng.randrange(1, q)) % q
             erased = rng.sample(range(n), rng.randint(0, n))
             received = [None if j in erased else v for j, v in enumerate(word)]
             known_rows, known_word = known_part(a, received)
+            log.clear()
+            products.clear()
             try:
                 got = solve(a, received)
             except Inconsistent:
@@ -477,11 +507,20 @@ def test_solve_outcomes_match_oracle_fuzz(q):
                 got = "Underdetermined"
                 assert str(exc) == f"rank {oracles.rref(q, known_rows)[1]} < {k} unknowns", (rows, received)
             assert got == oracle_solve(q, known_rows, known_word), (rows, received)
+            if case >= 200 and got == "Inconsistent":  # skipped: support read, and the equation not right after
+                pairs = zip(log, log[1:] + [None])
+                skipped = {j for (name, j), after in pairs if name == "support" and after != ("column", j)}
+                if products and skipped & set(corrupted):
+                    caught.add("comparison on F")
+                if not products and log[-1][1] in skipped:
+                    caught.add("reduced before Underdetermined")
+    assert caught == {"comparison on F", "reduced before Underdetermined"}
 
 
 def test_decode_plan_is_built_on_the_first_solve_only():
     """rank, nullspace and echelon never build the decode plan; the first solve does, once. It holds each column's
-    index among the pivots, R's other columns in Python ints and [R | T][:r] itself, read-only and not copied."""
+    index among the pivots, R's other columns in Python ints, each column's support as the bits t of its nonzero
+    R[t, j], and [R | T][:r] itself, read-only and not copied."""
     a = MatrixGF(F13, [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 4, 9, 3]])
     assert rank(a) == 2 and len(nullspace(a)) == 3
     RT, pivots = a.echelon
@@ -490,9 +529,11 @@ def test_decode_plan_is_built_on_the_first_solve_only():
     assert outcome(a, word) == "Underdetermined"
     plan = a.decode_plan
     assert outcome(a, [None] + word[1:]) == "Underdetermined" and a.decode_plan is plan
-    at, columns, RT_r = plan
+    at, columns, support, RT_r = plan
     assert pivots == (0, 1) and at == (0, 1, None, None, None)
     assert columns == (None, None, *RT[:2, 2:5].T.tolist())
+    assert support == tuple(sum(1 << t for t in range(2) if RT[t, j]) for j in range(5)) == (1, 2, 3, 3, 3)
+    assert all(type(s) is int for s in support)
     assert all(type(v) is int for c in columns[2:] for v in c)
     assert np.shares_memory(RT_r, RT) and RT_r.shape == (2, 8) and not RT_r.flags.writeable
     with pytest.raises(ValueError):
@@ -535,9 +576,10 @@ def test_decode_plan_memory_against_the_echelon(q, ratio, tmp_path, capsys):
 
 def test_solve_inconsistent_before_underdetermined_on_a_rank_deficient_matrix(monkeypatch):
     """Row 3 = row 1 + row 2, so rank 2 < 3 unknowns. With its pivots erased the equations still fix u_E, and a
-    corrupted known column must raise Inconsistent before rank raises Underdetermined, whether a dependent equation
-    read before u_E is fixed finds the mismatch (one product, u R[:r, F]) or only the re-encode product does (two).
-    Row 1 is 0 at column 3, so with column 1 erased the first equation read is such a dependent one."""
+    corrupted known column must raise Inconsistent before rank raises Underdetermined, whether the re-encode product
+    finds the mismatch (one product) or the elimination does (none). Row 1 is 0 at column 3, so with column 1 erased
+    the first equation is a dependent one: it is skipped, and left to the re-encode while column 4 fixes u_E. With
+    columns 4-7 erased too, no equation fixes u_E and the skipped one is reduced before Underdetermined."""
     rows = [[1, 0, 0, 4, 5, 6, 2], [0, 1, 5, 2, 2, 7, 3]]
     rows.append([(u + v) % 13 for u, v in zip(*rows)])
     a = MatrixGF(F13, rows)
@@ -547,7 +589,7 @@ def test_solve_inconsistent_before_underdetermined_on_a_rank_deficient_matrix(mo
     products = []
     monkeypatch.setattr(linalg_module, "vec_mat", lambda *args: products.append(1) or vec_mat(*args))
     found_by = set()
-    for erased in ({0}, {1}, {0, 1}, {0, 1, 2, 3}, {0, 1, 2, 5}):
+    for erased in ({0}, {1}, {0, 1}, {0, 1, 2, 3}, {0, 1, 2, 5}, {0, 3, 4, 5, 6}):
         received = [None if j in erased else v for j, v in enumerate(word)]
         assert outcome(a, received) == "Underdetermined" == oracle_solve(13, *known_part(a, received))
         for j in set(range(7)) - erased:
@@ -555,7 +597,7 @@ def test_solve_inconsistent_before_underdetermined_on_a_rank_deficient_matrix(mo
             products.clear()
             assert outcome(a, corrupted) == "Inconsistent" == oracle_solve(13, *known_part(a, corrupted)), (erased, j)
             found_by.add(len(products))
-    assert found_by == {1, 2}
+    assert found_by == {0, 1}
     with pytest.raises(Underdetermined, match=r"^rank 1 < 3 unknowns$"):
         solve(a, [None, None, None, None, None, None, word[6]])
 
