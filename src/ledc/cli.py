@@ -62,6 +62,11 @@ EXIT_DECODE = 5
 # distance searches give up far below it; `bound` stays well under a second.
 MAX_POSITIONS = 10**5
 
+# Entries k*n of the k x n generator `construct` may build; the paper's two
+# families at n = 4,000 have k*n near 1.5e7. At 1.9e7 cells `construct`
+# peaked at 0.83 GB RSS (cyclic) and 1.25 GB (nested).
+MAX_CELLS = 2 * 10**7
+
 # Exception types to exit codes; the first row that matches wins.
 EXIT_CODES = (
     ((UnrecoverableErasurePattern, Inconsistent), EXIT_DECODE),
@@ -252,6 +257,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     s, f = structure_from_dict(_load_json(args.structure_file))
     if args.q is not None:
         f = make_field(args.q)
+    if s.k * s.n > MAX_CELLS:  # before any k x n array is made
+        raise TooLarge(f"k*n = {s.k}*{s.n} = {s.k * s.n} cells exceed the budget of {MAX_CELLS}")
     if args.method == "nested":
         code = construct_nested(s, f)
     elif args.method == "cyclic":

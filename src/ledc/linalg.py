@@ -203,12 +203,13 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
 
     With u = x T^-1 the system is u R = word there, R[:r, P] = I on the pivot columns P. One pass over the word gives
     u at the known pivots (0 at the erased ones E) and the known columns F outside P. Forward elimination reads F in
-    column order, each column an equation u_E R[E, j] = word[j] - u R[:r, j], until |E| independent ones: it skips a
-    column while the pivot rows so far span every row supported where the equations read reach, and the column's
-    support lies there, and a dependent equation read needs a zero right-hand side. Back substitution writes u_E into
-    u; one product u [R | T][:r] re-encodes, which must match the word on F (pivots match by construction), and its
-    last k entries are x. If F runs out first, the skipped equations are reduced too. Inconsistent is checked first,
-    then Underdetermined.
+    column order, each column an equation u_E R[E, j] = word[j] - u R[:r, j], until |E| independent ones: an equation
+    read becomes a pivot row or is dropped, and a column is skipped while the pivot rows so far span every row
+    supported where the equations read reach, and the column's support lies there. Back substitution writes u_E into
+    u, 0 at an erased pivot left without a pivot row; one product u [R | T][:r] re-encodes, and its last k entries are
+    x. On a consistent word every equation on F, read, skipped or unread, is a combination of the pivot rows, so the
+    product's one comparison with the word on F (pivots match by construction) finds Inconsistent; Underdetermined
+    follows when F ran out first or r < k.
     """
     if len(word) != a.cols:
         raise DimensionMismatch(f"word length {len(word)} != {a.cols} columns")
@@ -224,47 +225,34 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
             F.append(j)
         else:
             u[t] = v % q
-    if E:
-        basis: list = [None] * len(E)  # basis[p]: an equation [row | rhs], 0 before p; inverse[p]: 1 / its entry at p
+    basis: list = [None] * len(E)  # basis[p]: an equation [row | rhs], 0 before p; inverse[p]: 1 / its entry at p
+    if E:  # a read with no erased pivot goes straight to the product
         inverse = basis.copy()
-
-        def reduced(j: int) -> tuple[list[int], int]:
-            """Column j's equation and its first nonzero with no pivot row (len(E) when none), reduced up to there."""
-            column = columns[j]
-            eq = [*map(column.__getitem__, E), (word[j] - sum(map(mul, u, column))) % q]
-            for p, pivot in enumerate(basis):
-                if c := eq[p]:
-                    if pivot is None:
-                        return eq, p
-                    c = c * inverse[p] % q
-                    eq = [(e - c * b) % q for e, b in zip(eq, pivot)]
-            if eq[-1]:
-                raise Inconsistent("no x satisfies x a = b")
-            return eq, len(E)
-
         erased = sum(1 << t for t in E)
-        reach, have, skipped = 0, 0, []  # bits t of E: the supports of the equations read, the pivot rows found
+        reach = have = 0  # bits t of E: the supports of the equations read, the pivot rows found
         for j in F:
+            if have == erased:
+                break
             if not (s := support[j] & erased) & ~have and reach == have:  # a combination of the pivot rows
-                skipped.append(j)
                 continue
             reach |= s
-            eq, p = reduced(j)
-            if p < len(E):
-                basis[p], inverse[p] = eq, pow(eq[p], -1, q)
-                if (have := have | 1 << E[p]) == erased:
-                    break
-        else:
-            for j in skipped:
-                reduced(j)
-            raise Underdetermined(f"rank {r - basis.count(None)} < {k} unknowns")
-        for p in reversed(range(len(E))):  # back substitution; u is still 0 at E[: p + 1], basis[p] 0 before p
-            u[E[p]] = (basis[p][-1] - sum(map(mul, basis[p], map(u.__getitem__, E)))) * inverse[p] % q
+            column = columns[j]
+            eq = [*map(column.__getitem__, E), (word[j] - sum(map(mul, u, column))) % q]
+            for p, pivot in enumerate(basis):  # reduced until its first nonzero with no pivot row, else dropped
+                if c := eq[p]:
+                    if pivot is None:
+                        basis[p], inverse[p], have = eq, pow(c, -1, q), have | 1 << E[p]
+                        break
+                    c = c * inverse[p] % q
+                    eq = [(e - c * b) % q for e, b in zip(eq, pivot)]
+        for p in reversed(range(len(E))):  # back substitution; u is 0 at E[:p + 1] and where no pivot row was found
+            if basis[p]:
+                u[E[p]] = (basis[p][-1] - sum(map(mul, basis[p], map(u.__getitem__, E)))) * inverse[p] % q
     encoded = vec_mat(q, u, RT).tolist()
     if any(word[j] % q != encoded[j] for j in F):
         raise Inconsistent("no x satisfies x a = b")
-    if r < k:
-        raise Underdetermined(f"rank {r} < {k} unknowns")
+    if (found := r - basis.count(None)) < k:
+        raise Underdetermined(f"rank {found} < {k} unknowns")
     return encoded[a.cols :]
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, cap_structure, load_json, load_structure, random_structure
 
 import ledc
+from ledc import cli
 from ledc.cli import _format_json, code_from_dict, code_to_dict, run, structure_from_dict
 from ledc.code import LedcCode, encode, erasure_decode
 from ledc.construct import construct_cyclic, construct_nested, construct_random
@@ -653,6 +654,22 @@ def test_declared_sizes_past_the_cap_exit_2_fast(tmp_path, capsys):
     at_cap = write_json(tmp_path, "cap.json", {"q": 13, "groups": [{"K": [1], "n": 10**5}]})
     assert run(["bound", at_cap]) == 0
     assert capsys.readouterr().out == "dmax=100000\nblocks=1\ndata=1\n"
+
+
+def test_construct_past_the_cell_budget_exits_3_before_building(tmp_path, monkeypatch, capsys):
+    """k*n is checked once the structure and --q are read, before a construction makes any k x n array: T0 (k = 3,
+    n = 5) builds at a budget of 15 cells, and at 14 exits 3 by every method, building nothing."""
+    t0 = write_json(tmp_path, "t0.json", T0)
+    for method in ("nested", "cyclic", "random"):
+        monkeypatch.setattr(cli, "MAX_CELLS", 15)
+        assert run(["construct", t0, "--method", method, "--out", "-"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_CELLS", 14)
+        with monkeypatch.context() as patched:
+            for name in ("construct_nested", "construct_cyclic", "construct_random"):
+                patched.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran past the cell budget"))
+            assert run(["construct", t0, "--method", method, "--q", "11", "--out", "-"]) == 3
+        assert capsys.readouterr() == ("", "error=TooLarge: k*n = 3*5 = 15 cells exceed the budget of 14\n")
 
 
 # ---------- encode / decode ----------

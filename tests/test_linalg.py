@@ -466,8 +466,8 @@ def test_solve_outcomes_match_oracle_fuzz(q, monkeypatch):
     """Seeded words on full-rank and rank-deficient dense matrices, then on locality-shaped ones, with 0..n erasures
     and 0-2 corrupted symbols: solve gives the pure-Python solve's value or exception type, and Underdetermined names
     the rank of the known columns. On locality-shaped matrices the elimination skips equations, and a corrupted
-    skipped column raises Inconsistent both ways: at the comparison on F after the one product, and when F runs out
-    and the skipped equations are reduced before Underdetermined."""
+    skipped column raises Inconsistent at the comparison on F after the one product in both cases: when |E| pivot
+    rows were found, and when F ran out, the known columns' rank below a's."""
     f = make_field(q)
     rng = random.Random(q)
     products = []
@@ -510,11 +510,11 @@ def test_solve_outcomes_match_oracle_fuzz(q, monkeypatch):
             if case >= 200 and got == "Inconsistent":  # skipped: support read, and the equation not right after
                 pairs = zip(log, log[1:] + [None])
                 skipped = {j for (name, j), after in pairs if name == "support" and after != ("column", j)}
-                if products and skipped & set(corrupted):
-                    caught.add("comparison on F")
-                if not products and log[-1][1] in skipped:
-                    caught.add("reduced before Underdetermined")
-    assert caught == {"comparison on F", "reduced before Underdetermined"}
+                if skipped & set(corrupted):
+                    assert products == [1], (rows, received)
+                    ran_out = oracles.rref(q, known_rows)[1] < oracles.rref(q, rows)[1]
+                    caught.add("F ran out" if ran_out else "|E| pivot rows found")
+    assert caught == {"|E| pivot rows found", "F ran out"}
 
 
 def test_decode_plan_is_built_on_the_first_solve_only():
@@ -576,10 +576,11 @@ def test_decode_plan_memory_against_the_echelon(q, ratio, tmp_path, capsys):
 
 def test_solve_inconsistent_before_underdetermined_on_a_rank_deficient_matrix(monkeypatch):
     """Row 3 = row 1 + row 2, so rank 2 < 3 unknowns. With its pivots erased the equations still fix u_E, and a
-    corrupted known column must raise Inconsistent before rank raises Underdetermined, whether the re-encode product
-    finds the mismatch (one product) or the elimination does (none). Row 1 is 0 at column 3, so with column 1 erased
-    the first equation is a dependent one: it is skipped, and left to the re-encode while column 4 fixes u_E. With
-    columns 4-7 erased too, no equation fixes u_E and the skipped one is reduced before Underdetermined."""
+    corrupted known column must raise Inconsistent before rank raises Underdetermined, and the re-encode product
+    finds every mismatch: each outcome costs one product. Row 1 is 0 at column 3, so with column 1 erased the first
+    equation is a dependent one: it is skipped, and left to the re-encode while column 4 fixes u_E. With columns 4-7
+    erased too, no equation fixes u_E, the erased pivot stays 0, and the skipped one is still checked by the
+    re-encode before Underdetermined."""
     rows = [[1, 0, 0, 4, 5, 6, 2], [0, 1, 5, 2, 2, 7, 3]]
     rows.append([(u + v) % 13 for u, v in zip(*rows)])
     a = MatrixGF(F13, rows)
@@ -597,7 +598,7 @@ def test_solve_inconsistent_before_underdetermined_on_a_rank_deficient_matrix(mo
             products.clear()
             assert outcome(a, corrupted) == "Inconsistent" == oracle_solve(13, *known_part(a, corrupted)), (erased, j)
             found_by.add(len(products))
-    assert found_by == {0, 1}
+    assert found_by == {1}
     with pytest.raises(Underdetermined, match=r"^rank 1 < 3 unknowns$"):
         solve(a, [None, None, None, None, None, None, word[6]])
 
