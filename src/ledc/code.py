@@ -123,7 +123,7 @@ def local_decode(c: LedcCode, group: int, observed: Sequence[tuple[int, Felt]]) 
     SupportViolation.
     """
     s = c.structure
-    if non_integers([group]):
+    if type(group) is not int and non_integers([group]):
         raise PositionsOutsideGroup(f"group {group!r} is a {type(group).__name__}, not an integer")
     if not 1 <= group <= s.m:
         raise PositionsOutsideGroup(f"no group {group} (have 1..{s.m})")
@@ -136,13 +136,16 @@ def local_decode(c: LedcCode, group: int, observed: Sequence[tuple[int, Felt]]) 
     if len(seen) != len(positions):
         raise PositionsOutsideGroup("observed positions must be distinct")
     word: list = [None] * len(index)  # the local word, in N_i's order
+    known = []
     for p, v in observed:
         word[index[p]] = v
+        if v is not None:
+            known.append(p)
     ki = len(s.K[group - 1])
-    known = [p for p, v in observed if v is not None]
     if len(known) < ki:
         raise NotEnoughSymbols(f"{len(known)} symbols < k_{group}={ki}")
-    if any(c.off_columns[p - 1] for p in known):
+    off = c.off_columns
+    if any([off[p - 1] for p in known]):
         i, at = np.argwhere(c.off_support[:, [p - 1 for p in known]])[0]
         raise SupportViolation(f"group {group}: position {known[at]} depends on data {i + 1}, outside K_{group}")
     try:
@@ -286,14 +289,21 @@ def _parity_table(q: int, n: int, omega: Optional[int], width: int) -> Optional[
     = (n-1)! / prod_{l != j} (j - l): the GRS code with these weights is the dual of the Reed-Solomon code on 1..n, and
     the common factor (n-1)!, nonzero as n <= q, leaves M P = 0 as it is.
     """
-    points = [pow(omega, j, q) for j in range(n)] if omega is not None else [j % q for j in range(1, n + 1)]
+    if omega is None:
+        points = [j % q for j in range(1, n + 1)]
+    else:  # omega^j by running products
+        points = list(accumulate(range(1, n), lambda a, _: a * omega % q, initial=1))
     if len(set(points)) < n:
         return None
-    weights = [1] * n if omega is not None else accumulate(  # C(n-1, j) = C(n-1, j-1) (n-j) / j
-        range(1, n), lambda w, j: -w * (n - j) * pow(j, -1, q) % q, initial=(-1) ** (n - 1) % q
-    )
+    weights = np.ones(n, dtype=np.int64)
+    if omega is None:  # C(n-1, j-1) = (n-1)! / ((j-1)! (n-j)!), from i! and 1 / i! for i < n: one inverse, as n <= q
+        factorial = list(accumulate(range(1, n), lambda f, i: f * i % q, initial=1))
+        down = accumulate(range(n - 1, 0, -1), lambda f, i: f * i % q, initial=pow(factorial[-1], -1, q))
+        inverse = np.array(list(down)[::-1], dtype=np.int64)  # 1 / i!
+        weights = factorial[-1] * inverse % q * inverse[::-1] % q
+        weights[n % 2 :: 2] = -weights[n % 2 :: 2] % q  # the sign (-1)^(n-j), at j = n - 1, n - 3, ...
     a = np.array(points, dtype=np.int64)
-    P = np.array(list(islice(scaled_powers(q, np.fromiter(weights, dtype=np.int64, count=n), a), width))).T
+    P = np.array(list(islice(scaled_powers(q, weights, a), width))).T
     a.flags.writeable = P.flags.writeable = False
     return a, P
 

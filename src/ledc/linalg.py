@@ -11,7 +11,7 @@ that can add rank, and re-encodes in one `vec_mat` product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterator, Optional, Sequence
@@ -214,10 +214,10 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
     if len(word) != a.cols:
         raise DimensionMismatch(f"word length {len(word)} != {a.cols} columns")
     word = integer_symbols(word, erasable=True)
-    (at, columns, support, RT), q, k = a.decode_plan, a.field.q, a.rows
-    r = len(RT)
+    at, columns, support, RT = a.decode_plan
+    q, n, r = a.field.q, len(at), len(RT)
     u, E, F = [0] * r, [], []
-    for j, v, t in zip(range(a.cols), word, at):
+    for j, v, t in zip(range(n), word, at):
         if v is None:
             if t is not None:
                 E.append(t)
@@ -249,16 +249,17 @@ def solve(a: MatrixGF, word: Sequence[Optional[Felt]]) -> list[Felt]:
             if basis[p]:
                 u[E[p]] = (basis[p][-1] - sum(map(mul, basis[p], map(u.__getitem__, E)))) * inverse[p] % q
     encoded = vec_mat(q, u, RT).tolist()
-    if any(word[j] % q != encoded[j] for j in F):
-        raise Inconsistent("no x satisfies x a = b")
-    if (found := r - basis.count(None)) < k:
+    for j in F:
+        if word[j] % q != encoded[j]:
+            raise Inconsistent("no x satisfies x a = b")
+    if (found := r - basis.count(None)) < (k := RT.shape[1] - n):
         raise Underdetermined(f"rank {found} < {k} unknowns")
-    return encoded[a.cols :]
+    return encoded[n:]
 
 
 def integer_symbols(word: Sequence, erasable: bool = False) -> Sequence:
     """The word, numpy integers made ints; a bool, float or string symbol (None unless `erasable`) raises."""
-    if set(map(type, word)) <= {int, type(None) if erasable else int}:  # plain ints: one pass over the types
+    if {int, type(None) if erasable else int}.issuperset(map(type, word)):  # plain ints: one pass over the types
         return word
     if bad := {type(v).__name__ for v in non_integers([v for v in word if v is not None or not erasable])}:
         raise PreconditionViolated(f"symbols must be integers, got {', '.join(sorted(bad))}")
@@ -270,12 +271,22 @@ def vec_mat(q: int, x: Sequence | np.ndarray, M: np.ndarray) -> np.ndarray:
     else Horner over b-bit limbs of x, acc = (acc 2^b + limb M) mod q, b the widest with (l+1) 2^b (q-1) < 2^63."""
     x = np.asarray(x, dtype=np.int64)
     if x.shape[-1] * (q - 1) ** 2 < 1 << 63:
-        return x @ M % q
+        y = x.dot(M)  # ndarray.dot and an array modulus skip per-call dispatch and conversion that @ and % q pay
+        y %= _modulus(q)
+        return y
     b = (((1 << 63) - 1) // ((x.shape[-1] + 1) * (q - 1))).bit_length() - 1
     acc = 0
     for shift in reversed(range(0, (q - 1).bit_length(), b)):
         acc = (acc * (1 << b) + (x >> shift & (1 << b) - 1) @ M) % q
     return acc
+
+
+@lru_cache(maxsize=64)
+def _modulus(q: int) -> np.ndarray:
+    """q as a read-only 0-d int64 array, made once per q."""
+    m = np.array(q, dtype=np.int64)
+    m.flags.writeable = False
+    return m
 
 
 def scaled_powers(q: int, X: np.ndarray, points: np.ndarray) -> Iterator[np.ndarray]:

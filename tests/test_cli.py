@@ -157,6 +157,33 @@ def test_malformed_files_exit_2_naming_the_field(tmp_path, command, payload, fie
 
 
 @pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("bound", "5", "structure must be a JSON object, got int"),
+        ("verify", "[1, 2]", "code file must be a JSON object, got list"),
+        ("verify", '{"structure": [1], "G": []}', "structure must be a JSON object, got list"),
+        ("bound", '{"q": 13, "groups": [{"K": [1], "n": 2}, 7]}', "group 2 must be a JSON object, got int"),
+        ("bound", '{"q": 13, "groups": []}', "'groups' must be a nonempty list"),
+        ("bound", '{"q": 13, "groups": {"K": [1], "n": 2}}', "'groups' must be a nonempty list"),
+        ("verify", '{"structure": {"q": 13, "groups": "K"}, "G": []}', "'groups' must be a nonempty list"),
+        ("bound", "[" * 100_000, "{path}: JSON nested too deeply"),
+        ("verify", '{"structure": ' * 100_000, "{path}: JSON nested too deeply"),
+    ],
+    ids=[
+        "structure-int", "code-file-list", "code-structure-list", "group-int", "groups-empty", "groups-object",
+        "code-groups-string", "deep-list", "deep-object",
+    ],
+)
+def test_input_branches_exit_2_in_process(tmp_path, capsys, command, text, message):
+    """A structure, code file or group entry that is not a JSON object, a 'groups' that is empty or not a list, and
+    a file nested past the JSON decoder's recursion limit each exit 2 with one error= line, run in this process."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run([command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error=ValueError: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize(
     "payload",
     [
         {"q": 13, "groups": [{"K": [1000000000], "n": 1}]},

@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -935,11 +936,34 @@ def test_parity_certificate_at_the_table_cap(monkeypatch):
         assert kept.cache_info().currsize == 1 and first.size <= cap // k
 
 
+def test_parity_tables_match_their_formula():
+    """The points and P of a parity table are those of the closed forms, one modular power or inverse per entry: a_j =
+    omega^j, w_j = 1 with a hint; else a_j = j and w_j = (-1)^(n-j) C(n-1, j-1), P[j, i] = w_j a_j^i. Points that repeat
+    give None."""
+    rng = random.Random(86)
+    for _ in range(300):
+        q = rng.choice([2, 3, 5, 7, 13, 257, 65537, 2**31 - 1])
+        n, width = rng.randint(1, min(q + 2, 200)), rng.randint(1, 5)
+        omega = rng.choice([None, rng.randrange(-2, q + 2)])
+        if omega is None:
+            points = [j % q for j in range(1, n + 1)]
+            weights = [(-1) ** (n - j) * comb(n - 1, j - 1) for j in range(1, n + 1)]
+        else:
+            points, weights = [pow(omega, j, q) for j in range(n)], [1] * n
+        table = code_module._parity_table.__wrapped__(q, n, omega, width)
+        if len(set(points)) < n:
+            assert table is None, (q, n, omega)
+            continue
+        a, P = table
+        assert a.tolist() == points and not a.flags.writeable and not P.flags.writeable
+        assert P.tolist() == [[w * pow(p, i, q) % q for i in range(width)] for p, w in zip(points, weights)], (q, n, omega)
+
+
 def test_parity_tables_past_the_cap_are_not_kept():
     """A first block of more than PARITY_TABLE_CAP entries is built for its check alone. Distinct 1 x 20,000 checks at
     delta = 3, each one column of n entries beside the n points, retain less than one such table of 2 n int64s once
-    they return, and the cache stays empty (64 kept tables would hold 20 MB). Eight are traced: under tracemalloc a
-    check's 20,000 modular inverses take a quarter of a second. The ones row is the Reed-Solomon codeword of the
+    they return, and the cache stays empty (64 kept tables would hold 20 MB). Eight are traced: tracemalloc slows
+    each of a check's 40,000 running products of the weights. The ones row is the Reed-Solomon codeword of the
     constant, of weight n, so each is proved."""
     f, kept = make_field(65537), code_module._parity_table
     kept.cache_clear()
@@ -1247,6 +1271,55 @@ def test_decoders_match_oracle_fuzz(c, data):
         positions.append(data.draw(st.integers(1, s.n).filter(lambda p: p not in positions)))
     observed = [(p, word[p - 1]) for p in positions]
     assert outcome(local_decode, c, group, observed) == oracle_local_decode(q, rows, Kg, Ng, group, observed)
+
+
+EARLY_LOCAL_ERRORS = ("PositionsOutsideGroup", "NotEnoughSymbols", "SupportViolation")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(small_codes(DECODE_FIELDS, DECODE_KINDS), wide_codes()), st.data())
+def test_decoders_take_numpy_integers_and_refuse_bools_and_wrong_lengths_fuzz(c, data):
+    """The fuzz's words with numpy integers for the symbols and the group number: encode and both decoders give the
+    oracle's outcome. A bool symbol is refused, after local_decode's position and support checks. A word or data one
+    symbol short or long raises DimensionMismatch before any decode plan is built. Over GF(2^31 - 1) the products go
+    by limbs."""
+    s, q, rows = c.structure, c.field.q, c.G.to_rows()
+    event(f"q = {q}")
+    x = data.draw(st.lists(st.integers(0, q - 1), min_size=s.k, max_size=s.k))
+    word = [sum(a * g for a, g in zip(x, col)) % q for col in zip(*rows)]
+    dtype = data.draw(st.sampled_from([np.int64, np.int32, np.uint32, np.uint64]))
+    for wrong in (word[:-1], word + [0]):
+        assert outcome(erasure_decode, c, wrong) == ("DimensionMismatch", f"word length {len(wrong)} != {s.n} columns")
+    for wrong in (x[:-1], x + [0]):
+        assert outcome(encode, c, wrong) == ("DimensionMismatch", f"data length {len(wrong)} != k={s.k}")
+    assert "decode_plan" not in vars(c.G)
+    assert encode(c, [dtype(v) for v in x]) == encode(c, np.array(x, dtype=dtype)) == word
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(0, s.n - 1))
+        word[j] = (word[j] + data.draw(st.integers(1, q - 1))) % q
+    erased = data.draw(st.sets(st.integers(0, s.n - 1), max_size=data.draw(st.integers(0, s.n))))
+    received = [None if j in erased else v for j, v in enumerate(word)]
+    want = oracle_erasure_decode(q, rows, received)
+    assert outcome(erasure_decode, c, [v if v is None else dtype(v) for v in received]) == want
+    refused = ("PreconditionViolated", "symbols must be integers, got bool")
+    if known := [j for j, v in enumerate(received) if v is not None]:
+        j = data.draw(st.sampled_from(known))
+        received[j] = data.draw(st.booleans())
+        assert outcome(erasure_decode, c, received) == refused
+        assert outcome(encode, c, [received[j]] + x[1:]) == refused
+    group = data.draw(st.integers(1, s.m))
+    Kg, Ng = s.K[group - 1], s.N[group - 1]
+    positions = data.draw(st.permutations(Ng))[: data.draw(st.integers(max(0, len(Kg) - 1), len(Ng)))]
+    if data.draw(st.integers(0, 9)) == 0:
+        positions.append(data.draw(st.integers(1, s.n).filter(lambda p: p not in positions)))
+    observed = [(p, word[p - 1]) for p in positions]
+    want = oracle_local_decode(q, rows, Kg, Ng, group, observed)
+    assert outcome(local_decode, c, dtype(group), [(p, dtype(v)) for p, v in observed]) == want
+    if observed:
+        i = data.draw(st.integers(0, len(observed) - 1))
+        observed[i] = (observed[i][0], data.draw(st.booleans()))
+        early = isinstance(want, tuple) and want[0] in EARLY_LOCAL_ERRORS
+        assert outcome(local_decode, c, group, observed) == (want if early else refused)
 
 
 def storage_codes():

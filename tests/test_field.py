@@ -74,3 +74,33 @@ def test_is_primitive_matches_the_multiplicative_order(q):
     for w in range(q):
         powers = [pow(w, e, q) for e in range(1, q)]
         assert is_primitive(f, w) == (w != 0 and powers.index(1) == q - 2), (q, w)
+
+
+def prime_by_trial_division(n):
+    """n >= 2 has no divisor d with 2 <= d <= sqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+# Every Carmichael number below 10^6, and 25,326,001, the least strong pseudoprime to the bases 2, 3 and 5 at once.
+PSEUDOPRIMES = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633, 62745, 63973, 75361, 101101,
+    115921, 126217, 162401, 172081, 188461, 252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041, 449065,
+    488881, 512461, 530881, 552721, 656601, 658801, 670033, 748657, 825265, 838201, 852841, 997633, 25326001,
+)
+
+
+def test_make_field_decides_primality_as_trial_division():
+    """Miller-Rabin to the bases 2, 3, 5 and 7 agrees with trial division at every q <= 10^5, at the Carmichael
+    numbers below 10^6 and a strong pseudoprime to the bases 2, 3 and 5, and at the last 300 integers below 2^31;
+    a composite q is refused with its own message."""
+    primes = set()
+    for q in [*range(2, 10**5 + 1), *PSEUDOPRIMES, *range(2**31 - 300, 2**31)]:
+        try:
+            make_field(q)
+            primes.add(q)
+        except NotPrime as exc:
+            assert str(exc) == f"{q} is not prime"
+    assert sorted(q for q in primes if q <= 10**5) == [q for q in range(10**5 + 1) if prime_by_trial_division(q)]
+    assert not primes.intersection(PSEUDOPRIMES) and all(pow(2, q - 1, q) == 1 for q in PSEUDOPRIMES)
+    top = [q for q in range(2**31 - 300, 2**31) if prime_by_trial_division(q)]
+    assert sorted(q for q in primes if q > 10**6) == top and len(top) == 13 and top[-1] == 2**31 - 1
